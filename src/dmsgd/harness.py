@@ -15,8 +15,7 @@ import hashlib
 import logging
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -55,12 +54,30 @@ BOUND_METRICS = {
     "sqrt_step_q": ("running_avg_grad", lambda m: m),
 }
 
+# every key the README key table documents; anything else is a typo
+KNOWN_KEYS = frozenset(
+    [f"topology.{k}" for k in ("kind", "n", "laziness", "parts", "edges")]
+    + [f"objective.{k}" for k in (
+        "kind", "targets", "curvatures", "n", "shifts", "dataset", "dataset_seed", "samples",
+        "features", "classes", "separation", "agents", "partition", "partition_seed", "reg",
+        "grad_bound")]
+    + [f"oracle.{k}" for k in ("mode", "sigma", "batch")]
+    + [f"hp.{k}" for k in (
+        "option", "schedule", "alpha", "B", "beta", "omega", "adaptive_scope", "iters", "seed")]
+    + [f"output.{k}" for k in ("dir", "seeds", "emit_bounds")]
+    + [f"sweep.{k}" for k in ("omega", "beta", "topology", "option", "seed")]
+)
+
 PILOT_ITERS = 200
 PILOT_INFLATION = 1.05
 
 
 class ConfigError(ValueError):
     """Malformed or inconsistent configuration (CLI exit code 2)."""
+
+
+class InputFileError(ValueError):
+    """Unreadable or malformed trace/bounds CSV (CLI exit code 2)."""
 
 
 class RuntimeFailure(RuntimeError):
@@ -101,6 +118,11 @@ class RunConfig:
             return int(raw)
         except ValueError as exc:
             raise ConfigError(f"{key} must be an integer, got {raw!r}") from exc
+
+    def check_keys(self):
+        unknown = sorted(set(self.items) - KNOWN_KEYS)
+        if unknown:
+            raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
 
     def get_bool(self, key, default=False):
         raw = self.items.get(key)
@@ -160,7 +182,10 @@ def _parse_vectors(raw, what):
 
 
 def _parse_scalars(raw, n, what):
-    vals = [float(v) for v in raw.replace(";", ",").split(",") if v.strip()]
+    try:
+        vals = [float(v) for v in raw.replace(";", ",").split(",") if v.strip()]
+    except ValueError as exc:
+        raise ConfigError(f"cannot parse {what}: {raw!r}") from exc
     if len(vals) == 1:
         return np.full(n, vals[0])
     if len(vals) != n:
@@ -209,12 +234,12 @@ def _build_topology(cfg):
             p = n // 2
             parts = (p, n - p)
         else:
-            p, q = (int(v) for v in raw.split(","))
+            try:
+                p, q = (int(v) for v in raw.split(","))
+            except ValueError as exc:
+                raise ConfigError(f"topology.parts must be two integers 'p,q', got {raw!r}") from exc
             parts = (p, q)
-    try:
-        return build_topology(kind, n, parts=parts)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return build_topology(kind, n, parts=parts)
 
 
 def _build_suite(cfg):
@@ -260,38 +285,40 @@ def _build_oracle(cfg):
         if raw == "full":
             # full batch is the exact local gradient
             return StochasticOracle(mode="additive", sigma=0.0)
-        return StochasticOracle(mode="minibatch", batch=int(raw))
+        return StochasticOracle(mode="minibatch", batch=cfg.get_int("oracle.batch"))
     raise ConfigError(f"unknown oracle mode {mode!r}")
 
 
 def _build_hyperparams(cfg):
-    omega_raw = cfg.get("hp.omega", "0")
-    omega = "adaptive" if omega_raw == "adaptive" else float(omega_raw)
-    try:
-        return HyperParams(
-            option=cfg.get("hp.option", "I"),
-            alpha=cfg.get_float("hp.alpha"),
-            beta=cfg.get_float("hp.beta", 0.0),
-            omega=omega,
-            iters=cfg.get_int("hp.iters", 100),
-            seed=cfg.get_int("hp.seed", 0),
-            schedule=cfg.get("hp.schedule", "constant"),
-            schedule_b=cfg.get_float("hp.B"),
-            adaptive_scope=cfg.get("hp.adaptive_scope", "agent"),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    omega = "adaptive" if cfg.get("hp.omega") == "adaptive" else cfg.get_float("hp.omega", 0.0)
+    return HyperParams(
+        option=cfg.get("hp.option", "I"),
+        alpha=cfg.get_float("hp.alpha"),
+        beta=cfg.get_float("hp.beta", 0.0),
+        omega=omega,
+        iters=cfg.get_int("hp.iters", 100),
+        seed=cfg.get_int("hp.seed", 0),
+        schedule=cfg.get("hp.schedule", "constant"),
+        schedule_b=cfg.get_float("hp.B"),
+        adaptive_scope=cfg.get("hp.adaptive_scope", "agent"),
+    )
 
 
 def build_scenario(cfg):
-    topo = _build_topology(cfg)
-    mixing = metropolis_mixing(topo, laziness=cfg.get_float("topology.laziness", 0.0))
+    cfg.check_keys()
+    try:
+        topo = _build_topology(cfg)
+        mixing = metropolis_mixing(topo, laziness=cfg.get_float("topology.laziness", 0.0))
+        suite = _build_suite(cfg)
+        hp = _build_hyperparams(cfg)
+        oracle = _build_oracle(cfg)
+    except ConfigError:
+        raise
+    except (ValueError, OSError) as exc:  # the builders' own checks of config values and files
+        raise ConfigError(str(exc)) from exc
     spectral = spectrum(mixing)
-    suite = _build_suite(cfg)
     if suite.n != topo.n:
         raise ConfigError(f"objective has {suite.n} agents but topology has {topo.n}")
-    hp = _build_hyperparams(cfg)
-    oracle = _build_oracle(cfg)
     if hp.schedule == "sqrt" and hp.option == "I":
         raise ConfigError(
             "the sqrt(B/k) schedule varies the penalty weight of the option-I "
@@ -329,12 +356,7 @@ def pilot_measurements(scenario, iters=PILOT_ITERS):
     1.05 x max ||grad objective|| plus, when the oracle is a minibatch, a
     1.05-inflated estimate of the stacked draw deviation.
     """
-    hp = scenario.hp
-    pilot_hp = HyperParams(
-        option=hp.option, alpha=hp.alpha, beta=hp.beta, omega=hp.omega,
-        iters=iters, seed=hp.seed, schedule=hp.schedule, schedule_b=hp.schedule_b,
-        adaptive_scope=hp.adaptive_scope,
-    )
+    pilot_hp = replace(scenario.hp, iters=iters)
     trace = run(scenario.mixing, scenario.suite, scenario.oracle, pilot_hp,
                 scenario.objective, scenario.f_star, record_draws=True)
     if len(trace) == 0:
@@ -459,32 +481,51 @@ def write_trace_csv(path, trace, metadata):
 
 
 def read_csv_with_metadata(path):
+    """(metadata, header, rows); every data row must be as wide as the header."""
     meta, rows = {}, []
-    with open(path, "r", encoding="utf-8") as fh:
-        header = None
-        for raw in fh:
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            if line.startswith("#"):
-                key, _, value = line[1:].strip().partition("=")
-                meta[key.strip()] = value.strip()
-                continue
-            if header is None:
-                header = line.split(",")
-                continue
-            rows.append(line.split(","))
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            header = None
+            for lineno, raw in enumerate(fh, start=1):
+                line = raw.rstrip("\n")
+                if not line:
+                    continue
+                if line.startswith("#"):
+                    key, _, value = line[1:].strip().partition("=")
+                    meta[key.strip()] = value.strip()
+                    continue
+                if header is None:
+                    header = line.split(",")
+                    continue
+                row = line.split(",")
+                if len(row) != len(header):
+                    raise InputFileError(
+                        f"{path} line {lineno}: {len(row)} fields, header has {len(header)} "
+                        "(truncated file?)"
+                    )
+                rows.append(row)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputFileError(f"cannot read {path}: {exc}") from exc
     if header is None:
-        raise RuntimeFailure(f"{path} has no header row")
+        raise InputFileError(f"{path} has no header row")
     return meta, header, rows
+
+
+def _parse_fields(path, rows, columns):
+    """Each row's fields converted by ``columns`` = [(index, type)]; a bad field is an input error."""
+    try:
+        return [[kind(r[i]) for i, kind in columns] for r in rows]
+    except ValueError as exc:
+        raise InputFileError(f"{path}: non-numeric field ({exc})") from exc
 
 
 def read_trace_csv(path):
     meta, header, rows = read_csv_with_metadata(path)
     if header != TRACE_HEADER.split(","):
-        raise RuntimeFailure(f"{path} is not a trace file (header {header})")
-    data = {col: np.array([float(r[i + 1]) for r in rows]) for i, col in enumerate(TRACE_COLUMNS)}
-    data["k"] = np.array([int(r[0]) for r in rows])
+        raise InputFileError(f"{path} is not a trace file (header {header})")
+    parsed = _parse_fields(path, rows, [(0, int)] + [(i + 1, float) for i in range(len(TRACE_COLUMNS))])
+    data = {col: np.array([r[i + 1] for r in parsed]) for i, col in enumerate(TRACE_COLUMNS)}
+    data["k"] = np.array([r[0] for r in parsed])
     return meta, data
 
 
@@ -503,10 +544,10 @@ def write_bounds_csv(path, reports, bi, cfg_hash):
 def read_bounds_csv(path):
     meta, header, rows = read_csv_with_metadata(path)
     if header != BOUNDS_HEADER.split(","):
-        raise RuntimeFailure(f"{path} is not a bounds file (header {header})")
+        raise InputFileError(f"{path} is not a bounds file (header {header})")
     out = {}
-    for k, name, value in rows:
-        out.setdefault(name, []).append((int(k), float(value)))
+    for k, name, value in _parse_fields(path, rows, [(0, int), (1, str), (2, float)]):
+        out.setdefault(name, []).append((k, value))
     for name, pairs in out.items():
         pairs.sort()
         out[name] = np.array([v for _, v in pairs])
@@ -529,24 +570,11 @@ def cmd_run(args):
     out_dir = args.out or cfg.get("output.dir", ".")
     os.makedirs(out_dir, exist_ok=True)
     n_seeds = args.seeds or cfg.get_int("output.seeds", 1)
-    base_seed = scenario.hp.seed
-    hp = scenario.hp
-
-    def run_seed(seed):
-        seeded = HyperParams(
-            option=hp.option, alpha=hp.alpha, beta=hp.beta, omega=hp.omega,
-            iters=hp.iters, seed=seed, schedule=hp.schedule, schedule_b=hp.schedule_b,
-            adaptive_scope=hp.adaptive_scope,
-        )
-        return seed, run(scenario.mixing, scenario.suite, scenario.oracle, seeded,
-                         scenario.objective, scenario.f_star)
-
-    seeds = [base_seed + i for i in range(n_seeds)]
-    with ThreadPoolExecutor(max_workers=min(8, max(1, n_seeds))) as pool:
-        results = list(pool.map(run_seed, seeds))
     traces = []
     failed = None
-    for seed, trace in results:
+    for seed in range(scenario.hp.seed, scenario.hp.seed + n_seeds):
+        trace = run(scenario.mixing, scenario.suite, scenario.oracle, replace(scenario.hp, seed=seed),
+                    scenario.objective, scenario.f_star)
         path = os.path.join(out_dir, f"trace_seed{seed}.csv")
         write_trace_csv(path, trace, trace_metadata(scenario, seed, trace.status))
         log.info("wrote %s (%d rows, %s)", path, len(trace), trace.status)
@@ -644,6 +672,7 @@ def _sweep_cell(cfg, overrides):
 
 def cmd_sweep(args):
     cfg = load_config(args.config)
+    cfg.check_keys()
     out_dir = args.out or cfg.get("output.dir", ".")
     os.makedirs(out_dir, exist_ok=True)
     grid_keys = {
@@ -674,8 +703,7 @@ def cmd_sweep(args):
                       "final_consensus": float("nan"), "mean_omega": float("nan")}
         return labels, result
 
-    with ThreadPoolExecutor(max_workers=min(8, max(1, len(cells)))) as pool:
-        results = list(pool.map(run_cell, cells)) if cells else []
+    results = [run_cell(cell) for cell in cells]
     path = os.path.join(out_dir, "sweep.csv")
     lines = [f"# config_hash={config_hash(cfg)}", SWEEP_HEADER]
     for labels, result in results:
@@ -756,6 +784,9 @@ def main(argv=None):
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except InputFileError as exc:
+        print(f"input error: {exc}", file=sys.stderr)
         return 2
     except RuntimeFailure as exc:
         print(f"error: {exc}", file=sys.stderr)

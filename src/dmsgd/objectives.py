@@ -7,7 +7,8 @@ Three families are provided: strongly convex quadratics, a scalar smooth
 non-convex PL family, and regularized logistic regression over a partitioned
 dataset.  The penalized stacked objective F(x) + (1/2a) x^T (I - Pi) x lives
 here too, since its derived curvature constants are what the convergence
-bounds are stated in.
+bounds are stated in.  ``scipy.optimize`` is imported only inside the
+solvers that call it (logistic and PL optima), so quadratic runs never load it.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 __all__ = [
     "ObjectiveSuite",
@@ -139,6 +139,8 @@ def make_pl(n, shifts=0.0, pl_grid=None):
         x_star = s[0].copy()
         f_star = 0.0
     else:
+        from scipy.optimize import minimize
+
         # d=1: coarse scan plus local polish on the summed objective
         xs = np.linspace(s.min() - 3.0, s.max() + 3.0, 2001)
         vals = [sum(_pl_value(x - s[j]) for j in range(n)) for x in xs]
@@ -403,6 +405,8 @@ def unified_optimum(objective):
             h = np.diag(a) + objective._lap / objective.alpha
             x = np.linalg.solve(h, a[:, None] * targets)
         return x, objective.value(x)
+    from scipy.optimize import minimize
+
     starts = [np.zeros((n, d))]
     if suite.x_star is not None:
         starts.append(np.tile(suite.x_star, (n, 1)))
@@ -430,6 +434,8 @@ def common_optimum(suite):
     """
     if suite.f_star is not None:
         return suite.f_star
+    from scipy.optimize import minimize
+
     starts = [np.zeros(suite.d)]
     if suite.x_star is not None:
         starts.append(np.asarray(suite.x_star, dtype=float))

@@ -108,7 +108,6 @@ class RunTrace:
     k: np.ndarray
     consensus_err_max: np.ndarray
     consensus_err_stacked: np.ndarray
-    f_mean: np.ndarray
     value: np.ndarray
     gap: np.ndarray
     grad_norm_sq: np.ndarray
@@ -232,41 +231,42 @@ def run(mixing, suite, oracle, hp, objective, f_star, record_draws=False):
     swarm = AgentSwarm.zeros(mixing, n, d)
     rngs = agent_rngs(hp.seed, n)
     cols = {name: [] for name in (
-        "consensus_err_max", "consensus_err_stacked", "f_mean", "value", "gap",
+        "consensus_err_max", "consensus_err_stacked", "value", "gap",
         "grad_norm_sq", "running_avg_grad", "step_norm", "omega_used")}
     draws_log = [] if record_draws else None
     status, aborted_at = "completed", None
     grad_sq_sum = 0.0
-    for k in range(1, hp.iters + 1):
-        x_k = swarm.x_cur
-        err_max, err_stacked = consensus_errors(x_k)
-        val = objective.value(x_k)
-        gsq = float(np.sum(objective.grad(x_k) ** 2))
-        if not (np.isfinite(val) and np.isfinite(gsq) and np.isfinite(err_stacked)):
-            status, aborted_at = "aborted", k
-            break
-        grad_sq_sum += gsq
-        try:
-            grads = np.stack([stochastic_grad(suite, oracle, j, x_k[j], rngs[j]) for j in range(n)])
-            if record_draws:
-                draws_log.append(grads)
-            omega = step(hp.option, swarm, mixing, hp, grads)
-        except NonFiniteGradientError:
-            status, aborted_at = "aborted", k
-            break
-        step_norm = float(np.linalg.norm(swarm.x_cur - swarm.x_prev))
-        if not (np.isfinite(swarm.x_cur).all() and np.isfinite(step_norm)):
-            status, aborted_at = "aborted", k
-            break
-        cols["consensus_err_max"].append(err_max)
-        cols["consensus_err_stacked"].append(err_stacked)
-        cols["f_mean"].append(suite.common_value(x_k.mean(axis=0)))
-        cols["value"].append(val)
-        cols["gap"].append(val - f_star)
-        cols["grad_norm_sq"].append(gsq)
-        cols["running_avg_grad"].append(grad_sq_sum / (k + 1))
-        cols["step_norm"].append(step_norm)
-        cols["omega_used"].append(float(np.mean(omega)))
+    # a diverging run overflows before the finiteness checks below abort it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, hp.iters + 1):
+            x_k = swarm.x_cur
+            err_max, err_stacked = consensus_errors(x_k)
+            val = objective.value(x_k)
+            gsq = float(np.sum(objective.grad(x_k) ** 2))
+            if not (np.isfinite(val) and np.isfinite(gsq) and np.isfinite(err_stacked)):
+                status, aborted_at = "aborted", k
+                break
+            grad_sq_sum += gsq
+            try:
+                grads = np.stack([stochastic_grad(suite, oracle, j, x_k[j], rngs[j]) for j in range(n)])
+                if record_draws:
+                    draws_log.append(grads)
+                omega = step(hp.option, swarm, mixing, hp, grads)
+            except NonFiniteGradientError:
+                status, aborted_at = "aborted", k
+                break
+            step_norm = float(np.linalg.norm(swarm.x_cur - swarm.x_prev))
+            if not (np.isfinite(swarm.x_cur).all() and np.isfinite(step_norm)):
+                status, aborted_at = "aborted", k
+                break
+            cols["consensus_err_max"].append(err_max)
+            cols["consensus_err_stacked"].append(err_stacked)
+            cols["value"].append(val)
+            cols["gap"].append(val - f_star)
+            cols["grad_norm_sq"].append(gsq)
+            cols["running_avg_grad"].append(grad_sq_sum / (k + 1))
+            cols["step_norm"].append(step_norm)
+            cols["omega_used"].append(float(np.mean(omega)))
     rows = len(cols["gap"])
     return RunTrace(
         k=np.arange(1, rows + 1),

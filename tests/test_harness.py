@@ -1,7 +1,11 @@
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+
+import dmsgd
 
 from dmsgd.harness import (
     ConfigError,
@@ -81,6 +85,31 @@ def test_scenario_validation_errors(tmp_path):
         build_scenario(parse_config_text(sched))
 
 
+@pytest.mark.parametrize("old,new", [
+    ("hp.omega = 0.5", "hp.omega = abc"),
+    ("objective.curvatures = 1", "objective.curvatures = x"),
+    ("oracle.mode = additive", "oracle.mode = minibatch\noracle.batch = x"),
+    ("topology.kind = full", "topology.kind = bipartite\ntopology.parts = a,b"),
+    ("oracle.sigma = 0.0", "oracle.sigma = -1"),
+    ("hp.beta = 0.5", "hp.betta = 0.9"),
+])
+def test_cli_malformed_config_exit_2(tmp_path, capsys, old, new):
+    cfg_path = write_config(tmp_path, QUAD_CONFIG.replace(old, new))
+    for command in ("run", "bounds"):
+        assert main([command, "--config", cfg_path, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:")
+
+
+def test_unknown_key_rejected_before_sweep(tmp_path, capsys):
+    with pytest.raises(ConfigError, match="hp.betta"):
+        build_scenario(parse_config_text(QUAD_CONFIG + "hp.betta = 0.9\n"))
+    # sweep cells record their own failures in-row, so the key check runs first
+    cfg_path = write_config(tmp_path, QUAD_CONFIG + "hp.betta = 0.9\nsweep.seed = 0,1\n")
+    assert main(["sweep", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 2
+    assert "hp.betta" in capsys.readouterr().err
+
+
 # -------------------------------------------------------------------- run
 
 
@@ -116,6 +145,40 @@ def test_cli_run_multi_seed_average(tmp_path):
     for col in ("gap", "grad_norm_sq", "step_norm"):
         manual = np.mean([s[col] for s in seeds], axis=0)
         assert np.abs(manual - avg[col]).max() <= 1e-12
+
+
+def data_rows(path):
+    with open(path, encoding="utf-8") as fh:
+        return [ln for ln in fh.read().splitlines() if not ln.startswith("#")]
+
+
+def test_cli_run_seeds_match_single_seed_runs(tmp_path):
+    text = QUAD_CONFIG.replace("oracle.sigma = 0.0", "oracle.sigma = 0.3")
+    out = str(tmp_path / "multi")
+    assert main(["run", "--config", write_config(tmp_path, text), "--seeds", "4", "--out", out]) == 0
+    for seed in range(4):
+        single = str(tmp_path / f"single{seed}")
+        cfg_path = write_config(tmp_path, text.replace("hp.seed = 0", f"hp.seed = {seed}"), f"s{seed}.cfg")
+        assert main(["run", "--config", cfg_path, "--out", single]) == 0
+        name = f"trace_seed{seed}.csv"
+        assert data_rows(os.path.join(out, name)) == data_rows(os.path.join(single, name))
+
+
+def test_quadratic_cli_never_imports_scipy_optimize(tmp_path):
+    cfg_path = write_config(tmp_path, QUAD_CONFIG)
+    out = str(tmp_path / "out")
+    script = f"""\
+import sys
+from dmsgd.harness import main
+assert main(["run", "--config", {cfg_path!r}, "--out", {out!r}]) == 0
+assert main(["bounds", "--config", {cfg_path!r}, "--out", {out!r}]) == 0
+assert main(["check", "--trace", {out + "/trace_seed0.csv"!r}, "--bounds", {out + "/bounds.csv"!r}]) == 0
+assert "scipy.optimize" not in sys.modules, "scipy.optimize was imported"
+"""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dmsgd.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_cli_run_aborted_marks_trace(tmp_path):
@@ -269,6 +332,42 @@ def test_cli_check_truncated_bounds(tmp_path):
     assert main(["check", "--trace", os.path.join(out, "trace_seed0.csv"), "--bounds", bounds_path]) == 2
 
 
+def _cut_700(text):
+    return text[:700]
+
+
+def _cut_in_metadata(text):
+    return text[:40]
+
+
+def _last_field_not_a_number(text):
+    lines = text.splitlines()
+    lines[-1] = lines[-1].rsplit(",", 1)[0] + ",abc"
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("which", ["trace", "bounds"])
+@pytest.mark.parametrize("mangle", [_cut_700, _cut_in_metadata, _last_field_not_a_number])
+def test_cli_check_malformed_csv_exit_2(tmp_path, capsys, which, mangle):
+    cfg_path = write_config(tmp_path, QUAD_CONFIG)
+    out = str(tmp_path / "out")
+    assert main(["run", "--config", cfg_path, "--out", out]) == 0
+    assert main(["bounds", "--config", cfg_path, "--out", out]) == 0
+    paths = {"trace": os.path.join(out, "trace_seed0.csv"), "bounds": os.path.join(out, "bounds.csv")}
+    with open(paths[which], encoding="utf-8") as fh:
+        text = fh.read()
+    with open(paths[which], "w", encoding="utf-8") as fh:
+        fh.write(mangle(text))
+    capsys.readouterr()
+    assert main(["check", "--trace", paths["trace"], "--bounds", paths["bounds"]]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("input error:")
+
+
+def test_cli_check_missing_file_exit_2(tmp_path):
+    assert main(["check", "--trace", str(tmp_path / "no.csv"), "--bounds", str(tmp_path / "no.csv")]) == 2
+
+
 def test_cli_check_hash_mismatch(tmp_path):
     cfg_path = write_config(tmp_path, QUAD_CONFIG)
     other_path = write_config(tmp_path, QUAD_CONFIG.replace("hp.beta = 0.5", "hp.beta = 0.4"), name="other.cfg")
@@ -366,6 +465,31 @@ hp.iters = 5
     scenario = build_scenario(parse_config_text(cfg))
     assert scenario.suite.n == 4
     assert scenario.suite.d == 3
+
+
+def test_logistic_scenario_solves_its_optimum():
+    cfg = """\
+topology.kind = ring
+topology.n = 4
+topology.laziness = 0.3
+objective.kind = logistic
+objective.dataset = synthetic
+objective.samples = 60
+objective.features = 3
+objective.agents = 4
+objective.partition = noniid
+objective.reg = 0.1
+oracle.mode = additive
+hp.option = I
+hp.alpha = 0.2
+hp.iters = 5
+"""
+    scenario = build_scenario(parse_config_text(cfg))
+    suite, objective = scenario.suite, scenario.objective
+    # the common optimum is a stationary point of F, and the stacked optimum lies below x = 0
+    assert np.linalg.norm(suite.common_grad(suite.x_star)) < 1e-6
+    assert np.isfinite(scenario.f_star)
+    assert scenario.f_star < objective.value(np.zeros((suite.n, suite.d)))
 
 
 def test_minibatch_pilot_sigma_estimate():
