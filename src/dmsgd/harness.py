@@ -23,6 +23,7 @@ from . import bounds as bounds_mod
 from .objectives import (
     StochasticOracle,
     UnifiedObjective,
+    agent_total,
     common_optimum,
     load_dataset_csv,
     make_logistic,
@@ -33,7 +34,7 @@ from .objectives import (
     partition_noniid,
     unified_optimum,
 )
-from .optimizer import AgentSwarm, HyperParams, run, step
+from .optimizer import HyperParams, RunTrace, run
 from .topology import build_topology, lambda_cap, load_edge_list, metropolis_mixing, spectrum
 from .verify import check_bound_domination
 
@@ -312,6 +313,7 @@ def build_scenario(cfg):
         suite = _build_suite(cfg)
         hp = _build_hyperparams(cfg)
         oracle = _build_oracle(cfg)
+        oracle.check_fits(suite)
     except ConfigError:
         raise
     except (ValueError, OSError) as exc:  # the builders' own checks of config values and files
@@ -354,31 +356,17 @@ def pilot_measurements(scenario, iters=PILOT_ITERS):
 
     Runs the configured dynamics for a pilot horizon and returns
     1.05 x max ||grad objective|| plus, when the oracle is a minibatch, a
-    1.05-inflated estimate of the stacked draw deviation.
+    1.05-inflated root mean of the stacked draw deviation the run recorded.
     """
-    pilot_hp = replace(scenario.hp, iters=iters)
-    trace = run(scenario.mixing, scenario.suite, scenario.oracle, pilot_hp,
-                scenario.objective, scenario.f_star, record_draws=True)
+    trace = run(scenario.mixing, scenario.suite, scenario.oracle, replace(scenario.hp, iters=iters),
+                scenario.objective, scenario.f_star)
     if len(trace) == 0:
         raise RuntimeFailure("pilot run produced no finite iterations; cannot measure a gradient bound")
     grad_bound = PILOT_INFLATION * float(np.sqrt(trace.grad_norm_sq.max()))
     sigma = None
-    if scenario.oracle.mode == "minibatch" and trace.gradient_draws is not None:
-        devs = _minibatch_deviation(scenario, pilot_hp, trace)
-        sigma = PILOT_INFLATION * float(np.sqrt(np.mean(devs))) if devs else 0.0
+    if scenario.oracle.mode == "minibatch":
+        sigma = PILOT_INFLATION * float(np.sqrt(np.mean(trace.draw_dev_sq)))
     return grad_bound, sigma
-
-
-def _minibatch_deviation(scenario, pilot_hp, trace):
-    """Replay the pilot to collect ||draw - exact stacked gradient||^2."""
-    suite, mixing = scenario.suite, scenario.mixing
-    swarm = AgentSwarm.zeros(mixing, suite.n, suite.d)
-    devs = []
-    for draws in trace.gradient_draws:
-        exact = suite.stacked_grad(swarm.x_cur)
-        devs.append(float(np.sum((draws - exact) ** 2)))
-        step(pilot_hp.option, swarm, mixing, pilot_hp, draws)
-    return devs
 
 
 def bound_inputs_from_scenario(scenario, grad_bound=None, sigma=None):
@@ -554,11 +542,11 @@ def read_bounds_csv(path):
     return meta, out
 
 
-def averaged_trace_arrays(traces):
+def averaged_trace(traces):
+    """Per-row mean across seeds, over the rows every trace has."""
     length = min(len(t) for t in traces)
-    return {
-        col: np.mean([getattr(t, col)[:length] for t in traces], axis=0) for col in TRACE_COLUMNS
-    }, np.arange(1, length + 1)
+    return RunTrace(k=np.arange(1, length + 1), swarm=None, **{
+        col: np.mean([getattr(t, col)[:length] for t in traces], axis=0) for col in RunTrace.COLUMNS})
 
 
 # ------------------------------------------------------------ subcommands
@@ -584,15 +572,8 @@ def cmd_run(args):
     if failed is not None:
         raise RuntimeFailure(f"run aborted (seed {failed[0]}, iteration {failed[1]}); partial trace flagged")
     if n_seeds > 1:
-        cols, ks = averaged_trace_arrays(traces)
         path = os.path.join(out_dir, "trace_avg.csv")
-        meta = trace_metadata(scenario, "avg", "completed")
-        lines = [f"# {k}={v}" for k, v in meta.items()]
-        lines.append(TRACE_HEADER)
-        for i in range(len(ks)):
-            lines.append(",".join([str(int(ks[i]))] + [_fmt(cols[c][i]) for c in TRACE_COLUMNS]))
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
+        write_trace_csv(path, averaged_trace(traces), trace_metadata(scenario, "avg", "completed"))
         log.info("wrote %s", path)
     if cfg.get_bool("output.emit_bounds", False):
         bi = bound_inputs_from_scenario(scenario)
@@ -661,7 +642,7 @@ def _sweep_cell(cfg, overrides):
         return {"status": "diverged", "final_gap": float("inf"),
                 "final_consensus": float("inf"), "mean_omega": float("nan")}
     xbar = trace.swarm.x_cur.mean(axis=0)
-    final_gap = suite.common_value(xbar) - common_optimum(suite)
+    final_gap = agent_total(suite.values(xbar)) - common_optimum(suite)
     return {
         "status": "completed",
         "final_gap": final_gap,
@@ -697,7 +678,9 @@ def cmd_sweep(args):
         labels = {label: (val if val is not None else cfg.get(key, "")) for (label, key, val) in cell}
         try:
             result = _sweep_cell(cfg, overrides)
-        except Exception as exc:  # cell failures are recorded, never fatal
+        except ConfigError:
+            raise  # a malformed config ends the sweep; only run failures stay in-row
+        except Exception as exc:
             log.warning("sweep cell %s failed: %s", labels, exc)
             result = {"status": "error", "final_gap": float("nan"),
                       "final_consensus": float("nan"), "mean_omega": float("nan")}

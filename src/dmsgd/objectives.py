@@ -1,14 +1,15 @@
-"""Per-agent objective suites, stochastic gradient oracles, and data plumbing.
+"""Objective suites over the agent stack, stochastic gradient oracles, and data plumbing.
 
-A suite bundles the local losses f_j with their exact gradients and the
-constants the bounds engine consumes (max smoothness, min strong convexity,
-declared gradient bound, PL constant, closed-form optimum where one exists).
-Three families are provided: strongly convex quadratics, a scalar smooth
-non-convex PL family, and regularized logistic regression over a partitioned
-dataset.  The penalized stacked objective F(x) + (1/2a) x^T (I - Pi) x lives
-here too, since its derived curvature constants are what the convergence
-bounds are stated in.  ``scipy.optimize`` is imported only inside the
-solvers that call it (logistic and PL optima), so quadratic runs never load it.
+A suite bundles the local losses f_j, evaluated for all N agents at once on an
+(n, d) stack of per-agent points, with the constants the bounds engine
+consumes (max smoothness, min strong convexity, declared gradient bound, PL
+constant, closed-form optimum where one exists).  Three families are
+provided: strongly convex quadratics, a scalar smooth non-convex PL family,
+and regularized logistic regression over a partitioned dataset.  The
+penalized stacked objective F(x) + (1/2a) x^T (I - Pi) x lives here too,
+since its derived curvature constants are what the convergence bounds are
+stated in.  ``scipy.optimize`` is imported only inside the solvers that call
+it (logistic and PL optima), so quadratic runs never load it.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ __all__ = [
     "StochasticOracle",
     "Dataset",
     "UnifiedObjective",
+    "agent_total",
     "make_quadratic",
     "make_pl",
     "make_logistic",
@@ -38,22 +40,37 @@ __all__ = [
 PL_SMOOTHNESS = 8.0  # sup |d2/dx2 (x^2 + 3 sin^2 x)| = sup |2 + 6 cos 2x|
 
 
+def agent_total(per_agent):
+    """Sum over the leading agent axis, adding agents in order j = 0..n-1.
+
+    ``np.sum`` adds eight or more terms pairwise, which moves the last bit of
+    F(x) = sum_j f_j(x_j); a running sum keeps every total reproducible.
+    """
+    total = 0.0
+    for term in per_agent:
+        total = total + term
+    return total
+
+
 @dataclass
 class ObjectiveSuite:
-    """N local losses with exact gradients and declared curvature constants.
+    """N local losses over the agent stack, with declared curvature constants.
 
-    ``value(j, x)`` / ``grad(j, x)`` evaluate agent j's loss at a point of
-    dimension d.  ``mu_m`` is 0 when the suite is not strongly convex;
-    ``gamma_m`` / ``grad_bound`` are None when no finite Lipschitz/gradient
-    bound is declared; ``x_star`` / ``f_star`` describe the minimizer of the
-    summed objective F(x) = sum_j f_j(x) when known.
+    ``values(X)`` maps an (n, d) stack of per-agent points to the n local
+    losses f_j(x_j), and ``grads(X)`` to the (n, d) exact gradients.  Both
+    broadcast X against (n, d): a single shared point (d,) is evaluated by
+    every agent, and the quadratic and PL families also take leading axes,
+    (..., n, d) -> (..., n).  ``mu_m`` is 0 when the suite is not strongly
+    convex; ``gamma_m`` / ``grad_bound`` are None when no finite
+    Lipschitz/gradient bound is declared; ``x_star`` / ``f_star`` describe the
+    minimizer of the summed objective F(x) = sum_j f_j(x) when known.
     """
 
     n: int
     d: int
     kind: str
-    value_fn: callable
-    grad_fn: callable
+    values: callable
+    grads: callable
     l_m: float
     mu_m: float = 0.0
     gamma_m: float | None = None
@@ -62,33 +79,8 @@ class ObjectiveSuite:
     x_star: np.ndarray | None = None
     f_star: float | None = None
     sample_counts: tuple | None = None
-    sample_grad_fn: callable | None = None
+    sample_grad: callable | None = None
     params: dict = field(default_factory=dict)
-
-    def value(self, j, x):
-        return float(self.value_fn(j, np.asarray(x, dtype=float)))
-
-    def grad(self, j, x):
-        return np.asarray(self.grad_fn(j, np.asarray(x, dtype=float)), dtype=float)
-
-    def common_value(self, x):
-        """F(x) = sum_j f_j(x) at a single shared point."""
-        return sum(self.value(j, x) for j in range(self.n))
-
-    def common_grad(self, x):
-        return sum(self.grad(j, x) for j in range(self.n))
-
-    def stacked_value(self, states):
-        """F(x) = sum_j f_j(x_j) over an N x d stack of per-agent states."""
-        return sum(self.value(j, states[j]) for j in range(self.n))
-
-    def stacked_grad(self, states):
-        return np.stack([self.grad(j, states[j]) for j in range(self.n)])
-
-    def samples_of(self, j):
-        if self.sample_counts is None:
-            return 1  # sampleless suites act as one "sample" per agent
-        return self.sample_counts[j]
 
 
 def make_quadratic(targets, curvatures):
@@ -103,20 +95,19 @@ def make_quadratic(targets, curvatures):
     a = np.broadcast_to(np.asarray(curvatures, dtype=float), (n,)).copy()
     if (a <= 0).any():
         raise ValueError("curvatures must be positive")
-    x_star = (a[:, None] * targets).sum(axis=0) / a.sum()
-    f_star = float(sum(0.5 * a[j] * np.sum((x_star - targets[j]) ** 2) for j in range(n)))
-    return ObjectiveSuite(
+    suite = ObjectiveSuite(
         n=n,
         d=d,
         kind="quadratic",
-        value_fn=lambda j, x: 0.5 * a[j] * np.sum((x - targets[j]) ** 2, axis=-1),
-        grad_fn=lambda j, x: a[j] * (x - targets[j]),
+        values=lambda X: 0.5 * a * np.sum((X - targets) ** 2, axis=-1),
+        grads=lambda X: a[:, None] * (X - targets),
         l_m=float(a.max()),
         mu_m=float(a.min()),
-        x_star=x_star,
-        f_star=f_star,
+        x_star=(a[:, None] * targets).sum(axis=0) / a.sum(),
         params={"targets": targets, "curvatures": a},
     )
+    suite.f_star = float(agent_total(suite.values(suite.x_star)))
+    return suite
 
 
 def _pl_value(z):
@@ -135,35 +126,27 @@ def make_pl(n, shifts=0.0, pl_grid=None):
     estimated on a grid via :func:`estimate_pl_constant`.
     """
     s = np.broadcast_to(np.asarray(shifts, dtype=float).reshape(-1, 1), (n, 1)).copy()
+    suite = ObjectiveSuite(
+        n=n,
+        d=1,
+        kind="pl",
+        values=lambda X: _pl_value(X - s),
+        grads=lambda X: _pl_grad(X - s),
+        l_m=PL_SMOOTHNESS,
+        mu_m=0.0,
+        params={"shifts": s},
+    )
     if np.ptp(s) == 0.0:
-        x_star = s[0].copy()
-        f_star = 0.0
+        suite.x_star, suite.f_star = s[0].copy(), 0.0
     else:
         from scipy.optimize import minimize
 
         # d=1: coarse scan plus local polish on the summed objective
         xs = np.linspace(s.min() - 3.0, s.max() + 3.0, 2001)
-        vals = [sum(_pl_value(x - s[j]) for j in range(n)) for x in xs]
-        x0 = xs[int(np.argmin(vals))]
-        res = minimize(
-            lambda v: sum(_pl_value(v[0] - s[j, 0]) for j in range(n)),
-            np.array([x0]),
-            jac=lambda v: np.array([sum(_pl_grad(np.array([v[0] - s[j, 0]]))[0] for j in range(n))]),
-        )
-        x_star = np.array([res.x[0]])
-        f_star = float(res.fun)
-    suite = ObjectiveSuite(
-        n=n,
-        d=1,
-        kind="pl",
-        value_fn=lambda j, x: _pl_value(x - s[j]),
-        grad_fn=lambda j, x: _pl_grad(x - s[j]),
-        l_m=PL_SMOOTHNESS,
-        mu_m=0.0,
-        x_star=x_star,
-        f_star=f_star,
-        params={"shifts": s},
-    )
+        x0 = xs[int(np.argmin(agent_total(suite.values(xs[:, None, None]).T)))]
+        res = minimize(lambda v: agent_total(suite.values(v)), np.array([x0]),
+                       jac=lambda v: agent_total(suite.grads(v)))
+        suite.x_star, suite.f_star = np.array([res.x[0]]), float(res.fun)
     grid = np.arange(-10.0, 10.0, 1e-3) if pl_grid is None else pl_grid
     suite.pl_constant = estimate_pl_constant(suite, grid)
     return suite
@@ -265,32 +248,31 @@ def make_logistic(dataset, reg=0.0):
         feats.append(dataset.features[part])
         labs.append(ys[part])
 
-    def value(j, w):
-        z = labs[j] * (feats[j] @ w)
-        return np.mean(np.logaddexp(0.0, -z)) + 0.5 * reg * np.dot(w, w)
+    def grad(xs, yy, w):
+        coef = -yy / (1.0 + np.exp(yy * (xs @ w)))
+        return xs.T @ coef / len(yy) + reg * w
 
-    def grad(j, w):
-        z = labs[j] * (feats[j] @ w)
-        coef = -labs[j] / (1.0 + np.exp(z))
-        return feats[j].T @ coef / len(labs[j]) + reg * w
+    # partitions are ragged, so each agent keeps its own matvec
+    def values(W):
+        W = np.broadcast_to(W, (n, d))
+        return np.array([np.mean(np.logaddexp(0.0, -labs[j] * (feats[j] @ W[j])))
+                         + 0.5 * reg * np.dot(W[j], W[j]) for j in range(n)])
 
-    def sample_grad(j, idx, w):
-        xs, yy = feats[j][idx], labs[j][idx]
-        z = yy * (xs @ w)
-        coef = -yy / (1.0 + np.exp(z))
-        return xs.T @ coef / len(idx) + reg * w
+    def grads(W):
+        W = np.broadcast_to(W, (n, d))
+        return np.stack([grad(feats[j], labs[j], W[j]) for j in range(n)])
 
     row_norm_sq = float((dataset.features**2).sum(axis=1).max())
     return ObjectiveSuite(
         n=n,
         d=d,
         kind="logistic",
-        value_fn=value,
-        grad_fn=grad,
+        values=values,
+        grads=grads,
         l_m=reg + 0.25 * row_norm_sq,
         mu_m=reg,
         sample_counts=tuple(len(p) for p in dataset.partitions),
-        sample_grad_fn=sample_grad,
+        sample_grad=lambda j, idx, w: grad(feats[j][idx], labs[j][idx], w),
         params={"reg": reg},
     )
 
@@ -317,22 +299,33 @@ class StochasticOracle:
         if self.mode == "minibatch" and (self.batch is None or self.batch < 1):
             raise ValueError("minibatch oracle needs batch >= 1")
 
+    def check_fits(self, suite):
+        """A minibatch must fit in every agent's partition (a sampleless suite has one sample)."""
+        counts = suite.sample_counts or (1,) * suite.n
+        if self.mode == "minibatch" and self.batch > min(counts):
+            j = int(np.argmin(counts))
+            raise ValueError(f"batch {self.batch} exceeds agent {j}'s {counts[j]} samples")
 
-def stochastic_grad(suite, oracle, j, x, rng):
-    """One stochastic gradient draw for agent j at point x."""
-    x = np.asarray(x, dtype=float)
+
+def stochastic_grad(suite, oracle, x, exact, rngs):
+    """One stochastic gradient draw per agent at the (n, d) points x.
+
+    ``exact`` is ``suite.grads(x)``, which the caller already holds; agent j
+    draws from its own generator ``rngs[j]``.  A minibatch as large as an
+    agent's partition is that agent's exact gradient and draws nothing.
+    """
     if oracle.mode == "additive":
-        g = suite.grad(j, x)
-        if oracle.sigma > 0.0:
-            g = g + rng.normal(0.0, oracle.sigma / np.sqrt(suite.d), size=suite.d)
-        return g
-    n_j = suite.samples_of(j)
-    if oracle.batch > n_j:
-        raise ValueError(f"batch {oracle.batch} exceeds agent {j}'s {n_j} samples")
-    if suite.sample_grad_fn is None or oracle.batch == n_j:
-        return suite.grad(j, x)
-    idx = rng.choice(n_j, size=oracle.batch, replace=False)
-    return np.asarray(suite.sample_grad_fn(j, idx, x), dtype=float)
+        if oracle.sigma == 0.0:
+            return exact
+        scale = oracle.sigma / np.sqrt(suite.d)
+        return exact + np.stack([rng.normal(0.0, scale, size=suite.d) for rng in rngs])
+    if suite.sample_grad is None:
+        return exact
+    draws = exact.copy()
+    for j, (rng, n_j) in enumerate(zip(rngs, suite.sample_counts)):
+        if oracle.batch < n_j:
+            draws[j] = suite.sample_grad(j, rng.choice(n_j, size=oracle.batch, replace=False), x[j])
+    return draws
 
 
 @dataclass
@@ -368,14 +361,17 @@ class UnifiedObjective:
 
     def value(self, states):
         states = self._check(states)
-        return self.suite.stacked_value(states) + self.penalty(states)
+        return float(agent_total(self.suite.values(states)) + self.penalty(states))
 
     def grad(self, states):
         states = self._check(states)
-        g = self.suite.stacked_grad(states)
-        if self.alpha is not None:
-            g = g + (self._lap @ states) / self.alpha
-        return g
+        return self.add_penalty_grad(states, self.suite.grads(states))
+
+    def add_penalty_grad(self, states, local_grads):
+        """The stacked gradient from the local gradients at ``states``: adds (1/a)(I - Pi) x."""
+        if self.alpha is None:
+            return local_grads
+        return local_grads + (self._lap @ states) / self.alpha
 
     def mu_prime(self, spectral):
         if self.alpha is None:
@@ -442,9 +438,9 @@ def common_optimum(suite):
     best = None
     for s0 in starts:
         res = minimize(
-            lambda v: suite.common_value(v),
+            lambda v: agent_total(suite.values(v)),
             s0,
-            jac=lambda v: suite.common_grad(v),
+            jac=lambda v: agent_total(suite.grads(v)),
             method="L-BFGS-B",
             options={"gtol": 1e-12, "ftol": 1e-15},
         )
@@ -471,9 +467,9 @@ def estimate_pl_constant(suite, grid):
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise ValueError("empty grid")
-    pts = grid.reshape(-1, 1)
-    fbar = sum(np.asarray(suite.value_fn(j, pts), dtype=float) for j in range(suite.n)) / suite.n
-    gbar = sum(np.asarray(suite.grad_fn(j, pts), dtype=float) for j in range(suite.n))[:, 0] / suite.n
+    pts = grid.reshape(-1, 1, 1)  # every agent at each grid point
+    fbar = agent_total(suite.values(pts).T) / suite.n
+    gbar = agent_total(suite.grads(pts)[..., 0].T) / suite.n
     gap = fbar - suite.f_star / suite.n
     away = gap > 1e-12
     if not away.any():

@@ -10,7 +10,8 @@ from the all-zeros state and record the full metric trace.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -103,7 +104,15 @@ class AgentSwarm:
 
 @dataclass
 class RunTrace:
-    """Per-iteration records for rows k = 1..iters plus the final swarm."""
+    """Per-iteration records for rows k = 1..iters plus the final swarm.
+
+    ``draw_dev_sq`` is ||draws - exact stacked gradient||^2 of the oracle
+    draw taken at each row, from which a pilot measures the noise level.
+    """
+
+    COLUMNS: ClassVar[tuple] = (
+        "consensus_err_max", "consensus_err_stacked", "value", "gap", "grad_norm_sq",
+        "running_avg_grad", "step_norm", "omega_used", "draw_dev_sq")
 
     k: np.ndarray
     consensus_err_max: np.ndarray
@@ -114,10 +123,10 @@ class RunTrace:
     running_avg_grad: np.ndarray
     step_norm: np.ndarray
     omega_used: np.ndarray
-    swarm: AgentSwarm
+    draw_dev_sq: np.ndarray
+    swarm: AgentSwarm | None
     status: str = "completed"
     aborted_at: int | None = None
-    gradient_draws: np.ndarray | None = field(default=None, repr=False)
 
     def __len__(self):
         return len(self.k)
@@ -218,22 +227,21 @@ def consensus_errors(x):
     return float(per_agent.max()), float(np.linalg.norm(dev))
 
 
-def run(mixing, suite, oracle, hp, objective, f_star, record_draws=False):
+def run(mixing, suite, oracle, hp, objective, f_star):
     """Execute the full loop from zero initialization and record the trace.
 
     ``objective`` supplies the stacked value/gradient used for the metric
     columns (the penalized objective for option I, plain F for option II);
-    ``f_star`` is its optimal value, so gap = objective(x) - f_star.
-    Deterministic given (seed, config).  A non-finite gradient aborts with
-    the partial trace flagged.
+    ``f_star`` is its optimal value, so gap = objective(x) - f_star.  The
+    exact local gradients are computed once per iteration: they feed the
+    metric gradient and are the base of the oracle draw.  Deterministic
+    given (seed, config).  A non-finite gradient aborts with the partial
+    trace flagged.
     """
     n, d = suite.n, suite.d
     swarm = AgentSwarm.zeros(mixing, n, d)
     rngs = agent_rngs(hp.seed, n)
-    cols = {name: [] for name in (
-        "consensus_err_max", "consensus_err_stacked", "value", "gap",
-        "grad_norm_sq", "running_avg_grad", "step_norm", "omega_used")}
-    draws_log = [] if record_draws else None
+    cols = {name: [] for name in RunTrace.COLUMNS}
     status, aborted_at = "completed", None
     grad_sq_sum = 0.0
     # a diverging run overflows before the finiteness checks below abort it
@@ -241,17 +249,16 @@ def run(mixing, suite, oracle, hp, objective, f_star, record_draws=False):
         for k in range(1, hp.iters + 1):
             x_k = swarm.x_cur
             err_max, err_stacked = consensus_errors(x_k)
+            exact = suite.grads(x_k)
             val = objective.value(x_k)
-            gsq = float(np.sum(objective.grad(x_k) ** 2))
+            gsq = float(np.sum(objective.add_penalty_grad(x_k, exact) ** 2))
             if not (np.isfinite(val) and np.isfinite(gsq) and np.isfinite(err_stacked)):
                 status, aborted_at = "aborted", k
                 break
             grad_sq_sum += gsq
             try:
-                grads = np.stack([stochastic_grad(suite, oracle, j, x_k[j], rngs[j]) for j in range(n)])
-                if record_draws:
-                    draws_log.append(grads)
-                omega = step(hp.option, swarm, mixing, hp, grads)
+                draws = stochastic_grad(suite, oracle, x_k, exact, rngs)
+                omega = step(hp.option, swarm, mixing, hp, draws)
             except NonFiniteGradientError:
                 status, aborted_at = "aborted", k
                 break
@@ -267,12 +274,12 @@ def run(mixing, suite, oracle, hp, objective, f_star, record_draws=False):
             cols["running_avg_grad"].append(grad_sq_sum / (k + 1))
             cols["step_norm"].append(step_norm)
             cols["omega_used"].append(float(np.mean(omega)))
+            cols["draw_dev_sq"].append(float(np.sum((draws - exact) ** 2)))
     rows = len(cols["gap"])
     return RunTrace(
         k=np.arange(1, rows + 1),
         swarm=swarm,
         status=status,
         aborted_at=aborted_at,
-        gradient_draws=np.array(draws_log) if record_draws and draws_log else None,
         **{name: np.array(vals) for name, vals in cols.items()},
     )

@@ -1,8 +1,8 @@
 """Independent oracles: dense reference stepper, finite differences, metrics.
 
-The reference stepper implements the stacked matrix-vector form of the
-update and deliberately shares no code with the per-agent loop, so the two
-can cross-check each other.  Bound-domination reports compare a measured
+The reference stepper implements the dense matrix form of the update and
+deliberately shares no code with ``optimizer.step``/``optimizer.run``, so the
+two can cross-check each other.  Bound-domination reports compare a measured
 metric trajectory against a theoretical bound trajectory with a configurable
 relative slack.
 """

@@ -157,9 +157,9 @@ def test_criterion_4_reduction_identities():
     x_prev = x.copy()
     worst = 0.0
     for _ in range(150):
-        g = suite.stacked_grad(swarm.x_cur)
+        g = suite.grads(swarm.x_cur)
         step("I", swarm, mix, hp, g)
-        x_new = mix.entries @ x - alpha * suite.stacked_grad(x) + beta * (x - x_prev)
+        x_new = mix.entries @ x - alpha * suite.grads(x) + beta * (x - x_prev)
         x_prev, x = x, x_new
         worst = max(worst, float(np.abs(swarm.x_cur - x).max()))
     report(4, "momentum-free and classic-momentum reductions", identical and worst <= 1e-12,
@@ -273,12 +273,13 @@ def test_criterion_8_oracle_statistics():
     sigma = 0.7
     oracle = StochasticOracle(mode="additive", sigma=sigma)
     rng = np.random.default_rng(12345)
-    x = np.array([0.3, -0.2, 0.0, 1.0])
-    exact = suite.grad(0, x)
+    x = np.array([[0.3, -0.2, 0.0, 1.0]])
+    stacked = suite.grads(x)
+    exact = stacked[0]
     n_draws = 100_000
     draws = np.empty((n_draws, 4))
     for i in range(n_draws):
-        draws[i] = stochastic_grad(suite, oracle, 0, x, rng)
+        draws[i] = stochastic_grad(suite, oracle, x, stacked, [rng])[0]
     se = (sigma / np.sqrt(4)) / np.sqrt(n_draws)
     mean_ok = np.abs(draws.mean(axis=0) - exact).max() <= 3 * se
     var = float(((draws - exact) ** 2).sum(axis=1).mean())

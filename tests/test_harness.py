@@ -21,6 +21,7 @@ from dmsgd.harness import (
     read_trace_csv,
     serialize_config,
 )
+from dmsgd.objectives import agent_total
 
 QUAD_CONFIG = """\
 topology.kind = full
@@ -108,6 +109,39 @@ def test_unknown_key_rejected_before_sweep(tmp_path, capsys):
     cfg_path = write_config(tmp_path, QUAD_CONFIG + "hp.betta = 0.9\nsweep.seed = 0,1\n")
     assert main(["sweep", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 2
     assert "hp.betta" in capsys.readouterr().err
+
+
+def test_cli_batch_larger_than_partition_exit_2(tmp_path, capsys):
+    # 40 samples over 4 agents leave 10 per partition, fewer than the batch
+    cfg = """\
+topology.kind = full
+topology.n = 4
+objective.kind = logistic
+objective.dataset = synthetic
+objective.samples = 40
+objective.features = 3
+objective.agents = 4
+objective.reg = 0.1
+oracle.mode = minibatch
+oracle.batch = 50
+hp.option = I
+hp.alpha = 0.1
+hp.iters = 5
+"""
+    cfg_path = write_config(tmp_path, cfg)
+    for command in ("run", "bounds"):
+        assert main([command, "--config", cfg_path, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:") and "batch 50" in err[0]
+
+
+def test_cli_sweep_config_error_exit_2(tmp_path, capsys):
+    cfg = QUAD_CONFIG.replace("hp.omega = 0.5", "hp.omega = abc") + "sweep.seed = 0,1\n"
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:") and "hp.omega" in err[0]
+    assert not (out / "sweep.csv").exists()
 
 
 # -------------------------------------------------------------------- run
@@ -487,7 +521,7 @@ hp.iters = 5
     scenario = build_scenario(parse_config_text(cfg))
     suite, objective = scenario.suite, scenario.objective
     # the common optimum is a stationary point of F, and the stacked optimum lies below x = 0
-    assert np.linalg.norm(suite.common_grad(suite.x_star)) < 1e-6
+    assert np.linalg.norm(agent_total(suite.grads(suite.x_star))) < 1e-6
     assert np.isfinite(scenario.f_star)
     assert scenario.f_star < objective.value(np.zeros((suite.n, suite.d)))
 

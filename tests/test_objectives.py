@@ -6,6 +6,7 @@ from scipy.stats import chi2
 from dmsgd.objectives import (
     StochasticOracle,
     UnifiedObjective,
+    agent_total,
     estimate_pl_constant,
     load_dataset_csv,
     make_logistic,
@@ -32,6 +33,14 @@ def central_diff_ok(fn, grad, points, rel=1e-5, h=1e-6):
     return True
 
 
+def test_agent_total_adds_in_agent_order():
+    # np.sum adds these 16 values pairwise and lands on a different last bit
+    vals = np.random.default_rng(1).normal(size=16)
+    assert agent_total(vals) == sum(vals.tolist()) != np.sum(vals)
+    rows = np.random.default_rng(2).normal(size=(16, 3))
+    assert np.array_equal(agent_total(rows), sum(list(rows)))
+
+
 # ---------------------------------------------------------------- quadratic
 
 
@@ -50,8 +59,8 @@ def test_quadratic_single_agent():
 
 def test_quadratic_gradient_zero_at_target():
     suite = make_quadratic([[1.0, 2.0], [0.0, 0.0]], [1.0, 3.0])
-    assert np.allclose(suite.grad(0, [1.0, 2.0]), 0.0)
-    assert np.allclose(suite.grad(1, [0.0, 0.0]), 0.0)
+    assert np.allclose(suite.grads([1.0, 2.0])[0], 0.0)
+    assert np.allclose(suite.grads([0.0, 0.0])[1], 0.0)
 
 
 def test_quadratic_rejects_nonpositive_curvature():
@@ -64,13 +73,13 @@ def test_quadratic_finite_differences():
     suite = make_quadratic(rng.normal(size=(3, 4)), [0.5, 1.0, 2.0])
     pts = rng.normal(size=(32, 4))
     for j in range(3):
-        assert central_diff_ok(lambda x, j=j: suite.value(j, x), lambda x, j=j: suite.grad(j, x), pts)
+        assert central_diff_ok(lambda x, j=j: suite.values(x)[j], lambda x, j=j: suite.grads(x)[j], pts)
 
 
 def test_quadratic_common_stationarity():
     rng = np.random.default_rng(1)
     suite = make_quadratic(rng.normal(size=(4, 2)), [1.0, 2.0, 0.5, 3.0])
-    assert np.linalg.norm(suite.common_grad(suite.x_star)) <= 1e-8
+    assert np.linalg.norm(agent_total(suite.grads(suite.x_star))) <= 1e-8
 
 
 # ---------------------------------------------------------------- PL family
@@ -78,10 +87,10 @@ def test_quadratic_common_stationarity():
 
 def test_pl_minimum_at_shift():
     suite = make_pl(1)
-    assert suite.value(0, [0.0]) == pytest.approx(0.0)
-    assert suite.grad(0, [0.0]) == pytest.approx([0.0])
+    assert suite.values([0.0])[0] == pytest.approx(0.0)
+    assert suite.grads([0.0])[0] == pytest.approx([0.0])
     shifted = make_pl(2, shifts=1.5)
-    assert shifted.value(0, [1.5]) == pytest.approx(0.0)
+    assert shifted.values([1.5])[0] == pytest.approx(0.0)
     assert shifted.f_star == pytest.approx(0.0)
 
 
@@ -113,7 +122,7 @@ def test_pl_finite_differences():
     rng = np.random.default_rng(2)
     pts = rng.normal(size=(32, 1))
     for j in range(2):
-        assert central_diff_ok(lambda x, j=j: suite.value(j, x), lambda x, j=j: suite.grad(j, x), pts)
+        assert central_diff_ok(lambda x, j=j: suite.values(x)[j], lambda x, j=j: suite.grads(x)[j], pts)
 
 
 def test_estimate_pl_identities():
@@ -244,8 +253,9 @@ def test_logistic_zero_weight_loss():
     ds = make_synthetic_dataset(0, 8, 2, 2)
     ds.partitions = [np.array([i]) for i in range(8)]
     suite = make_logistic(ds, reg=0.0)
+    values = suite.values(np.zeros(2))
     for j in range(8):
-        assert suite.value(j, np.zeros(2)) == pytest.approx(np.log(2.0))
+        assert values[j] == pytest.approx(np.log(2.0))
 
 
 def test_logistic_declared_constants():
@@ -259,7 +269,7 @@ def test_logistic_finite_differences():
     rng = np.random.default_rng(4)
     pts = rng.normal(scale=0.5, size=(32, 3))
     for j in range(suite.n):
-        assert central_diff_ok(lambda x, j=j: suite.value(j, x), lambda x, j=j: suite.grad(j, x), pts)
+        assert central_diff_ok(lambda x, j=j: suite.values(x)[j], lambda x, j=j: suite.grads(x)[j], pts)
 
 
 def test_logistic_empty_partition_rejected():
@@ -276,8 +286,9 @@ def test_additive_oracle_zero_sigma_exact():
     suite = make_quadratic([[0.0], [2.0]], [1.0, 1.0])
     oracle = StochasticOracle(mode="additive", sigma=0.0)
     rng = np.random.default_rng(0)
-    g = stochastic_grad(suite, oracle, 1, [0.5], rng)
-    assert np.array_equal(g, suite.grad(1, [0.5]))
+    x = np.full((2, 1), 0.5)
+    g = stochastic_grad(suite, oracle, x, suite.grads(x), [rng, rng])[1]
+    assert np.array_equal(g, suite.grads(x)[1])
 
 
 def test_additive_oracle_statistics():
@@ -286,9 +297,10 @@ def test_additive_oracle_statistics():
     sigma = 0.5
     oracle = StochasticOracle(mode="additive", sigma=sigma)
     rng = np.random.default_rng(1)
-    x = np.array([0.3, 0.3, 0.3])
-    exact = suite.grad(0, x)
-    draws = np.stack([stochastic_grad(suite, oracle, 0, x, rng) for _ in range(20000)])
+    x = np.array([[0.3, 0.3, 0.3]])
+    stacked = suite.grads(x)
+    exact = stacked[0]
+    draws = np.stack([stochastic_grad(suite, oracle, x, stacked, [rng])[0] for _ in range(20000)])
     se = sigma / np.sqrt(suite.d * len(draws))
     assert np.abs(draws.mean(axis=0) - exact).max() < 4 * se
     dev_sq = ((draws - exact) ** 2).sum(axis=1)
@@ -301,8 +313,9 @@ def test_minibatch_full_batch_is_exact():
     suite = make_logistic(ds, reg=0.05)
     oracle = StochasticOracle(mode="minibatch", batch=10)
     rng = np.random.default_rng(2)
-    x = rng.normal(size=3)
-    assert np.allclose(stochastic_grad(suite, oracle, 0, x, rng), suite.grad(0, x), atol=1e-14)
+    x = np.tile(rng.normal(size=3), (4, 1))
+    draws = stochastic_grad(suite, oracle, x, suite.grads(x), [rng] * 4)
+    assert np.allclose(draws[0], suite.grads(x)[0], atol=1e-14)
 
 
 def test_minibatch_unbiased():
@@ -311,9 +324,11 @@ def test_minibatch_unbiased():
     suite = make_logistic(ds, reg=0.0)
     oracle = StochasticOracle(mode="minibatch", batch=4)
     rng = np.random.default_rng(3)
-    x = np.array([0.2, -0.1])
-    exact = suite.grad(0, x)
-    draws = np.stack([stochastic_grad(suite, oracle, 0, x, rng) for _ in range(4000)])
+    x = np.array([[0.2, -0.1], [0.2, -0.1]])
+    stacked = suite.grads(x)
+    exact = stacked[0]
+    rngs = [rng, np.random.default_rng(4)]  # agent 0 alone draws from rng
+    draws = np.stack([stochastic_grad(suite, oracle, x, stacked, rngs)[0] for _ in range(4000)])
     err = draws.mean(axis=0) - exact
     se = draws.std(axis=0).max() / np.sqrt(len(draws))
     assert np.abs(err).max() < 5 * se + 1e-12
@@ -325,7 +340,7 @@ def test_minibatch_too_large_rejected():
     suite = make_logistic(ds)
     oracle = StochasticOracle(mode="minibatch", batch=11)
     with pytest.raises(ValueError, match="batch"):
-        stochastic_grad(suite, oracle, 0, np.zeros(2), np.random.default_rng(0))
+        oracle.check_fits(suite)
 
 
 def test_oracle_validation():
@@ -349,8 +364,8 @@ def test_unified_consensus_point_penalty_free():
     u = UnifiedObjective(suite, uniform_mixing(3), alpha=0.1)
     point = np.full((3, 1), 0.7)
     assert u.penalty(point) == pytest.approx(0.0, abs=1e-14)
-    assert u.value(point) == pytest.approx(suite.stacked_value(point))
-    assert np.allclose(u.grad(point), suite.stacked_grad(point), atol=1e-12)
+    assert u.value(point) == pytest.approx(agent_total(suite.values(point)))
+    assert np.allclose(u.grad(point), suite.grads(point), atol=1e-12)
 
 
 def test_unified_hand_computed_penalty():
@@ -394,7 +409,7 @@ def test_unified_alpha_none_is_plain_objective():
     suite = make_quadratic([[0.0], [2.0]], [1.0, 1.0])
     u = UnifiedObjective(suite, uniform_mixing(2), alpha=None)
     x = np.array([[0.5], [1.5]])
-    assert u.value(x) == pytest.approx(suite.stacked_value(x))
+    assert u.value(x) == pytest.approx(agent_total(suite.values(x)))
     spec = spectrum(uniform_mixing(2))
     assert u.mu_prime(spec) == suite.mu_m
     assert u.l_prime(spec) == suite.l_m

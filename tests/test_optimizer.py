@@ -100,7 +100,7 @@ def test_hand_worked_two_agent_step():
     for option in ("I", "II"):
         mix, suite, oracle, hp, _, _ = quad_setup(option=option)
         swarm = AgentSwarm.zeros(mix, 2, 1)
-        grads = suite.stacked_grad(swarm.x_cur)
+        grads = suite.grads(swarm.x_cur)
         step(option, swarm, mix, hp, grads)
         assert np.allclose(swarm.x_cur, [[0.0], [0.2]], atol=1e-15)
 
@@ -108,11 +108,11 @@ def test_hand_worked_two_agent_step():
 def test_hand_worked_second_step_option_one():
     mix, suite, oracle, hp, _, _ = quad_setup(option="I")
     swarm = AgentSwarm.zeros(mix, 2, 1)
-    step("I", swarm, mix, hp, suite.stacked_grad(swarm.x_cur))
+    step("I", swarm, mix, hp, suite.grads(swarm.x_cur))
     # v_2 = (0.1, 0.1), delta_2 = (0.1, 0.1), g = (0, -1.8) -> x_3 = (0.19, 0.37)
     v2 = consensus_step(mix, swarm.x_cur)
     assert np.allclose(v2, [[0.1], [0.1]], atol=1e-15)
-    g2 = suite.stacked_grad(swarm.x_cur)
+    g2 = suite.grads(swarm.x_cur)
     assert np.allclose(g2, [[0.0], [-1.8]], atol=1e-15)
     step("I", swarm, mix, hp, g2)
     assert np.allclose(swarm.x_cur, [[0.19], [0.37]], atol=1e-12)
@@ -122,14 +122,14 @@ def test_beta_zero_step_ignores_omega():
     for omega in (0.0, 0.3, 1.0):
         mix, suite, oracle, hp, _, _ = quad_setup(beta=0.0, omega=omega, iters=3)
         swarm = AgentSwarm.zeros(mix, 2, 1)
-        step("I", swarm, mix, hp, suite.stacked_grad(swarm.x_cur))
-        step("I", swarm, mix, hp, suite.stacked_grad(swarm.x_cur))
+        step("I", swarm, mix, hp, suite.grads(swarm.x_cur))
+        step("I", swarm, mix, hp, suite.grads(swarm.x_cur))
         ref = None
         # compare against omega=0 reference
         mix2, suite2, _, hp0, _, _ = quad_setup(beta=0.0, omega=0.0, iters=3)
         s2 = AgentSwarm.zeros(mix2, 2, 1)
-        step("I", s2, mix2, hp0, suite2.stacked_grad(s2.x_cur))
-        step("I", s2, mix2, hp0, suite2.stacked_grad(s2.x_cur))
+        step("I", s2, mix2, hp0, suite2.grads(s2.x_cur))
+        step("I", s2, mix2, hp0, suite2.grads(s2.x_cur))
         assert np.array_equal(swarm.x_cur, s2.x_cur)
 
 
@@ -200,7 +200,7 @@ def test_mean_dynamics_preserved():
             swarm = AgentSwarm.zeros(mix, 4, 2)
             means = [swarm.x_cur.mean(axis=0)]
             for _ in range(30):
-                grads = suite.stacked_grad(swarm.x_cur)
+                grads = suite.grads(swarm.x_cur)
                 gbar = grads.mean(axis=0)
                 prev_two = means[-2] if len(means) > 1 else means[-1]
                 step(option, swarm, mix, hp, grads)
@@ -221,7 +221,7 @@ def test_fixed_point_of_option_one():
         v_cur=consensus_step(mix, x_star),
         v_prev=consensus_step(mix, x_star),
     )
-    step("I", swarm, mix, hp, suite.stacked_grad(x_star))
+    step("I", swarm, mix, hp, suite.grads(x_star))
     assert np.abs(swarm.x_cur - x_star).max() <= 1e-12
 
 
