@@ -1,8 +1,10 @@
-"""Bitwise pins of traces and bound rows for configurations the benchmark leaves out.
+"""Bitwise pins of traces, bound rows and mixing-matrix spectra.
 
-Each digest is the sha256 of the run's trace arrays (or of the bound inputs
-and every ``evaluate_bounds`` row), so a refactor that moves any value by a
-single bit fails here.  The digests were taken once and must not be re-pinned
+Each trace digest is the sha256 of the run's trace arrays (or of the bound
+inputs and every ``evaluate_bounds`` row) for a configuration the benchmark
+leaves out; each spectrum digest is the sha256 of ``spectrum(m).eigenvalues``
+for a stock mixing matrix.  A refactor that moves any value by a single bit
+fails here.  The digests were taken once and must not be re-pinned
 to make a refactor pass.
 """
 
@@ -13,6 +15,7 @@ import pytest
 
 from dmsgd.harness import bound_inputs_from_scenario, build_scenario, evaluate_bounds, parse_config_text
 from dmsgd.optimizer import run
+from dmsgd.topology import build_topology, effective_matrix, metropolis_mixing, spectrum
 
 TRACE_FIELDS = ("k", "consensus_err_max", "consensus_err_stacked", "value", "gap",
                 "grad_norm_sq", "running_avg_grad", "step_norm", "omega_used")
@@ -181,3 +184,85 @@ def digests(text):
 def test_pinned_digests(name):
     assert digests(CONFIGS[name]) == PINS[name]
 
+
+
+# ---------------------------------------------------------------- spectra
+
+
+def _stock_mixing(kind, n, laziness):
+    parts = (n // 2, n - n // 2) if kind == "bipartite" else None
+    return metropolis_mixing(build_topology(kind, n, parts=parts), laziness=laziness)
+
+
+SPECTRUM_MATRICES = {
+    f"{kind}{n}_lazy{ell}": (lambda kind=kind, n=n, ell=ell: _stock_mixing(kind, n, ell))
+    for kind in ("ring", "full", "bipartite")
+    for n in (2, 3, 4, 16, 64)
+    for ell in (0.0, 0.3, 0.5)
+}
+# the many_agents benchmark matrix
+SPECTRUM_MATRICES["ring128_lazy0.3"] = lambda: _stock_mixing("ring", 128, 0.3)
+SPECTRUM_MATRICES["ring16_lazy0.3_blend0.4"] = lambda: effective_matrix(_stock_mixing("ring", 16, 0.3), 0.4)
+# demo 01: the stock n=4 graphs at laziness 0 are in the grid above
+SPECTRUM_MATRICES["demo01_ring4_lazy0.2"] = lambda: _stock_mixing("ring", 4, 0.2)
+for _w in (0.0, 0.5, 1.0):
+    SPECTRUM_MATRICES[f"demo01_ring4_blend{_w}"] = lambda w=_w: effective_matrix(_stock_mixing("ring", 4, 0.0), w)
+
+SPECTRUM_PINS = {
+    "bipartite16_lazy0.0": "7145780ebf9b13c726e75fdec8c71d33dd7271bde3ce3ce47b43e18a4dc76f7b",
+    "bipartite16_lazy0.3": "499b4dd353cd0b00bad7d597036d07d6a40caa83b3a15697ae68b45880ed1ce6",
+    "bipartite16_lazy0.5": "fec792884dc5bba9428f19f3bf4d46261dc59c45ca88d3b0d59b9faa81c7cb9e",
+    "bipartite2_lazy0.0": "7a984fd196fde1a9e829a8824268ed411d8f74a2ccb8f06e42e4832d7aeab59b",
+    "bipartite2_lazy0.3": "aeb5f7b842e866df88818d1d4051102fde788fab8d1b6fe7f44f1047268c7cc8",
+    "bipartite2_lazy0.5": "fb09f5633f8a5ff23dc2cda2143240055b6f15b2915951f3928bcfca4cc20841",
+    "bipartite3_lazy0.0": "74325332e1cbdf8e882f3e843513bfa681df327c94d9cb051897d1a0a1b5f012",
+    "bipartite3_lazy0.3": "ccca8cf003be0f5e5ee656d440b31834fd41e6db8fc4b5304feca1887b34faaa",
+    "bipartite3_lazy0.5": "1e0acf9aa13d54349a9c4108b55d9d96b4959d0f4696c32c7894ac7baa4e3fcb",
+    "bipartite4_lazy0.0": "cc68501d8bb30481137e7440f9429329bb1ddefbbac716ca2df21814352434f6",
+    "bipartite4_lazy0.3": "f3ad0bd96572973ffa18a94c37a15945a19a0b32b4ff223f138b63c71f5a62f7",
+    "bipartite4_lazy0.5": "78f8a0453c46c90567fce47404d4e4a9993abbd3032c007599d7131e45766f33",
+    "bipartite64_lazy0.0": "b83ec04b49f2fc5b394651eb4011aa888a1081140740e44f163f9e6c1a66a5f7",
+    "bipartite64_lazy0.3": "64c0316c2659423f89fbec4f718f51dd6e1db302db87e6700752525e57c19ea5",
+    "bipartite64_lazy0.5": "4f09f2e4a35b0dc283ee4672ea9b8dd39b933bb373d13595dac8f28130599b22",
+    "demo01_ring4_blend0.0": "4c335ed3dc9a3748b8ff9e83c4564a53c6d5096fe6f36fc4bd9625517ec618c1",
+    "demo01_ring4_blend0.5": "40abd5f44ea609ea52368103889f6bd6a6795ece5cf168aed2216f59a1f78a6e",
+    "demo01_ring4_blend1.0": "c914e8188e43fff1c96e25283e15b252af0d9f39b469f2d1518915802c756d18",
+    "demo01_ring4_lazy0.2": "d441eb023a2698c852aaaec25ac5d49f2e157ee88b0bf063006db804da11017e",
+    "full16_lazy0.0": "b7e6de89dc3d6c41335de5fccbebe2ed01a45ffd31fc21c4e9e0371054f8cb9f",
+    "full16_lazy0.3": "46c02b2566b1ae820ce68c94b88dd3da2c22fedec754e58201bb77b8bcfa816b",
+    "full16_lazy0.5": "b69a7d792a6f10a3a996eb642ebb3b4c87f3bfd13287c8bb74dde7d93b8c8cf4",
+    "full2_lazy0.0": "7a984fd196fde1a9e829a8824268ed411d8f74a2ccb8f06e42e4832d7aeab59b",
+    "full2_lazy0.3": "aeb5f7b842e866df88818d1d4051102fde788fab8d1b6fe7f44f1047268c7cc8",
+    "full2_lazy0.5": "fb09f5633f8a5ff23dc2cda2143240055b6f15b2915951f3928bcfca4cc20841",
+    "full3_lazy0.0": "9a5b4937c1f21855601142bfebfc201542dc9616c1608867a6ab1020b1342e3a",
+    "full3_lazy0.3": "41320a0f731cd12fc7ec57091e27f8068b454ebda3aa19d1b2138d4b9ba738e1",
+    "full3_lazy0.5": "a0a346c543ee214a0bdb34c6f07fdfdd4cdd715db851cdf26a33eb4720ace0ce",
+    "full4_lazy0.0": "508da69866843bdc0f028e13eef7768510e2342f28dab4cb643e64690e27b248",
+    "full4_lazy0.3": "c42c5e8581f54bcd96a73cba3d3f79972db8e9587fd1d902b13c608f09db766e",
+    "full4_lazy0.5": "c516ea835e7dfde9fa3dbd0beb070bb49acd40b4eec20f7b04ba88216a3bafe3",
+    "full64_lazy0.0": "b93ee91985f7168dbb2f18a3599778b52c8c69db668c15c50c4cc1ee2a45df59",
+    "full64_lazy0.3": "7bb2f9f21803527c733b3ab40e4e2661873d388caaea4e5fcf6aab6d9bc55372",
+    "full64_lazy0.5": "63df66270f2b7719183d71851a150d15b215eb11c60f30691f5c39a4e051521a",
+    "ring128_lazy0.3": "f51caef8f1f8a92eec1a4a0e439345b3b63344d4b7b34f784ffc1676731b27fe",
+    "ring16_lazy0.0": "9172ed1164ad61879bbe9184f2c68ecceed6773607f9f9fee8ada896c267bb80",
+    "ring16_lazy0.3": "e2f859d105c1295fa5d06d241dca8e21e1bdf0ddbb3d5fe24270659dd6e4776f",
+    "ring16_lazy0.3_blend0.4": "bcc1bb581614698ff4c73ba491cc21768fbd0b5630b0e9722be6c7ff209d2cd4",
+    "ring16_lazy0.5": "81fe80dbd72dff8ef6b7d8a4ac1f8faa5372f1bab84eeeeef3b3b6f2b38809a4",
+    "ring2_lazy0.0": "7a984fd196fde1a9e829a8824268ed411d8f74a2ccb8f06e42e4832d7aeab59b",
+    "ring2_lazy0.3": "aeb5f7b842e866df88818d1d4051102fde788fab8d1b6fe7f44f1047268c7cc8",
+    "ring2_lazy0.5": "fb09f5633f8a5ff23dc2cda2143240055b6f15b2915951f3928bcfca4cc20841",
+    "ring3_lazy0.0": "9a5b4937c1f21855601142bfebfc201542dc9616c1608867a6ab1020b1342e3a",
+    "ring3_lazy0.3": "41320a0f731cd12fc7ec57091e27f8068b454ebda3aa19d1b2138d4b9ba738e1",
+    "ring3_lazy0.5": "a0a346c543ee214a0bdb34c6f07fdfdd4cdd715db851cdf26a33eb4720ace0ce",
+    "ring4_lazy0.0": "4c335ed3dc9a3748b8ff9e83c4564a53c6d5096fe6f36fc4bd9625517ec618c1",
+    "ring4_lazy0.3": "3982821b6ea6904fda5c354c96d1fa3239e5242e07b1e64eaf7cbfa0287af8ed",
+    "ring4_lazy0.5": "40abd5f44ea609ea52368103889f6bd6a6795ece5cf168aed2216f59a1f78a6e",
+    "ring64_lazy0.0": "1a4a935b8b3b01b567803ca41ebb6f442162fef0106b07230746a430a5464b77",
+    "ring64_lazy0.3": "de13afbf8c6454e08ad4b36a9d09585b6759ee074626174a1f59a147f6b4b3c9",
+    "ring64_lazy0.5": "170fa597219b7d03cf1c2c4484e5291e1722a46ea67a45bfab5640400387d4a2",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPECTRUM_MATRICES))
+def test_pinned_spectrum(name):
+    assert _sha([_floats(spectrum(SPECTRUM_MATRICES[name]()).eigenvalues)]) == SPECTRUM_PINS[name]
