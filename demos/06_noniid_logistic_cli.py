@@ -3,7 +3,8 @@
 This is the harness surface a shell user sees: write a config, produce trace
 and bounds CSVs, verify domination, then sweep topologies on an iid versus a
 label-skewed partition of a synthetic classification dataset.  The sparser
-the topology, the earlier it degrades at an aggressive step size.
+the topology, the earlier it degrades at an aggressive step size.  All files
+go to a temporary directory that is removed when the script ends.
 """
 
 import os
@@ -35,35 +36,35 @@ hp.iters = 120
 hp.seed = 7
 """
 
-work = tempfile.mkdtemp(prefix="dmsgd_demo_")
-cfg = os.path.join(work, "run.cfg")
-with open(cfg, "w", encoding="utf-8") as fh:
-    fh.write(CONFIG)
+with tempfile.TemporaryDirectory(prefix="dmsgd_demo_") as work:
+    cfg = os.path.join(work, "run.cfg")
+    with open(cfg, "w", encoding="utf-8") as fh:
+        fh.write(CONFIG)
 
-print("== dmsgd run ==")
-main(["run", "--config", cfg, "--out", work])
-print("== dmsgd bounds ==")
-main(["bounds", "--config", cfg, "--out", work])
-print("== dmsgd check ==")
-code = main(["check", "--trace", os.path.join(work, "trace_seed7.csv"),
-             "--bounds", os.path.join(work, "bounds.csv"), "--slack", "0"])
-print(f"check exit code: {code}")
+    print("== dmsgd run ==")
+    main(["run", "--config", cfg, "--out", work])
+    print("== dmsgd bounds ==")
+    main(["bounds", "--config", cfg, "--out", work])
+    print("== dmsgd check ==")
+    code = main(["check", "--trace", os.path.join(work, "trace_seed7.csv"),
+                 "--bounds", os.path.join(work, "bounds.csv"), "--slack", "0"])
+    print(f"check exit code: {code}")
 
-print()
-print("== dmsgd sweep: topologies x partition strategies ==")
-for partition in ("iid", "noniid"):
-    sweep_cfg = os.path.join(work, f"sweep_{partition}.cfg")
-    with open(sweep_cfg, "w", encoding="utf-8") as fh:
-        fh.write(CONFIG.replace("objective.partition = iid", f"objective.partition = {partition}")
-                 .replace("hp.alpha = 0.5", "hp.alpha = 2.0")
-                 + "sweep.topology = full,ring,bipartite\n")
-    out = os.path.join(work, f"sweep_{partition}")
-    main(["sweep", "--config", sweep_cfg, "--out", out])
-    print(f"-- {partition} --")
-    with open(os.path.join(out, "sweep.csv"), encoding="utf-8") as fh:
-        for line in fh:
-            if not line.startswith("#"):
-                print("  " + line.rstrip())
+    print()
+    print("== dmsgd sweep: topologies x partition strategies ==")
+    for partition in ("iid", "noniid"):
+        sweep_cfg = os.path.join(work, f"sweep_{partition}.cfg")
+        with open(sweep_cfg, "w", encoding="utf-8") as fh:
+            fh.write(CONFIG.replace("objective.partition = iid", f"objective.partition = {partition}")
+                     .replace("hp.alpha = 0.5", "hp.alpha = 2.0")
+                     + "sweep.topology = full,ring,bipartite\n")
+        out = os.path.join(work, f"sweep_{partition}")
+        main(["sweep", "--config", sweep_cfg, "--out", out])
+        print(f"-- {partition} --")
+        with open(os.path.join(out, "sweep.csv"), encoding="utf-8") as fh:
+            for line in fh:
+                if not line.startswith("#"):
+                    print("  " + line.rstrip())
 
-print()
-print(f"all artifacts under {work}")
+    print()
+    print(f"all artifacts under {work}")

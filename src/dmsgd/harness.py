@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import logging
+import math
 import os
 import sys
 from dataclasses import dataclass, replace
@@ -106,10 +107,7 @@ class RunConfig:
         raw = self.items.get(key)
         if raw is None:
             return default
-        try:
-            return float(raw)
-        except ValueError as exc:
-            raise ConfigError(f"{key} must be a number, got {raw!r}") from exc
+        return _parse_float(raw, key)
 
     def get_int(self, key, default=None):
         raw = self.items.get(key)
@@ -170,12 +168,20 @@ def config_hash(cfg):
     return hashlib.sha256(serialize_config(cfg).encode("utf-8")).hexdigest()[:12]
 
 
+def _parse_float(raw, what):
+    """A finite float; nan and +-inf are config errors like any other bad number."""
+    try:
+        value = float(raw)
+    except ValueError as exc:
+        raise ConfigError(f"{what} must be a number, got {raw!r}") from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"{what} must be finite, got {raw!r}")
+    return value
+
+
 def _parse_vectors(raw, what):
     """'a,b;c,d' -> array of row vectors."""
-    try:
-        rows = [[float(v) for v in chunk.split(",")] for chunk in raw.split(";") if chunk.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"cannot parse {what}: {raw!r}") from exc
+    rows = [[_parse_float(v, what) for v in chunk.split(",")] for chunk in raw.split(";") if chunk.strip()]
     width = {len(r) for r in rows}
     if len(width) != 1:
         raise ConfigError(f"ragged rows in {what}: {raw!r}")
@@ -183,10 +189,7 @@ def _parse_vectors(raw, what):
 
 
 def _parse_scalars(raw, n, what):
-    try:
-        vals = [float(v) for v in raw.replace(";", ",").split(",") if v.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"cannot parse {what}: {raw!r}") from exc
+    vals = [_parse_float(v, what) for v in raw.replace(";", ",").split(",") if v.strip()]
     if len(vals) == 1:
         return np.full(n, vals[0])
     if len(vals) != n:
@@ -318,9 +321,9 @@ def build_scenario(cfg):
         raise
     except (ValueError, OSError) as exc:  # the builders' own checks of config values and files
         raise ConfigError(str(exc)) from exc
-    spectral = spectrum(mixing)
     if suite.n != topo.n:
         raise ConfigError(f"objective has {suite.n} agents but topology has {topo.n}")
+    spectral = spectrum(mixing)
     if hp.schedule == "sqrt" and hp.option == "I":
         raise ConfigError(
             "the sqrt(B/k) schedule varies the penalty weight of the option-I "
@@ -376,7 +379,9 @@ def bound_inputs_from_scenario(scenario, grad_bound=None, sigma=None):
     measured_sigma = None
     if grad_bound is None:
         if declared != "auto":
-            grad_bound = float(declared)
+            grad_bound = cfg.get_float("objective.grad_bound")
+            if not (0.0 <= grad_bound < np.inf):
+                raise ConfigError(f"objective.grad_bound must be 'auto' or a finite number >= 0, got {declared!r}")
         else:
             grad_bound, measured_sigma = pilot_measurements(scenario)
     if sigma is None:
@@ -395,19 +400,22 @@ def bound_inputs_from_scenario(scenario, grad_bound=None, sigma=None):
     alpha = hp.alpha if hp.schedule == "constant" else 1.0  # placeholder for sqrt runs
     zero = np.zeros((suite.n, suite.d))
     gap1 = scenario.objective.value(zero) - scenario.f_star
-    return bounds_mod.BoundInputs(
-        alpha=alpha,
-        beta=hp.beta,
-        lam=scenario.lam,
-        n_agents=suite.n,
-        eta=eta,
-        grad_bound=grad_bound,
-        sigma=float(sigma),
-        smooth=scenario.objective.l_prime(scenario.spectral),
-        strong_mu=(scenario.objective.mu_prime(scenario.spectral) if suite.mu_m > 0 else None),
-        pl_mu=suite.pl_constant,
-        gap1=gap1,
-    )
+    try:
+        return bounds_mod.BoundInputs(
+            alpha=alpha,
+            beta=hp.beta,
+            lam=scenario.lam,
+            n_agents=suite.n,
+            eta=eta,
+            grad_bound=grad_bound,
+            sigma=float(sigma),
+            smooth=scenario.objective.l_prime(scenario.spectral),
+            strong_mu=(scenario.objective.mu_prime(scenario.spectral) if suite.mu_m > 0 else None),
+            pl_mu=suite.pl_constant,
+            gap1=gap1,
+        )
+    except ValueError as exc:  # the bounds engine refuses inputs it cannot support
+        raise RuntimeFailure(f"no bound exists for these inputs: {exc}") from exc
 
 
 def evaluate_bounds(scenario, bi):
@@ -444,16 +452,25 @@ def _fmt(x):
     return repr(float(x))
 
 
-def trace_metadata(scenario, seed, status):
-    return {
+def abort_cause(trace):
+    """``<reason> agent=<j|none> k=<iteration>`` for an aborted trace."""
+    agent = "none" if trace.abort_agent is None else trace.abort_agent
+    return f"{trace.abort_reason} agent={agent} k={trace.aborted_at}"
+
+
+def trace_metadata(scenario, seed, trace):
+    meta = {
         "config_hash": config_hash(scenario.cfg),
         "seed": str(seed),
         "lambda2": _fmt(scenario.spectral.lambda2),
         "lambdaN": _fmt(scenario.spectral.lambda_n),
         "Lambda": _fmt(scenario.lam),
         "eta": _fmt(scenario.eta),
-        "status": status,
+        "status": trace.status,
     }
+    if trace.status == "aborted":
+        meta["abort"] = abort_cause(trace)
+    return meta
 
 
 def write_trace_csv(path, trace, metadata):
@@ -558,22 +575,25 @@ def cmd_run(args):
     out_dir = args.out or cfg.get("output.dir", ".")
     os.makedirs(out_dir, exist_ok=True)
     n_seeds = args.seeds or cfg.get_int("output.seeds", 1)
+    if n_seeds < 1:
+        raise ConfigError(f"the seed count must be >= 1, got {n_seeds}")
     traces = []
     failed = None
     for seed in range(scenario.hp.seed, scenario.hp.seed + n_seeds):
         trace = run(scenario.mixing, scenario.suite, scenario.oracle, replace(scenario.hp, seed=seed),
                     scenario.objective, scenario.f_star)
         path = os.path.join(out_dir, f"trace_seed{seed}.csv")
-        write_trace_csv(path, trace, trace_metadata(scenario, seed, trace.status))
+        write_trace_csv(path, trace, trace_metadata(scenario, seed, trace))
         log.info("wrote %s (%d rows, %s)", path, len(trace), trace.status)
         traces.append(trace)
         if trace.status != "completed":
-            failed = (seed, trace.aborted_at)
+            failed = (seed, trace)
     if failed is not None:
-        raise RuntimeFailure(f"run aborted (seed {failed[0]}, iteration {failed[1]}); partial trace flagged")
+        raise RuntimeFailure(f"run aborted (seed {failed[0]}, {abort_cause(failed[1])}); partial trace flagged")
     if n_seeds > 1:
         path = os.path.join(out_dir, "trace_avg.csv")
-        write_trace_csv(path, averaged_trace(traces), trace_metadata(scenario, "avg", "completed"))
+        avg = averaged_trace(traces)
+        write_trace_csv(path, avg, trace_metadata(scenario, "avg", avg))
         log.info("wrote %s", path)
     if cfg.get_bool("output.emit_bounds", False):
         bi = bound_inputs_from_scenario(scenario)
@@ -618,7 +638,8 @@ def cmd_check(args):
             return 2
     for name, values in bound_rows.items():
         column, transform = BOUND_METRICS[name]
-        report = check_bound_domination(transform(trace[column]), values, slack=args.slack)
+        with np.errstate(over="ignore"):  # a huge value read from a file overflows to inf: a violation
+            report = check_bound_domination(transform(trace[column]), values, slack=args.slack)
         if not report.passed:
             print(
                 f"VIOLATION {name}: k={report.first_violation} metric="
@@ -764,7 +785,9 @@ def main(argv=None):
     except SystemExit as exc:
         return exc.code if exc.code is not None else 2
     try:
-        return args.func(args)
+        # an input valid in form can still overflow the arithmetic: exit 1, not a warning
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -773,6 +796,9 @@ def main(argv=None):
         return 2
     except RuntimeFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except FloatingPointError as exc:
+        print(f"error: numerical failure ({exc})", file=sys.stderr)
         return 1
 
 

@@ -249,7 +249,8 @@ def make_logistic(dataset, reg=0.0):
         labs.append(ys[part])
 
     def grad(xs, yy, w):
-        coef = -yy / (1.0 + np.exp(yy * (xs @ w)))
+        with np.errstate(over="ignore"):  # exp overflows to inf where the sample's weight is 0
+            coef = -yy / (1.0 + np.exp(yy * (xs @ w)))
         return xs.T @ coef / len(yy) + reg * w
 
     # partitions are ragged, so each agent keeps its own matvec

@@ -82,6 +82,8 @@ class HyperParams:
             raise ValueError(f"adaptive_scope must be 'agent' or 'global'")
         if self.iters < 0:
             raise ValueError("iters must be >= 0")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -108,6 +110,11 @@ class RunTrace:
 
     ``draw_dev_sq`` is ||draws - exact stacked gradient||^2 of the oracle
     draw taken at each row, from which a pilot measures the noise level.
+    An aborted run records the iteration it stopped at, why
+    (``nonfinite_value``: the metrics at x_k; ``nonfinite_grad``: the oracle
+    draw; ``nonfinite_step``: the new state or step norm) and the first
+    agent whose own row went non-finite, or None when only a total over the
+    agents overflowed.
     """
 
     COLUMNS: ClassVar[tuple] = (
@@ -127,6 +134,8 @@ class RunTrace:
     swarm: AgentSwarm | None
     status: str = "completed"
     aborted_at: int | None = None
+    abort_reason: str | None = None
+    abort_agent: int | None = None
 
     def __len__(self):
         return len(self.k)
@@ -227,6 +236,15 @@ def consensus_errors(x):
     return float(per_agent.max()), float(np.linalg.norm(dev))
 
 
+def _first_nonfinite_row(*arrays):
+    """Index of the first agent whose row is non-finite in any of ``arrays``, else None."""
+    for arr in arrays:
+        bad = np.flatnonzero(~np.isfinite(arr).reshape(len(arr), -1).all(axis=1))
+        if bad.size:
+            return int(bad[0])
+    return None
+
+
 def run(mixing, suite, oracle, hp, objective, f_star):
     """Execute the full loop from zero initialization and record the trace.
 
@@ -242,7 +260,7 @@ def run(mixing, suite, oracle, hp, objective, f_star):
     swarm = AgentSwarm.zeros(mixing, n, d)
     rngs = agent_rngs(hp.seed, n)
     cols = {name: [] for name in RunTrace.COLUMNS}
-    status, aborted_at = "completed", None
+    abort = {}
     grad_sq_sum = 0.0
     # a diverging run overflows before the finiteness checks below abort it
     with np.errstate(over="ignore", invalid="ignore"):
@@ -251,20 +269,23 @@ def run(mixing, suite, oracle, hp, objective, f_star):
             err_max, err_stacked = consensus_errors(x_k)
             exact = suite.grads(x_k)
             val = objective.value(x_k)
-            gsq = float(np.sum(objective.add_penalty_grad(x_k, exact) ** 2))
+            metric_grad_sq = objective.add_penalty_grad(x_k, exact) ** 2
+            gsq = float(np.sum(metric_grad_sq))
             if not (np.isfinite(val) and np.isfinite(gsq) and np.isfinite(err_stacked)):
-                status, aborted_at = "aborted", k
+                abort = dict(aborted_at=k, abort_reason="nonfinite_value", abort_agent=_first_nonfinite_row(
+                    x_k, exact, suite.values(x_k), metric_grad_sq))
                 break
             grad_sq_sum += gsq
             try:
                 draws = stochastic_grad(suite, oracle, x_k, exact, rngs)
                 omega = step(hp.option, swarm, mixing, hp, draws)
-            except NonFiniteGradientError:
-                status, aborted_at = "aborted", k
+            except NonFiniteGradientError as exc:
+                abort = dict(aborted_at=k, abort_reason="nonfinite_grad", abort_agent=exc.agent)
                 break
             step_norm = float(np.linalg.norm(swarm.x_cur - swarm.x_prev))
             if not (np.isfinite(swarm.x_cur).all() and np.isfinite(step_norm)):
-                status, aborted_at = "aborted", k
+                abort = dict(aborted_at=k, abort_reason="nonfinite_step", abort_agent=_first_nonfinite_row(
+                    swarm.x_cur, np.linalg.norm(swarm.x_cur - swarm.x_prev, axis=1)))
                 break
             cols["consensus_err_max"].append(err_max)
             cols["consensus_err_stacked"].append(err_stacked)
@@ -279,7 +300,7 @@ def run(mixing, suite, oracle, hp, objective, f_star):
     return RunTrace(
         k=np.arange(1, rows + 1),
         swarm=swarm,
-        status=status,
-        aborted_at=aborted_at,
+        status="aborted" if abort else "completed",
+        **abort,
         **{name: np.array(vals) for name, vals in cols.items()},
     )

@@ -1,10 +1,12 @@
-"""Independent oracles: dense reference stepper, finite differences, metrics.
+"""Independent oracles: dense reference stepper, reference Jacobi solver,
+finite differences, metrics.
 
 The reference stepper implements the dense matrix form of the update and
 deliberately shares no code with ``optimizer.step``/``optimizer.run``, so the
-two can cross-check each other.  Bound-domination reports compare a measured
-metric trajectory against a theoretical bound trajectory with a configurable
-relative slack.
+two can cross-check each other; ``reference_jacobi_eigenvalues`` plays the
+same part for ``topology.jacobi_eigenvalues``.  Bound-domination reports
+compare a measured metric trajectory against a theoretical bound trajectory
+with a configurable relative slack.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from .topology import JacobiConvergenceError
 
 __all__ = [
     "reference_step",
@@ -21,6 +25,7 @@ __all__ = [
     "DominationReport",
     "check_bound_domination",
     "recompute_running_avg",
+    "reference_jacobi_eigenvalues",
 ]
 
 
@@ -125,3 +130,57 @@ def recompute_running_avg(grad_norm_sq):
     grad_norm_sq = np.asarray(grad_norm_sq, dtype=float)
     k = np.arange(1, grad_norm_sq.size + 1)
     return np.cumsum(grad_norm_sq) / (k + 1)
+
+
+def _jacobi_rotate(a, p, q):
+    # one Givens rotation zeroing a[p, q]; a updated in place, symmetric
+    apq = a[p, q]
+    diff = a[q, q] - a[p, p]
+    if abs(apq) < abs(diff) * 1e-36:
+        t = apq / diff  # tiny pivot: first-order tangent avoids overflow
+    else:
+        theta = diff / (2.0 * apq)
+        t = 1.0 / (abs(theta) + np.sqrt(theta * theta + 1.0))
+        if theta < 0.0:
+            t = -t
+    c = 1.0 / np.sqrt(t * t + 1.0)
+    s = t * c
+    rp = a[p, :].copy()
+    rq = a[q, :].copy()
+    a[p, :] = c * rp - s * rq
+    a[q, :] = s * rp + c * rq
+    cp = a[:, p].copy()
+    cq = a[:, q].copy()
+    a[:, p] = c * cp - s * cq
+    a[:, q] = s * cp + c * cq
+
+
+def reference_jacobi_eigenvalues(matrix, tol=1e-12, max_sweeps=100):
+    """Cyclic Jacobi eigenvalues, one whole-row and whole-column rotation at a time.
+
+    The independent oracle for ``topology.jacobi_eigenvalues``: the same
+    pivot order, zero-pivot skip, sweep limit and off-mass test, written as
+    the plain textbook update with fresh row and column copies per rotation.
+    The two must agree bit for bit; no production code calls this.
+    """
+    a = np.array(matrix, dtype=float)
+    n = a.shape[0]
+    if n == 1:
+        return a.diagonal().copy()
+    def off_mass(mat):
+        od = mat.copy()
+        np.fill_diagonal(od, 0.0)
+        return float(np.linalg.norm(od))
+
+    for _ in range(max_sweeps):
+        off = off_mass(a)
+        if off <= tol:
+            return a.diagonal().copy()
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                if abs(a[p, q]) > 0.0:
+                    _jacobi_rotate(a, p, q)
+    off = off_mass(a)
+    if off <= tol:
+        return a.diagonal().copy()
+    raise JacobiConvergenceError(f"no convergence after {max_sweeps} sweeps (off mass {off:.3e})")

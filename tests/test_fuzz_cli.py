@@ -1,0 +1,170 @@
+"""Property tests of the CLI exit-code contract: every input ends in 0, 1, 2 or 3.
+
+Each example changes one value of a valid config, or one field of a valid
+trace or bounds CSV, and calls ``main`` in process.  An exception escaping
+``main`` would reach a shell user as a raw traceback, so it fails the test.
+``hp.iters`` and ``objective.samples`` set the work per example; they get
+only values that are not integers, which keeps every example short.
+"""
+
+import os
+import tempfile
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dmsgd.harness import KNOWN_KEYS, main
+
+BASES = {
+    "quadratic": """\
+topology.kind = full
+topology.n = 3
+topology.laziness = 0.5
+objective.kind = quadratic
+objective.targets = 1.8,2.0;2.0,2.2;2.2,1.8
+objective.curvatures = 1
+objective.grad_bound = auto
+oracle.mode = additive
+oracle.sigma = 0.1
+hp.option = I
+hp.alpha = 0.05
+hp.beta = 0.5
+hp.omega = 0.5
+hp.iters = 30
+hp.seed = 0
+output.seeds = 1
+""",
+    "logistic": """\
+topology.kind = ring
+topology.n = 3
+topology.laziness = 0.5
+objective.kind = logistic
+objective.dataset = synthetic
+objective.dataset_seed = 3
+objective.samples = 45
+objective.features = 3
+objective.classes = 3
+objective.agents = 3
+objective.partition = iid
+objective.reg = 0.05
+objective.grad_bound = auto
+oracle.mode = minibatch
+oracle.batch = 5
+hp.option = I
+hp.alpha = 0.2
+hp.beta = 0.3
+hp.omega = 0.5
+hp.iters = 20
+hp.seed = 1
+""",
+}
+
+SIZE_KEYS = ("hp.iters", "objective.samples")
+# output.dir is overridden by --out; fuzzing it could only write elsewhere
+FUZZ_KEYS = sorted(KNOWN_KEYS - {"output.dir"})
+
+NUMBERS = st.one_of(st.integers(-3, 40), st.floats()).map(str)
+WORDS = st.sampled_from([
+    "", "auto", "adaptive", "full", "ring", "bipartite", "custom", "quadratic", "pl", "logistic",
+    "synthetic", "additive", "minibatch", "I", "II", "iid", "noniid", "sqrt", "constant", "agent",
+    "global", "true", "no", "1,2", "2,1", "0.5;0.5", "a,b", "1;2;3", "-0", "1e309", "0x10"])
+TEXT = st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp")), max_size=12)
+VALUES = st.one_of(NUMBERS, WORDS, TEXT)
+
+
+def _is_int(text):
+    try:
+        int(text)
+    except ValueError:
+        return False
+    return True
+
+
+@st.composite
+def config_edits(draw):
+    key = draw(st.sampled_from(FUZZ_KEYS))
+    values = st.one_of(WORDS, TEXT).filter(lambda v: not _is_int(v)) if key in SIZE_KEYS else VALUES
+    return key, draw(values)
+
+
+def with_value(text, key, value):
+    lines = [ln for ln in text.splitlines() if ln.split("=", 1)[0].strip() != key]
+    return "\n".join(lines + [f"{key} = {value}"]) + "\n"
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(base=st.sampled_from(sorted(BASES)), command=st.sampled_from(["run", "bounds"]), edit=config_edits())
+def test_config_fuzz_keeps_exit_contract(base, command, edit):
+    with tempfile.TemporaryDirectory() as work:
+        cfg = os.path.join(work, "run.cfg")
+        with open(cfg, "w", encoding="utf-8") as fh:
+            fh.write(with_value(BASES[base], *edit))
+        code = main([command, "--config", cfg, "--out", os.path.join(work, "out")])
+    assert code in (0, 1, 2, 3)
+
+
+@pytest.fixture(scope="module")
+def csv_texts(tmp_path_factory):
+    work = tmp_path_factory.mktemp("check_fuzz")
+    cfg = work / "run.cfg"
+    cfg.write_text(BASES["quadratic"], encoding="utf-8")
+    assert main(["run", "--config", str(cfg), "--out", str(work)]) == 0
+    assert main(["bounds", "--config", str(cfg), "--out", str(work)]) == 0
+    return {name: (work / f"{name}.csv").read_text(encoding="utf-8")
+            for name in ("trace_seed0", "bounds")}
+
+
+def edit_field(text, line, field, value):
+    """Replace one metadata value or one comma-separated field of ``text``."""
+    lines = text.splitlines()
+    i = line % len(lines)
+    if lines[i].startswith("#"):
+        key = lines[i].partition("=")[0]
+        lines[i] = f"{key}={value}"
+    else:
+        fields = lines[i].split(",")
+        fields[field % len(fields)] = value
+        lines[i] = ",".join(fields)
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(which=st.sampled_from(["trace_seed0", "bounds"]), line=st.integers(0, 1000),
+       field=st.integers(0, 10), value=VALUES)
+def test_check_fuzz_keeps_exit_contract(csv_texts, which, line, field, value):
+    with tempfile.TemporaryDirectory() as work:
+        paths = {}
+        for name, text in csv_texts.items():
+            paths[name] = os.path.join(work, f"{name}.csv")
+            with open(paths[name], "w", encoding="utf-8") as fh:
+                fh.write(edit_field(text, line, field, value) if name == which else text)
+        code = main(["check", "--trace", paths["trace_seed0"], "--bounds", paths["bounds"]])
+    assert code in (0, 1, 2, 3)
+
+
+# inputs the fuzz tests above once found ending in a traceback or a RuntimeWarning
+@pytest.mark.parametrize("base, command, key, value, expected", [
+    ("quadratic", "bounds", "objective.grad_bound", "adaptive", 2),
+    ("quadratic", "bounds", "objective.grad_bound", "-1", 2),
+    ("quadratic", "run", "objective.targets", "inf", 2),
+    ("quadratic", "run", "hp.seed", "-1", 2),
+    ("quadratic", "run", "output.seeds", "0", 2),
+    ("logistic", "run", "hp.alpha", "1e-36", 0),
+    ("logistic", "run", "objective.separation", "1.3407807929942597e+154", 1),
+])
+def test_config_fuzz_regressions(tmp_path, base, command, key, value, expected):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(with_value(BASES[base], key, value), encoding="utf-8")
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == expected
+
+
+def test_check_overflowing_trace_value_is_a_violation(csv_texts, tmp_path):
+    lines = csv_texts["trace_seed0"].splitlines()
+    row = next(i for i, ln in enumerate(lines) if ln.startswith("1,"))
+    fields = lines[row].split(",")
+    fields[-2] = "1e200"  # step_norm; displacement_sq squares it
+    lines[row] = ",".join(fields)
+    (tmp_path / "trace.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    (tmp_path / "bounds.csv").write_text(csv_texts["bounds"], encoding="utf-8")
+    assert main(["check", "--trace", str(tmp_path / "trace.csv"), "--bounds", str(tmp_path / "bounds.csv")]) == 3

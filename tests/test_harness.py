@@ -215,7 +215,7 @@ assert "scipy.optimize" not in sys.modules, "scipy.optimize was imported"
     assert proc.returncode == 0, proc.stderr
 
 
-def test_cli_run_aborted_marks_trace(tmp_path):
+def test_cli_run_aborted_marks_trace(tmp_path, capsys):
     cfg = QUAD_CONFIG.replace("hp.alpha = 0.05", "hp.alpha = 1e9")
     cfg_path = write_config(tmp_path, cfg)
     out = str(tmp_path / "out")
@@ -223,6 +223,21 @@ def test_cli_run_aborted_marks_trace(tmp_path):
     meta, trace = read_trace_csv(os.path.join(out, "trace_seed0.csv"))
     assert meta["status"] == "aborted"
     assert len(trace["k"]) < 40
+    cause = f"nonfinite_step agent=0 k={len(trace['k']) + 1}"
+    assert meta["abort"] == cause
+    lines = open(os.path.join(out, "trace_seed0.csv"), encoding="utf-8").read().splitlines()
+    assert f"# abort={cause}" in lines
+    assert cause in capsys.readouterr().err
+
+
+def test_cli_run_completed_trace_has_no_abort_line(tmp_path):
+    cfg_path = write_config(tmp_path, QUAD_CONFIG)
+    out = str(tmp_path / "out")
+    assert main(["run", "--config", cfg_path, "--out", out, "--seeds", "2"]) == 0
+    for name in ("trace_seed0.csv", "trace_avg.csv"):
+        meta, _ = read_trace_csv(os.path.join(out, name))
+        assert meta["status"] == "completed"
+        assert "abort" not in meta
 
 
 def test_cli_run_config_error_exit_2(tmp_path):

@@ -264,6 +264,28 @@ def test_run_aborts_on_divergence():
         assert np.isfinite(getattr(trace, name)).all()
 
 
+def test_run_records_abort_reason_and_agent():
+    # the state overflows: agent 1, pulled toward 2.0, takes the first infinite step
+    trace = run(*quad_setup(alpha=1e8, beta=0.0, iters=400))
+    assert (trace.abort_reason, trace.abort_agent) == ("nonfinite_step", 1)
+    assert trace.aborted_at == len(trace) + 1
+    # an infinite noise scale makes agent 0's first draw non-finite
+    trace = run(*quad_setup(sigma=float("inf")))
+    assert (trace.abort_reason, trace.abort_agent, trace.aborted_at) == ("nonfinite_grad", 0, 1)
+    # agent 1's curvature overflows the squared metric gradient at x = 0
+    mix, _, oracle, hp, _, _ = quad_setup()
+    suite = make_quadratic([[0.0], [2.0]], [1.0, 1e300])
+    trace = run(mix, suite, oracle, hp, UnifiedObjective(suite, mix, hp.alpha), 0.0)
+    assert (trace.abort_reason, trace.abort_agent, trace.aborted_at) == ("nonfinite_value", 1, 1)
+    assert len(trace) == 0
+
+
+def test_completed_run_has_no_abort_reason():
+    trace = run(*quad_setup())
+    assert trace.status == "completed"
+    assert (trace.aborted_at, trace.abort_reason, trace.abort_agent) == (None, None, None)
+
+
 def test_agent_rngs_order_independent():
     rngs_a = agent_rngs(42, 3)
     rngs_b = agent_rngs(42, 3)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from test_pins import SPECTRUM_MATRICES
 
 from dmsgd.topology import (
     JacobiConvergenceError,
@@ -13,6 +14,7 @@ from dmsgd.topology import (
     metropolis_mixing,
     spectrum,
 )
+from dmsgd.verify import reference_jacobi_eigenvalues
 
 
 def random_mixing(rng, n, extra_edges=0, laziness=None):
@@ -149,6 +151,43 @@ def test_jacobi_nonconvergence_raises():
     a = np.array([[0.5, 0.5], [0.5, 0.5]])
     with pytest.raises(JacobiConvergenceError):
         jacobi_eigenvalues(a, max_sweeps=0)
+
+
+def _jacobi_zoo():
+    zoo = {name: make().entries for name, make in SPECTRUM_MATRICES.items()}
+    rng = np.random.default_rng(5)
+    for n in (2, 5, 9, 17, 33):
+        zoo[f"random_mixing{n}"] = random_mixing(rng, n, extra_edges=n // 2).entries
+    sym = rng.normal(size=(6, 6))
+    zoo["random_symmetric6"] = sym + sym.T
+    zoo["single_agent"] = np.array([[0.7]])
+    zoo["identity5"] = np.eye(5)  # every pivot is exactly zero
+    zoo["uniform_rank_one4"] = np.full((4, 4), 0.25)
+    zoo["tiny_pivot"] = np.array([[1.0, 1e-300], [1e-300, 0.0]])  # first-order tangent
+    zoo["negative_theta"] = np.array([[2.0, 0.5], [0.5, 1.0]])  # a[q,q] < a[p,p]
+    return zoo
+
+
+JACOBI_ZOO = _jacobi_zoo()
+
+
+@pytest.mark.parametrize("name", sorted(JACOBI_ZOO))
+def test_jacobi_bit_identical_to_reference(name):
+    ours = jacobi_eigenvalues(JACOBI_ZOO[name])
+    ref = reference_jacobi_eigenvalues(JACOBI_ZOO[name])
+    assert np.array_equal(ours, ref)
+    assert ours.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("max_sweeps", [0, 1])
+def test_jacobi_nonconvergence_message_matches_reference(max_sweeps):
+    m = SPECTRUM_MATRICES["ring16_lazy0.3"]().entries
+    with pytest.raises(JacobiConvergenceError) as ours:
+        jacobi_eigenvalues(m, max_sweeps=max_sweeps)
+    with pytest.raises(JacobiConvergenceError) as ref:
+        reference_jacobi_eigenvalues(m, max_sweeps=max_sweeps)
+    assert str(ours.value) == str(ref.value)
+    assert f"after {max_sweeps} sweeps" in str(ours.value)
 
 
 def test_largest_eigenvalue_is_one():
