@@ -380,8 +380,8 @@ def bound_inputs_from_scenario(scenario, grad_bound=None, sigma=None):
     if grad_bound is None:
         if declared != "auto":
             grad_bound = cfg.get_float("objective.grad_bound")
-            if not (0.0 <= grad_bound < np.inf):
-                raise ConfigError(f"objective.grad_bound must be 'auto' or a finite number >= 0, got {declared!r}")
+            if grad_bound < 0.0:
+                raise ConfigError(f"objective.grad_bound must be 'auto' or >= 0, got {declared!r}")
         else:
             grad_bound, measured_sigma = pilot_measurements(scenario)
     if sigma is None:
@@ -574,7 +574,7 @@ def cmd_run(args):
     scenario = build_scenario(cfg)
     out_dir = args.out or cfg.get("output.dir", ".")
     os.makedirs(out_dir, exist_ok=True)
-    n_seeds = args.seeds or cfg.get_int("output.seeds", 1)
+    n_seeds = args.seeds if args.seeds is not None else cfg.get_int("output.seeds", 1)
     if n_seeds < 1:
         raise ConfigError(f"the seed count must be >= 1, got {n_seeds}")
     traces = []

@@ -246,6 +246,14 @@ def test_cli_run_config_error_exit_2(tmp_path):
     assert main(["run", "--config", str(tmp_path / "missing.cfg")]) == 2
 
 
+@pytest.mark.parametrize("seeds", ["0", "-1"])
+def test_cli_run_seed_count_below_one_exit_2(tmp_path, seeds):
+    cfg_path = write_config(tmp_path, QUAD_CONFIG)
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg_path, "--out", str(out), "--seeds", seeds]) == 2
+    assert not out.exists() or not os.listdir(out)
+
+
 def test_trace_header_golden(tmp_path):
     cfg_path = write_config(tmp_path, QUAD_CONFIG)
     out = str(tmp_path / "out")
