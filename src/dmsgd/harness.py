@@ -786,7 +786,7 @@ def main(argv=None):
         return exc.code if exc.code is not None else 2
     try:
         # an input valid in form can still overflow the arithmetic: exit 1, not a warning
-        with np.errstate(over="raise", divide="raise", invalid="raise"):
+        with np.errstate(over="raise"):
             return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

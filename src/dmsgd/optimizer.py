@@ -195,6 +195,15 @@ def _resolve_omega(hp, swarm, v_cur):
     return hp.omega
 
 
+def _first_nonfinite_row(*arrays):
+    """Index of the first agent whose row is non-finite in any of ``arrays``, else None."""
+    for arr in arrays:
+        bad = np.flatnonzero(~np.isfinite(arr).reshape(len(arr), -1).all(axis=1))
+        if bad.size:
+            return int(bad[0])
+    return None
+
+
 def step(option, swarm, mixing, hp, grads, omega_value=None):
     """Advance the swarm one iteration using the supplied gradient draws.
 
@@ -207,8 +216,7 @@ def step(option, swarm, mixing, hp, grads, omega_value=None):
     if grads.shape != swarm.x_cur.shape:
         raise ValueError(f"gradient shape {grads.shape} != state shape {swarm.x_cur.shape}")
     if not np.isfinite(grads).all():
-        bad = int(np.argwhere(~np.isfinite(grads).all(axis=1))[0, 0])
-        raise NonFiniteGradientError(bad, swarm.k)
+        raise NonFiniteGradientError(_first_nonfinite_row(grads), swarm.k)
     v_cur = consensus_step(mixing, swarm.x_cur)
     omega = _resolve_omega(hp, swarm, v_cur) if omega_value is None else omega_value
     delta = momentum_delta(omega, swarm.x_cur, swarm.x_prev, v_cur, swarm.v_prev)
@@ -234,15 +242,6 @@ def consensus_errors(x):
     dev = x - xbar
     per_agent = np.linalg.norm(dev, axis=1)
     return float(per_agent.max()), float(np.linalg.norm(dev))
-
-
-def _first_nonfinite_row(*arrays):
-    """Index of the first agent whose row is non-finite in any of ``arrays``, else None."""
-    for arr in arrays:
-        bad = np.flatnonzero(~np.isfinite(arr).reshape(len(arr), -1).all(axis=1))
-        if bad.size:
-            return int(bad[0])
-    return None
 
 
 def run(mixing, suite, oracle, hp, objective, f_star):

@@ -306,6 +306,59 @@ hp.seed = 0
     assert "cor1_gap" not in rows
 
 
+# set-ups that call scipy's L-BFGS, which must finish under main's raise-on-overflow state
+LBFGS_CONFIGS = {
+    "pl_distinct_shifts": """\
+topology.kind = ring
+topology.n = 4
+topology.laziness = 0.3
+objective.kind = pl
+objective.n = 4
+objective.shifts = -0.6;-0.2;0.3;0.8
+objective.grad_bound = auto
+oracle.mode = additive
+oracle.sigma = 0.1
+hp.option = I
+hp.alpha = 0.05
+hp.beta = 0.5
+hp.omega = 0.5
+hp.iters = 30
+hp.seed = 3
+""",
+    "logistic_noniid": """\
+topology.kind = ring
+topology.n = 4
+topology.laziness = 0.3
+objective.kind = logistic
+objective.dataset = synthetic
+objective.dataset_seed = 0
+objective.samples = 80
+objective.features = 4
+objective.classes = 2
+objective.agents = 4
+objective.partition = noniid
+objective.reg = 0.1
+objective.grad_bound = auto
+oracle.mode = minibatch
+oracle.batch = 4
+hp.option = I
+hp.alpha = 0.5
+hp.beta = 0.5
+hp.omega = 0.5
+hp.iters = 20
+hp.seed = 0
+""",
+}
+
+
+@pytest.mark.parametrize("name", sorted(LBFGS_CONFIGS))
+@pytest.mark.parametrize("command", ["run", "bounds"])
+def test_cli_lbfgs_setups_succeed(tmp_path, capsys, name, command):
+    cfg_path = write_config(tmp_path, LBFGS_CONFIGS[name])
+    assert main([command, "--config", cfg_path, "--out", str(tmp_path / "out")]) == 0
+    assert "error" not in capsys.readouterr().err
+
+
 def test_cli_bounds_eta_error(tmp_path):
     # ring of 4 with omega 0: lambda_min of the blend is -1/3
     cfg = """\
