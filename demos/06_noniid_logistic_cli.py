@@ -67,4 +67,5 @@ with tempfile.TemporaryDirectory(prefix="dmsgd_demo_") as work:
                     print("  " + line.rstrip())
 
     print()
-    print(f"all artifacts under {work}")
+    written = sorted(os.path.relpath(os.path.join(d, f), work) for d, _, files in os.walk(work) for f in files)
+    print(f"wrote {', '.join(written)} (removed when the demo ends)")
