@@ -1,19 +1,27 @@
-"""Bitwise pins of traces, bound rows and mixing-matrix spectra.
+"""Bitwise pins of traces, bound rows, mixing-matrix spectra and CLI outputs.
 
 Each trace digest is the sha256 of the run's trace arrays (or of the bound
 inputs and every ``evaluate_bounds`` row) for a configuration the benchmark
 leaves out; each spectrum digest is the sha256 of ``spectrum(m).eigenvalues``
-for a stock mixing matrix.  A refactor that moves any value by a single bit
-fails here.  The digests were taken once and must not be re-pinned
-to make a refactor pass.
+for a stock mixing matrix.  The CLI pins cover whole ``sweep.csv`` files, the
+data rows and input metadata of ``bounds.csv`` files (with and without a
+skipped trajectory) and the stdout of every demo.  A refactor that moves any
+value by a single bit fails here.  The digests were taken once and must not be
+re-pinned to make a refactor pass.
 """
 
 import hashlib
+import os
+import re
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dmsgd.harness import bound_inputs_from_scenario, build_scenario, evaluate_bounds, parse_config_text
+from dmsgd.harness import bound_inputs_from_scenario, build_scenario, evaluate_bounds, main, parse_config_text
 from dmsgd.optimizer import run
 from dmsgd.topology import build_topology, effective_matrix, metropolis_mixing, spectrum
 
@@ -266,3 +274,118 @@ SPECTRUM_PINS = {
 @pytest.mark.parametrize("name", sorted(SPECTRUM_MATRICES))
 def test_pinned_spectrum(name):
     assert _sha([_floats(spectrum(SPECTRUM_MATRICES[name]()).eigenvalues)]) == SPECTRUM_PINS[name]
+
+
+# ------------------------------------------------------------ CLI outputs
+
+QUAD = """\
+topology.kind = full
+topology.n = 3
+topology.laziness = 0.5
+objective.kind = quadratic
+objective.targets = 1.8,2.0;2.0,2.2;2.2,1.8
+objective.curvatures = 1
+objective.grad_bound = auto
+oracle.mode = additive
+oracle.sigma = 0.0
+hp.option = I
+hp.alpha = 0.05
+hp.beta = 0.5
+hp.omega = 0.5
+hp.iters = 40
+hp.seed = 0
+output.seeds = 1
+"""
+
+SWEEP_CONFIGS = {
+    # axes left out of the grid fall back to the config's values
+    "omega_only": QUAD + "sweep.omega = 0,0.25,0.5,0.75,1\n",
+    "divergent": (QUAD.replace("hp.alpha = 0.05", "hp.alpha = 10000.0").replace("hp.iters = 40", "hp.iters = 80")
+                  + "sweep.beta = 0.5\nsweep.omega = 0.99\nsweep.seed = 0,1\n"),
+    "empty": QUAD,
+}
+
+SWEEP_PINS = {
+    "divergent": "1b679d336fffd3edee79eb4b432f75d5168103379fe04dad2e1140e0fe4eb06a",
+    "empty": "eca6007657489da40717ae1bfb35a59f05337d0d2b1bfd8dff6401103cabb7d7",
+    "omega_only": "e71c4d60fe22ef8a4168598dbc5ea5990792560ae4d59914658353d435b6bc16",
+}
+
+BOUNDS_CONFIGS = {
+    "pl_thm2": CONFIGS["pl_shifts"],
+    # alpha above 1/(2 mu_hat) = 0.7067: thm2_gap is skipped
+    "pl_thm2_skipped": CONFIGS["pl_shifts"].replace("hp.alpha = 0.05", "hp.alpha = 0.8"),
+    # option II, L = 4, mu = 1: alpha above L/(2 mu^2) = 2 skips cor1_gap
+    "quadratic_cor1_skipped": (QUAD.replace("objective.curvatures = 1", "objective.curvatures = 1;2;4")
+                               .replace("objective.grad_bound = auto", "objective.grad_bound = 2.0")
+                               .replace("hp.option = I", "hp.option = II").replace("hp.alpha = 0.05", "hp.alpha = 2.5")),
+    "sqrt_schedule": """\
+topology.kind = full
+topology.n = 3
+topology.laziness = 0.5
+objective.kind = quadratic
+objective.targets = 0.5;1.0;1.5
+objective.grad_bound = 2.0
+oracle.mode = additive
+oracle.sigma = 0.0
+hp.option = II
+hp.schedule = sqrt
+hp.B = 0.5
+hp.beta = 0.5
+hp.omega = 0.5
+hp.iters = 20
+""",
+}
+
+# metadata keys every bounds.csv carries; files may add keys beside them
+BOUNDS_META_KEYS = ("config_hash",) + BOUND_INPUTS
+
+BOUNDS_PINS = {
+    "pl_thm2": ("94ad297717c4eb1879953b28dc0e6908cf8136943291d1d1e49d986f68f58f1b",
+                "02909589c0795f65bf76474fb9c02835be206d764ac7af0140d19888957e5496"),
+    "pl_thm2_skipped": ("f9632ce5b2169932d1465cdcec65854a35cba9623ed461c2771ca6eb50c18c01",
+                        "22e6ddcd0bd7f397163c750134488f727de45bba1c9818f281a8f071d2e9679a"),
+    "quadratic_cor1_skipped": ("701335ee33063538a0459b060e7e9a7dcde5ec714c083d1135dbc0eb04424203",
+                               "767c9155c2f90e0713859709399d83e7c8f22af063e067f9d6fc627d6229a6fa"),
+    "sqrt_schedule": ("46f68171e664cab28ac144602e5ff4db0192271fab39317837c94a9ce39f6c8f",
+                      "1cecd8bb2f9aed68b3ba2c2493b638e8e69d503c55347f98eb9090404f97459e"),
+}
+
+DEMO_PINS = {
+    "01_mixing_and_spectra.py": "cf9fd5d73d7b3a317fcd88a28d71da503fb0c67b0ec942bf1917f42b6ea50bb5",
+    "02_consensus_error_vs_bound.py": "c375d20b299d4dbf4a589bfbc0666073f8e675509cfcfec003accf8edb56e8cf",
+    "03_linear_rate.py": "e01bd92004601a6b7ca43949a0659d3f52fcd4d59ed958586be6131738adf4ef",
+    "04_momentum_blends.py": "a4e9e45cf6e42d54d2c5e0690f5e39b42023caf8bf266cecad654c0c0ba3dfc5",
+    "05_sqrt_schedule.py": "ddbdf0cb7a11202d80c62bdc9c55f343c7b02eac1f3c4251b9bc4c10246a639d",
+    "06_noniid_logistic_cli.py": "a61512805eae64c92a5334dd9c5c40ddf3562920dcaf951bdcfadbb8df25623d",
+}
+
+
+def _cli_output(tmp_path, command, text, name):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text, encoding="utf-8")
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    return (tmp_path / "out" / name).read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_CONFIGS))
+def test_pinned_sweep_csv(tmp_path, name):
+    assert _sha([_cli_output(tmp_path, "sweep", SWEEP_CONFIGS[name], "sweep.csv")]) == SWEEP_PINS[name]
+
+
+@pytest.mark.parametrize("name", sorted(BOUNDS_CONFIGS))
+def test_pinned_bounds_csv(tmp_path, name):
+    lines = _cli_output(tmp_path, "bounds", BOUNDS_CONFIGS[name], "bounds.csv").decode("utf-8").splitlines()
+    meta = dict(ln[1:].strip().partition("=")[::2] for ln in lines if ln.startswith("#"))
+    data = [ln for ln in lines if not ln.startswith("#")]
+    assert (_sha([meta.get(key) for key in BOUNDS_META_KEYS]), _sha(data)) == BOUNDS_PINS[name]
+
+
+@pytest.mark.parametrize("name", sorted(DEMO_PINS))
+def test_pinned_demo_stdout(name):
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, str(root / "demos" / name)], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    out = re.sub(re.escape(tempfile.gettempdir()) + r"\S*", "<tmp>", out)
+    assert _sha([out]) == DEMO_PINS[name]
