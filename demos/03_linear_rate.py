@@ -37,7 +37,7 @@ print(f"mu' = {mu_p:.3f}, L' = {l_p:.3f}, theoretical contraction factor {1 - th
 print()
 print("  k      measured gap     bound trajectory")
 for k in (1, 2, 5, 10, 20, 40, 80, 200):
-    print(f"{k:5d}   {trace.gap[k - 1]:.6e}    {traj.values[k - 1]:.6e}")
+    print(f"{k:5d}   {trace.gap[k - 1]:.6e}    {traj[k - 1]:.6e}")
 
 window = (trace.k >= 2) & (trace.k <= 60) & (trace.gap > 1e-10 * trace.gap[0])
 slope = np.polyfit(trace.k[window], np.log(trace.gap[window]), 1)[0]

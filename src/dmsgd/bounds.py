@@ -12,13 +12,13 @@ the second variant's — the formulas are identical under that renaming.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "BoundInputs",
-    "BoundReport",
     "PositivityReport",
     "consensus_bound",
     "displacement_bound",
@@ -84,20 +84,30 @@ class BoundInputs:
     def second_moment(self):
         return self.grad_bound**2 + self.sigma**2
 
-    def with_(self, **kw):
-        return replace(self, **kw)
+
+def _finite(bound):
+    """Refuse a bound that the inputs overflow to inf or nan with ``ValueError``.
+
+    Inputs each in range can still overflow a bound (R reaches inf, then
+    inf - inf is nan); a non-finite value bounds nothing, so the engine raises
+    instead of returning it, and numpy's float warnings stay off meanwhile.
+    """
+
+    @functools.wraps(bound)
+    def checked(*args, **kwargs):
+        try:
+            with np.errstate(all="ignore"):
+                value = bound(*args, **kwargs)
+        except OverflowError as exc:  # Python float ** overflows with an error, not inf
+            raise ValueError(f"{bound.__name__} overflows for these inputs ({exc})") from exc
+        if not np.isfinite(value).all():
+            raise ValueError(f"{bound.__name__} is not finite for these inputs")
+        return value
+
+    return checked
 
 
-@dataclass
-class BoundReport:
-    """A named bound trajectory (or constant) with its inputs echoed."""
-
-    name: str
-    ks: np.ndarray
-    values: np.ndarray
-    inputs: BoundInputs
-
-
+@_finite
 def consensus_bound(bi):
     """Uniform per-agent consensus error bound.
 
@@ -112,6 +122,7 @@ def consensus_bound(bi):
     return float(num / den)
 
 
+@_finite
 def displacement_bound(bi, k=None):
     """Expected squared step length bound; k-dependent tight form or loose.
 
@@ -126,6 +137,7 @@ def displacement_bound(bi, k=None):
     return float(loose * (1.0 - bi.bl ** (k + 1)) ** 2)
 
 
+@_finite
 def r_constant(bi):
     """Residual constant R = aGs + aG sqrt(G^2+s^2)/(1-bL) + L a^2 (G^2+s^2)/(2(1-bL)^2)."""
     bl = bi.bl
@@ -136,6 +148,7 @@ def r_constant(bi):
     )
 
 
+@_finite
 def strongly_convex_trajectory(bi, k_max, tight=False):
     """Gap bound trajectory for k = 1..k_max under strong convexity.
 
@@ -157,7 +170,7 @@ def strongly_convex_trajectory(bi, k_max, tight=False):
         asymptote = r_constant(bi) * l / (2.0 * bi.alpha * mu**2)
         vals = asymptote + (1.0 - theta) ** (ks - 1) * (bi.gap1 - asymptote)
         vals[0] = bi.gap1  # exact telescoping base case
-        return BoundReport("strongly_convex_gap", ks, vals, bi)
+        return vals
     bl = bi.bl
     vals = np.empty(k_max)
     vals[0] = bi.gap1
@@ -170,9 +183,10 @@ def strongly_convex_trajectory(bi, k_max, tight=False):
         )
         gap = (1.0 - theta) * gap + residual
         vals[k] = gap
-    return BoundReport("strongly_convex_gap_tight", ks, vals, bi)
+    return vals
 
 
+@_finite
 def pl_trajectory(bi, k_max, residual_power=2):
     """Gap bound trajectory under gradient dominance, as printed.
 
@@ -194,9 +208,10 @@ def pl_trajectory(bi, k_max, residual_power=2):
     ks = np.arange(1, k_max + 1)
     vals = asymptote + (1.0 - theta) ** (ks - 1) * (bi.gap1 - asymptote)
     vals[0] = bi.gap1
-    return BoundReport("pl_gap", ks, vals, bi)
+    return vals
 
 
+@_finite
 def nonconvex_alpha_star(bi):
     """The variance-aware constant step size for the non-convex rate.
 
@@ -219,6 +234,7 @@ def nonconvex_alpha_star(bi):
     return alpha
 
 
+@_finite
 def nonconvex_avg_grad_bound(bi, k):
     """Averaged-gradient envelope 2 gap1 / (a (k+1)) at trace row k."""
     if bi.gap1 is None:
@@ -227,6 +243,7 @@ def nonconvex_avg_grad_bound(bi, k):
     return 2.0 * bi.gap1 / (bi.alpha * (k + 1))
 
 
+@_finite
 def simpler_q(bi, schedule_b):
     """Q = 2 gap1/sqrt(B) + sqrt(B) L (G^2+s^2)/(1-bL)^2."""
     if schedule_b <= 0:
@@ -239,6 +256,7 @@ def simpler_q(bi, schedule_b):
     )
 
 
+@_finite
 def simpler_step_bound(bi, schedule_b, k):
     """Q/sqrt(k) envelope for the sqrt(B/k) step-size schedule, k >= 1."""
     k = np.asarray(k)
@@ -247,6 +265,7 @@ def simpler_step_bound(bi, schedule_b, k):
     return simpler_q(bi, schedule_b) / np.sqrt(k)
 
 
+@_finite
 def optimal_schedule_b(bi):
     """B minimizing Q: 2 gap1 (1-bL)^2 / (L (G^2+s^2))."""
     if bi.gap1 is None:
@@ -294,6 +313,7 @@ def verify_alpha_positivity(points):
     )
 
 
+@_finite
 def descent_slack(bi, k=None):
     """Additive slack of the per-step expected decrease (loose or tight).
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import logging
 import math
 import os
@@ -45,6 +46,12 @@ TRACE_HEADER = "k,consensus_err_max,consensus_err_stacked,gap,grad_norm_sq,runni
 TRACE_COLUMNS = TRACE_HEADER.split(",")[1:]
 BOUNDS_HEADER = "k,bound_name,value"
 SWEEP_HEADER = "omega,beta,topology,option,seed,status,final_gap,final_consensus,mean_omega"
+# each sweep.<axis> overrides one config key; the first five sweep columns
+SWEEP_AXES = (("omega", "hp.omega"), ("beta", "hp.beta"), ("topology", "topology.kind"),
+              ("option", "hp.option"), ("seed", "hp.seed"))
+# the bound inputs every bounds.csv records as metadata
+BOUND_INPUT_KEYS = ("alpha", "beta", "lam", "eta", "n_agents", "grad_bound", "sigma", "smooth",
+                    "strong_mu", "pl_mu", "gap1")
 
 # which trace column each bound row dominates, and how the metric transforms
 BOUND_METRICS = {
@@ -390,59 +397,52 @@ def bound_inputs_from_scenario(scenario, grad_bound=None, sigma=None):
             sigma = scenario.oracle.sigma * np.sqrt(suite.n)
         else:
             sigma = measured_sigma if measured_sigma is not None else 0.0
-    eta = scenario.eta
-    if eta <= 0.0:
-        raise RuntimeFailure(
-            f"lambda_min of the blended mixing matrix is {eta:.6g} <= 0 "
-            "(blend weight omega too small for this topology); no consensus "
-            "bound exists for these inputs"
-        )
     alpha = hp.alpha if hp.schedule == "constant" else 1.0  # placeholder for sqrt runs
     zero = np.zeros((suite.n, suite.d))
     gap1 = scenario.objective.value(zero) - scenario.f_star
-    try:
-        return bounds_mod.BoundInputs(
-            alpha=alpha,
-            beta=hp.beta,
-            lam=scenario.lam,
-            n_agents=suite.n,
-            eta=eta,
-            grad_bound=grad_bound,
-            sigma=float(sigma),
-            smooth=scenario.objective.l_prime(scenario.spectral),
-            strong_mu=(scenario.objective.mu_prime(scenario.spectral) if suite.mu_m > 0 else None),
-            pl_mu=suite.pl_constant,
-            gap1=gap1,
-        )
-    except ValueError as exc:  # the bounds engine refuses inputs it cannot support
-        raise RuntimeFailure(f"no bound exists for these inputs: {exc}") from exc
+    return bounds_mod.BoundInputs(
+        alpha=alpha,
+        beta=hp.beta,
+        lam=scenario.lam,
+        n_agents=suite.n,
+        eta=scenario.eta,
+        grad_bound=grad_bound,
+        sigma=float(sigma),
+        smooth=scenario.objective.l_prime(scenario.spectral),
+        strong_mu=(scenario.objective.mu_prime(scenario.spectral) if suite.mu_m > 0 else None),
+        pl_mu=suite.pl_constant,
+        gap1=gap1,
+    )
 
 
 def evaluate_bounds(scenario, bi):
-    """Every bound applicable to the scenario's objective class, as rows."""
+    """Every bound applicable to the scenario's objective class.
+
+    Returns ``(reports, skipped)``: ``(name, ks, values)`` rows, and
+    ``{name: reason}`` for each gap trajectory the engine refused for these
+    inputs.  A refused consensus, displacement or envelope bound raises the
+    engine's ``ValueError``.
+    """
     hp = scenario.hp
-    k_max = hp.iters
-    ks = np.arange(1, k_max + 1)
-    reports = []
+    ks = np.arange(1, hp.iters + 1)
     if hp.schedule == "sqrt":
-        q = bounds_mod.simpler_q(bi, hp.schedule_b)
-        reports.append(("sqrt_step_q", ks, q / np.sqrt(ks)))
-        return reports
-    reports.append(("consensus", ks, np.full(k_max, bounds_mod.consensus_bound(bi))))
-    reports.append(("displacement_sq", ks, np.array([bounds_mod.displacement_bound(bi, k) for k in ks])))
-    reports.append(("avg_grad_envelope", ks, bounds_mod.nonconvex_avg_grad_bound(bi, ks)))
-    if bi.strong_mu is not None and bi.strong_mu > 0:
-        theta = 2.0 * bi.alpha * bi.strong_mu**2 / bi.smooth
-        if 0.0 < theta <= 1.0:
-            reports.append(("cor1_gap", ks, bounds_mod.strongly_convex_trajectory(bi, k_max).values))
-        else:
-            log.info("skipping cor1_gap: alpha outside the admissible strongly convex range")
-    if bi.pl_mu is not None and bi.pl_mu > 0:
-        if 0.0 < 2.0 * bi.alpha * bi.pl_mu <= 1.0:
-            reports.append(("thm2_gap", ks, bounds_mod.pl_trajectory(bi, k_max).values))
-        else:
-            log.info("skipping thm2_gap: alpha outside the admissible PL range")
-    return reports
+        return [("sqrt_step_q", ks, bounds_mod.simpler_step_bound(bi, hp.schedule_b, ks))], {}
+    reports = [
+        ("consensus", ks, np.full(hp.iters, bounds_mod.consensus_bound(bi))),
+        ("displacement_sq", ks, np.array([bounds_mod.displacement_bound(bi, k) for k in ks])),
+        ("avg_grad_envelope", ks, bounds_mod.nonconvex_avg_grad_bound(bi, ks)),
+    ]
+    skipped = {}
+    for name, constant, trajectory in (("cor1_gap", bi.strong_mu, bounds_mod.strongly_convex_trajectory),
+                                       ("thm2_gap", bi.pl_mu, bounds_mod.pl_trajectory)):
+        if constant is None:
+            continue
+        try:
+            reports.append((name, ks, trajectory(bi, hp.iters)))
+        except ValueError as exc:
+            log.info("skipping %s: %s", name, exc)
+            skipped[name] = str(exc)
+    return reports, skipped
 
 
 # -------------------------------------------------------------- CSV files
@@ -473,16 +473,19 @@ def trace_metadata(scenario, seed, trace):
     return meta
 
 
-def write_trace_csv(path, trace, metadata):
+def _write_csv(path, metadata, header, rows):
+    """``# key=value`` metadata lines, the header, then one line per row of fields; UTF-8, LF."""
     lines = [f"# {k}={v}" for k, v in metadata.items()]
-    lines.append(TRACE_HEADER)
-    for i in range(len(trace)):
-        row = [str(int(trace.k[i]))] + [
-            _fmt(getattr(trace, col)[i]) for col in TRACE_COLUMNS
-        ]
-        lines.append(",".join(row))
+    lines.append(header)
+    lines.extend(",".join(row) for row in rows)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def write_trace_csv(path, trace, metadata):
+    columns = [getattr(trace, col) for col in TRACE_COLUMNS]
+    _write_csv(path, metadata, TRACE_HEADER,
+               ([str(int(trace.k[i]))] + [_fmt(c[i]) for c in columns] for i in range(len(trace))))
 
 
 def read_csv_with_metadata(path):
@@ -534,16 +537,9 @@ def read_trace_csv(path):
     return meta, data
 
 
-def write_bounds_csv(path, reports, bi, cfg_hash):
-    lines = [f"# config_hash={cfg_hash}"]
-    for key in ("alpha", "beta", "lam", "eta", "n_agents", "grad_bound", "sigma", "smooth", "strong_mu", "pl_mu", "gap1"):
-        lines.append(f"# {key}={getattr(bi, key)}")
-    lines.append(BOUNDS_HEADER)
-    for name, ks, values in reports:
-        for k, v in zip(ks, values):
-            lines.append(f"{int(k)},{name},{_fmt(v)}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+def write_bounds_csv(path, reports, metadata):
+    _write_csv(path, metadata, BOUNDS_HEADER,
+               ([str(int(k)), name, _fmt(v)] for name, ks, values in reports for k, v in zip(ks, values)))
 
 
 def read_bounds_csv(path):
@@ -596,10 +592,25 @@ def cmd_run(args):
         write_trace_csv(path, avg, trace_metadata(scenario, "avg", avg))
         log.info("wrote %s", path)
     if cfg.get_bool("output.emit_bounds", False):
-        bi = bound_inputs_from_scenario(scenario)
-        write_bounds_csv(os.path.join(out_dir, "bounds.csv"), evaluate_bounds(scenario, bi),
-                         bi, config_hash(cfg))
+        _write_bounds(scenario, out_dir)
     return 0
+
+
+def _write_bounds(scenario, out_dir):
+    """bounds.csv in ``out_dir``: the bound rows, the engine's inputs and every skipped trajectory."""
+    try:
+        bi = bound_inputs_from_scenario(scenario)
+        reports, skipped = evaluate_bounds(scenario, bi)
+    except ConfigError:
+        raise
+    except ValueError as exc:  # the bounds engine refuses inputs it cannot support
+        raise RuntimeFailure(f"no bound exists for these inputs: {exc}") from exc
+    metadata = {"config_hash": config_hash(scenario.cfg)}
+    metadata.update((key, getattr(bi, key)) for key in BOUND_INPUT_KEYS)
+    metadata.update((f"skipped.{name}", reason) for name, reason in skipped.items())
+    path = os.path.join(out_dir, "bounds.csv")
+    write_bounds_csv(path, reports, metadata)
+    log.info("wrote %s (%d bounds)", path, len(reports))
 
 
 def cmd_bounds(args):
@@ -607,11 +618,7 @@ def cmd_bounds(args):
     scenario = build_scenario(cfg)
     out_dir = args.out or cfg.get("output.dir", ".")
     os.makedirs(out_dir, exist_ok=True)
-    bi = bound_inputs_from_scenario(scenario)
-    reports = evaluate_bounds(scenario, bi)
-    path = os.path.join(out_dir, "bounds.csv")
-    write_bounds_csv(path, reports, bi, config_hash(cfg))
-    log.info("wrote %s (%d bounds)", path, len(reports))
+    _write_bounds(scenario, out_dir)
     return 0
 
 
@@ -619,23 +626,15 @@ def cmd_check(args):
     trace_meta, trace = read_trace_csv(args.trace)
     bounds_meta, bound_rows = read_bounds_csv(args.bounds)
     if trace_meta.get("config_hash") != bounds_meta.get("config_hash"):
-        print(
-            f"config hash mismatch: trace {trace_meta.get('config_hash')} vs "
-            f"bounds {bounds_meta.get('config_hash')}",
-            file=sys.stderr,
-        )
-        return 2
+        raise InputFileError(f"config hash mismatch: trace {trace_meta.get('config_hash')} vs "
+                             f"bounds {bounds_meta.get('config_hash')}")
     n_rows = len(trace["k"])
     for name, values in bound_rows.items():
         if name not in BOUND_METRICS:
-            print(f"unknown bound name {name!r} in {args.bounds}", file=sys.stderr)
-            return 2
+            raise InputFileError(f"unknown bound name {name!r} in {args.bounds}")
         if len(values) != n_rows:
-            print(
-                f"length mismatch for {name}: bounds file has {len(values)} rows, trace has {n_rows}",
-                file=sys.stderr,
-            )
-            return 2
+            raise InputFileError(f"length mismatch for {name}: bounds file has {len(values)} rows, "
+                                 f"trace has {n_rows}")
     for name, values in bound_rows.items():
         column, transform = BOUND_METRICS[name]
         with np.errstate(over="ignore"):  # a huge value read from a file overflows to inf: a violation
@@ -651,25 +650,19 @@ def cmd_check(args):
 
 
 def _sweep_cell(cfg, overrides):
+    """(status, final_gap, final_consensus, mean_omega) of one run with ``overrides`` applied."""
     items = dict(cfg.items)
-    items.update({k: v for k, v in overrides.items() if v is not None})
+    items.update(overrides)
     items.pop("output.seeds", None)
     cell_cfg = RunConfig(items=items)
     scenario = build_scenario(cell_cfg)
     trace = run(scenario.mixing, scenario.suite, scenario.oracle, scenario.hp,
                 scenario.objective, scenario.f_star)
-    suite = scenario.suite
     if trace.status != "completed" or len(trace) == 0:
-        return {"status": "diverged", "final_gap": float("inf"),
-                "final_consensus": float("inf"), "mean_omega": float("nan")}
+        return "diverged", float("inf"), float("inf"), float("nan")
     xbar = trace.swarm.x_cur.mean(axis=0)
-    final_gap = agent_total(suite.values(xbar)) - common_optimum(suite)
-    return {
-        "status": "completed",
-        "final_gap": final_gap,
-        "final_consensus": float(trace.consensus_err_max[-1]),
-        "mean_omega": float(trace.omega_used.mean()),
-    }
+    final_gap = agent_total(scenario.suite.values(xbar)) - common_optimum(scenario.suite)
+    return "completed", final_gap, float(trace.consensus_err_max[-1]), float(trace.omega_used.mean())
 
 
 def cmd_sweep(args):
@@ -677,58 +670,24 @@ def cmd_sweep(args):
     cfg.check_keys()
     out_dir = args.out or cfg.get("output.dir", ".")
     os.makedirs(out_dir, exist_ok=True)
-    grid_keys = {
-        "omega": ("hp.omega", cfg.get("sweep.omega")),
-        "beta": ("hp.beta", cfg.get("sweep.beta")),
-        "topology": ("topology.kind", cfg.get("sweep.topology")),
-        "option": ("hp.option", cfg.get("sweep.option")),
-        "seed": ("hp.seed", cfg.get("sweep.seed")),
-    }
-    axes = []
-    for label, (key, raw) in grid_keys.items():
-        values = [v.strip() for v in raw.split(",")] if raw else [None]
-        axes.append([(label, key, v) for v in values])
-    cells = [[]]
-    for axis in axes:
-        cells = [cell + [choice] for cell in cells for choice in axis]
-    if all(v is None for axis in axes for (_, _, v) in axis):
-        cells = []
-
-    def run_cell(cell):
-        overrides = {key: val for (_, key, val) in cell}
-        labels = {label: (val if val is not None else cfg.get(key, "")) for (label, key, val) in cell}
+    axes = [[v.strip() for v in raw.split(",")] if (raw := cfg.get(f"sweep.{label}")) else [None]
+            for label, _ in SWEEP_AXES]
+    cells = list(itertools.product(*axes)) if any(axis != [None] for axis in axes) else []
+    rows = []
+    for cell in cells:
+        overrides = {key: val for (_, key), val in zip(SWEEP_AXES, cell) if val is not None}
+        labels = [val if val is not None else cfg.get(key, "") for (_, key), val in zip(SWEEP_AXES, cell)]
         try:
-            result = _sweep_cell(cfg, overrides)
+            status, *numbers = _sweep_cell(cfg, overrides)
         except ConfigError:
             raise  # a malformed config ends the sweep; only run failures stay in-row
         except Exception as exc:
-            log.warning("sweep cell %s failed: %s", labels, exc)
-            result = {"status": "error", "final_gap": float("nan"),
-                      "final_consensus": float("nan"), "mean_omega": float("nan")}
-        return labels, result
-
-    results = [run_cell(cell) for cell in cells]
+            log.warning("sweep cell %s failed: %s", overrides, exc)
+            status, numbers = "error", [float("nan")] * 3
+        rows.append(labels + [status] + [_fmt(x) for x in numbers])
     path = os.path.join(out_dir, "sweep.csv")
-    lines = [f"# config_hash={config_hash(cfg)}", SWEEP_HEADER]
-    for labels, result in results:
-        lines.append(
-            ",".join(
-                [
-                    str(labels["omega"]),
-                    str(labels["beta"]),
-                    str(labels["topology"]),
-                    str(labels["option"]),
-                    str(labels["seed"]),
-                    result["status"],
-                    _fmt(result["final_gap"]),
-                    _fmt(result["final_consensus"]),
-                    _fmt(result["mean_omega"]),
-                ]
-            )
-        )
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-    log.info("wrote %s (%d cells)", path, len(results))
+    _write_csv(path, {"config_hash": config_hash(cfg)}, SWEEP_HEADER, rows)
+    log.info("wrote %s (%d cells)", path, len(rows))
     return 0
 
 

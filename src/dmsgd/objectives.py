@@ -385,6 +385,26 @@ class UnifiedObjective:
         return self.suite.l_m + (1.0 - spectral.lambda2) / self.alpha
 
 
+def _lbfgs_multistart(fun, jac, starts):
+    """The lowest L-BFGS-B result over the flat starting points.
+
+    An optimum that is not finite is a numerical failure (FloatingPointError),
+    never a cached minimum; nan trial points on the way there are the
+    solver's to reject, so numpy's invalid-value warning stays off.
+    """
+    from scipy.optimize import minimize
+
+    best = None
+    with np.errstate(invalid="ignore"):
+        for s0 in starts:
+            res = minimize(fun, s0, jac=jac, method="L-BFGS-B", options={"gtol": 1e-12, "ftol": 1e-15})
+            if best is None or res.fun < best.fun:
+                best = res
+    if not (np.isfinite(best.fun) and np.isfinite(best.x).all()):
+        raise FloatingPointError(f"L-BFGS-B found no finite optimum (minimum {best.fun})")
+    return best
+
+
 def unified_optimum(objective):
     """Minimizer and minimum of the stacked (penalized) objective.
 
@@ -402,24 +422,14 @@ def unified_optimum(objective):
             h = np.diag(a) + objective._lap / objective.alpha
             x = np.linalg.solve(h, a[:, None] * targets)
         return x, objective.value(x)
-    from scipy.optimize import minimize
-
     starts = [np.zeros((n, d))]
     if suite.x_star is not None:
         starts.append(np.tile(suite.x_star, (n, 1)))
     if suite.kind == "pl":
         starts.append(suite.params["shifts"].copy())
-    best = None
-    for s0 in starts:
-        res = minimize(
-            lambda v: objective.value(v.reshape(n, d)),
-            s0.ravel(),
-            jac=lambda v: objective.grad(v.reshape(n, d)).ravel(),
-            method="L-BFGS-B",
-            options={"gtol": 1e-12, "ftol": 1e-15},
-        )
-        if best is None or res.fun < best.fun:
-            best = res
+    best = _lbfgs_multistart(lambda v: objective.value(v.reshape(n, d)),
+                             lambda v: objective.grad(v.reshape(n, d)).ravel(),
+                             [s0.ravel() for s0 in starts])
     return best.x.reshape(n, d), float(best.fun)
 
 
@@ -431,22 +441,11 @@ def common_optimum(suite):
     """
     if suite.f_star is not None:
         return suite.f_star
-    from scipy.optimize import minimize
-
     starts = [np.zeros(suite.d)]
     if suite.x_star is not None:
         starts.append(np.asarray(suite.x_star, dtype=float))
-    best = None
-    for s0 in starts:
-        res = minimize(
-            lambda v: agent_total(suite.values(v)),
-            s0,
-            jac=lambda v: agent_total(suite.grads(v)),
-            method="L-BFGS-B",
-            options={"gtol": 1e-12, "ftol": 1e-15},
-        )
-        if best is None or res.fun < best.fun:
-            best = res
+    best = _lbfgs_multistart(lambda v: agent_total(suite.values(v)),
+                             lambda v: agent_total(suite.grads(v)), starts)
     suite.x_star = best.x.copy()
     suite.f_star = float(best.fun)
     return suite.f_star

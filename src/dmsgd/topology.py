@@ -87,15 +87,6 @@ class Topology:
             deg[l] += 1
         return deg
 
-    def neighbors(self, j):
-        out = []
-        for a, b in self.edges:
-            if a == j:
-                out.append(b)
-            elif b == j:
-                out.append(a)
-        return sorted(out)
-
 
 def _canonical_edges(pairs):
     return frozenset((min(j, l), max(j, l)) for j, l in pairs)

@@ -120,7 +120,7 @@ def test_criterion_3_strongly_convex_rate():
         smooth=l_p, strong_mu=mu_p, gap1=float(trace.gap[0]),
     )
     traj = strongly_convex_trajectory(bi, 1000)
-    dom = check_bound_domination(trace.gap, traj.values, slack=0.0)
+    dom = check_bound_domination(trace.gap, traj, slack=0.0)
     theta = 2 * alpha * mu_p**2 / l_p
     window = (trace.k >= 2) & (trace.k <= 60) & (trace.gap > 1e-10 * trace.gap[0])
     slope = np.polyfit(trace.k[window], np.log(trace.gap[window]), 1)[0]
@@ -186,7 +186,7 @@ def test_criterion_5_pl_convergence():
         smooth=objective.l_prime(spec), pl_mu=mu_hat, gap1=float(trace.gap[0]),
     )
     traj = pl_trajectory(bi, 1000)  # as-printed variant
-    dom = check_bound_domination(trace.gap, traj.values, slack=0.0)
+    dom = check_bound_domination(trace.gap, traj, slack=0.0)
     report(5, "PL gap dominated by the gradient-dominance trajectory", dom.passed,
            f"(mu_hat {mu_hat:.4f}, alpha {alpha:.3f}, final gap {trace.gap[-1]:.2e})")
 

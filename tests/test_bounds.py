@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -131,28 +133,28 @@ def test_strongly_convex_asymptote_frozen():
     traj = strongly_convex_trajectory(bi, 2000)
     asymptote = r_constant(bi) * bi.smooth / (2 * bi.alpha * bi.strong_mu**2)
     assert asymptote == pytest.approx(1.3511111111111112, abs=1e-12)
-    assert traj.values[-1] == pytest.approx(asymptote, rel=1e-3)
+    assert traj[-1] == pytest.approx(asymptote, rel=1e-3)
 
 
 def test_strongly_convex_base_case_and_decay():
     bi = inputs(strong_mu=1.0, gap1=50.0)
     traj = strongly_convex_trajectory(bi, 100)
-    assert traj.values[0] == 50.0
+    assert traj[0] == 50.0
     # monotone toward the asymptote when the initial gap exceeds it
-    assert (np.diff(traj.values) <= 1e-12).all()
+    assert (np.diff(traj) <= 1e-12).all()
 
 
 def test_strongly_convex_r_zero_pure_decay():
     bi = inputs(strong_mu=1.0, gap1=1.0, grad_bound=0.0, sigma=0.0)
     traj = strongly_convex_trajectory(bi, 50)
     theta = 2 * bi.alpha * 1.0 / bi.smooth
-    assert np.allclose(traj.values, (1 - theta) ** (np.arange(50)), rtol=1e-12)
+    assert np.allclose(traj, (1 - theta) ** (np.arange(50)), rtol=1e-12)
 
 
 def test_strongly_convex_tight_dominated_by_loose():
     bi = inputs(strong_mu=1.0, gap1=5.0, sigma=0.3)
-    loose = strongly_convex_trajectory(bi, 200).values
-    tight = strongly_convex_trajectory(bi, 200, tight=True).values
+    loose = strongly_convex_trajectory(bi, 200)
+    tight = strongly_convex_trajectory(bi, 200, tight=True)
     assert (tight <= loose + 1e-12).all()
 
 
@@ -169,14 +171,14 @@ def test_pl_boundary_contraction():
     traj = pl_trajectory(bi, 10)
     asymptote = r_constant(bi) / (2 * 1.0 * 0.5**2)
     # contraction factor 0 at the admissibility boundary: flat after k=1
-    assert np.allclose(traj.values[1:], asymptote, rtol=1e-12)
-    assert traj.values[0] == 3.0
+    assert np.allclose(traj[1:], asymptote, rtol=1e-12)
+    assert traj[0] == 3.0
 
 
 def test_pl_r_zero_geometric():
     bi = inputs(pl_mu=2.0, gap1=1.0, grad_bound=0.0, sigma=0.0, alpha=0.1)
     traj = pl_trajectory(bi, 30)
-    assert np.allclose(traj.values, (1 - 2 * 0.1 * 2.0) ** np.arange(30), rtol=1e-12)
+    assert np.allclose(traj, (1 - 2 * 0.1 * 2.0) ** np.arange(30), rtol=1e-12)
 
 
 def test_pl_matches_strongly_convex_denominator():
@@ -188,14 +190,14 @@ def test_pl_matches_strongly_convex_denominator():
     pl_asymptote = r / (2 * bi.alpha * bi.pl_mu**2)
     assert sc_asymptote / pl_asymptote == pytest.approx(bi.smooth, rel=1e-12)
     # and the long-run trajectories settle onto those asymptotes
-    assert strongly_convex_trajectory(bi, 5000).values[-1] == pytest.approx(sc_asymptote, rel=1e-6)
-    assert pl_trajectory(bi, 5000).values[-1] == pytest.approx(pl_asymptote, rel=1e-6)
+    assert strongly_convex_trajectory(bi, 5000)[-1] == pytest.approx(sc_asymptote, rel=1e-6)
+    assert pl_trajectory(bi, 5000)[-1] == pytest.approx(pl_asymptote, rel=1e-6)
 
 
 def test_pl_residual_power_variant():
     bi = inputs(pl_mu=0.25, gap1=2.0, alpha=0.5)
-    printed = pl_trajectory(bi, 400, residual_power=2).values[-1]
-    variant = pl_trajectory(bi, 400, residual_power=1).values[-1]
+    printed = pl_trajectory(bi, 400, residual_power=2)[-1]
+    variant = pl_trajectory(bi, 400, residual_power=1)[-1]
     assert printed == pytest.approx(variant / 0.25, rel=1e-6)
 
 
@@ -253,7 +255,7 @@ def test_envelope_values():
     bi = inputs(alpha=0.5, gap1=1.0)
     assert nonconvex_avg_grad_bound(bi, 3) == pytest.approx(1.0)
     assert nonconvex_avg_grad_bound(bi, 10**6) < 1e-5
-    bi2 = bi.with_(gap1=2.0)
+    bi2 = replace(bi, gap1=2.0)
     assert nonconvex_avg_grad_bound(bi2, 3) == pytest.approx(2.0)
 
 
@@ -313,7 +315,7 @@ def test_option_symmetry_by_renaming():
     assert consensus_bound(first) == consensus_bound(second)
     assert r_constant(first) == r_constant(second)
     assert np.array_equal(
-        strongly_convex_trajectory(first, 50).values,
-        strongly_convex_trajectory(second, 50).values,
+        strongly_convex_trajectory(first, 50),
+        strongly_convex_trajectory(second, 50),
     )
     assert displacement_bound(first, 7) == displacement_bound(second, 7)

@@ -181,7 +181,7 @@ def digests(text):
     trace_digest = _sha([trace.status, scenario.f_star, _floats(trace.swarm.x_cur)]
                         + [_floats(getattr(trace, name)) for name in TRACE_FIELDS])
     bi = bound_inputs_from_scenario(scenario)
-    reports = evaluate_bounds(scenario, bi)
+    reports, _ = evaluate_bounds(scenario, bi)
     bounds_digest = _sha([getattr(bi, key) for key in BOUND_INPUTS]
                          + [p for name, ks, values in reports for p in (name, _floats(ks), _floats(values))])
     return {"trace": trace_digest, "bounds": bounds_digest,
