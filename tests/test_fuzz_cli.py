@@ -10,11 +10,12 @@ only values that are not integers, which keeps every example short.
 import os
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dmsgd.harness import KNOWN_KEYS, main
+from dmsgd.harness import KNOWN_KEYS, main, read_bounds_csv
 
 BASES = {
     "quadratic": """\
@@ -93,13 +94,19 @@ def with_value(text, key, value):
     return "\n".join(lines + [f"{key} = {value}"]) + "\n"
 
 
+# sweep examples run a two-cell grid, so a failing cell is written beside another cell's row
+SWEEP_GRID = "sweep.seed = 0,1\n"
+
+
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
-@given(base=st.sampled_from(sorted(BASES)), command=st.sampled_from(["run", "bounds"]), edit=config_edits())
+@given(base=st.sampled_from(sorted(BASES)), command=st.sampled_from(["run", "bounds", "sweep"]),
+       edit=config_edits())
 def test_config_fuzz_keeps_exit_contract(base, command, edit):
+    text = BASES[base] + (SWEEP_GRID if command == "sweep" else "")
     with tempfile.TemporaryDirectory() as work:
         cfg = os.path.join(work, "run.cfg")
         with open(cfg, "w", encoding="utf-8") as fh:
-            fh.write(with_value(BASES[base], *edit))
+            fh.write(with_value(text, *edit))
         code = main([command, "--config", cfg, "--out", os.path.join(work, "out")])
     assert code in (0, 1, 2, 3)
 
@@ -152,11 +159,16 @@ def test_check_fuzz_keeps_exit_contract(csv_texts, which, line, field, value):
     ("quadratic", "run", "output.seeds", "0", 2),
     ("logistic", "run", "hp.alpha", "1e-36", 0),
     ("logistic", "run", "objective.separation", "1.3407807929942597e+154", 1),
+    ("logistic", "bounds", "objective.separation", "1e100", 0),  # R overflows: cor1_gap is skipped
+    ("quadratic", "bounds", "objective.grad_bound", "1e200", 1),  # G**2 overflows the consensus bound
 ])
 def test_config_fuzz_regressions(tmp_path, base, command, key, value, expected):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(with_value(BASES[base], key, value), encoding="utf-8")
     assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == expected
+    if (tmp_path / "out" / "bounds.csv").exists():
+        _, rows = read_bounds_csv(str(tmp_path / "out" / "bounds.csv"))
+        assert all(np.isfinite(values).all() for values in rows.values())
 
 
 def test_check_overflowing_trace_value_is_a_violation(csv_texts, tmp_path):

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -280,6 +281,18 @@ def test_cli_bounds_quadratic_dispatch(tmp_path):
     assert all(len(v) == 40 for v in rows.values())
 
 
+def test_cli_bounds_records_skipped_trajectory(tmp_path):
+    # option II, L = 4, mu = 1: alpha above L/(2 mu^2) = 2 is outside cor1_gap's range
+    cfg = (QUAD_CONFIG.replace("objective.curvatures = 1", "objective.curvatures = 1;2;4")
+           .replace("objective.grad_bound = auto", "objective.grad_bound = 2.0")
+           .replace("hp.option = I", "hp.option = II").replace("hp.alpha = 0.05", "hp.alpha = 2.5"))
+    out = tmp_path / "out"
+    assert main(["bounds", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+    meta, rows = read_bounds_csv(str(out / "bounds.csv"))
+    assert "cor1_gap" not in rows
+    assert meta["skipped.cor1_gap"].startswith("alpha outside the admissible range (0, L/(2 mu^2)]")
+
+
 def test_cli_bounds_pl_dispatch(tmp_path):
     cfg = """\
 topology.kind = full
@@ -357,6 +370,49 @@ def test_cli_lbfgs_setups_succeed(tmp_path, capsys, name, command):
     cfg_path = write_config(tmp_path, LBFGS_CONFIGS[name])
     assert main([command, "--config", cfg_path, "--out", str(tmp_path / "out")]) == 0
     assert "error" not in capsys.readouterr().err
+
+
+# a separation this large sends the logistic optimum's L-BFGS-B to nan
+NAN_OPTIMUM_CONFIG = """\
+topology.kind = ring
+topology.n = 3
+topology.laziness = 0.5
+objective.kind = logistic
+objective.dataset = synthetic
+objective.samples = 45
+objective.features = 3
+objective.agents = 3
+objective.separation = 1.34e154
+oracle.mode = additive
+hp.option = I
+hp.alpha = 0.2
+hp.beta = 0.3
+hp.omega = 0.5
+hp.iters = 20
+"""
+
+
+@pytest.mark.parametrize("command", ["run", "bounds"])
+def test_cli_nonfinite_optimum_is_a_numerical_failure(tmp_path, capsys, command):
+    cfg_path = write_config(tmp_path, NAN_OPTIMUM_CONFIG)
+    capsys.readouterr()
+    assert main([command, "--config", cfg_path, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: numerical failure (")
+
+
+def test_cli_sweep_nonfinite_optimum_is_an_error_row(tmp_path):
+    cfg_path = write_config(tmp_path, NAN_OPTIMUM_CONFIG + "sweep.seed = 0,1\n")
+    out = tmp_path / "out"
+    # under pytest a RuntimeWarning is an error, which the cell would turn into an error row;
+    # record warnings as a shell run shows them instead
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["sweep", "--config", cfg_path, "--out", str(out)]) == 0
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    rows = [ln.split(",") for ln in (out / "sweep.csv").read_text(encoding="utf-8").splitlines()
+            if ln and not ln.startswith("#")][1:]
+    assert [row[5:] for row in rows] == [["error", "nan", "nan", "nan"]] * 2
 
 
 def test_cli_bounds_eta_error(tmp_path):
@@ -456,9 +512,31 @@ def _last_field_not_a_number(text):
     return "\n".join(lines) + "\n"
 
 
+def _other_config_hash(text):
+    return "\n".join("# config_hash=000000000000" if ln.startswith("# config_hash=") else ln
+                     for ln in text.splitlines()) + "\n"
+
+
+def _drop_last_row(text):
+    return "\n".join(text.splitlines()[:-1]) + "\n"
+
+
+def _rename_consensus_bound(text):
+    return text.replace(",consensus,", ",bogus,")
+
+
 @pytest.mark.parametrize("which", ["trace", "bounds"])
-@pytest.mark.parametrize("mangle", [_cut_700, _cut_in_metadata, _last_field_not_a_number])
+@pytest.mark.parametrize("mangle", [_cut_700, _cut_in_metadata, _last_field_not_a_number,
+                                    _other_config_hash, _drop_last_row])
 def test_cli_check_malformed_csv_exit_2(tmp_path, capsys, which, mangle):
+    _assert_check_input_error(tmp_path, capsys, which, mangle)
+
+
+def test_cli_check_unknown_bound_name_exit_2(tmp_path, capsys):
+    _assert_check_input_error(tmp_path, capsys, "bounds", _rename_consensus_bound)
+
+
+def _assert_check_input_error(tmp_path, capsys, which, mangle):
     cfg_path = write_config(tmp_path, QUAD_CONFIG)
     out = str(tmp_path / "out")
     assert main(["run", "--config", cfg_path, "--out", out]) == 0
