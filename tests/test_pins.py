@@ -108,6 +108,32 @@ hp.omega = 0.5
 hp.iters = 25
 hp.seed = 0
 """,
+    # ragged iid partitions 16/15/15/15: batch 15 is the exact gradient for
+    # three agents and a draw for the fourth; three classes, one-vs-rest
+    "logistic_iid_ragged": """\
+topology.kind = ring
+topology.n = 4
+topology.laziness = 0.3
+objective.kind = logistic
+objective.dataset = synthetic
+objective.dataset_seed = 4
+objective.samples = 61
+objective.features = 3
+objective.classes = 3
+objective.agents = 4
+objective.partition = iid
+objective.partition_seed = 2
+objective.reg = 0.05
+objective.grad_bound = auto
+oracle.mode = minibatch
+oracle.batch = 15
+hp.option = I
+hp.alpha = 0.2
+hp.beta = 0.3
+hp.omega = adaptive
+hp.iters = 25
+hp.seed = 2
+""",
     # minibatch pilot: sigma is measured from the pilot's draws
     "logistic_iid_minibatch": """\
 topology.kind = full
@@ -148,6 +174,11 @@ PINS = {
     "logistic_iid_minibatch": {
         "trace": "e7648a601fd68f77dd7ccf836bf6b8e4ef11bda1bf47866752b72e2535bc232d",
         "bounds": "4c0cfa9d105433ab97c5a51eafcdd54cf2aeb8045b56708a89209fea31a3b095",
+        "bound_names": ("consensus", "displacement_sq", "avg_grad_envelope", "cor1_gap"),
+    },
+    "logistic_iid_ragged": {
+        "trace": "de9f6c8e647920d07e95be765227a835b0893620d419b68495843760d0bac80e",
+        "bounds": "d7bc5b777579c50139da3f80e9fcf1d386f7cdff7a9839a05a4a2d42f13a5b67",
         "bound_names": ("consensus", "displacement_sq", "avg_grad_envelope", "cor1_gap"),
     },
     "option2_fixed_omega": {
@@ -303,11 +334,16 @@ SWEEP_CONFIGS = {
     "divergent": (QUAD.replace("hp.alpha = 0.05", "hp.alpha = 10000.0").replace("hp.iters = 40", "hp.iters = 80")
                   + "sweep.beta = 0.5\nsweep.omega = 0.99\nsweep.seed = 0,1\n"),
     "empty": QUAD,
+    # non-iid logistic minibatch cells, each solving its own L-BFGS optimum
+    "logistic_noniid": (CONFIGS["logistic_iid_ragged"].replace("objective.partition = iid", "objective.partition = noniid")
+                        .replace("oracle.batch = 15", "oracle.batch = 4").replace("hp.iters = 25", "hp.iters = 15")
+                        + "sweep.topology = full,ring\nsweep.omega = 0.5,adaptive\n"),
 }
 
 SWEEP_PINS = {
     "divergent": "1b679d336fffd3edee79eb4b432f75d5168103379fe04dad2e1140e0fe4eb06a",
     "empty": "eca6007657489da40717ae1bfb35a59f05337d0d2b1bfd8dff6401103cabb7d7",
+    "logistic_noniid": "9138967d03ba77a7a85707eccd3638a0c96a1f6e33360f222876f0a0fe5f56b7",
     "omega_only": "e71c4d60fe22ef8a4168598dbc5ea5990792560ae4d59914658353d435b6bc16",
 }
 
