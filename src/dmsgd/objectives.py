@@ -6,6 +6,9 @@ consumes (max smoothness, min strong convexity, declared gradient bound, PL
 constant, closed-form optimum where one exists).  Three families are
 provided: strongly convex quadratics, a scalar smooth non-convex PL family,
 and regularized logistic regression over a partitioned dataset.  The
+logistic family stacks the agents whose partitions have the same length into
+one (g, m, d) feature array, so its values, gradients and minibatch draws
+take one batched pass per partition length, not one matvec per agent.  The
 penalized stacked objective F(x) + (1/2a) x^T (I - Pi) x lives here too,
 since its derived curvature constants are what the convergence bounds are
 stated in.  ``scipy.optimize`` is imported only inside the solvers that call
@@ -226,13 +229,26 @@ def load_dataset_csv(path):
     return Dataset(features=np.array(feats), labels=np.array(labs, dtype=int))
 
 
+def _logistic_grads(F, Y, W, reg):
+    """Mean logistic-loss gradients of g stacked agents: F (g, m, d), Y (g, m), W (g, d) -> (g, d)."""
+    with np.errstate(over="ignore"):  # exp overflows to inf where the sample's weight is 0
+        coef = -Y / (1.0 + np.exp(Y * np.matmul(F, W[:, :, None])[:, :, 0]))
+    return np.matmul(coef[:, None, :], F)[:, 0, :] / Y.shape[1] + reg * W
+
+
 def make_logistic(dataset, reg=0.0):
     """Per-agent l2-regularized logistic losses over the dataset partitions.
 
     Labels are mapped one-vs-rest against class 0 (y = -1 for class 0, +1
     otherwise; the binary case reduces to the usual +-1 encoding).  Each
     agent's loss is the mean cross entropy over its partition plus
-    (reg/2)||w||^2, so minibatch estimates stay unbiased.
+    (reg/2)||w||^2, so minibatch estimates stay unbiased.  Agents whose
+    partitions have the same length share one stacked (g, m, d) feature
+    array, so ``values``/``grads`` take one batched pass per partition
+    length; ``array_split`` partitions have at most two lengths.
+    ``sample_grad(agents, idx, W)`` is the batched minibatch gradient: row i
+    holds agent ``agents[i]``'s mean gradient at ``W[i]`` over its local
+    sample indices ``idx[i]``.
     """
     if reg < 0:
         raise ValueError("regularization must be >= 0")
@@ -243,25 +259,34 @@ def make_logistic(dataset, reg=0.0):
     n = len(dataset.partitions)
     d = dataset.d_feat
     ys = np.where(dataset.labels == 0, -1.0, 1.0)
-    feats, labs = [], []
-    for part in dataset.partitions:
-        feats.append(dataset.features[part])
-        labs.append(ys[part])
+    lengths = np.array([len(p) for p in dataset.partitions])
+    # local sample index -> dataset row, padded to the longest partition
+    rows = np.zeros((n, lengths.max()), dtype=np.intp)
+    groups = []
+    for m in np.unique(lengths):
+        agents = np.flatnonzero(lengths == m)
+        rows[agents, :m] = [dataset.partitions[j] for j in agents]
+        groups.append((agents, dataset.features[rows[agents, :m]], ys[rows[agents, :m]]))
 
-    def grad(xs, yy, w):
-        with np.errstate(over="ignore"):  # exp overflows to inf where the sample's weight is 0
-            coef = -yy / (1.0 + np.exp(yy * (xs @ w)))
-        return xs.T @ coef / len(yy) + reg * w
-
-    # partitions are ragged, so each agent keeps its own matvec
     def values(W):
         W = np.broadcast_to(W, (n, d))
-        return np.array([np.mean(np.logaddexp(0.0, -labs[j] * (feats[j] @ W[j])))
-                         + 0.5 * reg * np.dot(W[j], W[j]) for j in range(n)])
+        out = np.empty(n)
+        for agents, F, Y in groups:
+            Wg = W[agents]
+            margins = np.matmul(F, Wg[:, :, None])[:, :, 0]
+            out[agents] = np.mean(np.logaddexp(0.0, -Y * margins), axis=1) + 0.5 * reg * np.vecdot(Wg, Wg)
+        return out
 
     def grads(W):
         W = np.broadcast_to(W, (n, d))
-        return np.stack([grad(feats[j], labs[j], W[j]) for j in range(n)])
+        out = np.empty((n, d))
+        for agents, F, Y in groups:
+            out[agents] = _logistic_grads(F, Y, W[agents], reg)
+        return out
+
+    def sample_grad(agents, idx, W):
+        picked = rows[np.asarray(agents)[:, None], idx]
+        return _logistic_grads(dataset.features[picked], ys[picked], W, reg)
 
     row_norm_sq = float((dataset.features**2).sum(axis=1).max())
     return ObjectiveSuite(
@@ -272,8 +297,8 @@ def make_logistic(dataset, reg=0.0):
         grads=grads,
         l_m=reg + 0.25 * row_norm_sq,
         mu_m=reg,
-        sample_counts=tuple(len(p) for p in dataset.partitions),
-        sample_grad=lambda j, idx, w: grad(feats[j][idx], labs[j][idx], w),
+        sample_counts=tuple(int(m) for m in lengths),
+        sample_grad=sample_grad,
         params={"reg": reg},
     )
 
@@ -312,8 +337,10 @@ def stochastic_grad(suite, oracle, x, exact, rngs):
     """One stochastic gradient draw per agent at the (n, d) points x.
 
     ``exact`` is ``suite.grads(x)``, which the caller already holds; agent j
-    draws from its own generator ``rngs[j]``.  A minibatch as large as an
-    agent's partition is that agent's exact gradient and draws nothing.
+    draws from its own generator ``rngs[j]``, in agent order.  A minibatch as
+    large as an agent's partition is that agent's exact gradient and draws
+    nothing; the batch gradients of every agent that draws come from one
+    stacked ``suite.sample_grad`` call.
     """
     if oracle.mode == "additive":
         if oracle.sigma == 0.0:
@@ -322,10 +349,12 @@ def stochastic_grad(suite, oracle, x, exact, rngs):
         return exact + np.stack([rng.normal(0.0, scale, size=suite.d) for rng in rngs])
     if suite.sample_grad is None:
         return exact
+    drawn = [j for j, n_j in enumerate(suite.sample_counts) if oracle.batch < n_j]
+    if not drawn:
+        return exact
+    idx = np.stack([rngs[j].choice(suite.sample_counts[j], size=oracle.batch, replace=False) for j in drawn])
     draws = exact.copy()
-    for j, (rng, n_j) in enumerate(zip(rngs, suite.sample_counts)):
-        if oracle.batch < n_j:
-            draws[j] = suite.sample_grad(j, rng.choice(n_j, size=oracle.batch, replace=False), x[j])
+    draws[drawn] = suite.sample_grad(drawn, idx, x[drawn])
     return draws
 
 
@@ -354,11 +383,15 @@ class UnifiedObjective:
             raise ValueError(f"expected states {(self.suite.n, self.suite.d)}, got {states.shape}")
         return states
 
+    def _penalty(self, states):
+        """(1/2a) x^T (I - Pi) x and its gradient (1/a)(I - Pi) x, from one product with I - Pi."""
+        lap_x = self._lap @ states
+        return float(np.sum(states * lap_x) / (2.0 * self.alpha)), lap_x / self.alpha
+
     def penalty(self, states):
         if self.alpha is None:
             return 0.0
-        states = self._check(states)
-        return float(np.sum(states * (self._lap @ states)) / (2.0 * self.alpha))
+        return self._penalty(self._check(states))[0]
 
     def value(self, states):
         states = self._check(states)
@@ -366,13 +399,15 @@ class UnifiedObjective:
 
     def grad(self, states):
         states = self._check(states)
-        return self.add_penalty_grad(states, self.suite.grads(states))
+        local_grads = self.suite.grads(states)
+        return local_grads if self.alpha is None else local_grads + self._penalty(states)[1]
 
-    def add_penalty_grad(self, states, local_grads):
-        """The stacked gradient from the local gradients at ``states``: adds (1/a)(I - Pi) x."""
-        if self.alpha is None:
-            return local_grads
-        return local_grads + (self._lap @ states) / self.alpha
+    def value_and_grad(self, states, local_grads):
+        """The value and stacked gradient at ``states`` from the local gradients there."""
+        states = self._check(states)
+        pen, pen_grad = (0.0, None) if self.alpha is None else self._penalty(states)
+        value = float(agent_total(self.suite.values(states)) + pen)
+        return value, local_grads if pen_grad is None else local_grads + pen_grad
 
     def mu_prime(self, spectral):
         if self.alpha is None:

@@ -79,7 +79,7 @@ class HyperParams:
         elif not (0.0 <= self.omega <= 1.0):
             raise ValueError(f"omega must lie in [0,1], got {self.omega}")
         if self.adaptive_scope not in ("agent", "global"):
-            raise ValueError(f"adaptive_scope must be 'agent' or 'global'")
+            raise ValueError(f"adaptive_scope must be 'agent' or 'global', got {self.adaptive_scope!r}")
         if self.iters < 0:
             raise ValueError("iters must be >= 0")
         if self.seed < 0:
@@ -251,7 +251,8 @@ def run(mixing, suite, oracle, hp, objective, f_star):
     columns (the penalized objective for option I, plain F for option II);
     ``f_star`` is its optimal value, so gap = objective(x) - f_star.  The
     exact local gradients are computed once per iteration: they feed the
-    metric gradient and are the base of the oracle draw.  Deterministic
+    metric gradient and are the base of the oracle draw.  The penalty and
+    its gradient share one product with I - Pi.  Deterministic
     given (seed, config).  A non-finite gradient aborts with the partial
     trace flagged.
     """
@@ -267,8 +268,8 @@ def run(mixing, suite, oracle, hp, objective, f_star):
             x_k = swarm.x_cur
             err_max, err_stacked = consensus_errors(x_k)
             exact = suite.grads(x_k)
-            val = objective.value(x_k)
-            metric_grad_sq = objective.add_penalty_grad(x_k, exact) ** 2
+            val, metric_grad = objective.value_and_grad(x_k, exact)
+            metric_grad_sq = metric_grad ** 2
             gsq = float(np.sum(metric_grad_sq))
             if not (np.isfinite(val) and np.isfinite(gsq) and np.isfinite(err_stacked)):
                 abort = dict(aborted_at=k, abort_reason="nonfinite_value", abort_agent=_first_nonfinite_row(

@@ -103,6 +103,13 @@ def test_cli_malformed_config_exit_2(tmp_path, capsys, old, new):
         assert len(err) == 1 and err[0].startswith("config error:")
 
 
+def test_cli_bad_adaptive_scope_named_exit_2(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, QUAD_CONFIG + "hp.adaptive_scope = agnet\n")
+    assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:") and "'agnet'" in err[0]
+
+
 def test_unknown_key_rejected_before_sweep(tmp_path, capsys):
     with pytest.raises(ConfigError, match="hp.betta"):
         build_scenario(parse_config_text(QUAD_CONFIG + "hp.betta = 0.9\n"))

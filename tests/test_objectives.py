@@ -279,6 +279,65 @@ def test_logistic_empty_partition_rejected():
         make_logistic(ds)
 
 
+def _per_agent_logistic(ds, reg):
+    """Reference logistic suite with one matvec per agent over its own partition."""
+    ys = np.where(ds.labels == 0, -1.0, 1.0)
+    parts = [(ds.features[p], ys[p]) for p in ds.partitions]
+
+    def grad(xs, yy, w):
+        with np.errstate(over="ignore"):
+            coef = -yy / (1.0 + np.exp(yy * (xs @ w)))
+        return xs.T @ coef / len(yy) + reg * w
+
+    def values(W):
+        return np.array([np.mean(np.logaddexp(0.0, -yy * (xs @ w))) + 0.5 * reg * np.dot(w, w)
+                         for (xs, yy), w in zip(parts, W)])
+
+    def grads(W):
+        return np.stack([grad(xs, yy, w) for (xs, yy), w in zip(parts, W)])
+
+    def draws(W, exact, batch, rngs):
+        out = exact.copy()
+        for j, ((xs, yy), rng) in enumerate(zip(parts, rngs)):
+            if batch < len(yy):
+                idx = rng.choice(len(yy), size=batch, replace=False)
+                out[j] = grad(xs[idx], yy[idx], W[j])
+        return out
+
+    return values, grads, draws
+
+
+@pytest.mark.parametrize("samples,agents,classes,lengths", [
+    (61, 4, 3, {16, 15}),  # ragged iid: agent 0 has one sample more
+    (401, 16, 2, {26, 25}),
+    (45, 3, 3, {15}),
+    (14, 4, 3, {1, 3, 6}),  # hand-made partitions: agents 1 and 3 share a length
+])
+def test_logistic_stacked_matches_per_agent_reference(samples, agents, classes, lengths):
+    ds = make_synthetic_dataset(5, samples, 3, classes)
+    if samples == 14:
+        ds.partitions = [np.array([0, 5, 9, 13, 2, 7]), np.array([1, 3, 4]), np.array([6]), np.array([8, 10, 12])]
+    else:
+        ds.partitions = partition_iid(ds, agents, seed=1)
+    suite = make_logistic(ds, reg=0.05)
+    assert set(suite.sample_counts) == lengths
+    values, grads, draws = _per_agent_logistic(ds, 0.05)
+    rng = np.random.default_rng(6)
+    for t in range(20):
+        W = rng.normal(scale=2.0, size=(agents, 3))
+        assert np.array_equal(suite.values(W), values(W))
+        assert np.array_equal(suite.grads(W), grads(W))
+        shared = np.tile(W[0], (agents, 1))  # one (d,) point broadcast to every agent
+        assert np.array_equal(suite.values(W[0]), values(shared))
+        assert np.array_equal(suite.grads(W[0]), grads(shared))
+        exact = suite.grads(W)
+        for batch in (1, min(suite.sample_counts)):
+            oracle = StochasticOracle(mode="minibatch", batch=batch)
+            ours = stochastic_grad(suite, oracle, W, exact, [np.random.default_rng((t, j)) for j in range(agents)])
+            ref = draws(W, exact, batch, [np.random.default_rng((t, j)) for j in range(agents)])
+            assert np.array_equal(ours, ref)
+
+
 # ---------------------------------------------------------------- oracles
 
 
