@@ -67,6 +67,8 @@ class ObjectiveSuite:
     convex; ``gamma_m`` / ``grad_bound`` are None when no finite
     Lipschitz/gradient bound is declared; ``x_star`` / ``f_star`` describe the
     minimizer of the summed objective F(x) = sum_j f_j(x) when known.
+    Sample-based suites declare each agent's ``sample_counts`` and a batched
+    minibatch gradient ``sample_grad`` (see :func:`make_logistic`).
     """
 
     n: int

@@ -307,18 +307,17 @@ def _per_agent_logistic(ds, reg):
     return values, grads, draws
 
 
-@pytest.mark.parametrize("samples,agents,classes,lengths", [
-    (61, 4, 3, {16, 15}),  # ragged iid: agent 0 has one sample more
-    (401, 16, 2, {26, 25}),
+@pytest.mark.parametrize("samples,classes,parts,lengths", [
+    (61, 3, 4, {16, 15}),  # ragged iid: agent 0 has one sample more
+    (401, 2, 16, {26, 25}),
     (45, 3, 3, {15}),
-    (14, 4, 3, {1, 3, 6}),  # hand-made partitions: agents 1 and 3 share a length
+    # hand-made partitions: agents 1 and 3 share a length, agent 0 is unsorted
+    (14, 3, [[0, 5, 9, 13, 2, 7], [1, 3, 4], [6], [8, 10, 12]], {1, 3, 6}),
 ])
-def test_logistic_stacked_matches_per_agent_reference(samples, agents, classes, lengths):
+def test_logistic_stacked_matches_per_agent_reference(samples, classes, parts, lengths):
     ds = make_synthetic_dataset(5, samples, 3, classes)
-    if samples == 14:
-        ds.partitions = [np.array([0, 5, 9, 13, 2, 7]), np.array([1, 3, 4]), np.array([6]), np.array([8, 10, 12])]
-    else:
-        ds.partitions = partition_iid(ds, agents, seed=1)
+    ds.partitions = partition_iid(ds, parts, seed=1) if isinstance(parts, int) else [np.array(p) for p in parts]
+    agents = len(ds.partitions)
     suite = make_logistic(ds, reg=0.05)
     assert set(suite.sample_counts) == lengths
     values, grads, draws = _per_agent_logistic(ds, 0.05)
