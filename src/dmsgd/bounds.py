@@ -127,14 +127,15 @@ def displacement_bound(bi, k=None):
     """Expected squared step length bound; k-dependent tight form or loose.
 
     Loose: a^2 (G^2+s^2)/(1-bL)^2.  Tight at iteration k (0-based count of
-    completed updates): multiply by (1-(bL)^{k+1})^2.
+    completed updates, a scalar or an array): multiply by (1-(bL)^{k+1})^2.
     """
     loose = bi.alpha**2 * bi.second_moment / (1.0 - bi.bl) ** 2
     if k is None:
         return float(loose)
-    if k < 0:
+    k = np.asarray(k)
+    if (k < 0).any():
         raise ValueError("k must be >= 0")
-    return float(loose * (1.0 - bi.bl ** (k + 1)) ** 2)
+    return loose * (1.0 - bi.bl ** (k + 1)) ** 2
 
 
 @_finite

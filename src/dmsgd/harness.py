@@ -220,7 +220,11 @@ class Scenario:
     hp: HyperParams
     objective: object
     f_star: float
-    omega_bound: float  # the omega used for Lambda/eta in bound inputs
+
+    @property
+    def omega_bound(self):
+        """The omega used for Lambda/eta in bound inputs: 1 for the adaptive blend."""
+        return 1.0 if self.hp.omega == "adaptive" else float(self.hp.omega)
 
     @property
     def lam(self):
@@ -343,7 +347,6 @@ def build_scenario(cfg):
     if suite.kind == "logistic":
         common_optimum(suite)  # ensure f_star is available for F(xbar) reporting
     _, f_star = unified_optimum(objective)
-    omega_bound = 1.0 if hp.omega == "adaptive" else float(hp.omega)
     return Scenario(
         cfg=cfg,
         topology=topo,
@@ -354,21 +357,20 @@ def build_scenario(cfg):
         hp=hp,
         objective=objective,
         f_star=f_star,
-        omega_bound=omega_bound,
     )
 
 
 # ------------------------------------------------------------- bound inputs
 
 
-def pilot_measurements(scenario, iters=PILOT_ITERS):
+def pilot_measurements(scenario):
     """Measured gradient bound (and noise level, for minibatch oracles).
 
     Runs the configured dynamics for a pilot horizon and returns
     1.05 x max ||grad objective|| plus, when the oracle is a minibatch, a
     1.05-inflated root mean of the stacked draw deviation the run recorded.
     """
-    trace = run(scenario.mixing, scenario.suite, scenario.oracle, replace(scenario.hp, iters=iters),
+    trace = run(scenario.mixing, scenario.suite, scenario.oracle, replace(scenario.hp, iters=PILOT_ITERS),
                 scenario.objective, scenario.f_star)
     if len(trace) == 0:
         raise RuntimeFailure("pilot run produced no finite iterations; cannot measure a gradient bound")
@@ -379,7 +381,7 @@ def pilot_measurements(scenario, iters=PILOT_ITERS):
     return grad_bound, sigma
 
 
-def bound_inputs_from_scenario(scenario, grad_bound=None, sigma=None):
+def bound_inputs_from_scenario(scenario, grad_bound=None):
     """Assemble the bounds-engine inputs, measuring G (and sigma) if needed."""
     cfg, hp, suite = scenario.cfg, scenario.hp, scenario.suite
     declared = cfg.get("objective.grad_bound", "auto")
@@ -391,12 +393,11 @@ def bound_inputs_from_scenario(scenario, grad_bound=None, sigma=None):
                 raise ConfigError(f"objective.grad_bound must be 'auto' or >= 0, got {declared!r}")
         else:
             grad_bound, measured_sigma = pilot_measurements(scenario)
-    if sigma is None:
-        if scenario.oracle.mode == "additive":
-            # stacked deviation of N independent per-agent draws
-            sigma = scenario.oracle.sigma * np.sqrt(suite.n)
-        else:
-            sigma = measured_sigma if measured_sigma is not None else 0.0
+    if scenario.oracle.mode == "additive":
+        # stacked deviation of N independent per-agent draws
+        sigma = scenario.oracle.sigma * np.sqrt(suite.n)
+    else:
+        sigma = measured_sigma if measured_sigma is not None else 0.0
     alpha = hp.alpha if hp.schedule == "constant" else 1.0  # placeholder for sqrt runs
     zero = np.zeros((suite.n, suite.d))
     gap1 = scenario.objective.value(zero) - scenario.f_star
@@ -429,7 +430,7 @@ def evaluate_bounds(scenario, bi):
         return [("sqrt_step_q", ks, bounds_mod.simpler_step_bound(bi, hp.schedule_b, ks))], {}
     reports = [
         ("consensus", ks, np.full(hp.iters, bounds_mod.consensus_bound(bi))),
-        ("displacement_sq", ks, np.array([bounds_mod.displacement_bound(bi, k) for k in ks])),
+        ("displacement_sq", ks, bounds_mod.displacement_bound(bi, ks)),
         ("avg_grad_envelope", ks, bounds_mod.nonconvex_avg_grad_bound(bi, ks)),
     ]
     skipped = {}
@@ -661,7 +662,7 @@ def _sweep_cell(cfg, overrides):
     if trace.status != "completed" or len(trace) == 0:
         return "diverged", float("inf"), float("inf"), float("nan")
     xbar = trace.swarm.x_cur.mean(axis=0)
-    final_gap = agent_total(scenario.suite.values(xbar)) - common_optimum(scenario.suite)
+    final_gap = agent_total(scenario.suite.evaluate(xbar)[0]) - common_optimum(scenario.suite)
     return "completed", final_gap, float(trace.consensus_err_max[-1]), float(trace.omega_used.mean())
 
 

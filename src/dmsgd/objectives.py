@@ -2,17 +2,19 @@
 
 A suite bundles the local losses f_j, evaluated for all N agents at once on an
 (n, d) stack of per-agent points, with the constants the bounds engine
-consumes (max smoothness, min strong convexity, declared gradient bound, PL
-constant, closed-form optimum where one exists).  Three families are
-provided: strongly convex quadratics, a scalar smooth non-convex PL family,
-and regularized logistic regression over a partitioned dataset.  The
-logistic family stacks the agents whose partitions have the same length into
-one (g, m, d) feature array, so its values, gradients and minibatch draws
-take one batched pass per partition length, not one matvec per agent.  The
-penalized stacked objective F(x) + (1/2a) x^T (I - Pi) x lives here too,
-since its derived curvature constants are what the convergence bounds are
-stated in.  ``scipy.optimize`` is imported only inside the solvers that call
-it (logistic and PL optima), so quadratic runs never load it.
+consumes (max smoothness, min strong convexity, PL constant, closed-form
+optimum where one exists).  Three families are provided: strongly convex
+quadratics, a scalar smooth non-convex PL family, and regularized logistic
+regression over a partitioned dataset.  A suite's one ``evaluate`` returns the
+local values and gradients together, and the run loop, the stacked objective
+and every optimum solver read that pair.  The logistic family stacks the
+agents whose partitions have the same length into one (g, m, d) feature
+array, so its evaluation and minibatch draws take one batched pass per
+partition length, not one matvec per agent.  The penalized stacked objective
+F(x) + (1/2a) x^T (I - Pi) x lives here too, since its derived curvature
+constants are what the convergence bounds are stated in.  ``scipy.optimize``
+is imported only inside the solvers that call it (logistic and PL optima), so
+quadratic runs never load it.
 """
 
 from __future__ import annotations
@@ -55,18 +57,24 @@ def agent_total(per_agent):
     return total
 
 
+def _summed(evaluate, x):
+    """F(x) = sum_j f_j(x) and its gradient at one shared point x (d,), summed in agent order."""
+    values, grads = evaluate(x)
+    return agent_total(values), agent_total(grads)
+
+
 @dataclass
 class ObjectiveSuite:
     """N local losses over the agent stack, with declared curvature constants.
 
-    ``values(X)`` maps an (n, d) stack of per-agent points to the n local
-    losses f_j(x_j), and ``grads(X)`` to the (n, d) exact gradients.  Both
-    broadcast X against (n, d): a single shared point (d,) is evaluated by
-    every agent, and the quadratic and PL families also take leading axes,
-    (..., n, d) -> (..., n).  ``mu_m`` is 0 when the suite is not strongly
-    convex; ``gamma_m`` / ``grad_bound`` are None when no finite
-    Lipschitz/gradient bound is declared; ``x_star`` / ``f_star`` describe the
-    minimizer of the summed objective F(x) = sum_j f_j(x) when known.
+    ``evaluate(X)`` maps an (n, d) stack of per-agent points to the pair
+    (values, grads): the n local losses f_j(x_j) and the (n, d) exact
+    gradients.  It broadcasts X against (n, d): a single shared point (d,) is
+    evaluated by every agent, and the quadratic and PL families also take
+    leading axes, (..., n, d) -> (..., n) values and (..., n, d) gradients.
+    ``mu_m`` is 0 when the suite is not strongly convex; ``x_star`` /
+    ``f_star`` describe the minimizer of the summed objective
+    F(x) = sum_j f_j(x) when known.
     Sample-based suites declare each agent's ``sample_counts`` and a batched
     minibatch gradient ``sample_grad`` (see :func:`make_logistic`).
     """
@@ -74,12 +82,9 @@ class ObjectiveSuite:
     n: int
     d: int
     kind: str
-    values: callable
-    grads: callable
+    evaluate: callable
     l_m: float
     mu_m: float = 0.0
-    gamma_m: float | None = None
-    grad_bound: float | None = None
     pl_constant: float | None = None
     x_star: np.ndarray | None = None
     f_star: float | None = None
@@ -100,30 +105,26 @@ def make_quadratic(targets, curvatures):
     a = np.broadcast_to(np.asarray(curvatures, dtype=float), (n,)).copy()
     if (a <= 0).any():
         raise ValueError("curvatures must be positive")
+
+    def evaluate(X):
+        diff = X - targets
+        return 0.5 * a * np.sum(diff**2, axis=-1), a[:, None] * diff
+
     suite = ObjectiveSuite(
         n=n,
         d=d,
         kind="quadratic",
-        values=lambda X: 0.5 * a * np.sum((X - targets) ** 2, axis=-1),
-        grads=lambda X: a[:, None] * (X - targets),
+        evaluate=evaluate,
         l_m=float(a.max()),
         mu_m=float(a.min()),
         x_star=(a[:, None] * targets).sum(axis=0) / a.sum(),
         params={"targets": targets, "curvatures": a},
     )
-    suite.f_star = float(agent_total(suite.values(suite.x_star)))
+    suite.f_star = float(agent_total(evaluate(suite.x_star)[0]))
     return suite
 
 
-def _pl_value(z):
-    return np.sum(z**2 + 3.0 * np.sin(z) ** 2, axis=-1)
-
-
-def _pl_grad(z):
-    return 2.0 * z + 3.0 * np.sin(2.0 * z)
-
-
-def make_pl(n, shifts=0.0, pl_grid=None):
+def make_pl(n, shifts=0.0):
     """Scalar smooth non-convex PL suite f_j(x) = (x-s_j)^2 + 3 sin^2(x-s_j).
 
     Smooth with constant 8, not convex (second derivative dips to -4), yet
@@ -131,12 +132,16 @@ def make_pl(n, shifts=0.0, pl_grid=None):
     estimated on a grid via :func:`estimate_pl_constant`.
     """
     s = np.broadcast_to(np.asarray(shifts, dtype=float).reshape(-1, 1), (n, 1)).copy()
+
+    def evaluate(X):
+        z = X - s
+        return np.sum(z**2 + 3.0 * np.sin(z) ** 2, axis=-1), 2.0 * z + 3.0 * np.sin(2.0 * z)
+
     suite = ObjectiveSuite(
         n=n,
         d=1,
         kind="pl",
-        values=lambda X: _pl_value(X - s),
-        grads=lambda X: _pl_grad(X - s),
+        evaluate=evaluate,
         l_m=PL_SMOOTHNESS,
         mu_m=0.0,
         params={"shifts": s},
@@ -148,12 +153,10 @@ def make_pl(n, shifts=0.0, pl_grid=None):
 
         # d=1: coarse scan plus local polish on the summed objective
         xs = np.linspace(s.min() - 3.0, s.max() + 3.0, 2001)
-        x0 = xs[int(np.argmin(agent_total(suite.values(xs[:, None, None]).T)))]
-        res = minimize(lambda v: agent_total(suite.values(v)), np.array([x0]),
-                       jac=lambda v: agent_total(suite.grads(v)))
+        x0 = xs[int(np.argmin(agent_total(evaluate(xs[:, None, None])[0].T)))]
+        res = minimize(lambda v: _summed(evaluate, v), np.array([x0]), jac=True)
         suite.x_star, suite.f_star = np.array([res.x[0]]), float(res.fun)
-    grid = np.arange(-10.0, 10.0, 1e-3) if pl_grid is None else pl_grid
-    suite.pl_constant = estimate_pl_constant(suite, grid)
+    suite.pl_constant = estimate_pl_constant(suite, np.arange(-10.0, 10.0, 1e-3))
     return suite
 
 
@@ -231,10 +234,10 @@ def load_dataset_csv(path):
     return Dataset(features=np.array(feats), labels=np.array(labs, dtype=int))
 
 
-def _logistic_grads(F, Y, W, reg):
-    """Mean logistic-loss gradients of g stacked agents: F (g, m, d), Y (g, m), W (g, d) -> (g, d)."""
+def _logistic_grads(F, Y, W, margins, reg):
+    """Mean logistic-loss gradients of g stacked agents: F (g, m, d), Y and margins F.w (g, m), W (g, d)."""
     with np.errstate(over="ignore"):  # exp overflows to inf where the sample's weight is 0
-        coef = -Y / (1.0 + np.exp(Y * np.matmul(F, W[:, :, None])[:, :, 0]))
+        coef = -Y / (1.0 + np.exp(Y * margins))
     return np.matmul(coef[:, None, :], F)[:, 0, :] / Y.shape[1] + reg * W
 
 
@@ -246,8 +249,9 @@ def make_logistic(dataset, reg=0.0):
     agent's loss is the mean cross entropy over its partition plus
     (reg/2)||w||^2, so minibatch estimates stay unbiased.  Agents whose
     partitions have the same length share one stacked (g, m, d) feature
-    array, so ``values``/``grads`` take one batched pass per partition
-    length; ``array_split`` partitions have at most two lengths.
+    array, so ``evaluate`` takes one batched pass per partition length and
+    computes each group's margins once for its values and gradients;
+    ``array_split`` partitions have at most two lengths.
     ``sample_grad(agents, idx, W)`` is the batched minibatch gradient: row i
     holds agent ``agents[i]``'s mean gradient at ``W[i]`` over its local
     sample indices ``idx[i]``.
@@ -270,38 +274,31 @@ def make_logistic(dataset, reg=0.0):
         rows[agents, :m] = [dataset.partitions[j] for j in agents]
         groups.append((agents, dataset.features[rows[agents, :m]], ys[rows[agents, :m]]))
 
-    def values(W):
+    def evaluate(W):
         W = np.broadcast_to(W, (n, d))
-        out = np.empty(n)
+        values, grads = np.empty(n), np.empty((n, d))
         for agents, F, Y in groups:
             Wg = W[agents]
             margins = np.matmul(F, Wg[:, :, None])[:, :, 0]
-            out[agents] = np.mean(np.logaddexp(0.0, -Y * margins), axis=1) + 0.5 * reg * np.vecdot(Wg, Wg)
-        return out
-
-    def grads(W):
-        W = np.broadcast_to(W, (n, d))
-        out = np.empty((n, d))
-        for agents, F, Y in groups:
-            out[agents] = _logistic_grads(F, Y, W[agents], reg)
-        return out
+            values[agents] = np.mean(np.logaddexp(0.0, -Y * margins), axis=1) + 0.5 * reg * np.vecdot(Wg, Wg)
+            grads[agents] = _logistic_grads(F, Y, Wg, margins, reg)
+        return values, grads
 
     def sample_grad(agents, idx, W):
         picked = rows[np.asarray(agents)[:, None], idx]
-        return _logistic_grads(dataset.features[picked], ys[picked], W, reg)
+        F = dataset.features[picked]
+        return _logistic_grads(F, ys[picked], W, np.matmul(F, W[:, :, None])[:, :, 0], reg)
 
     row_norm_sq = float((dataset.features**2).sum(axis=1).max())
     return ObjectiveSuite(
         n=n,
         d=d,
         kind="logistic",
-        values=values,
-        grads=grads,
+        evaluate=evaluate,
         l_m=reg + 0.25 * row_norm_sq,
         mu_m=reg,
         sample_counts=tuple(int(m) for m in lengths),
         sample_grad=sample_grad,
-        params={"reg": reg},
     )
 
 
@@ -338,11 +335,11 @@ class StochasticOracle:
 def stochastic_grad(suite, oracle, x, exact, rngs):
     """One stochastic gradient draw per agent at the (n, d) points x.
 
-    ``exact`` is ``suite.grads(x)``, which the caller already holds; agent j
-    draws from its own generator ``rngs[j]``, in agent order.  A minibatch as
-    large as an agent's partition is that agent's exact gradient and draws
-    nothing; the batch gradients of every agent that draws come from one
-    stacked ``suite.sample_grad`` call.
+    ``exact`` is the gradient half of ``suite.evaluate(x)``, which the caller
+    already holds; agent j draws from its own generator ``rngs[j]``, in agent
+    order.  A minibatch as large as an agent's partition is that agent's exact
+    gradient and draws nothing; the batch gradients of every agent that draws
+    come from one stacked ``suite.sample_grad`` call.
     """
     if oracle.mode == "additive":
         if oracle.sigma == 0.0:
@@ -396,20 +393,17 @@ class UnifiedObjective:
         return self._penalty(self._check(states))[0]
 
     def value(self, states):
-        states = self._check(states)
-        return float(agent_total(self.suite.values(states)) + self.penalty(states))
+        return self.value_and_grad(states)[0]
 
     def grad(self, states):
-        states = self._check(states)
-        local_grads = self.suite.grads(states)
-        return local_grads if self.alpha is None else local_grads + self._penalty(states)[1]
+        return self.value_and_grad(states)[1]
 
-    def value_and_grad(self, states, local_grads):
-        """The value and stacked gradient at ``states`` from the local gradients there."""
+    def value_and_grad(self, states, local=None):
+        """The value and stacked gradient at ``states``, from ``local`` = suite.evaluate(states) if given."""
         states = self._check(states)
+        values, grads = self.suite.evaluate(states) if local is None else local
         pen, pen_grad = (0.0, None) if self.alpha is None else self._penalty(states)
-        value = float(agent_total(self.suite.values(states)) + pen)
-        return value, local_grads if pen_grad is None else local_grads + pen_grad
+        return float(agent_total(values) + pen), grads if pen_grad is None else grads + pen_grad
 
     def mu_prime(self, spectral):
         if self.alpha is None:
@@ -422,19 +416,21 @@ class UnifiedObjective:
         return self.suite.l_m + (1.0 - spectral.lambda2) / self.alpha
 
 
-def _lbfgs_multistart(fun, jac, starts):
+def _lbfgs_multistart(fun, starts):
     """The lowest L-BFGS-B result over the flat starting points.
 
-    An optimum that is not finite is a numerical failure (FloatingPointError),
-    never a cached minimum; nan trial points on the way there are the
-    solver's to reject, so numpy's invalid-value warning stays off.
+    ``fun`` returns the value and gradient together (``jac=True``), so each
+    point the solver visits is evaluated once.  An optimum that is not
+    finite is a numerical failure (FloatingPointError), never a cached
+    minimum; nan trial points on the way there are the solver's to reject,
+    so numpy's invalid-value warning stays off.
     """
     from scipy.optimize import minimize
 
     best = None
     with np.errstate(invalid="ignore"):
         for s0 in starts:
-            res = minimize(fun, s0, jac=jac, method="L-BFGS-B", options={"gtol": 1e-12, "ftol": 1e-15})
+            res = minimize(fun, s0, jac=True, method="L-BFGS-B", options={"gtol": 1e-12, "ftol": 1e-15})
             if best is None or res.fun < best.fun:
                 best = res
     if not (np.isfinite(best.fun) and np.isfinite(best.x).all()):
@@ -464,9 +460,12 @@ def unified_optimum(objective):
         starts.append(np.tile(suite.x_star, (n, 1)))
     if suite.kind == "pl":
         starts.append(suite.params["shifts"].copy())
-    best = _lbfgs_multistart(lambda v: objective.value(v.reshape(n, d)),
-                             lambda v: objective.grad(v.reshape(n, d)).ravel(),
-                             [s0.ravel() for s0 in starts])
+
+    def fun(v):
+        value, grad = objective.value_and_grad(v.reshape(n, d))
+        return value, grad.ravel()
+
+    best = _lbfgs_multistart(fun, [s0.ravel() for s0 in starts])
     return best.x.reshape(n, d), float(best.fun)
 
 
@@ -481,8 +480,7 @@ def common_optimum(suite):
     starts = [np.zeros(suite.d)]
     if suite.x_star is not None:
         starts.append(np.asarray(suite.x_star, dtype=float))
-    best = _lbfgs_multistart(lambda v: agent_total(suite.values(v)),
-                             lambda v: agent_total(suite.grads(v)), starts)
+    best = _lbfgs_multistart(lambda v: _summed(suite.evaluate, v), starts)
     suite.x_star = best.x.copy()
     suite.f_star = float(best.fun)
     return suite.f_star
@@ -504,9 +502,9 @@ def estimate_pl_constant(suite, grid):
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise ValueError("empty grid")
-    pts = grid.reshape(-1, 1, 1)  # every agent at each grid point
-    fbar = agent_total(suite.values(pts).T) / suite.n
-    gbar = agent_total(suite.grads(pts)[..., 0].T) / suite.n
+    values, grads = suite.evaluate(grid.reshape(-1, 1, 1))  # every agent at each grid point
+    fbar = agent_total(values.T) / suite.n
+    gbar = agent_total(grads[..., 0].T) / suite.n
     gap = fbar - suite.f_star / suite.n
     away = gap > 1e-12
     if not away.any():

@@ -22,7 +22,6 @@ __all__ = [
     "AgentSwarm",
     "RunTrace",
     "NonFiniteGradientError",
-    "consensus_step",
     "momentum_delta",
     "adaptive_omega",
     "step_size_at",
@@ -88,11 +87,10 @@ class HyperParams:
 
 @dataclass
 class AgentSwarm:
-    """Mutable simulator state: current/previous parameters and consensus."""
+    """Mutable simulator state: current/previous parameters and the previous consensus."""
 
     x_cur: np.ndarray
     x_prev: np.ndarray
-    v_cur: np.ndarray
     v_prev: np.ndarray
     k: int = 1
 
@@ -100,8 +98,7 @@ class AgentSwarm:
     def zeros(cls, mixing, n, d):
         """Paper initialization: x_0 = x_1 = 0, v_0 = Pi x_0 = 0."""
         x = np.zeros((n, d))
-        v0 = mixing.entries @ x
-        return cls(x_cur=x, x_prev=x.copy(), v_cur=v0.copy(), v_prev=v0, k=1)
+        return cls(x_cur=x, x_prev=x.copy(), v_prev=mixing.entries @ x, k=1)
 
 
 @dataclass
@@ -139,11 +136,6 @@ class RunTrace:
 
     def __len__(self):
         return len(self.k)
-
-
-def consensus_step(mixing, x):
-    """v = Pi x, applied per coordinate."""
-    return mixing.entries @ x
 
 
 def momentum_delta(omega, x_cur, x_prev, v_cur, v_prev):
@@ -189,12 +181,6 @@ def step_size_at(hp, k):
     return float(np.sqrt(hp.schedule_b / k))
 
 
-def _resolve_omega(hp, swarm, v_cur):
-    if hp.omega == "adaptive":
-        return adaptive_omega(swarm.x_cur, swarm.x_prev, v_cur, swarm.v_prev, hp.adaptive_scope)
-    return hp.omega
-
-
 def _first_nonfinite_row(*arrays):
     """Index of the first agent whose row is non-finite in any of ``arrays``, else None."""
     for arr in arrays:
@@ -204,29 +190,31 @@ def _first_nonfinite_row(*arrays):
     return None
 
 
-def step(option, swarm, mixing, hp, grads, omega_value=None):
+def step(swarm, mixing, hp, grads):
     """Advance the swarm one iteration using the supplied gradient draws.
 
     ``grads`` must be the N x d matrix of per-agent stochastic gradients
-    evaluated at the current parameters.  Returns the omega actually used
-    (scalar or per-agent array).  The consensus read happens before any
-    state write, so agents can be thought of as updating in parallel.
+    evaluated at the current parameters; ``hp.option`` picks the base point.
+    Returns the omega actually used (scalar or per-agent array).  The
+    consensus read v = Pi x happens before any state write, so agents can be
+    thought of as updating in parallel.
     """
     grads = np.asarray(grads, dtype=float)
     if grads.shape != swarm.x_cur.shape:
         raise ValueError(f"gradient shape {grads.shape} != state shape {swarm.x_cur.shape}")
     if not np.isfinite(grads).all():
         raise NonFiniteGradientError(_first_nonfinite_row(grads), swarm.k)
-    v_cur = consensus_step(mixing, swarm.x_cur)
-    omega = _resolve_omega(hp, swarm, v_cur) if omega_value is None else omega_value
+    v_cur = mixing.entries @ swarm.x_cur
+    omega = hp.omega
+    if omega == "adaptive":
+        omega = adaptive_omega(swarm.x_cur, swarm.x_prev, v_cur, swarm.v_prev, hp.adaptive_scope)
     delta = momentum_delta(omega, swarm.x_cur, swarm.x_prev, v_cur, swarm.v_prev)
     alpha_k = step_size_at(hp, swarm.k)
-    base = v_cur if option == "I" else swarm.x_cur
+    base = v_cur if hp.option == "I" else swarm.x_cur
     x_next = base - alpha_k * grads + hp.beta * delta
     swarm.x_prev = swarm.x_cur
     swarm.x_cur = x_next
     swarm.v_prev = v_cur
-    swarm.v_cur = v_cur
     swarm.k += 1
     return omega
 
@@ -249,12 +237,13 @@ def run(mixing, suite, oracle, hp, objective, f_star):
 
     ``objective`` supplies the stacked value/gradient used for the metric
     columns (the penalized objective for option I, plain F for option II);
-    ``f_star`` is its optimal value, so gap = objective(x) - f_star.  The
-    exact local gradients are computed once per iteration: they feed the
-    metric gradient and are the base of the oracle draw.  The penalty and
-    its gradient share one product with I - Pi.  Deterministic
-    given (seed, config).  A non-finite gradient aborts with the partial
-    trace flagged.
+    ``f_star`` is its optimal value, so gap = objective(x) - f_star.  Each
+    iterate is evaluated once, by ``suite.evaluate``: its local values and
+    gradients feed the metric value and gradient, the exact gradients are
+    the base of the oracle draw, and an abort's diagnostics reuse them.  The
+    penalty and its gradient share one product with I - Pi.  Deterministic
+    given (seed, config).  A non-finite value, draw or step aborts with the
+    partial trace flagged.
     """
     n, d = suite.n, suite.d
     swarm = AgentSwarm.zeros(mixing, n, d)
@@ -267,18 +256,18 @@ def run(mixing, suite, oracle, hp, objective, f_star):
         for k in range(1, hp.iters + 1):
             x_k = swarm.x_cur
             err_max, err_stacked = consensus_errors(x_k)
-            exact = suite.grads(x_k)
-            val, metric_grad = objective.value_and_grad(x_k, exact)
+            values, exact = suite.evaluate(x_k)
+            val, metric_grad = objective.value_and_grad(x_k, (values, exact))
             metric_grad_sq = metric_grad ** 2
             gsq = float(np.sum(metric_grad_sq))
             if not (np.isfinite(val) and np.isfinite(gsq) and np.isfinite(err_stacked)):
                 abort = dict(aborted_at=k, abort_reason="nonfinite_value", abort_agent=_first_nonfinite_row(
-                    x_k, exact, suite.values(x_k), metric_grad_sq))
+                    x_k, exact, values, metric_grad_sq))
                 break
             grad_sq_sum += gsq
             try:
                 draws = stochastic_grad(suite, oracle, x_k, exact, rngs)
-                omega = step(hp.option, swarm, mixing, hp, draws)
+                omega = step(swarm, mixing, hp, draws)
             except NonFiniteGradientError as exc:
                 abort = dict(aborted_at=k, abort_reason="nonfinite_grad", abort_agent=exc.agent)
                 break

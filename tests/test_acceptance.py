@@ -67,7 +67,7 @@ def test_criterion_1_oracle_equivalence():
         x_ref_prev = x_ref.copy()
         for _ in range(steps):
             g = rng.normal(size=(n, d))
-            step(option, swarm, mix, hp, g)
+            step(swarm, mix, hp, g)
             x_new = reference_step(option, pi_eff, pi, alpha, beta, x_ref, x_ref_prev, g)
             x_ref_prev, x_ref = x_ref, x_new
             worst = max(worst, float(np.abs(swarm.x_cur - x_ref).max()))
@@ -157,9 +157,9 @@ def test_criterion_4_reduction_identities():
     x_prev = x.copy()
     worst = 0.0
     for _ in range(150):
-        g = suite.grads(swarm.x_cur)
-        step("I", swarm, mix, hp, g)
-        x_new = mix.entries @ x - alpha * suite.grads(x) + beta * (x - x_prev)
+        g = suite.evaluate(swarm.x_cur)[1]
+        step(swarm, mix, hp, g)
+        x_new = mix.entries @ x - alpha * suite.evaluate(x)[1] + beta * (x - x_prev)
         x_prev, x = x, x_new
         worst = max(worst, float(np.abs(swarm.x_cur - x).max()))
     report(4, "momentum-free and classic-momentum reductions", identical and worst <= 1e-12,
@@ -274,7 +274,7 @@ def test_criterion_8_oracle_statistics():
     oracle = StochasticOracle(mode="additive", sigma=sigma)
     rng = np.random.default_rng(12345)
     x = np.array([[0.3, -0.2, 0.0, 1.0]])
-    stacked = suite.grads(x)
+    stacked = suite.evaluate(x)[1]
     exact = stacked[0]
     n_draws = 100_000
     draws = np.empty((n_draws, 4))

@@ -682,7 +682,7 @@ hp.iters = 5
     scenario = build_scenario(parse_config_text(cfg))
     suite, objective = scenario.suite, scenario.objective
     # the common optimum is a stationary point of F, and the stacked optimum lies below x = 0
-    assert np.linalg.norm(agent_total(suite.grads(suite.x_star))) < 1e-6
+    assert np.linalg.norm(agent_total(suite.evaluate(suite.x_star)[1])) < 1e-6
     assert np.isfinite(scenario.f_star)
     assert scenario.f_star < objective.value(np.zeros((suite.n, suite.d)))
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.optimize
 from scipy.optimize import minimize
 from scipy.stats import chi2
 
@@ -7,6 +8,7 @@ from dmsgd.objectives import (
     StochasticOracle,
     UnifiedObjective,
     agent_total,
+    common_optimum,
     estimate_pl_constant,
     load_dataset_csv,
     make_logistic,
@@ -19,14 +21,16 @@ from dmsgd.objectives import (
     stochastic_grad,
     unified_optimum,
 )
+from dmsgd.optimizer import HyperParams, run
 from dmsgd.topology import build_topology, metropolis_mixing, spectrum
 from dmsgd.verify import finite_diff_grad
 
 
-def central_diff_ok(fn, grad, points, rel=1e-5, h=1e-6):
+def central_diff_ok(suite, j, points, rel=1e-5, h=1e-6):
+    """Agent j's evaluated gradient matches central differences of its evaluated value."""
     for x in points:
-        est = finite_diff_grad(fn, x, h)
-        g = grad(x)
+        est = finite_diff_grad(lambda v: suite.evaluate(v)[0][j], x, h)
+        g = suite.evaluate(x)[1][j]
         denom = max(np.linalg.norm(g), 1.0)
         if np.linalg.norm(est - g) / denom > rel:
             return False
@@ -59,8 +63,8 @@ def test_quadratic_single_agent():
 
 def test_quadratic_gradient_zero_at_target():
     suite = make_quadratic([[1.0, 2.0], [0.0, 0.0]], [1.0, 3.0])
-    assert np.allclose(suite.grads([1.0, 2.0])[0], 0.0)
-    assert np.allclose(suite.grads([0.0, 0.0])[1], 0.0)
+    assert np.allclose(suite.evaluate([1.0, 2.0])[1][0], 0.0)
+    assert np.allclose(suite.evaluate([0.0, 0.0])[1][1], 0.0)
 
 
 def test_quadratic_rejects_nonpositive_curvature():
@@ -73,13 +77,13 @@ def test_quadratic_finite_differences():
     suite = make_quadratic(rng.normal(size=(3, 4)), [0.5, 1.0, 2.0])
     pts = rng.normal(size=(32, 4))
     for j in range(3):
-        assert central_diff_ok(lambda x, j=j: suite.values(x)[j], lambda x, j=j: suite.grads(x)[j], pts)
+        assert central_diff_ok(suite, j, pts)
 
 
 def test_quadratic_common_stationarity():
     rng = np.random.default_rng(1)
     suite = make_quadratic(rng.normal(size=(4, 2)), [1.0, 2.0, 0.5, 3.0])
-    assert np.linalg.norm(agent_total(suite.grads(suite.x_star))) <= 1e-8
+    assert np.linalg.norm(agent_total(suite.evaluate(suite.x_star)[1])) <= 1e-8
 
 
 # ---------------------------------------------------------------- PL family
@@ -87,10 +91,10 @@ def test_quadratic_common_stationarity():
 
 def test_pl_minimum_at_shift():
     suite = make_pl(1)
-    assert suite.values([0.0])[0] == pytest.approx(0.0)
-    assert suite.grads([0.0])[0] == pytest.approx([0.0])
+    assert suite.evaluate([0.0])[0][0] == pytest.approx(0.0)
+    assert suite.evaluate([0.0])[1][0] == pytest.approx([0.0])
     shifted = make_pl(2, shifts=1.5)
-    assert shifted.values([1.5])[0] == pytest.approx(0.0)
+    assert shifted.evaluate([1.5])[0][0] == pytest.approx(0.0)
     assert shifted.f_star == pytest.approx(0.0)
 
 
@@ -122,7 +126,7 @@ def test_pl_finite_differences():
     rng = np.random.default_rng(2)
     pts = rng.normal(size=(32, 1))
     for j in range(2):
-        assert central_diff_ok(lambda x, j=j: suite.values(x)[j], lambda x, j=j: suite.grads(x)[j], pts)
+        assert central_diff_ok(suite, j, pts)
 
 
 def test_estimate_pl_identities():
@@ -253,7 +257,7 @@ def test_logistic_zero_weight_loss():
     ds = make_synthetic_dataset(0, 8, 2, 2)
     ds.partitions = [np.array([i]) for i in range(8)]
     suite = make_logistic(ds, reg=0.0)
-    values = suite.values(np.zeros(2))
+    values = suite.evaluate(np.zeros(2))[0]
     for j in range(8):
         assert values[j] == pytest.approx(np.log(2.0))
 
@@ -269,7 +273,7 @@ def test_logistic_finite_differences():
     rng = np.random.default_rng(4)
     pts = rng.normal(scale=0.5, size=(32, 3))
     for j in range(suite.n):
-        assert central_diff_ok(lambda x, j=j: suite.values(x)[j], lambda x, j=j: suite.grads(x)[j], pts)
+        assert central_diff_ok(suite, j, pts)
 
 
 def test_logistic_empty_partition_rejected():
@@ -324,17 +328,60 @@ def test_logistic_stacked_matches_per_agent_reference(samples, classes, parts, l
     rng = np.random.default_rng(6)
     for t in range(20):
         W = rng.normal(scale=2.0, size=(agents, 3))
-        assert np.array_equal(suite.values(W), values(W))
-        assert np.array_equal(suite.grads(W), grads(W))
+        ours, exact = suite.evaluate(W)
+        assert np.array_equal(ours, values(W))
+        assert np.array_equal(exact, grads(W))
         shared = np.tile(W[0], (agents, 1))  # one (d,) point broadcast to every agent
-        assert np.array_equal(suite.values(W[0]), values(shared))
-        assert np.array_equal(suite.grads(W[0]), grads(shared))
-        exact = suite.grads(W)
+        ours, ours_grads = suite.evaluate(W[0])
+        assert np.array_equal(ours, values(shared))
+        assert np.array_equal(ours_grads, grads(shared))
         for batch in (1, min(suite.sample_counts)):
             oracle = StochasticOracle(mode="minibatch", batch=batch)
             ours = stochastic_grad(suite, oracle, W, exact, [np.random.default_rng((t, j)) for j in range(agents)])
             ref = draws(W, exact, batch, [np.random.default_rng((t, j)) for j in range(agents)])
             assert np.array_equal(ours, ref)
+
+
+def record_evaluations(suite):
+    """Wrap ``suite.evaluate`` so every point it is called at is appended to the returned list."""
+    points, evaluate = [], suite.evaluate
+
+    def recorded(X):
+        X = np.asarray(X, dtype=float)
+        points.append((X.shape, X.tobytes()))
+        return evaluate(X)
+
+    suite.evaluate = recorded
+    return points
+
+
+def test_logistic_suite_evaluated_once_per_point(monkeypatch):
+    # the solvers hand L-BFGS one value-and-gradient callable, so each point the
+    # solver asks for (its nfev, revisits included) costs one evaluation; run
+    # evaluates each iterate once
+    solver_points = []
+
+    def counted_minimize(*args, **kwargs):
+        res = minimize(*args, **kwargs)
+        solver_points.append(res.nfev)
+        return res
+
+    monkeypatch.setattr(scipy.optimize, "minimize", counted_minimize)
+    suite = logistic_fixture()
+    mix = metropolis_mixing(build_topology("ring", suite.n))
+    points = record_evaluations(suite)
+    common_optimum(suite)
+    assert len(solver_points) == 1 and len(points) == solver_points[0] > 2
+    points.clear()
+    objective = UnifiedObjective(suite, mix, alpha=0.1)
+    _, f_star = unified_optimum(objective)
+    assert len(solver_points) == 3 and len(points) == sum(solver_points[1:])
+    assert all(a != b for a, b in zip(points, points[1:]))  # no point evaluated twice in a row
+    points.clear()
+    hp = HyperParams(alpha=0.1, beta=0.5, omega=0.5, iters=25)
+    trace = run(mix, suite, StochasticOracle(mode="minibatch", batch=5), hp, objective, f_star)
+    assert trace.status == "completed"
+    assert len(points) == hp.iters
 
 
 # ---------------------------------------------------------------- oracles
@@ -345,8 +392,8 @@ def test_additive_oracle_zero_sigma_exact():
     oracle = StochasticOracle(mode="additive", sigma=0.0)
     rng = np.random.default_rng(0)
     x = np.full((2, 1), 0.5)
-    g = stochastic_grad(suite, oracle, x, suite.grads(x), [rng, rng])[1]
-    assert np.array_equal(g, suite.grads(x)[1])
+    g = stochastic_grad(suite, oracle, x, suite.evaluate(x)[1], [rng, rng])[1]
+    assert np.array_equal(g, suite.evaluate(x)[1][1])
 
 
 def test_additive_oracle_statistics():
@@ -356,7 +403,7 @@ def test_additive_oracle_statistics():
     oracle = StochasticOracle(mode="additive", sigma=sigma)
     rng = np.random.default_rng(1)
     x = np.array([[0.3, 0.3, 0.3]])
-    stacked = suite.grads(x)
+    stacked = suite.evaluate(x)[1]
     exact = stacked[0]
     draws = np.stack([stochastic_grad(suite, oracle, x, stacked, [rng])[0] for _ in range(20000)])
     se = sigma / np.sqrt(suite.d * len(draws))
@@ -372,8 +419,8 @@ def test_minibatch_full_batch_is_exact():
     oracle = StochasticOracle(mode="minibatch", batch=10)
     rng = np.random.default_rng(2)
     x = np.tile(rng.normal(size=3), (4, 1))
-    draws = stochastic_grad(suite, oracle, x, suite.grads(x), [rng] * 4)
-    assert np.allclose(draws[0], suite.grads(x)[0], atol=1e-14)
+    draws = stochastic_grad(suite, oracle, x, suite.evaluate(x)[1], [rng] * 4)
+    assert np.allclose(draws[0], suite.evaluate(x)[1][0], atol=1e-14)
 
 
 def test_minibatch_unbiased():
@@ -383,7 +430,7 @@ def test_minibatch_unbiased():
     oracle = StochasticOracle(mode="minibatch", batch=4)
     rng = np.random.default_rng(3)
     x = np.array([[0.2, -0.1], [0.2, -0.1]])
-    stacked = suite.grads(x)
+    stacked = suite.evaluate(x)[1]
     exact = stacked[0]
     rngs = [rng, np.random.default_rng(4)]  # agent 0 alone draws from rng
     draws = np.stack([stochastic_grad(suite, oracle, x, stacked, rngs)[0] for _ in range(4000)])
@@ -422,8 +469,8 @@ def test_unified_consensus_point_penalty_free():
     u = UnifiedObjective(suite, uniform_mixing(3), alpha=0.1)
     point = np.full((3, 1), 0.7)
     assert u.penalty(point) == pytest.approx(0.0, abs=1e-14)
-    assert u.value(point) == pytest.approx(agent_total(suite.values(point)))
-    assert np.allclose(u.grad(point), suite.grads(point), atol=1e-12)
+    assert u.value(point) == pytest.approx(agent_total(suite.evaluate(point)[0]))
+    assert np.allclose(u.grad(point), suite.evaluate(point)[1], atol=1e-12)
 
 
 def test_unified_hand_computed_penalty():
@@ -467,7 +514,7 @@ def test_unified_alpha_none_is_plain_objective():
     suite = make_quadratic([[0.0], [2.0]], [1.0, 1.0])
     u = UnifiedObjective(suite, uniform_mixing(2), alpha=None)
     x = np.array([[0.5], [1.5]])
-    assert u.value(x) == pytest.approx(agent_total(suite.values(x)))
+    assert u.value(x) == pytest.approx(agent_total(suite.evaluate(x)[0]))
     spec = spectrum(uniform_mixing(2))
     assert u.mu_prime(spec) == suite.mu_m
     assert u.l_prime(spec) == suite.l_m

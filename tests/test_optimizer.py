@@ -8,7 +8,6 @@ from dmsgd.optimizer import (
     NonFiniteGradientError,
     adaptive_omega,
     agent_rngs,
-    consensus_step,
     momentum_delta,
     run,
     step,
@@ -35,16 +34,24 @@ def quad_setup(alpha=0.1, beta=0.9, omega=0.0, option="I", iters=10, seed=0, sig
 # ------------------------------------------------------------- micro steps
 
 
+def consensus_of(mixing, x):
+    """Pi x, read off one option-I step with zero gradients and no momentum."""
+    swarm = AgentSwarm.zeros(mixing, *x.shape)
+    swarm.x_cur = x
+    step(swarm, mixing, HyperParams(option="I", alpha=0.1, beta=0.0), np.zeros_like(x))
+    return swarm.x_cur
+
+
 def test_consensus_identity_and_average():
     x = np.array([[0.0], [2.0]])
     ident = effective_matrix(uniform_mixing(2), 1.0)
-    assert np.array_equal(consensus_step(ident, x), x)
-    assert np.allclose(consensus_step(uniform_mixing(2), x), [[1.0], [1.0]])
+    assert np.array_equal(consensus_of(ident, x), x)
+    assert np.allclose(consensus_of(uniform_mixing(2), x), [[1.0], [1.0]])
 
 
 def test_consensus_hand_product():
     mix = uniform_mixing(2)
-    assert np.allclose(consensus_step(mix, np.array([[0.0], [2.0]])), [[1.0], [1.0]])
+    assert np.allclose(consensus_of(mix, np.array([[0.0], [2.0]])), [[1.0], [1.0]])
 
 
 def test_momentum_delta_limits():
@@ -100,21 +107,21 @@ def test_hand_worked_two_agent_step():
     for option in ("I", "II"):
         mix, suite, oracle, hp, _, _ = quad_setup(option=option)
         swarm = AgentSwarm.zeros(mix, 2, 1)
-        grads = suite.grads(swarm.x_cur)
-        step(option, swarm, mix, hp, grads)
+        grads = suite.evaluate(swarm.x_cur)[1]
+        step(swarm, mix, hp, grads)
         assert np.allclose(swarm.x_cur, [[0.0], [0.2]], atol=1e-15)
 
 
 def test_hand_worked_second_step_option_one():
     mix, suite, oracle, hp, _, _ = quad_setup(option="I")
     swarm = AgentSwarm.zeros(mix, 2, 1)
-    step("I", swarm, mix, hp, suite.grads(swarm.x_cur))
+    step(swarm, mix, hp, suite.evaluate(swarm.x_cur)[1])
     # v_2 = (0.1, 0.1), delta_2 = (0.1, 0.1), g = (0, -1.8) -> x_3 = (0.19, 0.37)
-    v2 = consensus_step(mix, swarm.x_cur)
+    v2 = mix.entries @ swarm.x_cur
     assert np.allclose(v2, [[0.1], [0.1]], atol=1e-15)
-    g2 = suite.grads(swarm.x_cur)
+    g2 = suite.evaluate(swarm.x_cur)[1]
     assert np.allclose(g2, [[0.0], [-1.8]], atol=1e-15)
-    step("I", swarm, mix, hp, g2)
+    step(swarm, mix, hp, g2)
     assert np.allclose(swarm.x_cur, [[0.19], [0.37]], atol=1e-12)
 
 
@@ -122,14 +129,14 @@ def test_beta_zero_step_ignores_omega():
     for omega in (0.0, 0.3, 1.0):
         mix, suite, oracle, hp, _, _ = quad_setup(beta=0.0, omega=omega, iters=3)
         swarm = AgentSwarm.zeros(mix, 2, 1)
-        step("I", swarm, mix, hp, suite.grads(swarm.x_cur))
-        step("I", swarm, mix, hp, suite.grads(swarm.x_cur))
+        step(swarm, mix, hp, suite.evaluate(swarm.x_cur)[1])
+        step(swarm, mix, hp, suite.evaluate(swarm.x_cur)[1])
         ref = None
         # compare against omega=0 reference
         mix2, suite2, _, hp0, _, _ = quad_setup(beta=0.0, omega=0.0, iters=3)
         s2 = AgentSwarm.zeros(mix2, 2, 1)
-        step("I", s2, mix2, hp0, suite2.grads(s2.x_cur))
-        step("I", s2, mix2, hp0, suite2.grads(s2.x_cur))
+        step(s2, mix2, hp0, suite2.evaluate(s2.x_cur)[1])
+        step(s2, mix2, hp0, suite2.evaluate(s2.x_cur)[1])
         assert np.array_equal(swarm.x_cur, s2.x_cur)
 
 
@@ -138,7 +145,7 @@ def test_non_finite_gradient_diagnostic():
     swarm = AgentSwarm.zeros(mix, 2, 1)
     bad = np.array([[0.0], [np.nan]])
     with pytest.raises(NonFiniteGradientError) as err:
-        step("I", swarm, mix, hp, bad)
+        step(swarm, mix, hp, bad)
     assert err.value.agent == 1
     assert err.value.iteration == 1
 
@@ -200,10 +207,10 @@ def test_mean_dynamics_preserved():
             swarm = AgentSwarm.zeros(mix, 4, 2)
             means = [swarm.x_cur.mean(axis=0)]
             for _ in range(30):
-                grads = suite.grads(swarm.x_cur)
+                grads = suite.evaluate(swarm.x_cur)[1]
                 gbar = grads.mean(axis=0)
                 prev_two = means[-2] if len(means) > 1 else means[-1]
-                step(option, swarm, mix, hp, grads)
+                step(swarm, mix, hp, grads)
                 predicted = means[-1] - hp.alpha * gbar + hp.beta * (means[-1] - prev_two)
                 assert np.abs(swarm.x_cur.mean(axis=0) - predicted).max() <= 1e-12
                 means.append(swarm.x_cur.mean(axis=0))
@@ -215,13 +222,8 @@ def test_fixed_point_of_option_one():
     objective = UnifiedObjective(suite, mix, alpha=0.1)
     x_star, _ = unified_optimum(objective)
     hp = HyperParams(option="I", alpha=0.1, beta=0.7, omega=0.4, iters=1)
-    swarm = AgentSwarm(
-        x_cur=x_star.copy(),
-        x_prev=x_star.copy(),
-        v_cur=consensus_step(mix, x_star),
-        v_prev=consensus_step(mix, x_star),
-    )
-    step("I", swarm, mix, hp, suite.grads(x_star))
+    swarm = AgentSwarm(x_cur=x_star.copy(), x_prev=x_star.copy(), v_prev=mix.entries @ x_star)
+    step(swarm, mix, hp, suite.evaluate(x_star)[1])
     assert np.abs(swarm.x_cur - x_star).max() <= 1e-12
 
 

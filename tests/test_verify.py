@@ -79,7 +79,7 @@ def loop_vs_reference(option, omega, beta=0.8, steps=100, n=6, d=3, seed=5, adap
             w = adaptive_omega(swarm.x_cur, swarm.x_prev, v, swarm.v_prev, scope="global")
         else:
             w = omega
-        step(option, swarm, mix, hp, g)
+        step(swarm, mix, hp, g)
         pi_eff = w * np.eye(n) + (1 - w) * pi
         x_new = reference_step(option, pi_eff, pi, alpha, beta, x_ref, x_ref_prev, g)
         x_ref_prev, x_ref = x_ref, x_new
