@@ -338,6 +338,8 @@ SWEEP_CONFIGS = {
     "logistic_noniid": (CONFIGS["logistic_iid_ragged"].replace("objective.partition = iid", "objective.partition = noniid")
                         .replace("oracle.batch = 15", "oracle.batch = 4").replace("hp.iters = 25", "hp.iters = 15")
                         + "sweep.topology = full,ring\nsweep.omega = 0.5,adaptive\n"),
+    # option I cells solve the penalized stacked optimum, option II cells plain F
+    "option_grid": CONFIGS["logistic_iid_ragged"] + "sweep.option = I,II\nsweep.topology = full,ring\n",
 }
 
 SWEEP_PINS = {
@@ -345,6 +347,7 @@ SWEEP_PINS = {
     "empty": "eca6007657489da40717ae1bfb35a59f05337d0d2b1bfd8dff6401103cabb7d7",
     "logistic_noniid": "9138967d03ba77a7a85707eccd3638a0c96a1f6e33360f222876f0a0fe5f56b7",
     "omega_only": "e71c4d60fe22ef8a4168598dbc5ea5990792560ae4d59914658353d435b6bc16",
+    "option_grid": "7c0fe484b789b8c57aa985e80b4aa6950f3c841176205f4431fc3a6006324acb",
 }
 
 BOUNDS_CONFIGS = {
