@@ -21,7 +21,7 @@ spec = spectrum(mix)
 objective = UnifiedObjective(suite, mix, alpha)
 _, f_star = unified_optimum(objective)
 hp = HyperParams(option="I", alpha=alpha, beta=beta, omega=omega, iters=500)
-trace = run(mix, suite, StochasticOracle(sigma=0.0), hp, objective, f_star)
+trace = run(objective, StochasticOracle(sigma=0.0), hp, f_star)
 
 bi = BoundInputs(
     alpha=alpha,

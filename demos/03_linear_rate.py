@@ -21,7 +21,7 @@ objective = UnifiedObjective(suite, mix, alpha)
 _, f_star = unified_optimum(objective)
 
 hp = HyperParams(option="I", alpha=alpha, beta=beta, omega=omega, iters=200)
-trace = run(mix, suite, StochasticOracle(sigma=0.0), hp, objective, f_star)
+trace = run(objective, StochasticOracle(sigma=0.0), hp, f_star)
 
 mu_p, l_p = objective.mu_prime(spec), objective.l_prime(spec)
 bi = BoundInputs(

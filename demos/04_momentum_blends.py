@@ -21,7 +21,7 @@ _, f_star = unified_optimum(objective)
 print("omega      final gap   final consensus err   mean omega used")
 for omega in (0.0, 0.25, 0.5, 0.75, 1.0, "adaptive"):
     hp = HyperParams(option="I", alpha=alpha, beta=beta, omega=omega, iters=400, seed=1)
-    trace = run(mix, suite, StochasticOracle(sigma=0.1), hp, objective, f_star)
+    trace = run(objective, StochasticOracle(sigma=0.1), hp, f_star)
     label = omega if isinstance(omega, str) else f"{omega:.2f}"
     print(f"{label:9s} {trace.gap[-1]:11.4e}   {trace.consensus_err_max[-1]:15.4e}   "
           f"{trace.omega_used.mean():12.3f}")
@@ -33,6 +33,6 @@ for option in ("I", "II"):
     hp = HyperParams(option=option, alpha=alpha, beta=beta, omega="adaptive", iters=400, seed=1)
     obj = UnifiedObjective(suite, mix, alpha if option == "I" else None)
     _, fs = unified_optimum(obj)
-    trace = run(mix, suite, StochasticOracle(sigma=0.1), hp, obj, fs)
+    trace = run(obj, StochasticOracle(sigma=0.1), hp, fs)
     print(f"  option {option}: final gap {trace.gap[-1]:.4e}, "
           f"final consensus err {trace.consensus_err_max[-1]:.4e}")

@@ -24,7 +24,7 @@ avgs, max_grad = [], 0.0
 for seed in range(16):
     hp = HyperParams(option="II", alpha=None, schedule="sqrt", schedule_b=schedule_b,
                      beta=beta, omega=omega, iters=1000, seed=seed)
-    trace = run(mix, suite, StochasticOracle(sigma=sigma), hp, objective, f_star)
+    trace = run(objective, StochasticOracle(sigma=sigma), hp, f_star)
     avgs.append(trace.running_avg_grad)
     max_grad = max(max_grad, float(np.sqrt(trace.grad_norm_sq.max())))
 mean_avg = np.mean(avgs, axis=0)

@@ -10,4 +10,4 @@ CLI).
 
 __version__ = "0.1.0"
 
-from . import bounds, harness, objectives, optimizer, topology, verify  # noqa: F401
+from . import bounds, objectives, optimizer, topology, verify  # noqa: F401

@@ -73,7 +73,7 @@ KNOWN_KEYS = frozenset(
     + [f"oracle.{k}" for k in ("mode", "sigma", "batch")]
     + [f"hp.{k}" for k in (
         "option", "schedule", "alpha", "B", "beta", "omega", "adaptive_scope", "iters", "seed")]
-    + [f"output.{k}" for k in ("dir", "seeds", "emit_bounds")]
+    + [f"output.{k}" for k in ("dir", "seeds")]
     + [f"sweep.{k}" for k in ("omega", "beta", "topology", "option", "seed")]
 )
 
@@ -129,16 +129,6 @@ class RunConfig:
         unknown = sorted(set(self.items) - KNOWN_KEYS)
         if unknown:
             raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
-
-    def get_bool(self, key, default=False):
-        raw = self.items.get(key)
-        if raw is None:
-            return default
-        if raw.lower() in ("true", "yes", "1"):
-            return True
-        if raw.lower() in ("false", "no", "0"):
-            return False
-        raise ConfigError(f"{key} must be a boolean, got {raw!r}")
 
 
 def parse_config_text(text):
@@ -209,13 +199,15 @@ def _parse_scalars(raw, n, what):
 
 @dataclass
 class Scenario:
-    """Everything derived from a config that a run or bound evaluation needs."""
+    """Everything derived from a config that a run or bound evaluation needs.
+
+    The stacked ``objective`` is the only holder of the problem's suite and
+    mixing matrix (``objective.suite``, ``objective.mixing``); ``spectral``
+    is that matrix's spectrum and ``f_star`` the objective's minimum.
+    """
 
     cfg: RunConfig
-    topology: object
-    mixing: object
     spectral: object
-    suite: object
     oracle: object
     hp: HyperParams
     objective: object
@@ -340,24 +332,9 @@ def build_scenario(cfg):
             "the sqrt(B/k) schedule varies the penalty weight of the option-I "
             "objective every iteration; drive schedule runs through option II"
         )
-    if hp.option == "I":
-        objective = UnifiedObjective(suite, mixing, hp.alpha)
-    else:
-        objective = UnifiedObjective(suite, mixing, None)
-    if suite.kind == "logistic":
-        common_optimum(suite)  # ensure f_star is available for F(xbar) reporting
+    objective = UnifiedObjective(suite, mixing, hp.alpha if hp.option == "I" else None)
     _, f_star = unified_optimum(objective)
-    return Scenario(
-        cfg=cfg,
-        topology=topo,
-        mixing=mixing,
-        spectral=spectral,
-        suite=suite,
-        oracle=oracle,
-        hp=hp,
-        objective=objective,
-        f_star=f_star,
-    )
+    return Scenario(cfg=cfg, spectral=spectral, oracle=oracle, hp=hp, objective=objective, f_star=f_star)
 
 
 # ------------------------------------------------------------- bound inputs
@@ -370,8 +347,7 @@ def pilot_measurements(scenario):
     1.05 x max ||grad objective|| plus, when the oracle is a minibatch, a
     1.05-inflated root mean of the stacked draw deviation the run recorded.
     """
-    trace = run(scenario.mixing, scenario.suite, scenario.oracle, replace(scenario.hp, iters=PILOT_ITERS),
-                scenario.objective, scenario.f_star)
+    trace = run(scenario.objective, scenario.oracle, replace(scenario.hp, iters=PILOT_ITERS), scenario.f_star)
     if len(trace) == 0:
         raise RuntimeFailure("pilot run produced no finite iterations; cannot measure a gradient bound")
     grad_bound = PILOT_INFLATION * float(np.sqrt(trace.grad_norm_sq.max()))
@@ -383,7 +359,7 @@ def pilot_measurements(scenario):
 
 def bound_inputs_from_scenario(scenario, grad_bound=None):
     """Assemble the bounds-engine inputs, measuring G (and sigma) if needed."""
-    cfg, hp, suite = scenario.cfg, scenario.hp, scenario.suite
+    cfg, hp, suite = scenario.cfg, scenario.hp, scenario.objective.suite
     declared = cfg.get("objective.grad_bound", "auto")
     measured_sigma = None
     if grad_bound is None:
@@ -479,8 +455,11 @@ def _write_csv(path, metadata, header, rows):
     lines = [f"# {k}={v}" for k, v in metadata.items()]
     lines.append(header)
     lines.extend(",".join(row) for row in rows)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write("\n".join(lines) + "\n")
+    except OSError as exc:
+        raise RuntimeFailure(f"cannot write {path}: {exc}") from exc
 
 
 def write_trace_csv(path, trace, metadata):
@@ -566,19 +545,27 @@ def averaged_trace(traces):
 # ------------------------------------------------------------ subcommands
 
 
+def _output_dir(args, cfg):
+    """The ``--out`` or ``output.dir`` directory, created if missing; an unusable path is a config error."""
+    out_dir = args.out or cfg.get("output.dir", ".")
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot use output directory {out_dir}: {exc}") from exc
+    return out_dir
+
+
 def cmd_run(args):
     cfg = load_config(args.config)
     scenario = build_scenario(cfg)
-    out_dir = args.out or cfg.get("output.dir", ".")
-    os.makedirs(out_dir, exist_ok=True)
+    out_dir = _output_dir(args, cfg)
     n_seeds = args.seeds if args.seeds is not None else cfg.get_int("output.seeds", 1)
     if n_seeds < 1:
         raise ConfigError(f"the seed count must be >= 1, got {n_seeds}")
     traces = []
     failed = None
     for seed in range(scenario.hp.seed, scenario.hp.seed + n_seeds):
-        trace = run(scenario.mixing, scenario.suite, scenario.oracle, replace(scenario.hp, seed=seed),
-                    scenario.objective, scenario.f_star)
+        trace = run(scenario.objective, scenario.oracle, replace(scenario.hp, seed=seed), scenario.f_star)
         path = os.path.join(out_dir, f"trace_seed{seed}.csv")
         write_trace_csv(path, trace, trace_metadata(scenario, seed, trace))
         log.info("wrote %s (%d rows, %s)", path, len(trace), trace.status)
@@ -592,13 +579,14 @@ def cmd_run(args):
         avg = averaged_trace(traces)
         write_trace_csv(path, avg, trace_metadata(scenario, "avg", avg))
         log.info("wrote %s", path)
-    if cfg.get_bool("output.emit_bounds", False):
-        _write_bounds(scenario, out_dir)
     return 0
 
 
-def _write_bounds(scenario, out_dir):
-    """bounds.csv in ``out_dir``: the bound rows, the engine's inputs and every skipped trajectory."""
+def cmd_bounds(args):
+    """bounds.csv: the bound rows, the engine's inputs and every skipped trajectory."""
+    cfg = load_config(args.config)
+    scenario = build_scenario(cfg)
+    out_dir = _output_dir(args, cfg)
     try:
         bi = bound_inputs_from_scenario(scenario)
         reports, skipped = evaluate_bounds(scenario, bi)
@@ -606,20 +594,12 @@ def _write_bounds(scenario, out_dir):
         raise
     except ValueError as exc:  # the bounds engine refuses inputs it cannot support
         raise RuntimeFailure(f"no bound exists for these inputs: {exc}") from exc
-    metadata = {"config_hash": config_hash(scenario.cfg)}
+    metadata = {"config_hash": config_hash(cfg)}
     metadata.update((key, getattr(bi, key)) for key in BOUND_INPUT_KEYS)
     metadata.update((f"skipped.{name}", reason) for name, reason in skipped.items())
     path = os.path.join(out_dir, "bounds.csv")
     write_bounds_csv(path, reports, metadata)
     log.info("wrote %s (%d bounds)", path, len(reports))
-
-
-def cmd_bounds(args):
-    cfg = load_config(args.config)
-    scenario = build_scenario(cfg)
-    out_dir = args.out or cfg.get("output.dir", ".")
-    os.makedirs(out_dir, exist_ok=True)
-    _write_bounds(scenario, out_dir)
     return 0
 
 
@@ -654,23 +634,20 @@ def _sweep_cell(cfg, overrides):
     """(status, final_gap, final_consensus, mean_omega) of one run with ``overrides`` applied."""
     items = dict(cfg.items)
     items.update(overrides)
-    items.pop("output.seeds", None)
-    cell_cfg = RunConfig(items=items)
-    scenario = build_scenario(cell_cfg)
-    trace = run(scenario.mixing, scenario.suite, scenario.oracle, scenario.hp,
-                scenario.objective, scenario.f_star)
+    scenario = build_scenario(RunConfig(items=items))
+    trace = run(scenario.objective, scenario.oracle, scenario.hp, scenario.f_star)
     if trace.status != "completed" or len(trace) == 0:
         return "diverged", float("inf"), float("inf"), float("nan")
+    suite = scenario.objective.suite
     xbar = trace.swarm.x_cur.mean(axis=0)
-    final_gap = agent_total(scenario.suite.evaluate(xbar)[0]) - common_optimum(scenario.suite)
+    final_gap = agent_total(suite.evaluate(xbar)[0]) - common_optimum(suite)
     return "completed", final_gap, float(trace.consensus_err_max[-1]), float(trace.omega_used.mean())
 
 
 def cmd_sweep(args):
     cfg = load_config(args.config)
     cfg.check_keys()
-    out_dir = args.out or cfg.get("output.dir", ".")
-    os.makedirs(out_dir, exist_ok=True)
+    out_dir = _output_dir(args, cfg)
     axes = [[v.strip() for v in raw.split(",")] if (raw := cfg.get(f"sweep.{label}")) else [None]
             for label, _ in SWEEP_AXES]
     cells = list(itertools.product(*axes)) if any(axis != [None] for axis in axes) else []
@@ -696,7 +673,11 @@ def cmd_sweep(args):
 
 
 def _nonnegative_float(raw):
-    value = float(raw)
+    """A finite float >= 0: nan and +-inf are refused as for config values."""
+    try:
+        value = _parse_float(raw, "the value")
+    except ConfigError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {raw}")
     return value

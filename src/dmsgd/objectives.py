@@ -442,7 +442,10 @@ def unified_optimum(objective):
     """Minimizer and minimum of the stacked (penalized) objective.
 
     Quadratic suites solve the closed form per coordinate; other suites fall
-    back to multistart quasi-Newton minimization over the stacked space.
+    back to multistart quasi-Newton minimization over the stacked space,
+    started from zero and from the common optimum ``suite.x_star`` (solved
+    here first if the suite has none yet, so the result does not depend on
+    what ran before).
     """
     suite = objective.suite
     n, d = suite.n, suite.d
@@ -455,9 +458,8 @@ def unified_optimum(objective):
             h = np.diag(a) + objective._lap / objective.alpha
             x = np.linalg.solve(h, a[:, None] * targets)
         return x, objective.value(x)
-    starts = [np.zeros((n, d))]
-    if suite.x_star is not None:
-        starts.append(np.tile(suite.x_star, (n, 1)))
+    common_optimum(suite)
+    starts = [np.zeros((n, d)), np.tile(suite.x_star, (n, 1))]
     if suite.kind == "pl":
         starts.append(suite.params["shifts"].copy())
 

@@ -232,19 +232,21 @@ def consensus_errors(x):
     return float(per_agent.max()), float(np.linalg.norm(dev))
 
 
-def run(mixing, suite, oracle, hp, objective, f_star):
+def run(objective, oracle, hp, f_star):
     """Execute the full loop from zero initialization and record the trace.
 
-    ``objective`` supplies the stacked value/gradient used for the metric
-    columns (the penalized objective for option I, plain F for option II);
-    ``f_star`` is its optimal value, so gap = objective(x) - f_star.  Each
-    iterate is evaluated once, by ``suite.evaluate``: its local values and
-    gradients feed the metric value and gradient, the exact gradients are
-    the base of the oracle draw, and an abort's diagnostics reuse them.  The
-    penalty and its gradient share one product with I - Pi.  Deterministic
-    given (seed, config).  A non-finite value, draw or step aborts with the
-    partial trace flagged.
+    ``objective`` is the only source of the problem: its suite supplies the
+    local losses and its mixing matrix the consensus step, and its stacked
+    value/gradient feed the metric columns (the penalized objective for
+    option I, plain F for option II); ``f_star`` is its optimal value, so
+    gap = objective(x) - f_star.  Each iterate is evaluated once, by
+    ``suite.evaluate``: its local values and gradients feed the metric value
+    and gradient, the exact gradients are the base of the oracle draw, and
+    an abort's diagnostics reuse them.  The penalty and its gradient share
+    one product with I - Pi.  Deterministic given (seed, config).  A
+    non-finite value, draw or step aborts with the partial trace flagged.
     """
+    suite, mixing = objective.suite, objective.mixing
     n, d = suite.n, suite.d
     swarm = AgentSwarm.zeros(mixing, n, d)
     rngs = agent_rngs(hp.seed, n)

@@ -91,7 +91,7 @@ def test_criterion_2_consensus_domination():
     hp = HyperParams(option="I", alpha=alpha, beta=beta, omega=omega, iters=500)
     objective = UnifiedObjective(suite, mix, alpha)
     _, f_star = unified_optimum(objective)
-    trace = run(mix, suite, StochasticOracle(sigma=0.0), hp, objective, f_star)
+    trace = run(objective, StochasticOracle(sigma=0.0), hp, f_star)
     dom = check_bound_domination(trace.consensus_err_max, np.full(500, bound), slack=0.0)
     value_ok = abs(bound - 0.45255) <= 1e-4
     report(2, "consensus error within the closed-form bound", dom.passed and value_ok,
@@ -110,7 +110,7 @@ def test_criterion_3_strongly_convex_rate():
     objective = UnifiedObjective(suite, mix, alpha)
     _, f_star = unified_optimum(objective)
     hp = HyperParams(option="I", alpha=alpha, beta=beta, omega=omega, iters=1000)
-    trace = run(mix, suite, StochasticOracle(sigma=0.0), hp, objective, f_star)
+    trace = run(objective, StochasticOracle(sigma=0.0), hp, f_star)
     grad_bound = 1.05 * float(np.sqrt(trace.grad_norm_sq.max()))
     mu_p = objective.mu_prime(spec)
     l_p = objective.l_prime(spec)
@@ -141,7 +141,7 @@ def test_criterion_4_reduction_identities():
     identical = True
     for omega in (0.0, 0.25, 0.5, 0.75, 1.0, "adaptive"):
         hp = HyperParams(option="I", alpha=0.05, beta=0.0, omega=omega, iters=200, seed=3)
-        trace = run(mix, suite, StochasticOracle(sigma=0.25), hp, objective0, f_star)
+        trace = run(objective0, StochasticOracle(sigma=0.25), hp, f_star)
         cols = np.stack([trace.gap, trace.grad_norm_sq, trace.step_norm,
                          trace.consensus_err_max, trace.consensus_err_stacked])
         if base is None:
@@ -179,7 +179,7 @@ def test_criterion_5_pl_convergence():
     objective = UnifiedObjective(suite, mix, alpha)
     _, f_star = unified_optimum(objective)
     hp = HyperParams(option="I", alpha=alpha, beta=beta, omega=omega, iters=1000)
-    trace = run(mix, suite, StochasticOracle(sigma=0.0), hp, objective, f_star)
+    trace = run(objective, StochasticOracle(sigma=0.0), hp, f_star)
     bi = BoundInputs(
         alpha=alpha, beta=beta, lam=lambda_cap(omega, spec.lambda2), n_agents=3,
         eta=spec.lambda_min_effective(omega), grad_bound=1.0, sigma=0.0,
@@ -205,7 +205,7 @@ def envelope_case(suite, l_m):
     assert alpha == pytest.approx((1 - (beta * lam) ** 2) / objective.l_prime(spec), rel=1e-12)
     _, f_star = unified_optimum(objective)
     hp = HyperParams(option="I", alpha=alpha, beta=beta, omega=omega, iters=1000)
-    trace = run(mix, suite, StochasticOracle(sigma=0.0), hp, objective, f_star)
+    trace = run(objective, StochasticOracle(sigma=0.0), hp, f_star)
     zero = np.zeros((suite.n, suite.d))
     delta = objective.value(zero) - f_star
     bi = BoundInputs(
@@ -247,7 +247,7 @@ def test_criterion_7_simpler_step_size():
         for s in range(seeds_count if sigma > 0 else 1):
             hp = HyperParams(option="II", alpha=None, schedule="sqrt", schedule_b=schedule_b,
                              beta=beta, omega=omega, iters=iters, seed=s)
-            trace = run(mix, suite, oracle, hp, objective, f_star)
+            trace = run(objective, oracle, hp, f_star)
             avgs.append(trace.running_avg_grad)
             max_grad = max(max_grad, float(np.sqrt(trace.grad_norm_sq.max())))
         mean_avg = np.mean(avgs, axis=0)

@@ -22,7 +22,15 @@ from dmsgd.harness import (
     read_trace_csv,
     serialize_config,
 )
-from dmsgd.objectives import agent_total
+from dmsgd.objectives import (
+    UnifiedObjective,
+    agent_total,
+    make_logistic,
+    make_synthetic_dataset,
+    partition_noniid,
+    unified_optimum,
+)
+from dmsgd.topology import build_topology, metropolis_mixing
 
 QUAD_CONFIG = """\
 topology.kind = full
@@ -580,6 +588,68 @@ def test_cli_check_negative_slack_rejected(tmp_path):
     assert code == 2
 
 
+
+def test_cli_check_nonfinite_slack_rejected(tmp_path, capsys):
+    # nan would fail every row (exit 3) and inf or an overflowing 1e400 pass any (exit 0)
+    cfg_path = write_config(tmp_path, QUAD_CONFIG)
+    out = str(tmp_path / "out")
+    assert main(["run", "--config", cfg_path, "--out", out]) == 0
+    assert main(["bounds", "--config", cfg_path, "--out", out]) == 0
+    capsys.readouterr()
+    for slack in ("nan", "inf", "1e400"):
+        assert main(["check", "--trace", os.path.join(out, "trace_seed0.csv"),
+                     "--bounds", os.path.join(out, "bounds.csv"), "--slack", slack]) == 2
+        assert "must be finite" in capsys.readouterr().err
+
+
+# --------------------------------------------------------- output location
+
+
+@pytest.mark.parametrize("command", ["run", "bounds", "sweep"])
+def test_cli_unusable_output_dir_exit_2(tmp_path, capsys, command):
+    # --out or output.dir naming a file, or a path under one
+    blocker = tmp_path / "file"
+    blocker.write_text("", encoding="utf-8")
+    cfg = QUAD_CONFIG + "sweep.seed = 0\n"
+    cfg_path = write_config(tmp_path, cfg)
+    dir_cfg_path = write_config(tmp_path, cfg + f"output.dir = {blocker}\n", "dir.cfg")
+    for args in (["--config", cfg_path, "--out", str(blocker)],
+                 ["--config", cfg_path, "--out", str(blocker / "sub")],
+                 ["--config", dir_cfg_path]):
+        assert main([command] + args) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: cannot use output directory")
+
+
+@pytest.mark.parametrize("command,name", [("run", "trace_seed0.csv"), ("bounds", "bounds.csv"),
+                                          ("sweep", "sweep.csv")])
+def test_cli_unwritable_output_file_exit_1(tmp_path, capsys, command, name):
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    cfg_path = write_config(tmp_path, QUAD_CONFIG + "sweep.seed = 0\n")
+    assert main([command, "--config", cfg_path, "--out", str(out)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: cannot write {out / name}")
+
+
+def test_cli_emit_bounds_is_an_unknown_key(tmp_path, capsys):
+    # bounds.csv comes from `dmsgd bounds` alone
+    cfg_path = write_config(tmp_path, QUAD_CONFIG + "output.emit_bounds = true\n")
+    assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.strip() == "config error: unknown config key(s): output.emit_bounds"
+
+
+def test_module_entry_point_runs_once(tmp_path):
+    # `python -m dmsgd.harness` must not find the module already imported by the package
+    cfg_path = write_config(tmp_path, QUAD_CONFIG)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dmsgd.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "dmsgd.harness", "run",
+                           "--config", cfg_path, "--out", str(tmp_path / "out")],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "out" / "trace_seed0.csv").exists()
+
 # ------------------------------------------------------------------ sweep
 
 
@@ -632,7 +702,7 @@ def test_custom_topology_from_edge_list(tmp_path):
         f"topology.kind = custom\ntopology.edges = {edges}\n",
     )
     scenario = build_scenario(parse_config_text(cfg))
-    assert scenario.topology.edges == frozenset({(0, 1), (1, 2)})
+    assert scenario.objective.mixing.edges == frozenset({(0, 1), (1, 2)})
 
 
 def test_logistic_dataset_from_csv(tmp_path):
@@ -658,8 +728,8 @@ hp.omega = 0.5
 hp.iters = 5
 """
     scenario = build_scenario(parse_config_text(cfg))
-    assert scenario.suite.n == 4
-    assert scenario.suite.d == 3
+    assert scenario.objective.suite.n == 4
+    assert scenario.objective.suite.d == 3
 
 
 def test_logistic_scenario_solves_its_optimum():
@@ -680,12 +750,41 @@ hp.alpha = 0.2
 hp.iters = 5
 """
     scenario = build_scenario(parse_config_text(cfg))
-    suite, objective = scenario.suite, scenario.objective
+    suite, objective = scenario.objective.suite, scenario.objective
     # the common optimum is a stationary point of F, and the stacked optimum lies below x = 0
     assert np.linalg.norm(agent_total(suite.evaluate(suite.x_star)[1])) < 1e-6
     assert np.isfinite(scenario.f_star)
     assert scenario.f_star < objective.value(np.zeros((suite.n, suite.d)))
 
+
+
+@pytest.mark.parametrize("option", ["I", "II"])
+def test_stacked_optimum_independent_of_call_order(option):
+    # unified_optimum starts from the common optimum whether or not anything solved it first
+    cfg = f"""\
+topology.kind = ring
+topology.n = 4
+topology.laziness = 0.3
+objective.kind = logistic
+objective.dataset = synthetic
+objective.samples = 60
+objective.features = 5
+objective.agents = 4
+objective.partition = noniid
+objective.reg = 0.1
+oracle.mode = additive
+hp.option = {option}
+hp.alpha = 0.2
+hp.iters = 5
+"""
+    scenario = build_scenario(parse_config_text(cfg))
+    ds = make_synthetic_dataset(0, 60, 5, 2)
+    ds.partitions = partition_noniid(ds, 4)
+    suite = make_logistic(ds, reg=0.1)
+    assert suite.x_star is None
+    mixing = metropolis_mixing(build_topology("ring", 4), laziness=0.3)
+    _, f_star = unified_optimum(UnifiedObjective(suite, mixing, 0.2 if option == "I" else None))
+    assert f_star == scenario.f_star
 
 def test_minibatch_pilot_sigma_estimate():
     cfg = """\

@@ -379,7 +379,7 @@ def test_logistic_suite_evaluated_once_per_point(monkeypatch):
     assert all(a != b for a, b in zip(points, points[1:]))  # no point evaluated twice in a row
     points.clear()
     hp = HyperParams(alpha=0.1, beta=0.5, omega=0.5, iters=25)
-    trace = run(mix, suite, StochasticOracle(mode="minibatch", batch=5), hp, objective, f_star)
+    trace = run(objective, StochasticOracle(mode="minibatch", batch=5), hp, f_star)
     assert trace.status == "completed"
     assert len(points) == hp.iters
 

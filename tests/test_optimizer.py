@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -28,7 +30,7 @@ def quad_setup(alpha=0.1, beta=0.9, omega=0.0, option="I", iters=10, seed=0, sig
     oracle = StochasticOracle(mode="additive", sigma=sigma)
     objective = UnifiedObjective(suite, mix, alpha if option == "I" else None)
     _, f_star = unified_optimum(objective)
-    return mix, suite, oracle, hp, objective, f_star
+    return objective, oracle, hp, f_star
 
 
 # ------------------------------------------------------------- micro steps
@@ -105,7 +107,8 @@ def test_hand_worked_two_agent_step():
     # quadratic targets (0, 2), Pi = J/2, a=0.1, b=0.9, w=0, zero init:
     # both options give x_2 = (0, 0.2)
     for option in ("I", "II"):
-        mix, suite, oracle, hp, _, _ = quad_setup(option=option)
+        objective, _, hp, _ = quad_setup(option=option)
+        mix, suite = objective.mixing, objective.suite
         swarm = AgentSwarm.zeros(mix, 2, 1)
         grads = suite.evaluate(swarm.x_cur)[1]
         step(swarm, mix, hp, grads)
@@ -113,7 +116,8 @@ def test_hand_worked_two_agent_step():
 
 
 def test_hand_worked_second_step_option_one():
-    mix, suite, oracle, hp, _, _ = quad_setup(option="I")
+    objective, _, hp, _ = quad_setup(option="I")
+    mix, suite = objective.mixing, objective.suite
     swarm = AgentSwarm.zeros(mix, 2, 1)
     step(swarm, mix, hp, suite.evaluate(swarm.x_cur)[1])
     # v_2 = (0.1, 0.1), delta_2 = (0.1, 0.1), g = (0, -1.8) -> x_3 = (0.19, 0.37)
@@ -127,13 +131,15 @@ def test_hand_worked_second_step_option_one():
 
 def test_beta_zero_step_ignores_omega():
     for omega in (0.0, 0.3, 1.0):
-        mix, suite, oracle, hp, _, _ = quad_setup(beta=0.0, omega=omega, iters=3)
+        objective, _, hp, _ = quad_setup(beta=0.0, omega=omega, iters=3)
+        mix, suite = objective.mixing, objective.suite
         swarm = AgentSwarm.zeros(mix, 2, 1)
         step(swarm, mix, hp, suite.evaluate(swarm.x_cur)[1])
         step(swarm, mix, hp, suite.evaluate(swarm.x_cur)[1])
         ref = None
         # compare against omega=0 reference
-        mix2, suite2, _, hp0, _, _ = quad_setup(beta=0.0, omega=0.0, iters=3)
+        objective2, _, hp0, _ = quad_setup(beta=0.0, omega=0.0, iters=3)
+        mix2, suite2 = objective2.mixing, objective2.suite
         s2 = AgentSwarm.zeros(mix2, 2, 1)
         step(s2, mix2, hp0, suite2.evaluate(s2.x_cur)[1])
         step(s2, mix2, hp0, suite2.evaluate(s2.x_cur)[1])
@@ -141,7 +147,8 @@ def test_beta_zero_step_ignores_omega():
 
 
 def test_non_finite_gradient_diagnostic():
-    mix, suite, oracle, hp, _, _ = quad_setup()
+    objective, _, hp, _ = quad_setup()
+    mix = objective.mixing
     swarm = AgentSwarm.zeros(mix, 2, 1)
     bad = np.array([[0.0], [np.nan]])
     with pytest.raises(NonFiniteGradientError) as err:
@@ -154,24 +161,24 @@ def test_non_finite_gradient_diagnostic():
 
 
 def test_run_zero_iters_empty_trace():
-    mix, suite, oracle, hp, objective, f_star = quad_setup(iters=0)
-    trace = run(mix, suite, oracle, hp, objective, f_star)
+    objective, oracle, hp, f_star = quad_setup(iters=0)
+    trace = run(objective, oracle, hp, f_star)
     assert len(trace) == 0
     assert np.array_equal(trace.swarm.x_cur, np.zeros((2, 1)))
     assert trace.status == "completed"
 
 
 def test_run_deterministic_bitwise():
-    mix, suite, oracle, hp, objective, f_star = quad_setup(iters=50, sigma=0.3, seed=11)
-    t1 = run(mix, suite, oracle, hp, objective, f_star)
-    t2 = run(mix, suite, oracle, hp, objective, f_star)
+    objective, oracle, hp, f_star = quad_setup(iters=50, sigma=0.3, seed=11)
+    t1 = run(objective, oracle, hp, f_star)
+    t2 = run(objective, oracle, hp, f_star)
     for name in ("gap", "grad_norm_sq", "step_norm", "consensus_err_max", "omega_used"):
         assert np.array_equal(getattr(t1, name), getattr(t2, name))
 
 
 def test_run_trace_lengths_and_finiteness():
-    mix, suite, oracle, hp, objective, f_star = quad_setup(iters=25)
-    trace = run(mix, suite, oracle, hp, objective, f_star)
+    objective, oracle, hp, f_star = quad_setup(iters=25)
+    trace = run(objective, oracle, hp, f_star)
     assert len(trace) == 25
     assert np.array_equal(trace.k, np.arange(1, 26))
     for name in ("gap", "grad_norm_sq", "running_avg_grad", "step_norm"):
@@ -179,8 +186,8 @@ def test_run_trace_lengths_and_finiteness():
 
 
 def test_running_avg_recomputes():
-    mix, suite, oracle, hp, objective, f_star = quad_setup(iters=30, sigma=0.2)
-    trace = run(mix, suite, oracle, hp, objective, f_star)
+    objective, oracle, hp, f_star = quad_setup(iters=30, sigma=0.2)
+    trace = run(objective, oracle, hp, f_star)
     again = recompute_running_avg(trace.grad_norm_sq)
     assert np.abs(again - trace.running_avg_grad).max() <= 1e-12
 
@@ -188,8 +195,8 @@ def test_running_avg_recomputes():
 def test_beta_zero_traces_identical_across_omega():
     traces = []
     for omega in (0.0, 0.25, 0.5, 1.0, "adaptive"):
-        mix, suite, oracle, hp, objective, f_star = quad_setup(beta=0.0, omega=omega, iters=40)
-        traces.append(run(mix, suite, oracle, hp, objective, f_star))
+        objective, oracle, hp, f_star = quad_setup(beta=0.0, omega=omega, iters=40)
+        traces.append(run(objective, oracle, hp, f_star))
     base = traces[0]
     for other in traces[1:]:
         for name in ("gap", "grad_norm_sq", "step_norm", "consensus_err_max", "consensus_err_stacked"):
@@ -230,8 +237,8 @@ def test_fixed_point_of_option_one():
 def test_displacement_bound_beta_zero():
     # with b=0 every step norm is alpha * ||S(x_k)|| <= alpha * M by the
     # definition of the measured gradient bound
-    mix, suite, oracle, hp, objective, f_star = quad_setup(beta=0.0, iters=100, alpha=0.05)
-    trace = run(mix, suite, oracle, hp, objective, f_star)
+    objective, oracle, hp, f_star = quad_setup(beta=0.0, iters=100, alpha=0.05)
+    trace = run(objective, oracle, hp, f_star)
     m_meas = np.sqrt(trace.grad_norm_sq.max())
     assert (trace.step_norm <= hp.alpha * m_meas + 1e-9).all()
 
@@ -246,7 +253,7 @@ def test_displacement_bound_momentum_mean_free():
     objective = UnifiedObjective(suite, mix, alpha)
     _, f_star = unified_optimum(objective)
     oracle = StochasticOracle(mode="additive", sigma=0.0)
-    trace = run(mix, suite, oracle, hp, objective, f_star)
+    trace = run(objective, oracle, hp, f_star)
     m_meas = np.sqrt(trace.grad_norm_sq.max())
     lam = omega + (1 - omega) * spectrum(mix).lambda2
     bl = beta * lam
@@ -257,8 +264,8 @@ def test_displacement_bound_momentum_mean_free():
 
 def test_run_aborts_on_divergence():
     # gigantic step size on a quadratic blows up; the trace must be flagged
-    mix, suite, oracle, hp, objective, f_star = quad_setup(alpha=1e8, beta=0.0, iters=400)
-    trace = run(mix, suite, oracle, hp, objective, f_star)
+    objective, oracle, hp, f_star = quad_setup(alpha=1e8, beta=0.0, iters=400)
+    trace = run(objective, oracle, hp, f_star)
     assert trace.status == "aborted"
     assert trace.aborted_at is not None
     assert len(trace) < 400
@@ -275,9 +282,9 @@ def test_run_records_abort_reason_and_agent():
     trace = run(*quad_setup(sigma=float("inf")))
     assert (trace.abort_reason, trace.abort_agent, trace.aborted_at) == ("nonfinite_grad", 0, 1)
     # agent 1's curvature overflows the squared metric gradient at x = 0
-    mix, _, oracle, hp, _, _ = quad_setup()
+    objective, oracle, hp, _ = quad_setup()
     suite = make_quadratic([[0.0], [2.0]], [1.0, 1e300])
-    trace = run(mix, suite, oracle, hp, UnifiedObjective(suite, mix, hp.alpha), 0.0)
+    trace = run(UnifiedObjective(suite, objective.mixing, hp.alpha), oracle, hp, 0.0)
     assert (trace.abort_reason, trace.abort_agent, trace.aborted_at) == ("nonfinite_value", 1, 1)
     assert len(trace) == 0
 
@@ -286,6 +293,14 @@ def test_completed_run_has_no_abort_reason():
     trace = run(*quad_setup())
     assert trace.status == "completed"
     assert (trace.aborted_at, trace.abort_reason, trace.abort_agent) == (None, None, None)
+
+
+def test_readme_quick_start_runs(capsys):
+    # the README's library example is executed as written, so it cannot drift from the API
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library quick start", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    assert "<=" in capsys.readouterr().out
 
 
 def test_agent_rngs_order_independent():

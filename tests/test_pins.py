@@ -207,8 +207,7 @@ def _floats(a):
 
 def digests(text):
     scenario = build_scenario(parse_config_text(text))
-    trace = run(scenario.mixing, scenario.suite, scenario.oracle, scenario.hp,
-                scenario.objective, scenario.f_star)
+    trace = run(scenario.objective, scenario.oracle, scenario.hp, scenario.f_star)
     trace_digest = _sha([trace.status, scenario.f_star, _floats(trace.swarm.x_cur)]
                         + [_floats(getattr(trace, name)) for name in TRACE_FIELDS])
     bi = bound_inputs_from_scenario(scenario)

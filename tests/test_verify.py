@@ -163,7 +163,7 @@ def test_running_avg_matches_trace():
     hp = HyperParams(alpha=0.1, beta=0.4, omega=0.5, iters=40, seed=3)
     objective = UnifiedObjective(suite, mix, 0.1)
     _, f_star = unified_optimum(objective)
-    trace = run(mix, suite, StochasticOracle(sigma=0.2), hp, objective, f_star)
+    trace = run(objective, StochasticOracle(sigma=0.2), hp, f_star)
     assert np.abs(recompute_running_avg(trace.grad_norm_sq) - trace.running_avg_grad).max() <= 1e-12
 
 
@@ -211,6 +211,6 @@ def test_quadratic_gap_nonincreasing_after_burnin():
     hp = HyperParams(alpha=0.1, beta=0.3, omega=0.5, iters=200)
     objective = UnifiedObjective(suite, mix, 0.1)
     _, f_star = unified_optimum(objective)
-    trace = run(mix, suite, StochasticOracle(sigma=0.0), hp, objective, f_star)
+    trace = run(objective, StochasticOracle(sigma=0.0), hp, f_star)
     tail = trace.gap[10:]
     assert (np.diff(tail) <= 1e-12 * max(1.0, trace.gap[0])).all()
