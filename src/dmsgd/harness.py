@@ -63,20 +63,6 @@ BOUND_METRICS = {
     "sqrt_step_q": ("running_avg_grad", lambda m: m),
 }
 
-# every key the README key table documents; anything else is a typo
-KNOWN_KEYS = frozenset(
-    [f"topology.{k}" for k in ("kind", "n", "laziness", "parts", "edges")]
-    + [f"objective.{k}" for k in (
-        "kind", "targets", "curvatures", "n", "shifts", "dataset", "dataset_seed", "samples",
-        "features", "classes", "separation", "agents", "partition", "partition_seed", "reg",
-        "grad_bound")]
-    + [f"oracle.{k}" for k in ("mode", "sigma", "batch")]
-    + [f"hp.{k}" for k in (
-        "option", "schedule", "alpha", "B", "beta", "omega", "adaptive_scope", "iters", "seed")]
-    + [f"output.{k}" for k in ("dir", "seeds")]
-    + [f"sweep.{k}" for k in ("omega", "beta", "topology", "option", "seed")]
-)
-
 PILOT_ITERS = 200
 PILOT_INFLATION = 1.05
 
@@ -96,39 +82,119 @@ class RuntimeFailure(RuntimeError):
 # ----------------------------------------------------------------- config
 
 
+def _parse_float(raw, key):
+    """A finite float; nan and +-inf are config errors like any other bad number."""
+    try:
+        value = float(raw)
+    except ValueError as exc:
+        raise ConfigError(f"{key} must be a number, got {raw!r}") from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"{key} must be finite, got {raw!r}")
+    return value
+
+
+def _parse_nonnegative(raw, key):
+    value = _parse_float(raw, key)
+    if value < 0:
+        raise ConfigError(f"{key} must be >= 0, got {raw!r}")
+    return value
+
+
+def _parse_int(raw, key):
+    try:
+        return int(raw)
+    except ValueError as exc:
+        raise ConfigError(f"{key} must be an integer, got {raw!r}") from exc
+
+
+def _parse_floats(raw, key):
+    """'a;b;c' (or 'a,b,c') -> 1-d array."""
+    return np.array([_parse_float(v, key) for v in raw.replace(";", ",").split(",") if v.strip()])
+
+
+def _parse_vectors(raw, key):
+    """'a,b;c,d' -> array of row vectors."""
+    rows = [[_parse_float(v, key) for v in chunk.split(",")] for chunk in raw.split(";") if chunk.strip()]
+    if len({len(r) for r in rows}) != 1:
+        raise ConfigError(f"ragged rows in {key}: {raw!r}")
+    return np.array(rows)
+
+
+def _parse_pair(raw, key):
+    try:
+        p, q = (int(v) for v in raw.split(","))
+    except ValueError as exc:
+        raise ConfigError(f"{key} must be two integers 'p,q', got {raw!r}") from exc
+    return p, q
+
+
+def _one_of(*words):
+    def parse(raw, key):
+        if raw not in words:
+            raise ConfigError(f"{key} must be one of {' | '.join(words)}, got {raw!r}")
+        return raw
+    return parse
+
+
+def _word_or(word, parse):
+    """``word`` itself, or whatever ``parse`` makes of the value."""
+    return lambda raw, key: raw if raw == word else parse(raw, key)
+
+
+def _comma_list(axis_key):
+    """A sweep axis: comma-separated values of ``axis_key``, kept raw for the labels and overrides."""
+    def parse(raw, key):
+        values = [v.strip() for v in raw.split(",")]
+        for value in values:
+            CONFIG_KEYS[axis_key](value, key)
+        return values
+    return parse
+
+
+# every key the README key table documents and the parser of its value; anything else is a typo
+CONFIG_KEYS = {
+    **dict.fromkeys(("topology.n", "objective.n", "objective.dataset_seed", "objective.samples",
+                     "objective.features", "objective.classes", "objective.agents",
+                     "objective.partition_seed", "hp.iters", "hp.seed", "output.seeds"), _parse_int),
+    **dict.fromkeys(("topology.laziness", "objective.separation", "objective.reg", "oracle.sigma",
+                     "hp.alpha", "hp.B", "hp.beta"), _parse_float),
+    **dict.fromkeys(("topology.edges", "objective.dataset", "output.dir"), lambda raw, key: raw),
+    **dict.fromkeys(("objective.curvatures", "objective.shifts"), _parse_floats),
+    "topology.kind": _one_of("full", "ring", "bipartite", "custom"),
+    "topology.parts": _parse_pair,
+    "objective.kind": _one_of("quadratic", "pl", "logistic"),
+    "objective.targets": _parse_vectors,
+    "objective.partition": _one_of("iid", "noniid"),
+    "objective.grad_bound": _word_or("auto", _parse_nonnegative),
+    "oracle.mode": _one_of("additive", "minibatch"),
+    "oracle.batch": _word_or("full", _parse_int),
+    "hp.option": _one_of("I", "II"),
+    "hp.schedule": _one_of("constant", "sqrt"),
+    "hp.omega": _word_or("adaptive", _parse_float),
+    "hp.adaptive_scope": _one_of("agent", "global"),
+}
+CONFIG_KEYS.update((f"sweep.{label}", _comma_list(key)) for label, key in SWEEP_AXES)
+
+
 @dataclass
 class RunConfig:
-    """Flat key/value configuration with typed accessors."""
+    """Flat key/value configuration: the raw strings in ``items``, each parsed once into ``values``."""
 
     items: dict
 
-    def get(self, key, default=None):
-        return self.items.get(key, default)
-
-    def require(self, key):
-        if key not in self.items:
-            raise ConfigError(f"missing config key {key!r}")
-        return self.items[key]
-
-    def get_float(self, key, default=None):
-        raw = self.items.get(key)
-        if raw is None:
-            return default
-        return _parse_float(raw, key)
-
-    def get_int(self, key, default=None):
-        raw = self.items.get(key)
-        if raw is None:
-            return default
-        try:
-            return int(raw)
-        except ValueError as exc:
-            raise ConfigError(f"{key} must be an integer, got {raw!r}") from exc
-
-    def check_keys(self):
-        unknown = sorted(set(self.items) - KNOWN_KEYS)
+    def __post_init__(self):
+        unknown = sorted(set(self.items) - CONFIG_KEYS.keys())
         if unknown:
             raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
+        self.values = {key: CONFIG_KEYS[key](raw, key) for key, raw in self.items.items()}
+
+    def get(self, key, default=None):
+        return self.values.get(key, default)
+
+    def require(self, key):
+        if key not in self.values:
+            raise ConfigError(f"missing config key {key!r}")
+        return self.values[key]
 
 
 def parse_config_text(text):
@@ -163,35 +229,6 @@ def serialize_config(cfg):
 
 def config_hash(cfg):
     return hashlib.sha256(serialize_config(cfg).encode("utf-8")).hexdigest()[:12]
-
-
-def _parse_float(raw, what):
-    """A finite float; nan and +-inf are config errors like any other bad number."""
-    try:
-        value = float(raw)
-    except ValueError as exc:
-        raise ConfigError(f"{what} must be a number, got {raw!r}") from exc
-    if not math.isfinite(value):
-        raise ConfigError(f"{what} must be finite, got {raw!r}")
-    return value
-
-
-def _parse_vectors(raw, what):
-    """'a,b;c,d' -> array of row vectors."""
-    rows = [[_parse_float(v, what) for v in chunk.split(",")] for chunk in raw.split(";") if chunk.strip()]
-    width = {len(r) for r in rows}
-    if len(width) != 1:
-        raise ConfigError(f"ragged rows in {what}: {raw!r}")
-    return np.array(rows)
-
-
-def _parse_scalars(raw, n, what):
-    vals = [_parse_float(v, what) for v in raw.replace(";", ",").split(",") if v.strip()]
-    if len(vals) == 1:
-        return np.full(n, vals[0])
-    if len(vals) != n:
-        raise ConfigError(f"{what} needs 1 or {n} values, got {len(vals)}")
-    return np.array(vals)
 
 
 # --------------------------------------------------------------- scenario
@@ -231,107 +268,76 @@ def _build_topology(cfg):
     kind = cfg.require("topology.kind")
     if kind == "custom":
         return load_edge_list(cfg.require("topology.edges"))
-    n = cfg.get_int("topology.n")
-    if n is None:
-        raise ConfigError("missing config key 'topology.n'")
-    parts = None
-    if kind == "bipartite":
-        raw = cfg.get("topology.parts")
-        if raw is None:
-            p = n // 2
-            parts = (p, n - p)
-        else:
-            try:
-                p, q = (int(v) for v in raw.split(","))
-            except ValueError as exc:
-                raise ConfigError(f"topology.parts must be two integers 'p,q', got {raw!r}") from exc
-            parts = (p, q)
-    return build_topology(kind, n, parts=parts)
+    return build_topology(kind, cfg.require("topology.n"), parts=cfg.get("topology.parts"))
 
 
 def _build_suite(cfg):
     kind = cfg.require("objective.kind")
     if kind == "quadratic":
-        targets = _parse_vectors(cfg.require("objective.targets"), "objective.targets")
-        curv = _parse_scalars(cfg.get("objective.curvatures", "1"), len(targets), "objective.curvatures")
-        return make_quadratic(targets, curv)
+        return make_quadratic(cfg.require("objective.targets"), cfg.get("objective.curvatures", 1.0))
     if kind == "pl":
-        n = cfg.get_int("objective.n", 1)
-        shifts = _parse_scalars(cfg.get("objective.shifts", "0"), n, "objective.shifts")
-        return make_pl(n, shifts=shifts)
-    if kind == "logistic":
-        path = cfg.get("objective.dataset", "synthetic")
-        if path == "synthetic":
-            ds = make_synthetic_dataset(
-                cfg.get_int("objective.dataset_seed", 0),
-                cfg.get_int("objective.samples", 400),
-                cfg.get_int("objective.features", 5),
-                cfg.get_int("objective.classes", 2),
-                separation=cfg.get_float("objective.separation", 4.0),
-            )
-        else:
-            ds = load_dataset_csv(path)
-        n_agents = cfg.get_int("objective.agents", 4)
-        strategy = cfg.get("objective.partition", "iid")
-        if strategy == "iid":
-            ds.partitions = partition_iid(ds, n_agents, cfg.get_int("objective.partition_seed", 0))
-        elif strategy == "noniid":
-            ds.partitions = partition_noniid(ds, n_agents)
-        else:
-            raise ConfigError(f"unknown partition strategy {strategy!r}")
-        return make_logistic(ds, reg=cfg.get_float("objective.reg", 0.0))
-    raise ConfigError(f"unknown objective kind {kind!r}")
+        return make_pl(cfg.get("objective.n", 1), shifts=cfg.get("objective.shifts", 0.0))
+    path = cfg.get("objective.dataset", "synthetic")
+    if path == "synthetic":
+        ds = make_synthetic_dataset(
+            cfg.get("objective.dataset_seed", 0),
+            cfg.get("objective.samples", 400),
+            cfg.get("objective.features", 5),
+            cfg.get("objective.classes", 2),
+            separation=cfg.get("objective.separation", 4.0),
+        )
+    else:
+        ds = load_dataset_csv(path)
+    n_agents = cfg.get("objective.agents", 4)
+    if cfg.get("objective.partition", "iid") == "iid":
+        ds.partitions = partition_iid(ds, n_agents, cfg.get("objective.partition_seed", 0))
+    else:
+        ds.partitions = partition_noniid(ds, n_agents)
+    return make_logistic(ds, reg=cfg.get("objective.reg", 0.0))
 
 
 def _build_oracle(cfg):
-    mode = cfg.get("oracle.mode", "additive")
-    if mode == "additive":
-        return StochasticOracle(mode="additive", sigma=cfg.get_float("oracle.sigma", 0.0))
-    if mode == "minibatch":
-        raw = cfg.get("oracle.batch", "full")
-        if raw == "full":
-            # full batch is the exact local gradient
-            return StochasticOracle(mode="additive", sigma=0.0)
-        return StochasticOracle(mode="minibatch", batch=cfg.get_int("oracle.batch"))
-    raise ConfigError(f"unknown oracle mode {mode!r}")
+    if cfg.get("oracle.mode", "additive") == "additive":
+        return StochasticOracle(mode="additive", sigma=cfg.get("oracle.sigma", 0.0))
+    batch = cfg.get("oracle.batch", "full")
+    if batch == "full":
+        # full batch is the exact local gradient
+        return StochasticOracle(mode="additive", sigma=0.0)
+    return StochasticOracle(mode="minibatch", batch=batch)
 
 
 def _build_hyperparams(cfg):
-    omega = "adaptive" if cfg.get("hp.omega") == "adaptive" else cfg.get_float("hp.omega", 0.0)
     return HyperParams(
         option=cfg.get("hp.option", "I"),
-        alpha=cfg.get_float("hp.alpha"),
-        beta=cfg.get_float("hp.beta", 0.0),
-        omega=omega,
-        iters=cfg.get_int("hp.iters", 100),
-        seed=cfg.get_int("hp.seed", 0),
+        alpha=cfg.get("hp.alpha"),
+        beta=cfg.get("hp.beta", 0.0),
+        omega=cfg.get("hp.omega", 0.0),
+        iters=cfg.get("hp.iters", 100),
+        seed=cfg.get("hp.seed", 0),
         schedule=cfg.get("hp.schedule", "constant"),
-        schedule_b=cfg.get_float("hp.B"),
+        schedule_b=cfg.get("hp.B"),
         adaptive_scope=cfg.get("hp.adaptive_scope", "agent"),
     )
 
 
 def build_scenario(cfg):
-    cfg.check_keys()
     try:
         topo = _build_topology(cfg)
-        mixing = metropolis_mixing(topo, laziness=cfg.get_float("topology.laziness", 0.0))
+        mixing = metropolis_mixing(topo, laziness=cfg.get("topology.laziness", 0.0))
         suite = _build_suite(cfg)
         hp = _build_hyperparams(cfg)
         oracle = _build_oracle(cfg)
         oracle.check_fits(suite)
-    except ConfigError:
-        raise
     except (ValueError, OSError) as exc:  # the builders' own checks of config values and files
         raise ConfigError(str(exc)) from exc
     if suite.n != topo.n:
         raise ConfigError(f"objective has {suite.n} agents but topology has {topo.n}")
-    spectral = spectrum(mixing)
     if hp.schedule == "sqrt" and hp.option == "I":
         raise ConfigError(
             "the sqrt(B/k) schedule varies the penalty weight of the option-I "
             "objective every iteration; drive schedule runs through option II"
         )
+    spectral = spectrum(mixing)
     objective = UnifiedObjective(suite, mixing, hp.alpha if hp.option == "I" else None)
     _, f_star = unified_optimum(objective)
     return Scenario(cfg=cfg, spectral=spectral, oracle=oracle, hp=hp, objective=objective, f_star=f_star)
@@ -357,18 +363,13 @@ def pilot_measurements(scenario):
     return grad_bound, sigma
 
 
-def bound_inputs_from_scenario(scenario, grad_bound=None):
+def bound_inputs_from_scenario(scenario):
     """Assemble the bounds-engine inputs, measuring G (and sigma) if needed."""
-    cfg, hp, suite = scenario.cfg, scenario.hp, scenario.objective.suite
-    declared = cfg.get("objective.grad_bound", "auto")
+    hp, suite = scenario.hp, scenario.objective.suite
+    grad_bound = scenario.cfg.get("objective.grad_bound", "auto")
     measured_sigma = None
-    if grad_bound is None:
-        if declared != "auto":
-            grad_bound = cfg.get_float("objective.grad_bound")
-            if grad_bound < 0.0:
-                raise ConfigError(f"objective.grad_bound must be 'auto' or >= 0, got {declared!r}")
-        else:
-            grad_bound, measured_sigma = pilot_measurements(scenario)
+    if grad_bound == "auto":
+        grad_bound, measured_sigma = pilot_measurements(scenario)
     if scenario.oracle.mode == "additive":
         # stacked deviation of N independent per-agent draws
         sigma = scenario.oracle.sigma * np.sqrt(suite.n)
@@ -557,11 +558,11 @@ def _output_dir(args, cfg):
 
 def cmd_run(args):
     cfg = load_config(args.config)
-    scenario = build_scenario(cfg)
-    out_dir = _output_dir(args, cfg)
-    n_seeds = args.seeds if args.seeds is not None else cfg.get_int("output.seeds", 1)
+    n_seeds = args.seeds if args.seeds is not None else cfg.get("output.seeds", 1)
     if n_seeds < 1:
         raise ConfigError(f"the seed count must be >= 1, got {n_seeds}")
+    out_dir = _output_dir(args, cfg)
+    scenario = build_scenario(cfg)
     traces = []
     failed = None
     for seed in range(scenario.hp.seed, scenario.hp.seed + n_seeds):
@@ -585,13 +586,11 @@ def cmd_run(args):
 def cmd_bounds(args):
     """bounds.csv: the bound rows, the engine's inputs and every skipped trajectory."""
     cfg = load_config(args.config)
-    scenario = build_scenario(cfg)
     out_dir = _output_dir(args, cfg)
+    scenario = build_scenario(cfg)
     try:
         bi = bound_inputs_from_scenario(scenario)
         reports, skipped = evaluate_bounds(scenario, bi)
-    except ConfigError:
-        raise
     except ValueError as exc:  # the bounds engine refuses inputs it cannot support
         raise RuntimeFailure(f"no bound exists for these inputs: {exc}") from exc
     metadata = {"config_hash": config_hash(cfg)}
@@ -646,15 +645,13 @@ def _sweep_cell(cfg, overrides):
 
 def cmd_sweep(args):
     cfg = load_config(args.config)
-    cfg.check_keys()
     out_dir = _output_dir(args, cfg)
-    axes = [[v.strip() for v in raw.split(",")] if (raw := cfg.get(f"sweep.{label}")) else [None]
-            for label, _ in SWEEP_AXES]
+    axes = [cfg.get(f"sweep.{label}", [None]) for label, _ in SWEEP_AXES]
     cells = list(itertools.product(*axes)) if any(axis != [None] for axis in axes) else []
     rows = []
     for cell in cells:
         overrides = {key: val for (_, key), val in zip(SWEEP_AXES, cell) if val is not None}
-        labels = [val if val is not None else cfg.get(key, "") for (_, key), val in zip(SWEEP_AXES, cell)]
+        labels = [val if val is not None else cfg.items.get(key, "") for (_, key), val in zip(SWEEP_AXES, cell)]
         try:
             status, *numbers = _sweep_cell(cfg, overrides)
         except ConfigError:
@@ -675,12 +672,9 @@ def cmd_sweep(args):
 def _nonnegative_float(raw):
     """A finite float >= 0: nan and +-inf are refused as for config values."""
     try:
-        value = _parse_float(raw, "the value")
+        return _parse_nonnegative(raw, "the value")
     except ConfigError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {raw}")
-    return value
 
 
 def build_parser():

@@ -93,6 +93,14 @@ class ObjectiveSuite:
     params: dict = field(default_factory=dict)
 
 
+def _per_agent(values, n, what):
+    """One float per agent from a single (broadcast) value or from n values."""
+    values = np.asarray(values, dtype=float).reshape(-1)
+    if values.size not in (1, n):
+        raise ValueError(f"{what} need 1 or {n} values, got {values.size}")
+    return np.broadcast_to(values, (n,)).copy()
+
+
 def make_quadratic(targets, curvatures):
     """Strongly convex suite f_j(x) = (a_j/2) ||x - t_j||^2.
 
@@ -102,7 +110,7 @@ def make_quadratic(targets, curvatures):
     """
     targets = np.atleast_2d(np.asarray(targets, dtype=float))
     n, d = targets.shape
-    a = np.broadcast_to(np.asarray(curvatures, dtype=float), (n,)).copy()
+    a = _per_agent(curvatures, n, "curvatures")
     if (a <= 0).any():
         raise ValueError("curvatures must be positive")
 
@@ -131,7 +139,7 @@ def make_pl(n, shifts=0.0):
     satisfies the gradient-dominance inequality; the declared PL constant is
     estimated on a grid via :func:`estimate_pl_constant`.
     """
-    s = np.broadcast_to(np.asarray(shifts, dtype=float).reshape(-1, 1), (n, 1)).copy()
+    s = _per_agent(shifts, n, "shifts")[:, None]
 
     def evaluate(X):
         z = X - s

@@ -101,12 +101,11 @@ def build_topology(kind, n, parts=None, edges=None):
     n : int
         Agent count (>= 1).
     parts : (p, q), optional
-        Bipartite split; requires p + q = n, p, q >= 1.
+        Bipartite split; requires p + q = n, p, q >= 1.  Defaults to
+        ``(n // 2, n - n // 2)``.
     edges : iterable of (j, l), optional
         Edge list for ``kind="custom"``.
     """
-    if n < 1:
-        raise ValueError(f"agent count must be >= 1, got {n}")
     if kind == "full":
         pairs = [(j, l) for j in range(n) for l in range(j + 1, n)]
     elif kind == "ring":
@@ -115,11 +114,9 @@ def build_topology(kind, n, parts=None, edges=None):
         else:
             pairs = [(j, (j + 1) % n) for j in range(n)]
     elif kind == "bipartite":
-        if parts is None:
-            raise ValueError("bipartite topology needs parts=(p, q)")
-        p, q = parts
+        p, q = parts if parts is not None else (n // 2, n - n // 2)
         if p < 1 or q < 1 or p + q != n:
-            raise ValueError(f"invalid bipartite split {parts} for n={n}")
+            raise ValueError(f"invalid bipartite split {(p, q)} for n={n}")
         pairs = [(j, l) for j in range(p) for l in range(p, n)]
     elif kind == "custom":
         if edges is None:

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dmsgd.harness import KNOWN_KEYS, main, read_bounds_csv
+from dmsgd.harness import CONFIG_KEYS, ConfigError, main, read_bounds_csv
 
 BASES = {
     "quadratic": """\
@@ -63,7 +63,7 @@ hp.seed = 1
 
 SIZE_KEYS = ("hp.iters", "objective.samples")
 # output.dir is overridden by --out; fuzzing it could only write elsewhere
-FUZZ_KEYS = sorted(KNOWN_KEYS - {"output.dir"})
+FUZZ_KEYS = sorted(CONFIG_KEYS.keys() - {"output.dir"})
 
 NUMBERS = st.one_of(st.integers(-3, 40), st.floats()).map(str)
 WORDS = st.sampled_from([
@@ -109,6 +109,48 @@ def test_config_fuzz_keeps_exit_contract(base, command, edit):
             fh.write(with_value(text, *edit))
         code = main([command, "--config", cfg, "--out", os.path.join(work, "out")])
     assert code in (0, 1, 2, 3)
+
+
+# values some parser refuses: a word, a non-finite number, a fraction, a list with a bad entry
+REFUSED_CANDIDATES = ("zz", "nan", "1.5", "0.2,zz")
+
+
+def _refuses(key, value):
+    try:
+        CONFIG_KEYS[key](value, key)
+    except ConfigError:
+        return True
+    return False
+
+
+# every (key, value) pair the key's own parser refuses; paths and directories take any text
+REFUSED = [(key, value) for key in sorted(CONFIG_KEYS) for value in REFUSED_CANDIDATES
+           if _refuses(key, value)]
+
+
+def test_every_key_but_the_paths_refuses_some_value():
+    paths = {"topology.edges", "objective.dataset", "output.dir"}
+    assert {key for key, _ in REFUSED} == CONFIG_KEYS.keys() - paths
+
+
+@pytest.mark.parametrize("key, value", [
+    # each once got a different exit code from run, bounds and sweep
+    ("objective.grad_bound", "abc"), ("output.seeds", "x"), ("sweep.omega", "0.2,zz"),
+] + REFUSED)
+def test_refused_value_gets_one_verdict_from_every_command(tmp_path, capsys, key, value):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(with_value(BASES["quadratic"] + SWEEP_GRID, key, value), encoding="utf-8")
+    out = tmp_path / "out"
+    lines = set()
+    for command in ("run", "bounds", "sweep"):
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: ")
+        lines.add(err[0])
+    (line,) = lines
+    # the line names the key and the refused value, or the first refused entry of a list
+    assert key in line and any(repr(part) in line for part in [value, *value.split(",")])
+    assert not out.exists()  # refused while the config was read, before any output or numerics
 
 
 @pytest.fixture(scope="module")

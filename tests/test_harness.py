@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -8,7 +9,9 @@ import pytest
 
 import dmsgd
 
+from dmsgd import harness
 from dmsgd.harness import (
+    CONFIG_KEYS,
     ConfigError,
     TRACE_HEADER,
     build_scenario,
@@ -80,8 +83,8 @@ def test_parse_rejects_garbage():
 
 
 def test_parse_comments_and_blanks():
-    cfg = parse_config_text("# comment\n\na.b = 1  # trailing\n")
-    assert cfg.items == {"a.b": "1"}
+    cfg = parse_config_text("# comment\n\nhp.beta = 0.5  # trailing\n")
+    assert cfg.items == {"hp.beta": "0.5"}
 
 
 def test_scenario_validation_errors(tmp_path):
@@ -116,6 +119,74 @@ def test_cli_bad_adaptive_scope_named_exit_2(tmp_path, capsys):
     assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("config error:") and "'agnet'" in err[0]
+
+
+def readme_config_keys():
+    """The keys the README's "All keys" block names, with ``a.b / c / d`` expanded to a.c and a.d."""
+    readme = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        block = fh.read().split("All keys:\n\n```\n", 1)[1].split("```", 1)[0]
+    keys = set()
+    for line in block.splitlines():
+        tokens = line.split()
+        for before, token in zip([""] + tokens, tokens):
+            if re.fullmatch(r"[a-z]+\.\w+", token):
+                keys.add(token)
+                section = token.split(".")[0]
+            elif before == "/" and re.fullmatch(r"\w+", token):
+                keys.add(f"{section}.{token}")
+    return keys
+
+
+def test_readme_key_table_names_exactly_the_parsed_keys():
+    keys = readme_config_keys()
+    assert keys - CONFIG_KEYS.keys() == set()  # documented but refused as unknown
+    assert CONFIG_KEYS.keys() - keys == set()  # accepted but undocumented
+
+
+# a ring of 128 spends about a second in the Jacobi spectrum
+RING_128 = (QUAD_CONFIG.replace("topology.kind = full\ntopology.n = 3", "topology.kind = ring\ntopology.n = 128")
+            .replace("objective.targets = 1.8,2.0;2.0,2.2;2.2,1.8",
+                     "objective.targets = " + ";".join(str(j % 7) for j in range(128))))
+
+
+@pytest.fixture
+def spectrum_calls(monkeypatch):
+    calls, spectrum = [], harness.spectrum
+
+    def counted(mixing):
+        calls.append(mixing.n)
+        return spectrum(mixing)
+
+    monkeypatch.setattr(harness, "spectrum", counted)
+    return calls
+
+
+def test_spectrum_call_counter_counts(tmp_path, spectrum_calls):
+    assert main(["run", "--config", write_config(tmp_path, QUAD_CONFIG), "--out", str(tmp_path / "out")]) == 0
+    assert spectrum_calls == [3]
+
+
+@pytest.mark.parametrize("edit, command, args", [
+    (edit, command, []) for edit in ("objective.grad_bound = abc", "output.seeds = x", "sweep.omega = 0.2,zz")
+    for command in ("run", "bounds", "sweep")
+] + [
+    ("", "run", ["--seeds", "0"]),
+    ("", "run", ["--out", "FILE"]),
+    ("", "bounds", ["--out", "FILE"]),
+    ("hp.schedule = sqrt\nhp.B = 1.0", "run", []),
+    ("hp.schedule = sqrt\nhp.B = 1.0", "bounds", []),
+])
+def test_config_errors_end_before_the_spectrum(tmp_path, capsys, spectrum_calls, edit, command, args):
+    key = edit.split(" = ", 1)[0]
+    text = "".join(ln + "\n" for ln in RING_128.splitlines() if not ln.startswith(key + " =")) + edit + "\n"
+    blocker = tmp_path / "file"
+    blocker.write_text("", encoding="utf-8")
+    args = [str(blocker) if a == "FILE" else a for a in args]
+    out = [] if "--out" in args else ["--out", str(tmp_path / "out")]
+    assert main([command, "--config", write_config(tmp_path, text)] + out + args) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert spectrum_calls == []
 
 
 def test_unknown_key_rejected_before_sweep(tmp_path, capsys):
@@ -450,9 +521,11 @@ hp.iters = 10
 
 
 def test_bound_inputs_sigma_stacking(tmp_path):
-    cfg = parse_config_text(QUAD_CONFIG.replace("oracle.sigma = 0.0", "oracle.sigma = 0.5"))
+    cfg = parse_config_text(QUAD_CONFIG.replace("oracle.sigma = 0.0", "oracle.sigma = 0.5")
+                            .replace("objective.grad_bound = auto", "objective.grad_bound = 1.0"))
     scenario = build_scenario(cfg)
-    bi = bound_inputs_from_scenario(scenario, grad_bound=1.0)
+    bi = bound_inputs_from_scenario(scenario)
+    assert bi.grad_bound == 1.0
     assert bi.sigma == pytest.approx(0.5 * np.sqrt(3))
 
 

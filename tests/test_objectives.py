@@ -72,6 +72,13 @@ def test_quadratic_rejects_nonpositive_curvature():
         make_quadratic([[0.0]], [0.0])
 
 
+def test_per_agent_constants_take_one_or_n_values():
+    with pytest.raises(ValueError, match="curvatures need 1 or 3 values, got 2"):
+        make_quadratic([[0.0], [1.0], [2.0]], [1.0, 2.0])
+    with pytest.raises(ValueError, match="shifts need 1 or 3 values, got 2"):
+        make_pl(3, shifts=[0.0, 1.0])
+
+
 def test_quadratic_finite_differences():
     rng = np.random.default_rng(0)
     suite = make_quadratic(rng.normal(size=(3, 4)), [0.5, 1.0, 2.0])

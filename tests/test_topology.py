@@ -43,6 +43,10 @@ def test_bipartite_topology_k22():
     assert t.edges == frozenset({(0, 2), (0, 3), (1, 2), (1, 3)})
 
 
+def test_bipartite_default_split():
+    assert build_topology("bipartite", 5).edges == build_topology("bipartite", 5, parts=(2, 3)).edges
+
+
 def test_ring_small_n():
     assert build_topology("ring", 2).edges == frozenset({(0, 1)})
     assert build_topology("ring", 1).edges == frozenset()
