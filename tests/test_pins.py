@@ -339,11 +339,17 @@ SWEEP_CONFIGS = {
                         + "sweep.topology = full,ring\nsweep.omega = 0.5,adaptive\n"),
     # option I cells solve the penalized stacked optimum, option II cells plain F
     "option_grid": CONFIGS["logistic_iid_ragged"] + "sweep.option = I,II\nsweep.topology = full,ring\n",
+    # problem axes (topology, option) interleaved with run axes (omega, beta, seed) in all five columns;
+    # a ring of 3 is the full graph, so the second topology is bipartite
+    "five_axes": (QUAD.replace("oracle.sigma = 0.0", "oracle.sigma = 0.3")
+                  + "sweep.omega = 0.2,adaptive\nsweep.beta = 0,0.5\nsweep.topology = full,bipartite\n"
+                  + "sweep.option = I,II\nsweep.seed = 0,1\n"),
 }
 
 SWEEP_PINS = {
     "divergent": "1b679d336fffd3edee79eb4b432f75d5168103379fe04dad2e1140e0fe4eb06a",
     "empty": "eca6007657489da40717ae1bfb35a59f05337d0d2b1bfd8dff6401103cabb7d7",
+    "five_axes": "72dea3d744fb0b7300787f3eca8e3a6c0b6bcef872a421c4fcb89e49d64c9bbe",
     "logistic_noniid": "9138967d03ba77a7a85707eccd3638a0c96a1f6e33360f222876f0a0fe5f56b7",
     "omega_only": "e71c4d60fe22ef8a4168598dbc5ea5990792560ae4d59914658353d435b6bc16",
     "option_grid": "7c0fe484b789b8c57aa985e80b4aa6950f3c841176205f4431fc3a6006324acb",
