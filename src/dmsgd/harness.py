@@ -296,37 +296,29 @@ def _build_suite(cfg):
     return make_logistic(ds, reg=cfg.get("objective.reg", 0.0))
 
 
-def _build_oracle(cfg):
-    if cfg.get("oracle.mode", "additive") == "additive":
-        return StochasticOracle(mode="additive", sigma=cfg.get("oracle.sigma", 0.0))
-    batch = cfg.get("oracle.batch", "full")
-    if batch == "full":
-        # full batch is the exact local gradient
-        return StochasticOracle(mode="additive", sigma=0.0)
-    return StochasticOracle(mode="minibatch", batch=batch)
-
-
-def _build_hyperparams(cfg):
-    return HyperParams(
-        option=cfg.get("hp.option", "I"),
-        alpha=cfg.get("hp.alpha"),
-        beta=cfg.get("hp.beta", 0.0),
-        omega=cfg.get("hp.omega", 0.0),
-        iters=cfg.get("hp.iters", 100),
-        seed=cfg.get("hp.seed", 0),
-        schedule=cfg.get("hp.schedule", "constant"),
-        schedule_b=cfg.get("hp.B"),
-        adaptive_scope=cfg.get("hp.adaptive_scope", "agent"),
-    )
-
-
-def build_scenario(cfg):
+def check_scenario(cfg):
+    """The checked ``(mixing, suite, hp, oracle)`` of ``cfg``: every config check, nothing numerical."""
     try:
         topo = _build_topology(cfg)
         mixing = metropolis_mixing(topo, laziness=cfg.get("topology.laziness", 0.0))
         suite = _build_suite(cfg)
-        hp = _build_hyperparams(cfg)
-        oracle = _build_oracle(cfg)
+        hp = HyperParams(
+            option=cfg.get("hp.option", "I"),
+            alpha=cfg.get("hp.alpha"),
+            beta=cfg.get("hp.beta", 0.0),
+            omega=cfg.get("hp.omega", 0.0),
+            iters=cfg.get("hp.iters", 100),
+            seed=cfg.get("hp.seed", 0),
+            schedule=cfg.get("hp.schedule", "constant"),
+            schedule_b=cfg.get("hp.B"),
+            adaptive_scope=cfg.get("hp.adaptive_scope", "agent"),
+        )
+        if cfg.get("oracle.mode", "additive") == "additive":
+            oracle = StochasticOracle(mode="additive", sigma=cfg.get("oracle.sigma", 0.0))
+        elif cfg.get("oracle.batch", "full") == "full":  # a full batch is the exact local gradient
+            oracle = StochasticOracle(mode="additive", sigma=0.0)
+        else:
+            oracle = StochasticOracle(mode="minibatch", batch=cfg.get("oracle.batch"))
         oracle.check_fits(suite)
     except (ValueError, OSError) as exc:  # the builders' own checks of config values and files
         raise ConfigError(str(exc)) from exc
@@ -337,6 +329,12 @@ def build_scenario(cfg):
             "the sqrt(B/k) schedule varies the penalty weight of the option-I "
             "objective every iteration; drive schedule runs through option II"
         )
+    return mixing, suite, hp, oracle
+
+
+def build_scenario(cfg):
+    """``check_scenario``, then the numerics: the spectrum, the stacked objective and its optimum."""
+    mixing, suite, hp, oracle = check_scenario(cfg)
     spectral = spectrum(mixing)
     objective = UnifiedObjective(suite, mixing, hp.alpha if hp.option == "I" else None)
     _, f_star = unified_optimum(objective)
@@ -561,6 +559,7 @@ def cmd_run(args):
     n_seeds = args.seeds if args.seeds is not None else cfg.get("output.seeds", 1)
     if n_seeds < 1:
         raise ConfigError(f"the seed count must be >= 1, got {n_seeds}")
+    check_scenario(cfg)
     out_dir = _output_dir(args, cfg)
     scenario = build_scenario(cfg)
     traces = []
@@ -586,6 +585,7 @@ def cmd_run(args):
 def cmd_bounds(args):
     """bounds.csv: the bound rows, the engine's inputs and every skipped trajectory."""
     cfg = load_config(args.config)
+    check_scenario(cfg)
     out_dir = _output_dir(args, cfg)
     scenario = build_scenario(cfg)
     try:
@@ -629,11 +629,8 @@ def cmd_check(args):
     return 0
 
 
-def _sweep_cell(cfg, overrides):
-    """(status, final_gap, final_consensus, mean_omega) of one run with ``overrides`` applied."""
-    items = dict(cfg.items)
-    items.update(overrides)
-    scenario = build_scenario(RunConfig(items=items))
+def _sweep_cell(scenario):
+    """(status, final_gap, final_consensus, mean_omega) of one run of ``scenario``."""
     trace = run(scenario.objective, scenario.oracle, scenario.hp, scenario.f_star)
     if trace.status != "completed" or len(trace) == 0:
         return "diverged", float("inf"), float("inf"), float("nan")
@@ -644,22 +641,35 @@ def _sweep_cell(cfg, overrides):
 
 
 def cmd_sweep(args):
+    """sweep.csv, one row per cell in grid order; cells that share a topology and option share one build."""
     cfg = load_config(args.config)
-    out_dir = _output_dir(args, cfg)
+    check_scenario(cfg)
     axes = [cfg.get(f"sweep.{label}", [None]) for label, _ in SWEEP_AXES]
     cells = list(itertools.product(*axes)) if any(axis != [None] for axis in axes) else []
-    rows = []
+    rows, problems = [], {}
     for cell in cells:
-        overrides = {key: val for (_, key), val in zip(SWEEP_AXES, cell) if val is not None}
-        labels = [val if val is not None else cfg.items.get(key, "") for (_, key), val in zip(SWEEP_AXES, cell)]
+        items = dict(cfg.items)
+        items.update((key, val) for (_, key), val in zip(SWEEP_AXES, cell) if val is not None)
+        cell_cfg = RunConfig(items=items)
+        _, _, hp, oracle = check_scenario(cell_cfg)
+        rows.append([items.get(key, "") for _, key in SWEEP_AXES])
+        problems.setdefault((items.get("topology.kind"), hp.option), []).append((rows[-1], cell_cfg, hp, oracle))
+    out_dir = _output_dir(args, cfg)
+    for members in problems.values():
         try:
-            status, *numbers = _sweep_cell(cfg, overrides)
-        except ConfigError:
-            raise  # a malformed config ends the sweep; only run failures stay in-row
-        except Exception as exc:
-            log.warning("sweep cell %s failed: %s", overrides, exc)
+            problem = build_scenario(members[0][1])
+        except Exception as exc:  # a failed build fails each of its cells in-row
+            log.warning("sweep problem of cell %s failed: %s", ",".join(members[0][0]), exc)
+            problem = None
+        for row, cell_cfg, hp, oracle in members:
             status, numbers = "error", [float("nan")] * 3
-        rows.append(labels + [status] + [_fmt(x) for x in numbers])
+            if problem is not None:
+                try:
+                    status, *numbers = _sweep_cell(replace(problem, cfg=cell_cfg, hp=hp, oracle=oracle))
+                except Exception as exc:
+                    log.warning("sweep cell %s failed: %s", ",".join(row), exc)
+            row += [status] + [_fmt(x) for x in numbers]
+        del problem  # freed before the next problem is built
     path = os.path.join(out_dir, "sweep.csv")
     _write_csv(path, {"config_hash": config_hash(cfg)}, SWEEP_HEADER, rows)
     log.info("wrote %s (%d cells)", path, len(rows))

@@ -176,6 +176,10 @@ def test_spectrum_call_counter_counts(tmp_path, spectrum_calls):
     ("", "bounds", ["--out", "FILE"]),
     ("hp.schedule = sqrt\nhp.B = 1.0", "run", []),
     ("hp.schedule = sqrt\nhp.B = 1.0", "bounds", []),
+    ("sweep.beta = 0.5,2", "sweep", []),
+] + [
+    # range checks, with no sweep.* key for the sweep
+    (edit, command, []) for edit in ("hp.beta = 2", "oracle.sigma = -1") for command in ("run", "bounds", "sweep")
 ])
 def test_config_errors_end_before_the_spectrum(tmp_path, capsys, spectrum_calls, edit, command, args):
     key = edit.split(" = ", 1)[0]
@@ -185,8 +189,20 @@ def test_config_errors_end_before_the_spectrum(tmp_path, capsys, spectrum_calls,
     args = [str(blocker) if a == "FILE" else a for a in args]
     out = [] if "--out" in args else ["--out", str(tmp_path / "out")]
     assert main([command, "--config", write_config(tmp_path, text)] + out + args) == 2
-    assert capsys.readouterr().err.startswith("config error: ")
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: ")
     assert spectrum_calls == []
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("grid, problems", [
+    ("sweep.topology = full,ring,bipartite\nsweep.omega = 0.2,0.5,adaptive\nsweep.seed = 0,1\n", 3),
+    ("sweep.option = I,II\nsweep.topology = full,ring\n", 4),
+])
+def test_sweep_solves_each_topology_and_option_once(tmp_path, spectrum_calls, grid, problems):
+    cfg_path = write_config(tmp_path, QUAD_CONFIG + grid)
+    assert main(["sweep", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 0
+    assert len(spectrum_calls) == problems
 
 
 def test_unknown_key_rejected_before_sweep(tmp_path, capsys):
