@@ -49,12 +49,9 @@ def agent_total(per_agent):
     """Sum over the leading agent axis, adding agents in order j = 0..n-1.
 
     ``np.sum`` adds eight or more terms pairwise, which moves the last bit of
-    F(x) = sum_j f_j(x_j); a running sum keeps every total reproducible.
+    F(x) = sum_j f_j(x_j); an in-order accumulate from 0.0 keeps it reproducible.
     """
-    total = 0.0
-    for term in per_agent:
-        total = total + term
-    return total
+    return 0.0 + np.add.accumulate(per_agent, axis=0)[-1]
 
 
 def _summed(evaluate, x):

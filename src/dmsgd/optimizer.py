@@ -21,7 +21,6 @@ __all__ = [
     "HyperParams",
     "AgentSwarm",
     "RunTrace",
-    "NonFiniteGradientError",
     "momentum_delta",
     "adaptive_omega",
     "step_size_at",
@@ -31,22 +30,14 @@ __all__ = [
 ]
 
 
-class NonFiniteGradientError(RuntimeError):
-    """A gradient draw came back non-finite; carries agent and iteration."""
-
-    def __init__(self, agent, iteration):
-        super().__init__(f"non-finite gradient for agent {agent} at iteration {iteration}")
-        self.agent = agent
-        self.iteration = iteration
-
-
-@dataclass
+@dataclass(frozen=True)
 class HyperParams:
     """Algorithm inputs: step size (or sqrt schedule), momentum, blend weight.
 
     ``omega`` is a float in [0,1] or the string "adaptive"; adaptive scope
     "agent" uses each agent's own displacement norms, "global" uses the
-    stacked norms (the variant with a compact-form counterpart).
+    stacked norms (the variant with a compact-form counterpart).  Frozen: the
+    ranges checked here hold for its lifetime, and ``replace`` re-checks.
     """
 
     option: str = "I"
@@ -64,12 +55,10 @@ class HyperParams:
             raise ValueError(f"option must be 'I' or 'II', got {self.option!r}")
         if self.schedule not in ("constant", "sqrt"):
             raise ValueError(f"unknown schedule {self.schedule!r}")
-        if self.schedule == "constant":
-            if self.alpha is None or self.alpha <= 0:
-                raise ValueError("constant schedule needs alpha > 0")
-        else:
-            if self.schedule_b is None or self.schedule_b <= 0:
-                raise ValueError("sqrt schedule needs B > 0")
+        if self.schedule == "constant" and (self.alpha is None or self.alpha <= 0):
+            raise ValueError("constant schedule needs alpha > 0")
+        if self.schedule == "sqrt" and (self.schedule_b is None or self.schedule_b <= 0):
+            raise ValueError("sqrt schedule needs B > 0")
         if not (0.0 <= self.beta < 1.0):
             raise ValueError(f"beta must lie in [0,1), got {self.beta}")
         if isinstance(self.omega, str):
@@ -141,16 +130,13 @@ class RunTrace:
 def momentum_delta(omega, x_cur, x_prev, v_cur, v_prev):
     """Blend of parameter and consensus displacements.
 
-    ``omega`` may be a scalar or a per-agent array (adaptive variant);
-    omega = 1 recovers classic momentum, omega = 0 momentum on the
-    consensus variables.
+    ``omega`` is a scalar or per-agent array in [0,1], unchecked here: a fixed
+    one passed ``HyperParams``, an ``adaptive_omega`` ratio lies in [0,1].
+    omega = 1 recovers classic momentum, omega = 0 momentum on consensus.
     """
-    w = np.asarray(omega, dtype=float)
-    if np.any(w < 0) or np.any(w > 1):
-        raise ValueError("omega must lie in [0,1]")
-    if w.ndim == 1:
-        w = w[:, None]
-    return w * (x_cur - x_prev) + (1.0 - w) * (v_cur - v_prev)
+    if np.ndim(omega) == 1:
+        omega = omega[:, None]
+    return omega * (x_cur - x_prev) + (1.0 - omega) * (v_cur - v_prev)
 
 
 def adaptive_omega(x_cur, x_prev, v_cur, v_prev, scope="agent"):
@@ -194,16 +180,14 @@ def step(swarm, mixing, hp, grads):
     """Advance the swarm one iteration using the supplied gradient draws.
 
     ``grads`` must be the N x d matrix of per-agent stochastic gradients
-    evaluated at the current parameters; ``hp.option`` picks the base point.
-    Returns the omega actually used (scalar or per-agent array).  The
-    consensus read v = Pi x happens before any state write, so agents can be
-    thought of as updating in parallel.
+    evaluated at the current parameters, finite (``run`` checks each draw);
+    ``hp.option`` picks the base point.  Returns the omega actually used
+    (scalar or per-agent array).  The consensus read v = Pi x happens before
+    any state write, so agents can be thought of as updating in parallel.
     """
     grads = np.asarray(grads, dtype=float)
     if grads.shape != swarm.x_cur.shape:
         raise ValueError(f"gradient shape {grads.shape} != state shape {swarm.x_cur.shape}")
-    if not np.isfinite(grads).all():
-        raise NonFiniteGradientError(_first_nonfinite_row(grads), swarm.k)
     v_cur = mixing.entries @ swarm.x_cur
     omega = hp.omega
     if omega == "adaptive":
@@ -267,12 +251,11 @@ def run(objective, oracle, hp, f_star):
                     x_k, exact, values, metric_grad_sq))
                 break
             grad_sq_sum += gsq
-            try:
-                draws = stochastic_grad(suite, oracle, x_k, exact, rngs)
-                omega = step(swarm, mixing, hp, draws)
-            except NonFiniteGradientError as exc:
-                abort = dict(aborted_at=k, abort_reason="nonfinite_grad", abort_agent=exc.agent)
+            draws = stochastic_grad(suite, oracle, x_k, exact, rngs)
+            if not np.isfinite(draws).all():
+                abort = dict(aborted_at=k, abort_reason="nonfinite_grad", abort_agent=_first_nonfinite_row(draws))
                 break
+            omega = step(swarm, mixing, hp, draws)
             step_norm = float(np.linalg.norm(swarm.x_cur - swarm.x_prev))
             if not (np.isfinite(swarm.x_cur).all() and np.isfinite(step_norm)):
                 abort = dict(aborted_at=k, abort_reason="nonfinite_step", abort_agent=_first_nonfinite_row(

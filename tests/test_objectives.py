@@ -45,6 +45,32 @@ def test_agent_total_adds_in_agent_order():
     assert np.array_equal(agent_total(rows), sum(list(rows)))
 
 
+def running_total(per_agent):
+    total = 0.0
+    for term in per_agent:
+        total = total + term
+    return total
+
+
+def extreme_values(rng, shape):
+    """Signed magnitudes from 1e-300 to 1e300, with signed zeros and infinities mixed in."""
+    vals = rng.choice([-1.0, 1.0], size=shape) * 10.0 ** rng.uniform(-300, 300, size=shape)
+    special = rng.choice([0.0, -0.0, np.inf, -np.inf], size=shape)
+    return np.where(rng.random(shape) < 0.02, special, vals)
+
+
+@pytest.mark.parametrize("width", [None, 10, 2001])
+def test_agent_total_matches_the_running_sum_bit_for_bit(width):
+    rng = np.random.default_rng(width or 0)
+    sizes = range(1, 1001) if width is None else [1, 2, 3, 7, 8, 9, 16, 17, 64, 129, 1000]
+    with np.errstate(invalid="ignore", over="ignore"):
+        for n in sizes:
+            shape = (n,) if width is None else (n, width)
+            for per_agent in (extreme_values(rng, shape), np.full(shape, -0.0)):
+                fast, slow = agent_total(per_agent), running_total(per_agent)
+                assert type(fast) is type(slow) and np.asarray(fast).tobytes() == np.asarray(slow).tobytes()
+
+
 # ---------------------------------------------------------------- quadratic
 
 

@@ -1,13 +1,14 @@
+import dataclasses
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dmsgd.objectives import StochasticOracle, UnifiedObjective, make_quadratic, unified_optimum
+from dmsgd import optimizer
+from dmsgd.objectives import StochasticOracle, UnifiedObjective, make_quadratic, stochastic_grad, unified_optimum
 from dmsgd.optimizer import (
     AgentSwarm,
     HyperParams,
-    NonFiniteGradientError,
     adaptive_omega,
     agent_rngs,
     momentum_delta,
@@ -146,17 +147,6 @@ def test_beta_zero_step_ignores_omega():
         assert np.array_equal(swarm.x_cur, s2.x_cur)
 
 
-def test_non_finite_gradient_diagnostic():
-    objective, _, hp, _ = quad_setup()
-    mix = objective.mixing
-    swarm = AgentSwarm.zeros(mix, 2, 1)
-    bad = np.array([[0.0], [np.nan]])
-    with pytest.raises(NonFiniteGradientError) as err:
-        step(swarm, mix, hp, bad)
-    assert err.value.agent == 1
-    assert err.value.iteration == 1
-
-
 # ------------------------------------------------------------------- runs
 
 
@@ -289,6 +279,24 @@ def test_run_records_abort_reason_and_agent():
     assert len(trace) == 0
 
 
+def test_run_aborts_at_the_first_nonfinite_draw(monkeypatch):
+    # agent 1's third draw is the run's first non-finite one; agent 0's stays finite
+    calls = []
+
+    def draw(*args):
+        draws = stochastic_grad(*args).copy()
+        calls.append(len(calls) + 1)
+        if calls[-1] == 3:
+            draws[1, 0] = np.inf
+        return draws
+
+    monkeypatch.setattr(optimizer, "stochastic_grad", draw)
+    trace = run(*quad_setup(sigma=0.1))
+    assert (trace.abort_reason, trace.abort_agent, trace.aborted_at) == ("nonfinite_grad", 1, 3)
+    assert len(trace) == 2 and trace.swarm.k == 3  # the bad draw never reached the state
+    assert np.isfinite(trace.swarm.x_cur).all()
+
+
 def test_completed_run_has_no_abort_reason():
     trace = run(*quad_setup())
     assert trace.status == "completed"
@@ -328,3 +336,14 @@ def test_hyperparams_validation():
         HyperParams(schedule="sqrt", schedule_b=None)
     with pytest.raises(ValueError):
         HyperParams(iters=-1)
+
+
+def test_hyperparams_are_frozen():
+    hp = HyperParams(beta=0.5)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        hp.beta = 2.0
+    assert hp.beta == 0.5
+    # a changed copy goes through the same checks
+    assert dataclasses.replace(hp, beta=0.9).beta == 0.9
+    with pytest.raises(ValueError):
+        dataclasses.replace(hp, beta=2.0)
