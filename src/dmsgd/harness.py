@@ -264,22 +264,36 @@ class Scenario:
         return self.spectral.lambda_min_effective(0.0 if self.hp.omega == "adaptive" else self.omega_bound)
 
 
+def _checked(keys, build, *args, **kwargs):
+    """``build(*args, **kwargs)``; its ValueError or OSError is a config error naming the ``keys`` it read."""
+    try:
+        return build(*args, **kwargs)
+    except (ValueError, OSError) as exc:  # the builders' own checks of config values and files
+        raise ConfigError(f"{keys}: {exc}") from exc
+
+
 def _build_topology(cfg):
     kind = cfg.require("topology.kind")
     if kind == "custom":
-        return load_edge_list(cfg.require("topology.edges"))
-    return build_topology(kind, cfg.require("topology.n"), parts=cfg.get("topology.parts"))
+        return _checked("topology.edges", load_edge_list, cfg.require("topology.edges"))
+    return _checked("topology.kind, topology.n, topology.parts", build_topology, kind, cfg.require("topology.n"),
+                    parts=cfg.get("topology.parts"))
 
 
-def _build_suite(cfg):
+def _build_suite(cfg, n_agents):
+    """The configured suite; a pl or logistic suite has ``n_agents`` agents unless its own key says otherwise."""
     kind = cfg.require("objective.kind")
     if kind == "quadratic":
-        return make_quadratic(cfg.require("objective.targets"), cfg.get("objective.curvatures", 1.0))
+        return _checked("objective.targets, objective.curvatures", make_quadratic,
+                        cfg.require("objective.targets"), cfg.get("objective.curvatures", 1.0))
     if kind == "pl":
-        return make_pl(cfg.get("objective.n", 1), shifts=cfg.get("objective.shifts", 0.0))
+        return _checked("objective.n, objective.shifts", make_pl, cfg.get("objective.n", n_agents),
+                        shifts=cfg.get("objective.shifts", 0.0))
     path = cfg.get("objective.dataset", "synthetic")
     if path == "synthetic":
-        ds = make_synthetic_dataset(
+        ds = _checked(
+            "objective.dataset_seed, objective.samples, objective.features, objective.classes, objective.separation",
+            make_synthetic_dataset,
             cfg.get("objective.dataset_seed", 0),
             cfg.get("objective.samples", 400),
             cfg.get("objective.features", 5),
@@ -287,46 +301,49 @@ def _build_suite(cfg):
             separation=cfg.get("objective.separation", 4.0),
         )
     else:
-        ds = load_dataset_csv(path)
-    n_agents = cfg.get("objective.agents", 4)
+        ds = _checked("objective.dataset", load_dataset_csv, path)
+    n_agents = cfg.get("objective.agents", n_agents)
     if cfg.get("objective.partition", "iid") == "iid":
-        ds.partitions = partition_iid(ds, n_agents, cfg.get("objective.partition_seed", 0))
+        ds.partitions = _checked("objective.agents, objective.partition_seed", partition_iid, ds, n_agents,
+                                 cfg.get("objective.partition_seed", 0))
     else:
-        ds.partitions = partition_noniid(ds, n_agents)
-    return make_logistic(ds, reg=cfg.get("objective.reg", 0.0))
+        ds.partitions = _checked("objective.agents", partition_noniid, ds, n_agents)
+    return _checked("objective.reg", make_logistic, ds, reg=cfg.get("objective.reg", 0.0))
+
+
+# the HyperParams field each hp key sets on its own; hp.schedule, hp.alpha and hp.B are checked together
+HP_FIELDS = {"hp.option": "option", "hp.beta": "beta", "hp.omega": "omega", "hp.adaptive_scope": "adaptive_scope",
+             "hp.iters": "iters", "hp.seed": "seed"}
+
+
+def _hyper_params(cfg):
+    """The step size first, then each set hp key as a checked ``replace``, so a refusal names its key."""
+    hp = _checked("hp.schedule, hp.alpha, hp.B", HyperParams, schedule=cfg.get("hp.schedule", "constant"),
+                  alpha=cfg.get("hp.alpha"), schedule_b=cfg.get("hp.B"))
+    for key, field in HP_FIELDS.items():
+        if key in cfg.values:
+            hp = _checked(key, replace, hp, **{field: cfg.get(key)})
+    return hp
 
 
 def check_scenario(cfg):
     """The checked ``(mixing, suite, hp, oracle)`` of ``cfg``: every config check, nothing numerical."""
-    try:
-        topo = _build_topology(cfg)
-        mixing = metropolis_mixing(topo, laziness=cfg.get("topology.laziness", 0.0))
-        suite = _build_suite(cfg)
-        hp = HyperParams(
-            option=cfg.get("hp.option", "I"),
-            alpha=cfg.get("hp.alpha"),
-            beta=cfg.get("hp.beta", 0.0),
-            omega=cfg.get("hp.omega", 0.0),
-            iters=cfg.get("hp.iters", 100),
-            seed=cfg.get("hp.seed", 0),
-            schedule=cfg.get("hp.schedule", "constant"),
-            schedule_b=cfg.get("hp.B"),
-            adaptive_scope=cfg.get("hp.adaptive_scope", "agent"),
-        )
-        if cfg.get("oracle.mode", "additive") == "additive":
-            oracle = StochasticOracle(mode="additive", sigma=cfg.get("oracle.sigma", 0.0))
-        elif cfg.get("oracle.batch", "full") == "full":  # a full batch is the exact local gradient
-            oracle = StochasticOracle(mode="additive", sigma=0.0)
-        else:
-            oracle = StochasticOracle(mode="minibatch", batch=cfg.get("oracle.batch"))
-        oracle.check_fits(suite)
-    except (ValueError, OSError) as exc:  # the builders' own checks of config values and files
-        raise ConfigError(str(exc)) from exc
+    topo = _build_topology(cfg)
+    mixing = _checked("topology.laziness", metropolis_mixing, topo, laziness=cfg.get("topology.laziness", 0.0))
+    suite = _build_suite(cfg, topo.n)
+    hp = _hyper_params(cfg)
+    if cfg.get("oracle.mode", "additive") == "additive":
+        oracle = _checked("oracle.sigma", StochasticOracle, mode="additive", sigma=cfg.get("oracle.sigma", 0.0))
+    elif cfg.get("oracle.batch", "full") == "full":  # a full batch is the exact local gradient
+        oracle = StochasticOracle(mode="additive", sigma=0.0)
+    else:
+        oracle = _checked("oracle.batch", StochasticOracle, mode="minibatch", batch=cfg.get("oracle.batch"))
+    _checked("oracle.batch", oracle.check_fits, suite)
     if suite.n != topo.n:
         raise ConfigError(f"objective has {suite.n} agents but topology has {topo.n}")
     if hp.schedule == "sqrt" and hp.option == "I":
         raise ConfigError(
-            "the sqrt(B/k) schedule varies the penalty weight of the option-I "
+            "hp.schedule, hp.option: the sqrt(B/k) schedule varies the penalty weight of the option-I "
             "objective every iteration; drive schedule runs through option II"
         )
     return mixing, suite, hp, oracle

@@ -133,13 +133,10 @@ def test_every_key_but_the_paths_refuses_some_value():
     assert {key for key, _ in REFUSED} == CONFIG_KEYS.keys() - paths
 
 
-@pytest.mark.parametrize("key, value", [
-    # each once got a different exit code from run, bounds and sweep
-    ("objective.grad_bound", "abc"), ("output.seeds", "x"), ("sweep.omega", "0.2,zz"),
-] + REFUSED)
-def test_refused_value_gets_one_verdict_from_every_command(tmp_path, capsys, key, value):
+def one_verdict(tmp_path, capsys, text):
+    """The one exit-2 line that run, bounds and sweep each print for config ``text``."""
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(with_value(BASES["quadratic"] + SWEEP_GRID, key, value), encoding="utf-8")
+    cfg.write_text(text, encoding="utf-8")
     out = tmp_path / "out"
     lines = set()
     for command in ("run", "bounds", "sweep"):
@@ -147,10 +144,37 @@ def test_refused_value_gets_one_verdict_from_every_command(tmp_path, capsys, key
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("config error: ")
         lines.add(err[0])
+    assert not out.exists()  # refused before any output or numerics
     (line,) = lines
+    return line
+
+
+@pytest.mark.parametrize("key, value", [
+    # each once got a different exit code from run, bounds and sweep
+    ("objective.grad_bound", "abc"), ("output.seeds", "x"), ("sweep.omega", "0.2,zz"),
+] + REFUSED)
+def test_refused_value_gets_one_verdict_from_every_command(tmp_path, capsys, key, value):
+    line = one_verdict(tmp_path, capsys, with_value(BASES["quadratic"] + SWEEP_GRID, key, value))
     # the line names the key and the refused value, or the first refused entry of a list
     assert key in line and any(repr(part) in line for part in [value, *value.split(",")])
-    assert not out.exists()  # refused while the config was read, before any output or numerics
+
+
+# values every parser takes that a range or cross-key check of the scenario refuses
+RANGE_REFUSED = [("quadratic", key, value) for key, value in (
+    ("topology.n", "0"), ("topology.laziness", "1"), ("objective.curvatures", "1;2"),
+    ("objective.curvatures", "-1"), ("oracle.sigma", "-1"), ("hp.alpha", "0"), ("hp.schedule", "sqrt"),
+    ("hp.beta", "2"), ("hp.omega", "1.5"), ("hp.iters", "-1"), ("hp.seed", "-1"),
+)] + [("logistic", key, value) for key, value in (
+    ("objective.dataset", "no-such-file.csv"), ("objective.dataset_seed", "-1"), ("objective.samples", "0"),
+    ("objective.agents", "50"), ("objective.partition_seed", "-1"), ("objective.reg", "-1"),
+    ("oracle.batch", "0"), ("oracle.batch", "100"),
+)]
+
+
+@pytest.mark.parametrize("base, key, value", RANGE_REFUSED)
+def test_refused_range_names_its_key(tmp_path, capsys, base, key, value):
+    line = one_verdict(tmp_path, capsys, with_value(BASES[base] + SWEEP_GRID, key, value))
+    assert key in line
 
 
 @pytest.fixture(scope="module")

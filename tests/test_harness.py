@@ -98,6 +98,41 @@ def test_scenario_validation_errors(tmp_path):
         build_scenario(parse_config_text(sched))
 
 
+AGENTLESS = {
+    "logistic": """\
+topology.kind = ring
+topology.n = 6
+objective.kind = logistic
+objective.samples = 60
+objective.features = 3
+objective.reg = 0.1
+oracle.mode = minibatch
+oracle.batch = 5
+hp.alpha = 0.1
+hp.iters = 5
+""",
+    "pl": """\
+topology.kind = ring
+topology.n = 5
+topology.laziness = 0.3
+objective.kind = pl
+objective.shifts = -0.6;-0.2;0.1;0.3;0.8
+hp.alpha = 0.05
+hp.iters = 5
+""",
+}
+
+
+@pytest.mark.parametrize("kind, agents_key, n", [("logistic", "objective.agents", 6), ("pl", "objective.n", 5)])
+def test_agent_count_defaults_to_the_topology(tmp_path, kind, agents_key, n):
+    text = AGENTLESS[kind]
+    assert build_scenario(parse_config_text(text)).objective.suite.n == n
+    assert main(["run", "--config", write_config(tmp_path, text), "--out", str(tmp_path / "out")]) == 0
+    # a set key that disagrees with the topology is still refused (pl: by its five shifts)
+    with pytest.raises(ConfigError, match=f"agents but topology has {n}|{agents_key}, objective.shifts"):
+        build_scenario(parse_config_text(text + f"{agents_key} = 4\n"))
+
+
 @pytest.mark.parametrize("old,new", [
     ("hp.omega = 0.5", "hp.omega = abc"),
     ("objective.curvatures = 1", "objective.curvatures = x"),
