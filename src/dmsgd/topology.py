@@ -7,9 +7,9 @@ and eta = lambda_min of the blended matrix wI + (1-w)Pi when positive.
 This module builds the graphs, turns them into symmetric doubly stochastic
 matrices via Metropolis weights (plus an optional lazy blend toward the
 identity), and extracts the spectrum with a cyclic Jacobi eigensolver.  The
-solver is bit-identical to ``verify.reference_jacobi_eigenvalues`` and costs
-about 4 ms at n = 16, 0.10 s at n = 64 and 0.64 s at n = 128 (lazy rings,
-2-core x86 VM), which makes it most of a scenario build at large n.
+solver is bit-identical to ``verify.reference_jacobi_eigenvalues``, 1.5 to
+2.5 times faster, and most of a scenario build at large n; the benchmark
+reports its time as ``topology.spectrum_s``.
 """
 
 from __future__ import annotations
@@ -243,10 +243,9 @@ def jacobi_eigenvalues(matrix, tol=1e-12, max_sweeps=100):
     lazy ring of 128, and the four-call path makes its solve about 15%
     faster).  No matmul or BLAS rotation is used,
     because a fused multiply-add or another summation order would move the
-    last bits.  Every sweep still makes O(n^2) Python-level rotations:
-    rings of 16, 64 and 128 agents at laziness 0.3 take about 4 ms, 0.10 s
-    and 0.64 s on a 2-core x86 VM, against 10 ms, 0.24 s and 1.29 s for the
-    reference.
+    last bits.  Every sweep still makes O(n^2) Python-level rotations; on
+    rings of 16 to 128 agents at laziness 0.3 the solve takes 1/2.5 to 1/1.5
+    of the reference's time (``topology.spectrum_s`` in the benchmark).
     """
     a = np.array(matrix, dtype=float)
     n = a.shape[0]
