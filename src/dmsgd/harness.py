@@ -291,15 +291,10 @@ def _build_suite(cfg, n_agents):
                         shifts=cfg.get("objective.shifts", 0.0))
     path = cfg.get("objective.dataset", "synthetic")
     if path == "synthetic":
-        ds = _checked(
-            "objective.dataset_seed, objective.samples, objective.features, objective.classes, objective.separation",
-            make_synthetic_dataset,
-            cfg.get("objective.dataset_seed", 0),
-            cfg.get("objective.samples", 400),
-            cfg.get("objective.features", 5),
-            cfg.get("objective.classes", 2),
-            separation=cfg.get("objective.separation", 4.0),
-        )
+        ds = _checked("objective.dataset_seed, objective.samples, objective.features, objective.classes, "
+                      "objective.separation", make_synthetic_dataset, cfg.get("objective.dataset_seed", 0),
+                      cfg.get("objective.samples", 400), cfg.get("objective.features", 5),
+                      cfg.get("objective.classes", 2), separation=cfg.get("objective.separation", 4.0))
     else:
         ds = _checked("objective.dataset", load_dataset_csv, path)
     n_agents = cfg.get("objective.agents", n_agents)
@@ -317,13 +312,17 @@ HP_FIELDS = {"hp.option": "option", "hp.beta": "beta", "hp.omega": "omega", "hp.
 
 
 def _hyper_params(cfg):
-    """The step size first, then each set hp key as a checked ``replace``, so a refusal names its key."""
-    hp = _checked("hp.schedule, hp.alpha, hp.B", HyperParams, schedule=cfg.get("hp.schedule", "constant"),
-                  alpha=cfg.get("hp.alpha"), schedule_b=cfg.get("hp.B"))
-    for key, field in HP_FIELDS.items():
-        if key in cfg.values:
-            hp = _checked(key, replace, hp, **{field: cfg.get(key)})
-    return hp
+    """HyperParams of the hp keys; a refused build is replayed key by key, step size first, to name the key."""
+    steps = [("hp.schedule, hp.alpha, hp.B", {"schedule": cfg.get("hp.schedule", "constant"),
+                                              "alpha": cfg.get("hp.alpha"), "schedule_b": cfg.get("hp.B")})]
+    steps += [(key, {field: cfg.get(key)}) for key, field in HP_FIELDS.items() if key in cfg.values]
+    try:
+        return HyperParams(**{name: value for _, fields in steps for name, value in fields.items()})
+    except ValueError:  # the replay's first refused replace names its keys
+        hp = HyperParams()
+        for keys, fields in steps:
+            hp = _checked(keys, replace, hp, **fields)
+        return hp
 
 
 def check_scenario(cfg):
