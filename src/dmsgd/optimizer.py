@@ -130,9 +130,10 @@ class RunTrace:
 def momentum_delta(omega, x_cur, x_prev, v_cur, v_prev):
     """Blend of parameter and consensus displacements.
 
-    ``omega`` is a scalar or per-agent array in [0,1], unchecked here: a fixed
-    one passed ``HyperParams``, an ``adaptive_omega`` ratio lies in [0,1].
-    omega = 1 recovers classic momentum, omega = 0 momentum on consensus.
+    ``omega``, a scalar or per-agent array, must lie in [0,1]; it is not
+    checked here, since ``HyperParams`` checks a fixed one and
+    ``adaptive_omega`` returns ratios.  omega = 1 recovers classic momentum,
+    omega = 0 momentum on the consensus variables.
     """
     if np.ndim(omega) == 1:
         omega = omega[:, None]

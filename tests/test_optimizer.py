@@ -284,9 +284,9 @@ def test_run_aborts_at_the_first_nonfinite_draw(monkeypatch):
     calls = []
 
     def draw(*args):
+        calls.append(args)
         draws = stochastic_grad(*args).copy()
-        calls.append(len(calls) + 1)
-        if calls[-1] == 3:
+        if len(calls) == 3:
             draws[1, 0] = np.inf
         return draws
 
