@@ -283,11 +283,14 @@ def _build_topology(cfg):
 def _build_suite(cfg, n_agents):
     """The configured suite; a pl or logistic suite has ``n_agents`` agents unless its own key says otherwise."""
     kind = cfg.require("objective.kind")
+    own_key = "objective.n" if kind == "pl" else "objective.agents"
+    count_key = own_key if own_key in cfg.values else (
+        "topology.edges" if cfg.require("topology.kind") == "custom" else "topology.n")
     if kind == "quadratic":
         return _checked("objective.targets, objective.curvatures", make_quadratic,
                         cfg.require("objective.targets"), cfg.get("objective.curvatures", 1.0))
     if kind == "pl":
-        return _checked("objective.n, objective.shifts", make_pl, cfg.get("objective.n", n_agents),
+        return _checked(f"{count_key}, objective.shifts", make_pl, cfg.get("objective.n", n_agents),
                         shifts=cfg.get("objective.shifts", 0.0))
     path = cfg.get("objective.dataset", "synthetic")
     if path == "synthetic":
@@ -299,30 +302,11 @@ def _build_suite(cfg, n_agents):
         ds = _checked("objective.dataset", load_dataset_csv, path)
     n_agents = cfg.get("objective.agents", n_agents)
     if cfg.get("objective.partition", "iid") == "iid":
-        ds.partitions = _checked("objective.agents, objective.partition_seed", partition_iid, ds, n_agents,
+        ds.partitions = _checked(f"{count_key}, objective.partition_seed", partition_iid, ds, n_agents,
                                  cfg.get("objective.partition_seed", 0))
     else:
-        ds.partitions = _checked("objective.agents", partition_noniid, ds, n_agents)
+        ds.partitions = _checked(count_key, partition_noniid, ds, n_agents)
     return _checked("objective.reg", make_logistic, ds, reg=cfg.get("objective.reg", 0.0))
-
-
-# the HyperParams field each hp key sets on its own; hp.schedule, hp.alpha and hp.B are checked together
-HP_FIELDS = {"hp.option": "option", "hp.beta": "beta", "hp.omega": "omega", "hp.adaptive_scope": "adaptive_scope",
-             "hp.iters": "iters", "hp.seed": "seed"}
-
-
-def _hyper_params(cfg):
-    """HyperParams of the hp keys; a refused build is replayed key by key, step size first, to name the key."""
-    steps = [("hp.schedule, hp.alpha, hp.B", {"schedule": cfg.get("hp.schedule", "constant"),
-                                              "alpha": cfg.get("hp.alpha"), "schedule_b": cfg.get("hp.B")})]
-    steps += [(key, {field: cfg.get(key)}) for key, field in HP_FIELDS.items() if key in cfg.values]
-    try:
-        return HyperParams(**{name: value for _, fields in steps for name, value in fields.items()})
-    except ValueError:  # the replay's first refused replace names its keys
-        hp = HyperParams()
-        for keys, fields in steps:
-            hp = _checked(keys, replace, hp, **fields)
-        return hp
 
 
 def check_scenario(cfg):
@@ -330,7 +314,11 @@ def check_scenario(cfg):
     topo = _build_topology(cfg)
     mixing = _checked("topology.laziness", metropolis_mixing, topo, laziness=cfg.get("topology.laziness", 0.0))
     suite = _build_suite(cfg, topo.n)
-    hp = _hyper_params(cfg)
+    hp = _checked("hp.option, hp.schedule, hp.alpha, hp.B, hp.beta, hp.omega, hp.adaptive_scope, hp.iters, hp.seed",
+                  HyperParams, option=cfg.get("hp.option", "I"), alpha=cfg.get("hp.alpha"),
+                  beta=cfg.get("hp.beta", 0.0), omega=cfg.get("hp.omega", 0.0), iters=cfg.get("hp.iters", 100),
+                  seed=cfg.get("hp.seed", 0), schedule=cfg.get("hp.schedule", "constant"),
+                  schedule_b=cfg.get("hp.B"), adaptive_scope=cfg.get("hp.adaptive_scope", "agent"))
     if cfg.get("oracle.mode", "additive") == "additive":
         oracle = _checked("oracle.sigma", StochasticOracle, mode="additive", sigma=cfg.get("oracle.sigma", 0.0))
     elif cfg.get("oracle.batch", "full") == "full":  # a full batch is the exact local gradient

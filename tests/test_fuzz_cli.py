@@ -177,6 +177,13 @@ def test_refused_range_names_its_key(tmp_path, capsys, base, key, value):
     assert key in line
 
 
+def test_defaulted_agent_count_names_topology_n(tmp_path, capsys):
+    """Without objective.agents the logistic agent count is topology.n's, so its refusal names topology.n."""
+    text = with_value(BASES["logistic"], "topology.n", "50").replace("objective.agents = 3\n", "")
+    line = one_verdict(tmp_path, capsys, text)
+    assert "topology.n" in line and "objective.agents" not in line
+
+
 @pytest.fixture(scope="module")
 def csv_texts(tmp_path_factory):
     work = tmp_path_factory.mktemp("check_fuzz")
