@@ -122,12 +122,33 @@ def consensus_bound(bi):
     return float(num / den)
 
 
+def _fades(bl, k):
+    """Tight factors (1 - (bL)^k, (1 - (bL)^{k+1})^2) at iteration k; (1, 1) when k is None."""
+    return (1.0, 1.0) if k is None else (1.0 - bl**k, (1.0 - bl ** (k + 1)) ** 2)
+
+
+def _residual(bi, fade, fade_next):
+    """R's three terms, the second scaled by ``fade`` and the third by ``fade_next``."""
+    return (
+        bi.alpha * bi.grad_bound * bi.sigma
+        + bi.alpha * bi.grad_bound * np.sqrt(bi.second_moment) * fade / (1.0 - bi.bl)
+        + bi.smooth * fade_next * bi.alpha**2 * bi.second_moment / (2.0 * (1.0 - bi.bl) ** 2)
+    )
+
+
+def _geometric(bi, theta, asymptote, k_max):
+    """asymptote + (1 - theta)^(k-1) (gap1 - asymptote) for k = 1..k_max, gap1 exactly at k = 1."""
+    vals = asymptote + (1.0 - theta) ** np.arange(k_max) * (bi.gap1 - asymptote)
+    vals[0] = bi.gap1  # exact telescoping base case
+    return vals
+
+
 @_finite
 def displacement_bound(bi, k=None):
     """Expected squared step length bound; k-dependent tight form or loose.
 
     Loose: a^2 (G^2+s^2)/(1-bL)^2.  Tight at iteration k (0-based count of
-    completed updates, a scalar or an array): multiply by (1-(bL)^{k+1})^2.
+    completed updates, a scalar or an array): multiply by ``_fades``'s (1-(bL)^{k+1})^2.
     """
     loose = bi.alpha**2 * bi.second_moment / (1.0 - bi.bl) ** 2
     if k is None:
@@ -135,28 +156,22 @@ def displacement_bound(bi, k=None):
     k = np.asarray(k)
     if (k < 0).any():
         raise ValueError("k must be >= 0")
-    return loose * (1.0 - bi.bl ** (k + 1)) ** 2
+    return loose * _fades(bi.bl, k)[1]
 
 
 @_finite
 def r_constant(bi):
-    """Residual constant R = aGs + aG sqrt(G^2+s^2)/(1-bL) + L a^2 (G^2+s^2)/(2(1-bL)^2)."""
-    bl = bi.bl
-    return float(
-        bi.alpha * bi.grad_bound * bi.sigma
-        + bi.alpha * bi.grad_bound * np.sqrt(bi.second_moment) / (1.0 - bl)
-        + bi.smooth * bi.alpha**2 * bi.second_moment / (2.0 * (1.0 - bl) ** 2)
-    )
+    """Residual constant R = aGs + aG sqrt(G^2+s^2)/(1-bL) + L a^2 (G^2+s^2)/(2(1-bL)^2): ``_residual``."""
+    return float(_residual(bi, 1.0, 1.0))
 
 
 @_finite
 def strongly_convex_trajectory(bi, k_max, tight=False):
     """Gap bound trajectory for k = 1..k_max under strong convexity.
 
-    Closed form: asymptote R L/(2 a mu^2) plus geometric decay of the
-    initial gap at factor (1 - 2 a mu^2 / L); requires a <= L/(2 mu^2).
-    The tight variant iterates the one-step recursion with k-dependent
-    residual terms instead of the constant R.
+    Closed form (``_geometric``): asymptote R L/(2 a mu^2) plus geometric decay of
+    the initial gap at factor (1 - 2 a mu^2 / L); requires a <= L/(2 mu^2).  The tight
+    variant iterates the one-step recursion with ``_residual(bi, *_fades(bL, k))`` for R.
     """
     if bi.strong_mu is None or bi.strong_mu <= 0:
         raise ValueError("strongly convex trajectory needs strong_mu > 0")
@@ -166,24 +181,12 @@ def strongly_convex_trajectory(bi, k_max, tight=False):
     theta = 2.0 * bi.alpha * mu**2 / l
     if not (0.0 < theta <= 1.0):
         raise ValueError(f"alpha outside the admissible range (0, L/(2 mu^2)]: contraction {theta}")
-    ks = np.arange(1, k_max + 1)
     if not tight:
-        asymptote = r_constant(bi) * l / (2.0 * bi.alpha * mu**2)
-        vals = asymptote + (1.0 - theta) ** (ks - 1) * (bi.gap1 - asymptote)
-        vals[0] = bi.gap1  # exact telescoping base case
-        return vals
-    bl = bi.bl
+        return _geometric(bi, theta, r_constant(bi) * l / (2.0 * bi.alpha * mu**2), k_max)
     vals = np.empty(k_max)
-    vals[0] = bi.gap1
-    gap = bi.gap1
+    vals[0] = gap = bi.gap1
     for k in range(1, k_max):
-        residual = (
-            bi.alpha * bi.grad_bound * bi.sigma
-            + bi.alpha * bi.grad_bound * np.sqrt(bi.second_moment) * (1.0 - bl**k) / (1.0 - bl)
-            + bi.smooth * (1.0 - bl ** (k + 1)) ** 2 * bi.alpha**2 * bi.second_moment / (2.0 * (1.0 - bl) ** 2)
-        )
-        gap = (1.0 - theta) * gap + residual
-        vals[k] = gap
+        vals[k] = gap = (1.0 - theta) * gap + _residual(bi, *_fades(bi.bl, k))
     return vals
 
 
@@ -192,8 +195,8 @@ def pl_trajectory(bi, k_max, residual_power=2):
     """Gap bound trajectory under gradient dominance, as printed.
 
     Asymptote R/(2 a mu_hat^p) with p = 2 as printed (p = 1 exposes the
-    dimensionally consistent variant), contraction factor (1 - 2 a mu_hat);
-    requires a <= 1/(2 mu_hat).
+    dimensionally consistent variant), contraction factor (1 - 2 a mu_hat),
+    as ``_geometric``; requires a <= 1/(2 mu_hat).
     """
     if bi.pl_mu is None or bi.pl_mu <= 0:
         raise ValueError("PL trajectory needs pl_mu > 0")
@@ -205,11 +208,7 @@ def pl_trajectory(bi, k_max, residual_power=2):
     theta = 2.0 * bi.alpha * mu
     if not (0.0 < theta <= 1.0):
         raise ValueError(f"alpha outside the admissible range (0, 1/(2 mu_hat)]: contraction {theta}")
-    asymptote = r_constant(bi) / (2.0 * bi.alpha * mu**residual_power)
-    ks = np.arange(1, k_max + 1)
-    vals = asymptote + (1.0 - theta) ** (ks - 1) * (bi.gap1 - asymptote)
-    vals[0] = bi.gap1
-    return vals
+    return _geometric(bi, theta, r_constant(bi) / (2.0 * bi.alpha * mu**residual_power), k_max)
 
 
 @_finite
@@ -320,22 +319,15 @@ def descent_slack(bi, k=None):
 
     Everything on the right-hand side of the one-step descent inequality
     except the -(a/2) E||grad||^2 term.  k (0-based, as in the displacement
-    bound) selects the tight variant.
+    bound) selects the tight variant, scaled by ``_fades``; the loose one has unit factors.
     """
-    bl = bi.bl
-    p = bi.second_moment
-    if k is None:
-        return float(
-            (bi.smooth * bi.alpha**2 - bi.alpha) * p / (2.0 * (1.0 - bl) ** 2)
-            + bi.alpha * bi.sigma**2 / 2.0
-            + bi.alpha * bi.sigma * np.sqrt(p) * bl / (1.0 - bl)
-            + bi.alpha * bl**2 * p / (2.0 * (1.0 - bl) ** 2)
-        )
-    if k < 0:
+    if k is not None and k < 0:
         raise ValueError("k must be >= 0")
+    bl, p = bi.bl, bi.second_moment
+    fade, fade_next = _fades(bl, k)
     return float(
-        (bi.smooth * bi.alpha**2 - bi.alpha) / 2.0 * (1.0 - bl ** (k + 1)) ** 2 / (1.0 - bl) ** 2 * p
+        (bi.smooth * bi.alpha**2 - bi.alpha) * fade_next * p / (2.0 * (1.0 - bl) ** 2)
         + bi.alpha * bi.sigma**2 / 2.0
-        + bi.alpha * bi.sigma * np.sqrt(p) * bl * (1.0 - bl**k) / (1.0 - bl)
-        + bi.alpha * bl**2 * (1.0 - bl**k) ** 2 * p / (2.0 * (1.0 - bl) ** 2)
+        + bi.alpha * bi.sigma * np.sqrt(p) * bl * fade / (1.0 - bl)
+        + bi.alpha * bl**2 * fade**2 * p / (2.0 * (1.0 - bl) ** 2)
     )

@@ -319,3 +319,106 @@ def test_option_symmetry_by_renaming():
         strongly_convex_trajectory(second, 50),
     )
     assert displacement_bound(first, 7) == displacement_bound(second, 7)
+
+
+# ------------------------------------------- each formula stated once, same bits
+# The references below are the engine's earlier inline expressions, kept here
+# so the shared residual, tight factors, geometric trajectory and descent slack
+# are checked against them bit for bit.
+
+
+def inline_r(bi):
+    bl = bi.bl
+    return float(
+        bi.alpha * bi.grad_bound * bi.sigma
+        + bi.alpha * bi.grad_bound * np.sqrt(bi.second_moment) / (1.0 - bl)
+        + bi.smooth * bi.alpha**2 * bi.second_moment / (2.0 * (1.0 - bl) ** 2)
+    )
+
+
+def inline_geometric(bi, theta, asymptote, k_max):
+    ks = np.arange(1, k_max + 1)
+    vals = asymptote + (1.0 - theta) ** (ks - 1) * (bi.gap1 - asymptote)
+    vals[0] = bi.gap1
+    return vals
+
+
+def inline_tight_trajectory(bi, theta, k_max):
+    bl = bi.bl
+    vals = np.empty(k_max)
+    vals[0] = bi.gap1
+    gap = bi.gap1
+    for k in range(1, k_max):
+        residual = (
+            bi.alpha * bi.grad_bound * bi.sigma
+            + bi.alpha * bi.grad_bound * np.sqrt(bi.second_moment) * (1.0 - bl**k) / (1.0 - bl)
+            + bi.smooth * (1.0 - bl ** (k + 1)) ** 2 * bi.alpha**2 * bi.second_moment / (2.0 * (1.0 - bl) ** 2)
+        )
+        gap = (1.0 - theta) * gap + residual
+        vals[k] = gap
+    return vals
+
+
+def inline_slack(bi, k=None):
+    bl, p = bi.bl, bi.second_moment
+    if k is None:
+        return float(
+            (bi.smooth * bi.alpha**2 - bi.alpha) * p / (2.0 * (1.0 - bl) ** 2)
+            + bi.alpha * bi.sigma**2 / 2.0
+            + bi.alpha * bi.sigma * np.sqrt(p) * bl / (1.0 - bl)
+            + bi.alpha * bl**2 * p / (2.0 * (1.0 - bl) ** 2)
+        )
+    return float(
+        (bi.smooth * bi.alpha**2 - bi.alpha) / 2.0 * (1.0 - bl ** (k + 1)) ** 2 / (1.0 - bl) ** 2 * p
+        + bi.alpha * bi.sigma**2 / 2.0
+        + bi.alpha * bi.sigma * np.sqrt(p) * bl * (1.0 - bl**k) / (1.0 - bl)
+        + bi.alpha * bl**2 * (1.0 - bl**k) ** 2 * p / (2.0 * (1.0 - bl) ** 2)
+    )
+
+
+def seeded_inputs(count, seed=12):
+    """Random admissible inputs, with zero-noise and zero-momentum corners mixed in."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        alpha = float(10.0 ** rng.uniform(-4, 0))
+        smooth = float(10.0 ** rng.uniform(-1, 2))
+        yield BoundInputs(
+            alpha=alpha,
+            beta=0.0 if i % 7 == 0 else float(rng.uniform(0, 0.99)),
+            lam=float(rng.uniform(-0.5, 1.0)),
+            grad_bound=float(10.0 ** rng.uniform(-2, 2)),
+            sigma=0.0 if i % 5 == 0 else float(10.0 ** rng.uniform(-3, 1)),
+            smooth=smooth,
+            strong_mu=float(np.sqrt(smooth * rng.uniform(0.01, 1.0) / (2.0 * alpha))),
+            pl_mu=float(rng.uniform(0.01, 1.0) / (2.0 * alpha)),
+            gap1=float(10.0 ** rng.uniform(-2, 3)),
+        )
+
+
+def same_bits(a, b):
+    return type(a) is type(b) and np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+def test_shared_formulas_keep_the_inline_bits():
+    k_max, ks = 40, np.arange(40)
+    for bi in seeded_inputs(400):
+        assert same_bits(r_constant(bi), inline_r(bi))
+        loose_disp = bi.alpha**2 * bi.second_moment / (1.0 - bi.bl) ** 2
+        assert same_bits(displacement_bound(bi), float(loose_disp))
+        assert same_bits(displacement_bound(bi, ks), loose_disp * (1.0 - bi.bl ** (ks + 1)) ** 2)
+        for k in (0, 1, 5, 39):
+            assert same_bits(displacement_bound(bi, k), loose_disp * (1.0 - bi.bl ** (np.asarray(k) + 1)) ** 2)
+        mu, l = bi.strong_mu, bi.smooth
+        theta = 2.0 * bi.alpha * mu**2 / l
+        asymptote = inline_r(bi) * l / (2.0 * bi.alpha * mu**2)
+        assert same_bits(strongly_convex_trajectory(bi, k_max), inline_geometric(bi, theta, asymptote, k_max))
+        assert same_bits(strongly_convex_trajectory(bi, k_max, tight=True), inline_tight_trajectory(bi, theta, k_max))
+        for power in (1, 2):
+            asymptote = inline_r(bi) / (2.0 * bi.alpha * bi.pl_mu**power)
+            assert same_bits(
+                pl_trajectory(bi, k_max, residual_power=power),
+                inline_geometric(bi, 2.0 * bi.alpha * bi.pl_mu, asymptote, k_max),
+            )
+        assert same_bits(descent_slack(bi), inline_slack(bi))
+        for k in (0, 1, 5, 39):
+            assert descent_slack(bi, k) == pytest.approx(inline_slack(bi, k), rel=1e-14)
