@@ -281,17 +281,20 @@ def _build_topology(cfg):
 
 
 def _build_suite(cfg, n_agents):
-    """The configured suite; a pl or logistic suite has ``n_agents`` agents unless its own key says otherwise."""
+    """The configured suite over the topology's ``n_agents`` agents; a key that counts otherwise is refused."""
     kind = cfg.require("objective.kind")
-    own_key = "objective.n" if kind == "pl" else "objective.agents"
-    count_key = own_key if own_key in cfg.values else (
-        "topology.edges" if cfg.require("topology.kind") == "custom" else "topology.n")
+    topo_key = "topology.edges" if cfg.require("topology.kind") == "custom" else "topology.n"
     if kind == "quadratic":
+        targets = cfg.require("objective.targets")
+        if len(targets) != n_agents:
+            raise ConfigError(f"objective.targets has {len(targets)} rows but {topo_key} gives {n_agents} agents")
         return _checked("objective.targets, objective.curvatures", make_quadratic,
-                        cfg.require("objective.targets"), cfg.get("objective.curvatures", 1.0))
+                        targets, cfg.get("objective.curvatures", 1.0))
+    own_key = "objective.n" if kind == "pl" else "objective.agents"
+    if cfg.get(own_key, n_agents) != n_agents:
+        raise ConfigError(f"{own_key} = {cfg.get(own_key)} but {topo_key} gives {n_agents} agents")
     if kind == "pl":
-        return _checked(f"{count_key}, objective.shifts", make_pl, cfg.get("objective.n", n_agents),
-                        shifts=cfg.get("objective.shifts", 0.0))
+        return _checked(f"{topo_key}, objective.shifts", make_pl, n_agents, shifts=cfg.get("objective.shifts", 0.0))
     path = cfg.get("objective.dataset", "synthetic")
     if path == "synthetic":
         ds = _checked("objective.dataset_seed, objective.samples, objective.features, objective.classes, "
@@ -300,12 +303,11 @@ def _build_suite(cfg, n_agents):
                       cfg.get("objective.classes", 2), separation=cfg.get("objective.separation", 4.0))
     else:
         ds = _checked("objective.dataset", load_dataset_csv, path)
-    n_agents = cfg.get("objective.agents", n_agents)
     if cfg.get("objective.partition", "iid") == "iid":
-        ds.partitions = _checked(f"{count_key}, objective.partition_seed", partition_iid, ds, n_agents,
+        ds.partitions = _checked(f"{topo_key}, objective.partition_seed", partition_iid, ds, n_agents,
                                  cfg.get("objective.partition_seed", 0))
     else:
-        ds.partitions = _checked(count_key, partition_noniid, ds, n_agents)
+        ds.partitions = _checked(topo_key, partition_noniid, ds, n_agents)
     return _checked("objective.reg", make_logistic, ds, reg=cfg.get("objective.reg", 0.0))
 
 
@@ -326,8 +328,6 @@ def check_scenario(cfg):
     else:
         oracle = _checked("oracle.batch", StochasticOracle, mode="minibatch", batch=cfg.get("oracle.batch"))
     _checked("oracle.batch", oracle.check_fits, suite)
-    if suite.n != topo.n:
-        raise ConfigError(f"objective has {suite.n} agents but topology has {topo.n}")
     if hp.schedule == "sqrt" and hp.option == "I":
         raise ConfigError(
             "hp.schedule, hp.option: the sqrt(B/k) schedule varies the penalty weight of the option-I "
@@ -636,11 +636,13 @@ def cmd_check(args):
 def _sweep_cell(scenario):
     """(status, final_gap, final_consensus, mean_omega) of one run of ``scenario``."""
     trace = run(scenario.objective, scenario.oracle, scenario.hp, scenario.f_star)
-    if trace.status != "completed" or len(trace) == 0:
+    if trace.status != "completed":
         return "diverged", float("inf"), float("inf"), float("nan")
     suite = scenario.objective.suite
     xbar = trace.swarm.x_cur.mean(axis=0)
     final_gap = agent_total(suite.evaluate(xbar)[0]) - common_optimum(suite)
+    if len(trace) == 0:  # hp.iters = 0: no row holds a consensus error or an omega
+        return "completed", final_gap, float("nan"), float("nan")
     return "completed", final_gap, float(trace.consensus_err_max[-1]), float(trace.omega_used.mean())
 
 

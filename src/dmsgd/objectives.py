@@ -380,6 +380,8 @@ class UnifiedObjective:
         if self.alpha is not None and self.alpha <= 0:
             raise ValueError("alpha must be positive")
         self._lap = np.eye(self.mixing.n) - self.mixing.entries
+        if self.suite.n != self.mixing.n:
+            raise ValueError(f"the suite has {self.suite.n} agents but the mixing matrix has {self.mixing.n}")
 
     def _check(self, states):
         states = np.asarray(states, dtype=float)

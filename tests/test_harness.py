@@ -128,9 +128,21 @@ def test_agent_count_defaults_to_the_topology(tmp_path, kind, agents_key, n):
     text = AGENTLESS[kind]
     assert build_scenario(parse_config_text(text)).objective.suite.n == n
     assert main(["run", "--config", write_config(tmp_path, text), "--out", str(tmp_path / "out")]) == 0
-    # a set key that disagrees with the topology is still refused (pl: by its five shifts)
-    with pytest.raises(ConfigError, match=f"agents but topology has {n}|{agents_key}, objective.shifts"):
+    # a set key that disagrees with the topology is refused first, naming both keys
+    with pytest.raises(ConfigError, match=f"^{agents_key} = 4 but topology.n gives {n} agents$"):
         build_scenario(parse_config_text(text + f"{agents_key} = 4\n"))
+
+
+def test_target_rows_must_match_the_topology(tmp_path):
+    two_rows = QUAD_CONFIG.replace("1.8,2.0;2.0,2.2;2.2,1.8", "1.8,2.0;2.0,2.2")
+    with pytest.raises(ConfigError, match="^objective.targets has 2 rows but topology.n gives 3 agents$"):
+        build_scenario(parse_config_text(two_rows))
+    edges = tmp_path / "graph.txt"
+    edges.write_text("4\n0 1\n1 2\n2 3\n", encoding="utf-8")
+    custom = QUAD_CONFIG.replace("topology.kind = full\ntopology.n = 3\n",
+                                 f"topology.kind = custom\ntopology.edges = {edges}\n")
+    with pytest.raises(ConfigError, match="^objective.targets has 3 rows but topology.edges gives 4 agents$"):
+        build_scenario(parse_config_text(custom))
 
 
 @pytest.mark.parametrize("old,new", [
@@ -813,6 +825,19 @@ def test_cli_sweep_divergent_cell_recorded(tmp_path):
         parts = row.split(",")
         assert parts[5] == "diverged"
         assert parts[6] == "inf"
+
+
+def test_cli_sweep_zero_iteration_cells_complete(tmp_path):
+    # a run of no iterations completes at the all-zeros start: its gap is the
+    # initial one, and no row holds a consensus error or an omega
+    cfg = QUAD_CONFIG.replace("hp.iters = 40", "hp.iters = 0") + "sweep.seed = 0,1\n"
+    out = str(tmp_path / "out")
+    assert main(["sweep", "--config", write_config(tmp_path, cfg), "--out", out]) == 0
+    rows = [ln for ln in open(os.path.join(out, "sweep.csv"), encoding="utf-8").read().splitlines()
+            if ln and not ln.startswith("#")][1:]
+    suite = build_scenario(parse_config_text(cfg)).objective.suite
+    gap0 = agent_total(suite.evaluate(np.zeros(suite.d))[0]) - suite.f_star
+    assert [row.split(",")[5:] for row in rows] == [["completed", repr(float(gap0)), "nan", "nan"]] * 2
 
 
 # ----------------------------------------------------- interface coverage

@@ -506,6 +506,12 @@ def test_unified_consensus_point_penalty_free():
     assert np.allclose(u.grad(point), suite.evaluate(point)[1], atol=1e-12)
 
 
+@pytest.mark.parametrize("alpha", [0.1, None])
+def test_unified_refuses_mismatched_agent_counts(alpha):
+    with pytest.raises(ValueError, match="suite has 4 agents but the mixing matrix has 5"):
+        UnifiedObjective(make_quadratic(np.zeros((4, 2)), 1.0), metropolis_mixing(build_topology("ring", 5)), alpha)
+
+
 def test_unified_hand_computed_penalty():
     # n=2, Pi = J/2, alpha = 0.5, x = (0, 2), F = 0:
     # x^T (I - J/2) x = 2, penalty = 2/(2*0.5) = 2
