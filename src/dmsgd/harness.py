@@ -336,12 +336,17 @@ def check_scenario(cfg):
     return mixing, suite, hp, oracle
 
 
+def _stacked_problem(mixing, suite, hp):
+    """The stacked objective of ``suite`` over ``mixing`` under ``hp.option``, and its minimum."""
+    objective = UnifiedObjective(suite, mixing, hp.alpha if hp.option == "I" else None)
+    return objective, unified_optimum(objective)[1]
+
+
 def build_scenario(cfg):
     """``check_scenario``, then the numerics: the spectrum, the stacked objective and its optimum."""
     mixing, suite, hp, oracle = check_scenario(cfg)
     spectral = spectrum(mixing)
-    objective = UnifiedObjective(suite, mixing, hp.alpha if hp.option == "I" else None)
-    _, f_star = unified_optimum(objective)
+    objective, f_star = _stacked_problem(mixing, suite, hp)
     return Scenario(cfg=cfg, spectral=spectral, oracle=oracle, hp=hp, objective=objective, f_star=f_star)
 
 
@@ -633,12 +638,12 @@ def cmd_check(args):
     return 0
 
 
-def _sweep_cell(scenario):
-    """(status, final_gap, final_consensus, mean_omega) of one run of ``scenario``."""
-    trace = run(scenario.objective, scenario.oracle, scenario.hp, scenario.f_star)
+def _sweep_cell(objective, f_star, hp, oracle):
+    """(status, final_gap, final_consensus, mean_omega) of one run on ``objective``."""
+    trace = run(objective, oracle, hp, f_star)
     if trace.status != "completed":
         return "diverged", float("inf"), float("inf"), float("nan")
-    suite = scenario.objective.suite
+    suite = objective.suite
     xbar = trace.swarm.x_cur.mean(axis=0)
     final_gap = agent_total(suite.evaluate(xbar)[0]) - common_optimum(suite)
     if len(trace) == 0:  # hp.iters = 0: no row holds a consensus error or an omega
@@ -647,7 +652,8 @@ def _sweep_cell(scenario):
 
 
 def cmd_sweep(args):
-    """sweep.csv, one row per cell in grid order; cells that share a topology and option share one build."""
+    """sweep.csv, one row per cell in grid order; each cell is checked once, and cells that share a topology
+    and option share one problem, the stacked objective and optimum of the first one's mixing and suite."""
     cfg = load_config(args.config)
     check_scenario(cfg)
     axes = [cfg.get(f"sweep.{label}", [None]) for label, _ in SWEEP_AXES]
@@ -656,26 +662,26 @@ def cmd_sweep(args):
     for cell in cells:
         items = dict(cfg.items)
         items.update((key, val) for (_, key), val in zip(SWEEP_AXES, cell) if val is not None)
-        cell_cfg = RunConfig(items=items)
-        _, _, hp, oracle = check_scenario(cell_cfg)
+        mixing, suite, hp, oracle = check_scenario(RunConfig(items=items))
         rows.append([items.get(key, "") for _, key in SWEEP_AXES])
-        problems.setdefault((items.get("topology.kind"), hp.option), []).append((rows[-1], cell_cfg, hp, oracle))
+        _, _, members = problems.setdefault((items.get("topology.kind"), hp.option), (mixing, suite, []))
+        members.append((rows[-1], hp, oracle))
     out_dir = _output_dir(args, cfg)
-    for members in problems.values():
+    for mixing, suite, members in problems.values():
         try:
-            problem = build_scenario(members[0][1])
+            objective, f_star = _stacked_problem(mixing, suite, members[0][1])
         except Exception as exc:  # a failed build fails each of its cells in-row
             log.warning("sweep problem of cell %s failed: %s", ",".join(members[0][0]), exc)
-            problem = None
-        for row, cell_cfg, hp, oracle in members:
+            objective = None
+        for row, hp, oracle in members:
             status, numbers = "error", [float("nan")] * 3
-            if problem is not None:
+            if objective is not None:
                 try:
-                    status, *numbers = _sweep_cell(replace(problem, cfg=cell_cfg, hp=hp, oracle=oracle))
+                    status, *numbers = _sweep_cell(objective, f_star, hp, oracle)
                 except Exception as exc:
                     log.warning("sweep cell %s failed: %s", ",".join(row), exc)
             row += [status] + [_fmt(x) for x in numbers]
-        del problem  # freed before the next problem is built
+        del objective  # freed before the next problem is built
     path = os.path.join(out_dir, "sweep.csv")
     _write_csv(path, {"config_hash": config_hash(cfg)}, SWEEP_HEADER, rows)
     log.info("wrote %s (%d cells)", path, len(rows))
@@ -750,6 +756,9 @@ def main(argv=None):
         return 1
     except FloatingPointError as exc:
         print(f"error: numerical failure ({exc})", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # an input that asks for more memory than the machine has
+        print(f"error: out of memory ({str(exc) or 'allocation failed'})", file=sys.stderr)
         return 1
 
 

@@ -229,6 +229,8 @@ def load_dataset_csv(path):
         header = fh.readline().strip().split(",")
         if header[-1] != "label":
             raise ValueError("dataset CSV must end with a 'label' column")
+        if len(header) == 1:
+            raise ValueError("dataset CSV has no feature column before 'label'")
         feats, labs = [], []
         for line in fh:
             parts = line.strip().split(",")

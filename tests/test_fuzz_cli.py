@@ -184,6 +184,13 @@ def test_defaulted_agent_count_names_topology_n(tmp_path, capsys):
     assert "topology.n" in line and "objective.agents" not in line
 
 
+def test_dataset_without_feature_columns_is_refused(tmp_path, capsys):
+    data = tmp_path / "labels.csv"
+    data.write_text("label\n0\n1\n1\n", encoding="utf-8")
+    line = one_verdict(tmp_path, capsys, with_value(BASES["logistic"] + SWEEP_GRID, "objective.dataset", data))
+    assert line.startswith("config error: objective.dataset: ") and "feature column" in line
+
+
 @pytest.fixture(scope="module")
 def csv_texts(tmp_path_factory):
     work = tmp_path_factory.mktemp("check_fuzz")

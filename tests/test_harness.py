@@ -209,6 +209,18 @@ def spectrum_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def optimum_calls(monkeypatch):
+    calls, unified_optimum = [], harness.unified_optimum
+
+    def counted(objective):
+        calls.append(objective.suite.n)
+        return unified_optimum(objective)
+
+    monkeypatch.setattr(harness, "unified_optimum", counted)
+    return calls
+
+
 def test_spectrum_call_counter_counts(tmp_path, spectrum_calls):
     assert main(["run", "--config", write_config(tmp_path, QUAD_CONFIG), "--out", str(tmp_path / "out")]) == 0
     assert spectrum_calls == [3]
@@ -228,7 +240,8 @@ def test_spectrum_call_counter_counts(tmp_path, spectrum_calls):
     # range checks, with no sweep.* key for the sweep
     (edit, command, []) for edit in ("hp.beta = 2", "oracle.sigma = -1") for command in ("run", "bounds", "sweep")
 ])
-def test_config_errors_end_before_the_spectrum(tmp_path, capsys, spectrum_calls, edit, command, args):
+def test_config_errors_end_before_the_spectrum(tmp_path, capsys, spectrum_calls, optimum_calls, edit, command,
+                                               args):
     key = edit.split(" = ", 1)[0]
     text = "".join(ln + "\n" for ln in RING_128.splitlines() if not ln.startswith(key + " =")) + edit + "\n"
     blocker = tmp_path / "file"
@@ -238,7 +251,7 @@ def test_config_errors_end_before_the_spectrum(tmp_path, capsys, spectrum_calls,
     assert main([command, "--config", write_config(tmp_path, text)] + out + args) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("config error: ")
-    assert spectrum_calls == []
+    assert spectrum_calls == [] and optimum_calls == []
     assert not (tmp_path / "out").exists()
 
 
@@ -246,10 +259,11 @@ def test_config_errors_end_before_the_spectrum(tmp_path, capsys, spectrum_calls,
     ("sweep.topology = full,ring,bipartite\nsweep.omega = 0.2,0.5,adaptive\nsweep.seed = 0,1\n", 3),
     ("sweep.option = I,II\nsweep.topology = full,ring\n", 4),
 ])
-def test_sweep_solves_each_topology_and_option_once(tmp_path, spectrum_calls, grid, problems):
+def test_sweep_solves_each_topology_and_option_once(tmp_path, spectrum_calls, optimum_calls, grid, problems):
     cfg_path = write_config(tmp_path, QUAD_CONFIG + grid)
     assert main(["sweep", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 0
-    assert len(spectrum_calls) == problems
+    assert len(optimum_calls) == problems
+    assert spectrum_calls == []  # no sweep column reads the spectrum
 
 
 def test_unknown_key_rejected_before_sweep(tmp_path, capsys):
@@ -766,6 +780,21 @@ def test_cli_unwritable_output_file_exit_1(tmp_path, capsys, command, name):
     assert main([command, "--config", cfg_path, "--out", str(out)]) == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: cannot write {out / name}")
+
+
+@pytest.mark.parametrize("command, name, exc, detail", [
+    # where a huge hp.iters (np.arange of every k) and a huge topology.n first run out of memory
+    ("bounds", "evaluate_bounds", MemoryError("Unable to allocate 745. GiB"), "Unable to allocate 745. GiB"),
+    ("run", "metropolis_mixing", MemoryError(), "allocation failed"),
+])
+def test_cli_out_of_memory_exit_1(tmp_path, capsys, monkeypatch, command, name, exc, detail):
+    def exhausted(*args, **kwargs):  # stands in for the allocation, which the test never makes
+        raise exc
+
+    monkeypatch.setattr(harness, name, exhausted)
+    cfg_path = write_config(tmp_path, QUAD_CONFIG)
+    assert main([command, "--config", cfg_path, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.strip().splitlines() == [f"error: out of memory ({detail})"]
 
 
 def test_cli_emit_bounds_is_an_unknown_key(tmp_path, capsys):
