@@ -1,7 +1,8 @@
-"""Configuration, CSV trace/bound files, experiment sweeps, and the CLI.
+"""Configuration, input files, CSV trace/bound files, experiment sweeps, and the CLI.
 
 Configs are flat ``section.key = value`` text files (``#`` starts a
-comment).  A run writes one trace CSV per seed plus an averaged trace;
+comment).  Every file the package reads is read here: configs, dataset CSVs,
+edge lists, traces and bounds.  A run writes one trace CSV per seed plus an averaged trace;
 ``bounds`` evaluates every bound applicable to the configured objective
 class; ``check`` verifies a trace against a bounds file; ``sweep`` runs a
 small grid and emits a summary CSV.  Exit codes: 0 ok, 1 runtime error,
@@ -18,16 +19,17 @@ import math
 import os
 import sys
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
 from . import bounds as bounds_mod
 from .objectives import (
+    Dataset,
     StochasticOracle,
     UnifiedObjective,
     agent_total,
     common_optimum,
-    load_dataset_csv,
     make_logistic,
     make_pl,
     make_quadratic,
@@ -37,7 +39,7 @@ from .objectives import (
     unified_optimum,
 )
 from .optimizer import HyperParams, RunTrace, run
-from .topology import build_topology, lambda_cap, load_edge_list, metropolis_mixing, spectrum
+from .topology import build_topology, lambda_cap, metropolis_mixing, spectrum
 from .verify import check_bound_domination
 
 log = logging.getLogger("dmsgd")
@@ -72,7 +74,7 @@ class ConfigError(ValueError):
 
 
 class InputFileError(ValueError):
-    """Unreadable or malformed trace/bounds CSV (CLI exit code 2)."""
+    """Unreadable or malformed input file (CLI exit code 2)."""
 
 
 class RuntimeFailure(RuntimeError):
@@ -218,7 +220,7 @@ def load_config(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return parse_config_text(fh.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
 
 
@@ -265,10 +267,10 @@ class Scenario:
 
 
 def _checked(keys, build, *args, **kwargs):
-    """``build(*args, **kwargs)``; its ValueError or OSError is a config error naming the ``keys`` it read."""
+    """``build(*args, **kwargs)``; its ValueError is a config error naming the ``keys`` it read."""
     try:
         return build(*args, **kwargs)
-    except (ValueError, OSError) as exc:  # the builders' own checks of config values and files
+    except ValueError as exc:  # the builders' own checks of config values, and the input file errors
         raise ConfigError(f"{keys}: {exc}") from exc
 
 
@@ -312,27 +314,28 @@ def _build_suite(cfg, n_agents):
 
 
 def check_scenario(cfg):
-    """The checked ``(mixing, suite, hp, oracle)`` of ``cfg``: every config check, nothing numerical."""
+    """The checked ``(mixing, suite, hp, oracle)`` of ``cfg``: the graph, ``hp`` and the oracle, then the suite,
+    whose build is the check's one numerical step (a PL suite solves its optimum and its PL constant)."""
     topo = _build_topology(cfg)
     mixing = _checked("topology.laziness", metropolis_mixing, topo, laziness=cfg.get("topology.laziness", 0.0))
-    suite = _build_suite(cfg, topo.n)
     hp = _checked("hp.option, hp.schedule, hp.alpha, hp.B, hp.beta, hp.omega, hp.adaptive_scope, hp.iters, hp.seed",
                   HyperParams, option=cfg.get("hp.option", "I"), alpha=cfg.get("hp.alpha"),
                   beta=cfg.get("hp.beta", 0.0), omega=cfg.get("hp.omega", 0.0), iters=cfg.get("hp.iters", 100),
                   seed=cfg.get("hp.seed", 0), schedule=cfg.get("hp.schedule", "constant"),
                   schedule_b=cfg.get("hp.B"), adaptive_scope=cfg.get("hp.adaptive_scope", "agent"))
+    if hp.schedule == "sqrt" and hp.option == "I":
+        raise ConfigError(
+            "hp.schedule, hp.option: the sqrt(B/k) schedule varies the penalty weight of the option-I "
+            "objective every iteration; drive schedule runs through option II"
+        )
     if cfg.get("oracle.mode", "additive") == "additive":
         oracle = _checked("oracle.sigma", StochasticOracle, mode="additive", sigma=cfg.get("oracle.sigma", 0.0))
     elif cfg.get("oracle.batch", "full") == "full":  # a full batch is the exact local gradient
         oracle = StochasticOracle(mode="additive", sigma=0.0)
     else:
         oracle = _checked("oracle.batch", StochasticOracle, mode="minibatch", batch=cfg.get("oracle.batch"))
+    suite = _build_suite(cfg, topo.n)
     _checked("oracle.batch", oracle.check_fits, suite)
-    if hp.schedule == "sqrt" and hp.option == "I":
-        raise ConfigError(
-            "hp.schedule, hp.option: the sqrt(B/k) schedule varies the penalty weight of the option-I "
-            "objective every iteration; drive schedule runs through option II"
-        )
     return mixing, suite, hp, oracle
 
 
@@ -476,43 +479,79 @@ def write_trace_csv(path, trace, metadata):
                ([str(int(trace.k[i]))] + [_fmt(c[i]) for c in columns] for i in range(len(trace))))
 
 
-def read_csv_with_metadata(path):
-    """(metadata, header, rows); every data row must be as wide as the header."""
-    meta, rows = {}, []
+def _numbered_lines(path):
+    """``(line number, line)`` of each non-blank line of a UTF-8 text file, stripped of surrounding whitespace;
+    LF, CRLF and CR end a line alike."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            header = None
             for lineno, raw in enumerate(fh, start=1):
-                line = raw.rstrip("\n")
-                if not line:
-                    continue
-                if line.startswith("#"):
-                    key, _, value = line[1:].strip().partition("=")
-                    meta[key.strip()] = value.strip()
-                    continue
-                if header is None:
-                    header = line.split(",")
-                    continue
-                row = line.split(",")
-                if len(row) != len(header):
-                    raise InputFileError(
-                        f"{path} line {lineno}: {len(row)} fields, header has {len(header)} "
-                        "(truncated file?)"
-                    )
-                rows.append(row)
+                if line := raw.strip():
+                    yield lineno, line
     except (OSError, UnicodeDecodeError) as exc:
         raise InputFileError(f"cannot read {path}: {exc}") from exc
+
+
+def read_csv_with_metadata(path):
+    """(metadata, header, rows): ``# key=value`` lines, the first other line, then ``(line number, fields)`` of
+    each line after it; every row must be as wide as the header."""
+    meta, header, rows = {}, None, []
+    for lineno, line in _numbered_lines(path):
+        if line.startswith("#"):
+            key, _, value = line[1:].partition("=")
+            meta[key.strip()] = value.strip()
+            continue
+        fields = line.split(",")
+        if header is None:
+            header = fields
+        elif len(fields) != len(header):
+            raise InputFileError(f"{path} line {lineno}: {len(fields)} fields, header has {len(header)}")
+        else:
+            rows.append((lineno, fields))
     if header is None:
         raise InputFileError(f"{path} has no header row")
     return meta, header, rows
 
 
 def _parse_fields(path, rows, columns):
-    """Each row's fields converted by ``columns`` = [(index, type)]; a bad field is an input error."""
-    try:
-        return [[kind(r[i]) for i, kind in columns] for r in rows]
-    except ValueError as exc:
-        raise InputFileError(f"{path}: non-numeric field ({exc})") from exc
+    """Each row's fields converted by ``columns`` = [(index, type)]; a bad field is an input error naming its line."""
+    parsed = []
+    for lineno, row in rows:
+        try:
+            parsed.append([kind(row[i]) for i, kind in columns])
+        except ValueError as exc:
+            raise InputFileError(f"{path} line {lineno}: bad field ({exc})") from exc
+    return parsed
+
+
+def load_dataset_csv(path):
+    """A dataset CSV: a header of feature names and a final ``label``, then one row of finite numbers and an
+    integer label per sample."""
+    meta, header, rows = read_csv_with_metadata(path)
+    if meta:
+        raise InputFileError(f"{path}: a dataset CSV has no '#' lines")
+    if header[-1] != "label":
+        raise InputFileError(f"{path}: dataset CSV must end with a 'label' column")
+    if len(header) == 1:
+        raise InputFileError(f"{path}: dataset CSV has no feature column before 'label'")
+    columns = [partial(_parse_float, key=name) for name in header[:-1]] + [partial(_parse_int, key="label")]
+    parsed = _parse_fields(path, rows, list(enumerate(columns)))
+    return Dataset(features=np.array([r[:-1] for r in parsed]), labels=np.array([r[-1] for r in parsed], dtype=int))
+
+
+def load_edge_list(path):
+    """The custom topology of an edge list: the agent count ``n``, then one edge ``j l`` (0-indexed,
+    whitespace-separated) per line."""
+    values = []
+    for lineno, line in _numbered_lines(path):
+        fields = line.split()
+        if len(fields) != (2 if values else 1):
+            raise InputFileError(f"{path} line {lineno}: expected {'an edge j l' if values else 'the agent count n'}, "
+                                 f"got {line!r}")
+        values += _parse_fields(path, [(lineno, fields)], [(i, int) for i in range(len(fields))])
+    if not values:
+        raise InputFileError(f"empty edge-list file {path}")
+    (n,), *pairs = values
+    return build_topology("custom", n, edges=pairs)
 
 
 def read_trace_csv(path):

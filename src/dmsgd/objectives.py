@@ -1,4 +1,4 @@
-"""Objective suites over the agent stack, stochastic gradient oracles, and data plumbing.
+"""Objective suites over the agent stack, stochastic gradient oracles, and dataset partitions.
 
 A suite bundles the local losses f_j, evaluated for all N agents at once on an
 (n, d) stack of per-agent points, with the constants the bounds engine
@@ -38,8 +38,6 @@ __all__ = [
     "stochastic_grad",
     "unified_optimum",
     "estimate_pl_constant",
-    "save_dataset_csv",
-    "load_dataset_csv",
 ]
 
 PL_SMOOTHNESS = 8.0  # sup |d2/dx2 (x^2 + 3 sin^2 x)| = sup |2 + 6 cos 2x|
@@ -214,31 +212,6 @@ def partition_noniid(dataset, n_agents):
         raise ValueError(f"cannot split {dataset.n_samples} samples over {n_agents} agents")
     order = np.argsort(dataset.labels, kind="stable")
     return [np.sort(part) for part in np.array_split(order, n_agents)]
-
-
-def save_dataset_csv(dataset, path):
-    header = ",".join([f"x{i}" for i in range(dataset.d_feat)] + ["label"])
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
-        for row, lab in zip(dataset.features, dataset.labels):
-            fh.write(",".join(repr(float(v)) for v in row) + f",{int(lab)}\n")
-
-
-def load_dataset_csv(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        if header[-1] != "label":
-            raise ValueError("dataset CSV must end with a 'label' column")
-        if len(header) == 1:
-            raise ValueError("dataset CSV has no feature column before 'label'")
-        feats, labs = [], []
-        for line in fh:
-            parts = line.strip().split(",")
-            if not parts or parts == [""]:
-                continue
-            feats.append([float(v) for v in parts[:-1]])
-            labs.append(int(parts[-1]))
-    return Dataset(features=np.array(feats), labels=np.array(labs, dtype=int))
 
 
 def _logistic_grads(F, Y, W, margins, reg):

@@ -25,7 +25,6 @@ __all__ = [
     "SpectralInfo",
     "JacobiConvergenceError",
     "build_topology",
-    "load_edge_list",
     "metropolis_mixing",
     "jacobi_eigenvalues",
     "spectrum",
@@ -125,24 +124,6 @@ def build_topology(kind, n, parts=None, edges=None):
     else:
         raise ValueError(f"unknown topology kind {kind!r}")
     return Topology(n=n, edges=_canonical_edges(pairs))
-
-
-def load_edge_list(path):
-    """Load a custom topology from a plain-text edge list.
-
-    Format: first line is the agent count n, each subsequent non-empty line
-    is an edge ``j l`` (0-indexed, whitespace-separated).
-    """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines:
-        raise ValueError(f"empty edge-list file {path}")
-    n = int(lines[0])
-    pairs = []
-    for ln in lines[1:]:
-        j, l = ln.split()
-        pairs.append((int(j), int(l)))
-    return build_topology("custom", n, edges=pairs)
 
 
 @dataclass(frozen=True)

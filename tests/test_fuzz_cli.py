@@ -134,9 +134,9 @@ def test_every_key_but_the_paths_refuses_some_value():
 
 
 def one_verdict(tmp_path, capsys, text):
-    """The one exit-2 line that run, bounds and sweep each print for config ``text``."""
+    """The one exit-2 line that run, bounds and sweep each print for config ``text`` (str, or bytes as written)."""
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(text, encoding="utf-8")
+    cfg.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
     out = tmp_path / "out"
     lines = set()
     for command in ("run", "bounds", "sweep"):
@@ -184,11 +184,28 @@ def test_defaulted_agent_count_names_topology_n(tmp_path, capsys):
     assert "topology.n" in line and "objective.agents" not in line
 
 
-def test_dataset_without_feature_columns_is_refused(tmp_path, capsys):
-    data = tmp_path / "labels.csv"
-    data.write_text("label\n0\n1\n1\n", encoding="utf-8")
-    line = one_verdict(tmp_path, capsys, with_value(BASES["logistic"] + SWEEP_GRID, "objective.dataset", data))
-    assert line.startswith("config error: objective.dataset: ") and "feature column" in line
+LOGISTIC_SWEEP = BASES["logistic"] + SWEEP_GRID
+
+
+@pytest.mark.parametrize("key, content, expected", [
+    ("objective.dataset", "label\n0\n1\n1\n", "feature column"),
+    ("objective.dataset", "a,label\n1,2,0\n", "line 2"),  # a row wider than the header
+    ("objective.dataset", "a,b,label\n1,2,0\n1,0\n", "line 3"),  # a short row
+    ("objective.dataset", "a,label\n1,0\nnan,1\n", "line 3"),  # a non-finite feature
+    ("topology.edges", "3\n0 1\n1 2 5\n", "line 3"),  # an edge of three fields
+    (None, LOGISTIC_SWEEP.encode("utf-8") + b"# \xff\n", "cannot read config"),  # a config that is not UTF-8
+], ids=["labels-only", "wide-row", "short-row", "nan-feature", "three-field-edge", "undecodable-config"])
+def test_dataset_without_feature_columns_is_refused(tmp_path, capsys, key, content, expected):
+    """A bad input file ends in one config error line, naming the key that names the file and the bad line."""
+    text = content
+    if key is not None:
+        path = tmp_path / "input.txt"
+        path.write_text(content, encoding="utf-8")
+        text = with_value(LOGISTIC_SWEEP, key, path)
+        if key == "topology.edges":
+            text = with_value(text, "topology.kind", "custom")
+    line = one_verdict(tmp_path, capsys, text)
+    assert line.startswith(f"config error: {key}: " if key else "config error: ") and expected in line
 
 
 @pytest.fixture(scope="module")

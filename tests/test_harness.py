@@ -9,7 +9,7 @@ import pytest
 
 import dmsgd
 
-from dmsgd import harness
+from dmsgd import harness, objectives
 from dmsgd.harness import (
     CONFIG_KEYS,
     ConfigError,
@@ -253,6 +253,34 @@ def test_config_errors_end_before_the_spectrum(tmp_path, capsys, spectrum_calls,
     assert len(err) == 1 and err[0].startswith("config error: ")
     assert spectrum_calls == [] and optimum_calls == []
     assert not (tmp_path / "out").exists()
+
+
+# a PL ring of 16 with distinct shifts: its suite build solves an optimum and scans a 20,000-point PL grid
+PL_RING_16 = """\
+topology.kind = ring
+topology.n = 16
+objective.kind = pl
+objective.shifts = """ + ";".join(str(j / 10) for j in range(16)) + """
+hp.alpha = 0.05
+hp.iters = 20
+"""
+
+
+@pytest.mark.parametrize("edit", ["hp.beta = 2", "hp.schedule = sqrt\nhp.B = 1.0", "oracle.sigma = -1"])
+@pytest.mark.parametrize("command", ["run", "bounds", "sweep"])
+def test_config_errors_end_before_the_suite(tmp_path, capsys, monkeypatch, edit, command):
+    calls, estimate = [], objectives.estimate_pl_constant
+
+    def counted(suite, grid):
+        calls.append(suite.n)
+        return estimate(suite, grid)
+
+    monkeypatch.setattr(objectives, "estimate_pl_constant", counted)
+    cfg_path = write_config(tmp_path, PL_RING_16 + edit + "\n")
+    assert main([command, "--config", cfg_path, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: ")
+    assert calls == []
 
 
 @pytest.mark.parametrize("grid, problems", [
@@ -884,11 +912,11 @@ def test_custom_topology_from_edge_list(tmp_path):
 
 
 def test_logistic_dataset_from_csv(tmp_path):
-    from dmsgd.objectives import make_synthetic_dataset, save_dataset_csv
-
     ds = make_synthetic_dataset(5, 40, 3, 2)
     path = tmp_path / "data.csv"
-    save_dataset_csv(ds, path)
+    path.write_text("x0,x1,x2,label\n" + "".join(",".join(map(repr, row)) + f",{label}\n"
+                                                 for row, label in zip(ds.features.tolist(), ds.labels)),
+                    encoding="utf-8")
     cfg = f"""\
 topology.kind = full
 topology.n = 4

@@ -10,17 +10,16 @@ from dmsgd.objectives import (
     agent_total,
     common_optimum,
     estimate_pl_constant,
-    load_dataset_csv,
     make_logistic,
     make_pl,
     make_quadratic,
     make_synthetic_dataset,
     partition_iid,
     partition_noniid,
-    save_dataset_csv,
     stochastic_grad,
     unified_optimum,
 )
+from dmsgd.harness import load_dataset_csv
 from dmsgd.optimizer import HyperParams, run
 from dmsgd.topology import build_topology, metropolis_mixing, spectrum
 from dmsgd.verify import finite_diff_grad
@@ -271,10 +270,13 @@ def test_partition_too_many_agents():
 def test_dataset_csv_roundtrip(tmp_path):
     ds = make_synthetic_dataset(9, 30, 3, 2)
     path = tmp_path / "data.csv"
-    save_dataset_csv(ds, path)
-    back = load_dataset_csv(path)
-    assert np.array_equal(back.features, ds.features)
-    assert np.array_equal(back.labels, ds.labels)
+    text = "x0,x1,x2,label\n" + "".join(",".join(map(repr, row)) + f",{label}\n"
+                                       for row, label in zip(ds.features.tolist(), ds.labels))
+    for newline in ("\n", "\r\n"):  # LF and CRLF files load to the same bits
+        path.write_text(text, encoding="utf-8", newline=newline)
+        back = load_dataset_csv(path)
+        assert np.array_equal(back.features, ds.features)
+        assert np.array_equal(back.labels, ds.labels)
 
 
 # ---------------------------------------------------------------- logistic

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from test_pins import SPECTRUM_MATRICES
 
+from dmsgd.harness import load_edge_list
 from dmsgd.topology import (
     JacobiConvergenceError,
     MixingMatrix,
@@ -10,7 +11,6 @@ from dmsgd.topology import (
     effective_matrix,
     jacobi_eigenvalues,
     lambda_cap,
-    load_edge_list,
     metropolis_mixing,
     spectrum,
 )
