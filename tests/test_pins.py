@@ -417,6 +417,39 @@ def test_pinned_sweep_csv(tmp_path, name):
     assert _sha([_cli_output(tmp_path, "sweep", SWEEP_CONFIGS[name], "sweep.csv")]) == SWEEP_PINS[name]
 
 
+# a ring of 6 and a 4-agent edge list: the topology cell changes the agent count, and so the suite
+RING_CUSTOM_SWEEP = """\
+topology.kind = ring
+topology.n = 6
+topology.edges = ring4.edges
+topology.laziness = 0.3
+objective.kind = logistic
+objective.dataset_seed = 4
+objective.samples = 61
+objective.features = 3
+objective.classes = 3
+objective.partition = noniid
+objective.reg = 0.1
+oracle.mode = minibatch
+oracle.batch = 4
+hp.alpha = 0.2
+hp.beta = 0.3
+hp.omega = 0.5
+hp.iters = 15
+sweep.topology = ring,custom
+sweep.seed = 0,1
+"""
+RING_CUSTOM_PIN = "73d2ea330aa51582b76fe0652afff15ee305e520899420e954e714a595968535"
+
+
+def test_pinned_ring_custom_sweep_csv(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # the edge list's path is relative, so the config hash is the same in every run
+    (tmp_path / "ring4.edges").write_text("4\n0 1\n1 2\n2 3\n3 0\n", encoding="utf-8")
+    sweep = _cli_output(tmp_path, "sweep", RING_CUSTOM_SWEEP, "sweep.csv")
+    assert [row.split(",")[5] for row in sweep.decode("utf-8").splitlines()[2:]] == ["completed"] * 4
+    assert _sha([sweep]) == RING_CUSTOM_PIN
+
+
 @pytest.mark.parametrize("name", sorted(BOUNDS_CONFIGS))
 def test_pinned_bounds_csv(tmp_path, name):
     lines = _cli_output(tmp_path, "bounds", BOUNDS_CONFIGS[name], "bounds.csv").decode("utf-8").splitlines()
