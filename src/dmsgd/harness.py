@@ -313,9 +313,9 @@ def _build_suite(cfg, n_agents):
     return _checked("objective.reg", make_logistic, ds, reg=cfg.get("objective.reg", 0.0))
 
 
-def check_scenario(cfg):
-    """The checked ``(mixing, suite, hp, oracle)`` of ``cfg``: the graph, ``hp`` and the oracle, then the suite,
-    whose build is the check's one numerical step (a PL suite solves its optimum and its PL constant)."""
+def check_scenario(cfg, suites):
+    """The checked ``(mixing, suite, hp, oracle)`` of ``cfg``: the graph, ``hp`` and the oracle, then the suite of
+    its agent count in ``suites``, built there if missing (a PL build solves its optimum and its PL constant)."""
     topo = _build_topology(cfg)
     mixing = _checked("topology.laziness", metropolis_mixing, topo, laziness=cfg.get("topology.laziness", 0.0))
     hp = _checked("hp.option, hp.schedule, hp.alpha, hp.B, hp.beta, hp.omega, hp.adaptive_scope, hp.iters, hp.seed",
@@ -334,9 +334,10 @@ def check_scenario(cfg):
         oracle = StochasticOracle(mode="additive", sigma=0.0)
     else:
         oracle = _checked("oracle.batch", StochasticOracle, mode="minibatch", batch=cfg.get("oracle.batch"))
-    suite = _build_suite(cfg, topo.n)
-    _checked("oracle.batch", oracle.check_fits, suite)
-    return mixing, suite, hp, oracle
+    if topo.n not in suites:
+        suites[topo.n] = _build_suite(cfg, topo.n)
+    _checked("oracle.batch", oracle.check_fits, suites[topo.n])
+    return mixing, suites[topo.n], hp, oracle
 
 
 def _stacked_problem(mixing, suite, hp):
@@ -345,12 +346,16 @@ def _stacked_problem(mixing, suite, hp):
     return objective, unified_optimum(objective)[1]
 
 
-def build_scenario(cfg):
-    """``check_scenario``, then the numerics: the spectrum, the stacked objective and its optimum."""
-    mixing, suite, hp, oracle = check_scenario(cfg)
+def _solve(cfg, mixing, suite, hp, oracle):
+    """The numerics of a checked ``cfg``: the spectrum, the stacked objective and its optimum."""
     spectral = spectrum(mixing)
     objective, f_star = _stacked_problem(mixing, suite, hp)
     return Scenario(cfg=cfg, spectral=spectral, oracle=oracle, hp=hp, objective=objective, f_star=f_star)
+
+
+def build_scenario(cfg):
+    """The scenario of ``cfg``: its one ``check_scenario``, with a suite of its own, then ``_solve``."""
+    return _solve(cfg, *check_scenario(cfg, {}))
 
 
 # ------------------------------------------------------------- bound inputs
@@ -558,7 +563,7 @@ def read_trace_csv(path):
     meta, header, rows = read_csv_with_metadata(path)
     if header != TRACE_HEADER.split(","):
         raise InputFileError(f"{path} is not a trace file (header {header})")
-    parsed = _parse_fields(path, rows, [(0, int)] + [(i + 1, float) for i in range(len(TRACE_COLUMNS))])
+    parsed = _parse_fields(path, rows, list(enumerate([int] + [partial(_parse_float, key=c) for c in TRACE_COLUMNS])))
     data = {col: np.array([r[i + 1] for r in parsed]) for i, col in enumerate(TRACE_COLUMNS)}
     data["k"] = np.array([r[0] for r in parsed])
     return meta, data
@@ -574,7 +579,7 @@ def read_bounds_csv(path):
     if header != BOUNDS_HEADER.split(","):
         raise InputFileError(f"{path} is not a bounds file (header {header})")
     out = {}
-    for k, name, value in _parse_fields(path, rows, [(0, int), (1, str), (2, float)]):
+    for k, name, value in _parse_fields(path, rows, [(0, int), (1, str), (2, partial(_parse_float, key="value"))]):
         out.setdefault(name, []).append((k, value))
     for name, pairs in out.items():
         pairs.sort()
@@ -607,9 +612,9 @@ def cmd_run(args):
     n_seeds = args.seeds if args.seeds is not None else cfg.get("output.seeds", 1)
     if n_seeds < 1:
         raise ConfigError(f"the seed count must be >= 1, got {n_seeds}")
-    check_scenario(cfg)
+    checked = check_scenario(cfg, {})
     out_dir = _output_dir(args, cfg)
-    scenario = build_scenario(cfg)
+    scenario = _solve(cfg, *checked)
     traces = []
     failed = None
     for seed in range(scenario.hp.seed, scenario.hp.seed + n_seeds):
@@ -633,9 +638,9 @@ def cmd_run(args):
 def cmd_bounds(args):
     """bounds.csv: the bound rows, the engine's inputs and every skipped trajectory."""
     cfg = load_config(args.config)
-    check_scenario(cfg)
+    checked = check_scenario(cfg, {})
     out_dir = _output_dir(args, cfg)
-    scenario = build_scenario(cfg)
+    scenario = _solve(cfg, *checked)
     try:
         bi = bound_inputs_from_scenario(scenario)
         reports, skipped = evaluate_bounds(scenario, bi)
@@ -653,9 +658,12 @@ def cmd_bounds(args):
 def cmd_check(args):
     trace_meta, trace = read_trace_csv(args.trace)
     bounds_meta, bound_rows = read_bounds_csv(args.bounds)
-    if trace_meta.get("config_hash") != bounds_meta.get("config_hash"):
-        raise InputFileError(f"config hash mismatch: trace {trace_meta.get('config_hash')} vs "
-                             f"bounds {bounds_meta.get('config_hash')}")
+    for path, meta in ((args.trace, trace_meta), (args.bounds, bounds_meta)):
+        if not meta.get("config_hash"):
+            raise InputFileError(f"{path} has no '# config_hash=' line, so it cannot be paired")
+    if trace_meta["config_hash"] != bounds_meta["config_hash"]:
+        raise InputFileError(f"config hash mismatch: trace {trace_meta['config_hash']} vs "
+                             f"bounds {bounds_meta['config_hash']}")
     n_rows = len(trace["k"])
     for name, values in bound_rows.items():
         if name not in BOUND_METRICS:
@@ -691,17 +699,19 @@ def _sweep_cell(objective, f_star, hp, oracle):
 
 
 def cmd_sweep(args):
-    """sweep.csv, one row per cell in grid order; each cell is checked once, and cells that share a topology
-    and option share one problem, the stacked objective and optimum of the first one's mixing and suite."""
+    """sweep.csv, one row per cell in grid order; each cell is checked once, cells of one agent count share a suite,
+    and cells that share a topology and option share one problem, built from the first one's mixing and suite."""
     cfg = load_config(args.config)
-    check_scenario(cfg)
+    # _build_suite reads no sweep axis (topology.kind only names a refusal's key): one suite per agent count
+    suites = {}
+    check_scenario(cfg, suites)
     axes = [cfg.get(f"sweep.{label}", [None]) for label, _ in SWEEP_AXES]
     cells = list(itertools.product(*axes)) if any(axis != [None] for axis in axes) else []
     rows, problems = [], {}
     for cell in cells:
         items = dict(cfg.items)
         items.update((key, val) for (_, key), val in zip(SWEEP_AXES, cell) if val is not None)
-        mixing, suite, hp, oracle = check_scenario(RunConfig(items=items))
+        mixing, suite, hp, oracle = check_scenario(RunConfig(items=items), suites)
         rows.append([items.get(key, "") for _, key in SWEEP_AXES])
         _, _, members = problems.setdefault((items.get("topology.kind"), hp.option), (mixing, suite, []))
         members.append((rows[-1], hp, oracle))

@@ -3,6 +3,7 @@ import re
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -283,6 +284,73 @@ def test_config_errors_end_before_the_suite(tmp_path, capsys, monkeypatch, edit,
     assert calls == []
 
 
+# the benchmark's minibatch_sweep workload at seed 0: 18 cells over one agent count
+MINIBATCH_SWEEP = """\
+topology.kind = ring
+topology.n = 16
+topology.laziness = 0.3
+objective.kind = logistic
+objective.dataset = synthetic
+objective.dataset_seed = 0
+objective.samples = 400
+objective.features = 10
+objective.classes = 2
+objective.agents = 16
+objective.partition = noniid
+objective.reg = 0.1
+objective.grad_bound = auto
+oracle.mode = minibatch
+oracle.batch = 16
+hp.option = I
+hp.alpha = 0.5
+hp.beta = 0.5
+hp.omega = 0.5
+hp.iters = 50
+hp.seed = 0
+sweep.topology = full,ring,bipartite
+sweep.omega = 0.2,0.5,adaptive
+sweep.seed = 0,1
+"""
+
+# a sweep over a ring of 6 and a 4-agent edge list: two agent counts, two suites
+RING_CUSTOM_SWEEP = """\
+topology.kind = ring
+topology.n = 6
+topology.edges = ring4.edges
+objective.kind = logistic
+objective.samples = 61
+objective.partition = noniid
+oracle.mode = minibatch
+oracle.batch = 4
+hp.alpha = 0.2
+hp.iters = 15
+sweep.topology = ring,custom
+sweep.seed = 0,1
+"""
+
+
+@pytest.mark.parametrize("text, command, builds", [
+    (PL_RING_16, "run", 1),
+    (PL_RING_16 + "topology.laziness = 0.5\n", "bounds", 1),  # a bare ring of 16 admits no consensus bound
+    (PL_RING_16 + "sweep.omega = 0.2,0.5,adaptive\n", "sweep", 1),
+    (MINIBATCH_SWEEP, "sweep", 1),
+    (MINIBATCH_SWEEP, "bounds", 1),
+    (RING_CUSTOM_SWEEP, "sweep", 2),
+], ids=["pl-run", "pl-bounds", "pl-sweep", "minibatch-sweep", "minibatch-bounds", "ring-custom-sweep"])
+def test_each_suite_is_built_once_per_agent_count(tmp_path, monkeypatch, text, command, builds):
+    """A command checks its config once, and a sweep builds one suite per agent count its cells use."""
+    calls = []
+    for owner, name in ((objectives, "estimate_pl_constant"), (harness, "make_logistic")):
+        def counted(*args, fn=getattr(owner, name), **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "ring4.edges").write_text("4\n0 1\n1 2\n2 3\n3 0\n", encoding="utf-8")
+    assert main([command, "--config", write_config(tmp_path, text), "--out", str(tmp_path / "out")]) == 0
+    assert len(calls) == builds
+
+
 @pytest.mark.parametrize("grid, problems", [
     ("sweep.topology = full,ring,bipartite\nsweep.omega = 0.2,0.5,adaptive\nsweep.seed = 0,1\n", 3),
     ("sweep.option = I,II\nsweep.topology = full,ring\n", 4),
@@ -355,8 +423,8 @@ def test_cli_run_byte_identical(tmp_path):
     out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
     assert main(["run", "--config", cfg_path, "--out", out1]) == 0
     assert main(["run", "--config", cfg_path, "--out", out2]) == 0
-    a = open(os.path.join(out1, "trace_seed0.csv"), "rb").read()
-    b = open(os.path.join(out2, "trace_seed0.csv"), "rb").read()
+    a = Path(out1, "trace_seed0.csv").read_bytes()
+    b = Path(out2, "trace_seed0.csv").read_bytes()
     assert a == b
 
 
@@ -417,7 +485,7 @@ def test_cli_run_aborted_marks_trace(tmp_path, capsys):
     assert len(trace["k"]) < 40
     cause = f"nonfinite_step agent=0 k={len(trace['k']) + 1}"
     assert meta["abort"] == cause
-    lines = open(os.path.join(out, "trace_seed0.csv"), encoding="utf-8").read().splitlines()
+    lines = Path(out, "trace_seed0.csv").read_text(encoding="utf-8").splitlines()
     assert f"# abort={cause}" in lines
     assert cause in capsys.readouterr().err
 
@@ -450,7 +518,7 @@ def test_trace_header_golden(tmp_path):
     cfg_path = write_config(tmp_path, QUAD_CONFIG)
     out = str(tmp_path / "out")
     main(["run", "--config", cfg_path, "--out", out])
-    lines = open(os.path.join(out, "trace_seed0.csv"), encoding="utf-8").read().splitlines()
+    lines = Path(out, "trace_seed0.csv").read_text(encoding="utf-8").splitlines()
     header = [ln for ln in lines if not ln.startswith("#")][0]
     assert header == TRACE_HEADER
     assert TRACE_HEADER == "k,consensus_err_max,consensus_err_stacked,gap,grad_norm_sq,running_avg_grad,step_norm,omega_used"
@@ -671,12 +739,12 @@ def test_cli_check_pass_and_violation(tmp_path):
     bounds_path = os.path.join(out, "bounds.csv")
     assert main(["check", "--trace", trace_path, "--bounds", bounds_path, "--slack", "0"]) == 0
     # corrupt one bound value far below the metric
-    text = open(bounds_path, encoding="utf-8").read().splitlines()
+    text = Path(bounds_path).read_text(encoding="utf-8").splitlines()
     for i, line in enumerate(text):
         if line.startswith("1,avg_grad_envelope"):
             text[i] = "1,avg_grad_envelope,0.0"
             break
-    open(bounds_path, "w", encoding="utf-8").write("\n".join(text) + "\n")
+    Path(bounds_path).write_text("\n".join(text) + "\n", encoding="utf-8")
     assert main(["check", "--trace", trace_path, "--bounds", bounds_path]) == 3
 
 
@@ -686,8 +754,8 @@ def test_cli_check_truncated_bounds(tmp_path):
     main(["run", "--config", cfg_path, "--out", out])
     main(["bounds", "--config", cfg_path, "--out", out])
     bounds_path = os.path.join(out, "bounds.csv")
-    lines = open(bounds_path, encoding="utf-8").read().splitlines()
-    open(bounds_path, "w", encoding="utf-8").write("\n".join(lines[:-5]) + "\n")
+    lines = Path(bounds_path).read_text(encoding="utf-8").splitlines()
+    Path(bounds_path).write_text("\n".join(lines[:-5]) + "\n", encoding="utf-8")
     assert main(["check", "--trace", os.path.join(out, "trace_seed0.csv"), "--bounds", bounds_path]) == 2
 
 
@@ -710,6 +778,18 @@ def _other_config_hash(text):
                      for ln in text.splitlines()) + "\n"
 
 
+def _drop_config_hash(text):
+    return "".join(ln + "\n" for ln in text.splitlines() if not ln.startswith("# config_hash="))
+
+
+def _last_field_nan(text):
+    return _last_field_not_a_number(text).replace(",abc\n", ",nan\n")
+
+
+def _last_field_inf(text):
+    return _last_field_not_a_number(text).replace(",abc\n", ",-inf\n")
+
+
 def _drop_last_row(text):
     return "\n".join(text.splitlines()[:-1]) + "\n"
 
@@ -719,8 +799,8 @@ def _rename_consensus_bound(text):
 
 
 @pytest.mark.parametrize("which", ["trace", "bounds"])
-@pytest.mark.parametrize("mangle", [_cut_700, _cut_in_metadata, _last_field_not_a_number,
-                                    _other_config_hash, _drop_last_row])
+@pytest.mark.parametrize("mangle", [_cut_700, _cut_in_metadata, _last_field_not_a_number, _last_field_nan,
+                                    _last_field_inf, _other_config_hash, _drop_config_hash, _drop_last_row])
 def test_cli_check_malformed_csv_exit_2(tmp_path, capsys, which, mangle):
     _assert_check_input_error(tmp_path, capsys, which, mangle)
 
@@ -743,6 +823,20 @@ def _assert_check_input_error(tmp_path, capsys, which, mangle):
     assert main(["check", "--trace", paths["trace"], "--bounds", paths["bounds"]]) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("input error:")
+
+
+def test_cli_check_refuses_files_without_config_hash(tmp_path, capsys):
+    """Two files that both lack a config hash cannot be paired, though their missing hashes agree."""
+    cfg_path = write_config(tmp_path, QUAD_CONFIG)
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg_path, "--out", str(out)]) == 0
+    assert main(["bounds", "--config", cfg_path, "--out", str(out)]) == 0
+    for name in ("trace_seed0.csv", "bounds.csv"):
+        (out / name).write_text(_drop_config_hash((out / name).read_text(encoding="utf-8")), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["check", "--trace", str(out / "trace_seed0.csv"), "--bounds", str(out / "bounds.csv")]) == 2
+    assert capsys.readouterr().err == (f"input error: {out / 'trace_seed0.csv'} has no '# config_hash=' line, "
+                                       "so it cannot be paired\n")
 
 
 def test_cli_check_missing_file_exit_2(tmp_path):
@@ -851,7 +945,7 @@ def test_cli_sweep_grid_rows(tmp_path):
     cfg_path = write_config(tmp_path, cfg)
     out = str(tmp_path / "out")
     assert main(["sweep", "--config", cfg_path, "--out", out]) == 0
-    lines = [ln for ln in open(os.path.join(out, "sweep.csv"), encoding="utf-8").read().splitlines()
+    lines = [ln for ln in Path(out, "sweep.csv").read_text(encoding="utf-8").splitlines()
              if ln and not ln.startswith("#")]
     assert lines[0].startswith("omega,beta,topology,option,seed,status")
     assert len(lines) == 6  # header + 5 cells
@@ -862,7 +956,7 @@ def test_cli_sweep_empty_grid(tmp_path):
     cfg_path = write_config(tmp_path, QUAD_CONFIG)
     out = str(tmp_path / "out")
     assert main(["sweep", "--config", cfg_path, "--out", out]) == 0
-    lines = [ln for ln in open(os.path.join(out, "sweep.csv"), encoding="utf-8").read().splitlines()
+    lines = [ln for ln in Path(out, "sweep.csv").read_text(encoding="utf-8").splitlines()
              if ln and not ln.startswith("#")]
     assert len(lines) == 1  # header only
 
@@ -875,7 +969,7 @@ def test_cli_sweep_divergent_cell_recorded(tmp_path):
     cfg_path = write_config(tmp_path, cfg)
     out = str(tmp_path / "out")
     assert main(["sweep", "--config", cfg_path, "--out", out]) == 0
-    rows = [ln for ln in open(os.path.join(out, "sweep.csv"), encoding="utf-8").read().splitlines()
+    rows = [ln for ln in Path(out, "sweep.csv").read_text(encoding="utf-8").splitlines()
             if ln and not ln.startswith("#")][1:]
     assert len(rows) == 2
     for row in rows:
@@ -890,7 +984,7 @@ def test_cli_sweep_zero_iteration_cells_complete(tmp_path):
     cfg = QUAD_CONFIG.replace("hp.iters = 40", "hp.iters = 0") + "sweep.seed = 0,1\n"
     out = str(tmp_path / "out")
     assert main(["sweep", "--config", write_config(tmp_path, cfg), "--out", out]) == 0
-    rows = [ln for ln in open(os.path.join(out, "sweep.csv"), encoding="utf-8").read().splitlines()
+    rows = [ln for ln in Path(out, "sweep.csv").read_text(encoding="utf-8").splitlines()
             if ln and not ln.startswith("#")][1:]
     suite = build_scenario(parse_config_text(cfg)).objective.suite
     gap0 = agent_total(suite.evaluate(np.zeros(suite.d))[0]) - suite.f_star
