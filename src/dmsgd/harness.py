@@ -563,7 +563,10 @@ def read_trace_csv(path):
     meta, header, rows = read_csv_with_metadata(path)
     if header != TRACE_HEADER.split(","):
         raise InputFileError(f"{path} is not a trace file (header {header})")
-    parsed = _parse_fields(path, rows, list(enumerate([int] + [partial(_parse_float, key=c) for c in TRACE_COLUMNS])))
+    parsed = _parse_fields(path, rows, [(0, int)] + [(i + 1, float) for i in range(len(TRACE_COLUMNS))])
+    for (lineno, _), values in zip(rows, parsed):  # inf stands: a diverging run's running average overflows first
+        if np.isnan(values).any():
+            raise InputFileError(f"{path} line {lineno}: bad field (nan)")
     data = {col: np.array([r[i + 1] for r in parsed]) for i, col in enumerate(TRACE_COLUMNS)}
     data["k"] = np.array([r[0] for r in parsed])
     return meta, data
@@ -658,12 +661,9 @@ def cmd_bounds(args):
 def cmd_check(args):
     trace_meta, trace = read_trace_csv(args.trace)
     bounds_meta, bound_rows = read_bounds_csv(args.bounds)
-    for path, meta in ((args.trace, trace_meta), (args.bounds, bounds_meta)):
-        if not meta.get("config_hash"):
-            raise InputFileError(f"{path} has no '# config_hash=' line, so it cannot be paired")
-    if trace_meta["config_hash"] != bounds_meta["config_hash"]:
-        raise InputFileError(f"config hash mismatch: trace {trace_meta['config_hash']} vs "
-                             f"bounds {bounds_meta['config_hash']}")
+    hashes = trace_meta.get("config_hash"), bounds_meta.get("config_hash")
+    if not all(hashes) or hashes[0] != hashes[1]:  # two files that both lack a hash do not pair either
+        raise InputFileError(f"{args.trace} (config hash {hashes[0]!r}) cannot pair with {args.bounds} ({hashes[1]!r})")
     n_rows = len(trace["k"])
     for name, values in bound_rows.items():
         if name not in BOUND_METRICS:

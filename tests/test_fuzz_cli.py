@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dmsgd.harness import CONFIG_KEYS, ConfigError, main, read_bounds_csv
+from dmsgd.harness import CONFIG_KEYS, TRACE_HEADER, ConfigError, main, read_bounds_csv
 
 BASES = {
     "quadratic": """\
@@ -277,3 +277,18 @@ def test_check_overflowing_trace_value_is_a_violation(csv_texts, tmp_path):
     (tmp_path / "trace.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     (tmp_path / "bounds.csv").write_text(csv_texts["bounds"], encoding="utf-8")
     assert main(["check", "--trace", str(tmp_path / "trace.csv"), "--bounds", str(tmp_path / "bounds.csv")]) == 3
+
+
+def test_check_infinite_trace_value_is_a_violation(csv_texts, tmp_path, capsys):
+    """A diverging run's running average overflows to inf a step before the loop stops it, and the trace
+    keeps that row: check reads it as a violation, not as a malformed file."""
+    lines = csv_texts["trace_seed0"].splitlines()
+    row = next(i for i, ln in enumerate(lines) if ln.startswith("2,"))
+    fields = lines[row].split(",")
+    fields[TRACE_HEADER.split(",").index("running_avg_grad")] = "inf"
+    lines[row] = ",".join(fields)
+    (tmp_path / "trace.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    (tmp_path / "bounds.csv").write_text(csv_texts["bounds"], encoding="utf-8")
+    capsys.readouterr()
+    assert main(["check", "--trace", str(tmp_path / "trace.csv"), "--bounds", str(tmp_path / "bounds.csv")]) == 3
+    assert capsys.readouterr().out.splitlines()[-1].startswith("VIOLATION avg_grad_envelope: k=2 metric=inf ")

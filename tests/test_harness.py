@@ -1,5 +1,6 @@
 import os
 import re
+import runpy
 import subprocess
 import sys
 import warnings
@@ -35,6 +36,7 @@ from dmsgd.objectives import (
     unified_optimum,
 )
 from dmsgd.topology import build_topology, metropolis_mixing
+from test_pins import RING_CUSTOM_SWEEP
 
 QUAD_CONFIG = """\
 topology.kind = full
@@ -285,48 +287,8 @@ def test_config_errors_end_before_the_suite(tmp_path, capsys, monkeypatch, edit,
 
 
 # the benchmark's minibatch_sweep workload at seed 0: 18 cells over one agent count
-MINIBATCH_SWEEP = """\
-topology.kind = ring
-topology.n = 16
-topology.laziness = 0.3
-objective.kind = logistic
-objective.dataset = synthetic
-objective.dataset_seed = 0
-objective.samples = 400
-objective.features = 10
-objective.classes = 2
-objective.agents = 16
-objective.partition = noniid
-objective.reg = 0.1
-objective.grad_bound = auto
-oracle.mode = minibatch
-oracle.batch = 16
-hp.option = I
-hp.alpha = 0.5
-hp.beta = 0.5
-hp.omega = 0.5
-hp.iters = 50
-hp.seed = 0
-sweep.topology = full,ring,bipartite
-sweep.omega = 0.2,0.5,adaptive
-sweep.seed = 0,1
-"""
-
-# a sweep over a ring of 6 and a 4-agent edge list: two agent counts, two suites
-RING_CUSTOM_SWEEP = """\
-topology.kind = ring
-topology.n = 6
-topology.edges = ring4.edges
-objective.kind = logistic
-objective.samples = 61
-objective.partition = noniid
-oracle.mode = minibatch
-oracle.batch = 4
-hp.alpha = 0.2
-hp.iters = 15
-sweep.topology = ring,custom
-sweep.seed = 0,1
-"""
+MINIBATCH_SWEEP = runpy.run_path(str(Path(__file__).parents[1] / "bench" / "workloads.py"))["WORKLOADS"][
+    "minibatch_sweep"].config_text(0)
 
 
 @pytest.mark.parametrize("text, command, builds", [
@@ -787,7 +749,7 @@ def _last_field_nan(text):
 
 
 def _last_field_inf(text):
-    return _last_field_not_a_number(text).replace(",abc\n", ",-inf\n")
+    return _last_field_not_a_number(text).replace(",abc\n", ",inf\n")
 
 
 def _drop_last_row(text):
@@ -800,13 +762,18 @@ def _rename_consensus_bound(text):
 
 @pytest.mark.parametrize("which", ["trace", "bounds"])
 @pytest.mark.parametrize("mangle", [_cut_700, _cut_in_metadata, _last_field_not_a_number, _last_field_nan,
-                                    _last_field_inf, _other_config_hash, _drop_config_hash, _drop_last_row])
+                                    _other_config_hash, _drop_config_hash, _drop_last_row])
 def test_cli_check_malformed_csv_exit_2(tmp_path, capsys, which, mangle):
     _assert_check_input_error(tmp_path, capsys, which, mangle)
 
 
 def test_cli_check_unknown_bound_name_exit_2(tmp_path, capsys):
     _assert_check_input_error(tmp_path, capsys, "bounds", _rename_consensus_bound)
+
+
+def test_cli_check_infinite_bound_exit_2(tmp_path, capsys):
+    """bounds._finite refuses every non-finite bound, so an inf in a bounds file is not one dmsgd wrote."""
+    _assert_check_input_error(tmp_path, capsys, "bounds", _last_field_inf)
 
 
 def _assert_check_input_error(tmp_path, capsys, which, mangle):
@@ -825,18 +792,23 @@ def _assert_check_input_error(tmp_path, capsys, which, mangle):
     assert len(err) == 1 and err[0].startswith("input error:")
 
 
-def test_cli_check_refuses_files_without_config_hash(tmp_path, capsys):
+def _empty_config_hash(text):
+    return _other_config_hash(text).replace("# config_hash=000000000000\n", "# config_hash=\n")
+
+
+@pytest.mark.parametrize("mangle, shown", [(_drop_config_hash, "None"), (_empty_config_hash, "''")])
+def test_cli_check_refuses_files_without_config_hash(tmp_path, capsys, mangle, shown):
     """Two files that both lack a config hash cannot be paired, though their missing hashes agree."""
     cfg_path = write_config(tmp_path, QUAD_CONFIG)
     out = tmp_path / "out"
     assert main(["run", "--config", cfg_path, "--out", str(out)]) == 0
     assert main(["bounds", "--config", cfg_path, "--out", str(out)]) == 0
     for name in ("trace_seed0.csv", "bounds.csv"):
-        (out / name).write_text(_drop_config_hash((out / name).read_text(encoding="utf-8")), encoding="utf-8")
+        (out / name).write_text(mangle((out / name).read_text(encoding="utf-8")), encoding="utf-8")
     capsys.readouterr()
     assert main(["check", "--trace", str(out / "trace_seed0.csv"), "--bounds", str(out / "bounds.csv")]) == 2
-    assert capsys.readouterr().err == (f"input error: {out / 'trace_seed0.csv'} has no '# config_hash=' line, "
-                                       "so it cannot be paired\n")
+    assert capsys.readouterr().err == (f"input error: {out / 'trace_seed0.csv'} (config hash {shown}) cannot pair "
+                                       f"with {out / 'bounds.csv'} ({shown})\n")
 
 
 def test_cli_check_missing_file_exit_2(tmp_path):
