@@ -528,6 +528,16 @@ def _parse_fields(path, rows, columns):
     return parsed
 
 
+def _check_k(path, rows):
+    """Each ``(line number, series, k)`` row's k must count 1, 2, ... in its series in file order, so that a row's
+    position in its series is its k; the first that does not is an input error naming its line."""
+    counts = {}
+    for lineno, series, k in rows:
+        counts[series] = expected = counts.get(series, 0) + 1
+        if k != expected:
+            raise InputFileError(f"{path} line {lineno}: k={k}, but {series} row {expected} must have k={expected}")
+
+
 def load_dataset_csv(path):
     """A dataset CSV: a header of feature names and a final ``label``, then one row of finite numbers and an
     integer label per sample."""
@@ -564,7 +574,8 @@ def read_trace_csv(path):
     if header != TRACE_HEADER.split(","):
         raise InputFileError(f"{path} is not a trace file (header {header})")
     parsed = _parse_fields(path, rows, [(0, int)] + [(i + 1, float) for i in range(len(TRACE_COLUMNS))])
-    for (lineno, _), values in zip(rows, parsed):  # inf stands: a diverging run's running average overflows first
+    _check_k(path, ((lineno, "trace", values[0]) for (lineno, _), values in zip(rows, parsed)))
+    for (lineno, _), values in zip(rows, parsed):  # inf stands: check reads it as a violation
         if np.isnan(values).any():
             raise InputFileError(f"{path} line {lineno}: bad field (nan)")
     data = {col: np.array([r[i + 1] for r in parsed]) for i, col in enumerate(TRACE_COLUMNS)}
@@ -581,13 +592,12 @@ def read_bounds_csv(path):
     meta, header, rows = read_csv_with_metadata(path)
     if header != BOUNDS_HEADER.split(","):
         raise InputFileError(f"{path} is not a bounds file (header {header})")
+    parsed = _parse_fields(path, rows, [(0, int), (1, str), (2, partial(_parse_float, key="value"))])
+    _check_k(path, ((lineno, name, k) for (lineno, _), (k, name, _) in zip(rows, parsed)))
     out = {}
-    for k, name, value in _parse_fields(path, rows, [(0, int), (1, str), (2, partial(_parse_float, key="value"))]):
-        out.setdefault(name, []).append((k, value))
-    for name, pairs in out.items():
-        pairs.sort()
-        out[name] = np.array([v for _, v in pairs])
-    return meta, out
+    for _, name, value in parsed:
+        out.setdefault(name, []).append(value)
+    return meta, {name: np.array(values) for name, values in out.items()}
 
 
 def averaged_trace(traces):
@@ -664,7 +674,7 @@ def cmd_check(args):
     hashes = trace_meta.get("config_hash"), bounds_meta.get("config_hash")
     if not all(hashes) or hashes[0] != hashes[1]:  # two files that both lack a hash do not pair either
         raise InputFileError(f"{args.trace} (config hash {hashes[0]!r}) cannot pair with {args.bounds} ({hashes[1]!r})")
-    n_rows = len(trace["k"])
+    n_rows = len(trace["k"])  # both readers checked that k runs 1..rows: pairing by position is pairing by k
     for name, values in bound_rows.items():
         if name not in BOUND_METRICS:
             raise InputFileError(f"unknown bound name {name!r} in {args.bounds}")

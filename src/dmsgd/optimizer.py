@@ -97,10 +97,11 @@ class RunTrace:
     ``draw_dev_sq`` is ||draws - exact stacked gradient||^2 of the oracle
     draw taken at each row, from which a pilot measures the noise level.
     An aborted run records the iteration it stopped at, why
-    (``nonfinite_value``: the metrics at x_k; ``nonfinite_grad``: the oracle
-    draw; ``nonfinite_step``: the new state or step norm) and the first
-    agent whose own row went non-finite, or None when only a total over the
-    agents overflowed.
+    (``nonfinite_value``: the metrics at x_k or the running sum of squared
+    gradient norms; ``nonfinite_grad``: the oracle draw; ``nonfinite_step``:
+    the new state or step norm) and the first agent whose own row went
+    non-finite, or None when only a total over the agents or iterations
+    overflowed.
     """
 
     COLUMNS: ClassVar[tuple] = (
@@ -247,11 +248,12 @@ def run(objective, oracle, hp, f_star):
             val, metric_grad = objective.value_and_grad(x_k, (values, exact))
             metric_grad_sq = metric_grad ** 2
             gsq = float(np.sum(metric_grad_sq))
-            if not (np.isfinite(val) and np.isfinite(gsq) and np.isfinite(err_stacked)):
+            grad_sq_sum += gsq
+            # the sum is non-finite when gsq is, and when it overflows: no row writes an inf running average
+            if not (np.isfinite(val) and np.isfinite(grad_sq_sum) and np.isfinite(err_stacked)):
                 abort = dict(aborted_at=k, abort_reason="nonfinite_value", abort_agent=_first_nonfinite_row(
                     x_k, exact, values, metric_grad_sq))
                 break
-            grad_sq_sum += gsq
             draws = stochastic_grad(suite, oracle, x_k, exact, rngs)
             if not np.isfinite(draws).all():
                 abort = dict(aborted_at=k, abort_reason="nonfinite_grad", abort_agent=_first_nonfinite_row(draws))

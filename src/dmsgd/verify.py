@@ -1,12 +1,11 @@
-"""Independent oracles: dense reference stepper, reference Jacobi solver,
-finite differences, metrics.
+"""Independent oracles, and the bound-domination check.
 
-The reference stepper implements the dense matrix form of the update and
-deliberately shares no code with ``optimizer.step``/``optimizer.run``, so the
-two can cross-check each other; ``reference_jacobi_eigenvalues`` plays the
-same part for ``topology.jacobi_eigenvalues``.  Bound-domination reports
-compare a measured metric trajectory against a theoretical bound trajectory
-with a configurable relative slack.
+Each oracle checks production code and shares none of it: the dense
+reference stepper checks ``optimizer.step``/``optimizer.run``, the reference
+Jacobi solver ``topology.jacobi_eigenvalues``, ``recompute_running_avg`` the
+trace's running-average column and ``finite_diff_grad`` the gradients.
+Bound-domination reports, which ``dmsgd check`` prints, compare a metric
+trajectory against a bound trajectory with a configurable relative slack.
 """
 
 from __future__ import annotations
@@ -20,8 +19,6 @@ from .topology import JacobiConvergenceError
 __all__ = [
     "reference_step",
     "finite_diff_grad",
-    "consensus_error_max",
-    "consensus_error_stacked",
     "DominationReport",
     "check_bound_domination",
     "recompute_running_avg",
@@ -64,17 +61,6 @@ def finite_diff_grad(f, x, h=1e-6):
         e.flat[i] = h
         out.flat[i] = (f(x + e) - f(x - e)) / (2.0 * h)
     return out
-
-
-def consensus_error_max(x):
-    """max_j ||x_j - xbar|| over the agent axis."""
-    dev = x - x.mean(axis=0)
-    return float(np.linalg.norm(dev, axis=1).max())
-
-
-def consensus_error_stacked(x):
-    """||x - xbar|| of the full stacked deviation."""
-    return float(np.linalg.norm(x - x.mean(axis=0)))
 
 
 @dataclass

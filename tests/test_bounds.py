@@ -18,6 +18,16 @@ from dmsgd.bounds import (
     strongly_convex_trajectory,
     verify_alpha_positivity,
 )
+from dmsgd.harness import (
+    BOUND_METRICS,
+    RunConfig,
+    _solve,
+    bound_inputs_from_scenario,
+    check_scenario,
+    evaluate_bounds,
+)
+from dmsgd.optimizer import run
+from dmsgd.verify import check_bound_domination
 
 
 def inputs(**kw):
@@ -422,3 +432,63 @@ def test_shared_formulas_keep_the_inline_bits():
         assert same_bits(descent_slack(bi), inline_slack(bi))
         for k in (0, 1, 5, 39):
             assert descent_slack(bi, k) == pytest.approx(inline_slack(bi, k), rel=1e-14)
+
+
+# ------------------------------------------------- noiseless violation map
+
+
+def noiseless_quadratic(rng):
+    """One random noiseless quadratic config: a full or ring graph of 3..10 agents, d in 1..3, option I or II,
+    a fixed or adaptive omega, 20..300 iterations, and G measured by the pilot."""
+    n, d = int(rng.integers(3, 11)), int(rng.integers(1, 4))
+    targets, curvatures = rng.uniform(-2, 2, size=(n, d)), rng.uniform(0.5, 2, size=n)
+    return RunConfig(items={
+        "topology.kind": str(rng.choice(["full", "ring"])), "topology.n": str(n),
+        "topology.laziness": repr(rng.uniform(0.05, 0.5)),
+        "objective.kind": "quadratic", "objective.grad_bound": "auto", "oracle.sigma": "0",
+        "objective.targets": ";".join(",".join(map(repr, row)) for row in targets.tolist()),
+        "objective.curvatures": ",".join(map(repr, curvatures.tolist())),
+        "hp.option": str(rng.choice(["I", "II"])), "hp.alpha": repr(10 ** rng.uniform(-3, -1)),
+        "hp.beta": repr(rng.uniform(0, 0.9)),
+        "hp.omega": "adaptive" if rng.random() < 0.5 else repr(rng.uniform(0, 0.95)),
+        "hp.iters": str(int(rng.integers(20, 301))),
+    })
+
+
+# (bound, hp.option, omega kind): (configs whose run the bound fails, configs it was checked on) over the 100
+# configs of seed 0; the engine refuses NOISELESS_REFUSED of them (a blend with eta <= 0), and skips cor1_gap on
+# the option-I configs whose alpha its trajectory does not admit
+NOISELESS_MAP = {
+    ("consensus", "I", "adaptive"): (0, 15), ("consensus", "I", "fixed"): (0, 28),
+    ("consensus", "II", "adaptive"): (2, 20), ("consensus", "II", "fixed"): (5, 28),
+    ("displacement_sq", "I", "adaptive"): (0, 15), ("displacement_sq", "I", "fixed"): (1, 28),
+    ("displacement_sq", "II", "adaptive"): (0, 20), ("displacement_sq", "II", "fixed"): (5, 28),
+    ("avg_grad_envelope", "I", "adaptive"): (1, 15), ("avg_grad_envelope", "I", "fixed"): (0, 28),
+    ("avg_grad_envelope", "II", "adaptive"): (0, 20), ("avg_grad_envelope", "II", "fixed"): (0, 28),
+    ("cor1_gap", "I", "adaptive"): (3, 11), ("cor1_gap", "I", "fixed"): (6, 13),
+    ("cor1_gap", "II", "adaptive"): (0, 20), ("cor1_gap", "II", "fixed"): (0, 28),
+}
+NOISELESS_REFUSED = 9
+
+
+def test_noiseless_violation_map():
+    """Where each bound fails noiseless runs that it was evaluated for, with zero slack.  A map, not a pass test:
+    a fix, a new refusal or a changed bound moves a count here, and the change states why."""
+    rng = np.random.default_rng(0)
+    found, refused = {}, 0
+    for _ in range(100):
+        cfg = noiseless_quadratic(rng)
+        scenario = _solve(cfg, *check_scenario(cfg, {}))
+        try:
+            reports, _ = evaluate_bounds(scenario, bound_inputs_from_scenario(scenario))
+        except ValueError:  # the engine refuses the inputs, as dmsgd bounds does with exit 1
+            refused += 1
+            continue
+        trace = run(scenario.objective, scenario.oracle, scenario.hp, scenario.f_star)
+        omega_kind = "adaptive" if scenario.hp.omega == "adaptive" else "fixed"
+        for name, _, values in reports:
+            column, transform = BOUND_METRICS[name]
+            failed, checked = found.get((name, scenario.hp.option, omega_kind), (0, 0))
+            report = check_bound_domination(transform(getattr(trace, column)), values)
+            found[name, scenario.hp.option, omega_kind] = (failed + (not report.passed), checked + 1)
+    assert (found, refused) == (NOISELESS_MAP, NOISELESS_REFUSED)

@@ -233,18 +233,57 @@ def edit_field(text, line, field, value):
     return "\n".join(lines) + "\n"
 
 
+def check_edited(csv_texts, work, which, text):
+    """The exit code of ``check`` on the pair with ``which`` replaced by ``text``, and the path of that file."""
+    paths = {}
+    for name, original in csv_texts.items():
+        paths[name] = os.path.join(work, f"{name}.csv")
+        with open(paths[name], "w", encoding="utf-8") as fh:
+            fh.write(text if name == which else original)
+    return main(["check", "--trace", paths["trace_seed0"], "--bounds", paths["bounds"]]), paths[which]
+
+
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(which=st.sampled_from(["trace_seed0", "bounds"]), line=st.integers(0, 1000),
        field=st.integers(0, 10), value=VALUES)
 def test_check_fuzz_keeps_exit_contract(csv_texts, which, line, field, value):
     with tempfile.TemporaryDirectory() as work:
-        paths = {}
-        for name, text in csv_texts.items():
-            paths[name] = os.path.join(work, f"{name}.csv")
-            with open(paths[name], "w", encoding="utf-8") as fh:
-                fh.write(edit_field(text, line, field, value) if name == which else text)
-        code = main(["check", "--trace", paths["trace_seed0"], "--bounds", paths["bounds"]])
+        code, _ = check_edited(csv_texts, work, which, edit_field(csv_texts[which], line, field, value))
     assert code in (0, 1, 2, 3)
+
+
+def with_k(text, row, k):
+    """``text`` with the k field of its data row ``row`` (modulo the row count) set to ``k``, and that line's
+    1-based number."""
+    data = [i for i, ln in enumerate(text.splitlines()) if ln[:1].isdigit()]
+    i = data[row % len(data)]
+    return edit_field(text, i, 0, str(k)), i + 1
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(which=st.sampled_from(["trace_seed0", "bounds"]), row=st.integers(0, 1000), k=st.integers(-2, 200))
+def test_check_k_rewrite_is_refused(csv_texts, which, row, k):
+    """Rewriting one k is an input error (exit 2), unless it writes the value the row already had."""
+    text, _ = with_k(csv_texts[which], row, k)
+    with tempfile.TemporaryDirectory() as work:
+        code, _ = check_edited(csv_texts, work, which, text)
+    assert code == (0 if text == csv_texts[which] else 2)
+
+
+@pytest.mark.parametrize("which, row, k", [
+    ("bounds", 0, 99),  # the first consensus row moved to k = 99
+    ("trace_seed0", 1, 1),  # k = 1 twice
+    ("trace_seed0", 0, 5),  # k = 5 twice
+], ids=["bounds-k-99", "trace-k-duplicated", "trace-first-k-5"])
+def test_check_refuses_k_out_of_order(csv_texts, tmp_path, capsys, which, row, k):
+    """Each once printed four ok lines and exited 0: check paired the rows by position, not by k."""
+    text, lineno = with_k(csv_texts[which], row, k)
+    capsys.readouterr()
+    code, path = check_edited(csv_texts, str(tmp_path), which, text)
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    (line,) = err.splitlines()
+    assert line.startswith(f"input error: {path} line {lineno}: k={k}")
 
 
 # inputs the fuzz tests above once found ending in a traceback or a RuntimeWarning
@@ -280,8 +319,8 @@ def test_check_overflowing_trace_value_is_a_violation(csv_texts, tmp_path):
 
 
 def test_check_infinite_trace_value_is_a_violation(csv_texts, tmp_path, capsys):
-    """A diverging run's running average overflows to inf a step before the loop stops it, and the trace
-    keeps that row: check reads it as a violation, not as a malformed file."""
+    """dmsgd writes no non-finite trace value, yet a trace file that holds an inf (an edited or foreign one)
+    reads as a violation, not as a malformed file."""
     lines = csv_texts["trace_seed0"].splitlines()
     row = next(i for i, ln in enumerate(lines) if ln.startswith("2,"))
     fields = lines[row].split(",")

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from dmsgd import optimizer
+from dmsgd.harness import TRACE_COLUMNS
 from dmsgd.objectives import StochasticOracle, UnifiedObjective, make_quadratic, stochastic_grad, unified_optimum
 from dmsgd.optimizer import (
     AgentSwarm,
@@ -259,8 +260,23 @@ def test_run_aborts_on_divergence():
     assert trace.status == "aborted"
     assert trace.aborted_at is not None
     assert len(trace) < 400
-    for name in ("gap", "grad_norm_sq", "step_norm"):
-        assert np.isfinite(getattr(trace, name)).all()
+    for name in TRACE_COLUMNS:
+        assert np.isfinite(getattr(trace, name)).all(), name
+
+
+def test_run_aborts_where_the_running_gradient_sum_overflows():
+    """Each squared gradient norm is finite and above half the float maximum, so their sum overflows at row 2:
+    the run aborts there as nonfinite_value with no agent, and row 1 is the only one written."""
+    half_max = np.finfo(float).max / 2
+    target = np.sqrt(0.6 * half_max)  # two agents: a first squared norm of 1.2 x half the maximum
+    suite = make_quadratic([[target], [target]], [1.0, 1.0])
+    hp = HyperParams(option="I", alpha=1e-12, beta=0.0, omega=0.0, iters=10)
+    trace = run(UnifiedObjective(suite, uniform_mixing(2), hp.alpha), StochasticOracle(sigma=0.0), hp, 0.0)
+    assert (trace.status, trace.abort_reason, trace.abort_agent, trace.aborted_at) == (
+        "aborted", "nonfinite_value", None, 2)
+    assert len(trace) == 1 and trace.grad_norm_sq[0] > half_max
+    for name in TRACE_COLUMNS:
+        assert np.isfinite(getattr(trace, name)).all(), name
 
 
 def test_run_records_abort_reason_and_agent():

@@ -2,12 +2,10 @@ import numpy as np
 import pytest
 
 from dmsgd.objectives import StochasticOracle, UnifiedObjective, make_quadratic, make_pl, unified_optimum
-from dmsgd.optimizer import AgentSwarm, HyperParams, adaptive_omega, run, step
+from dmsgd.optimizer import AgentSwarm, HyperParams, adaptive_omega, consensus_errors, run, step
 from dmsgd.topology import build_topology, effective_matrix, metropolis_mixing
 from dmsgd.verify import (
     check_bound_domination,
-    consensus_error_max,
-    consensus_error_stacked,
     finite_diff_grad,
     recompute_running_avg,
     reference_step,
@@ -132,29 +130,28 @@ def test_finite_diff_rejects_bad_h():
 
 
 # ----------------------------------------------------------------- metrics
+# properties of the trace's two consensus columns, as the loop computes them
 
 
 def test_consensus_errors_zero_iff_equal():
     x = np.tile(np.array([1.5, -2.0]), (4, 1))
-    assert consensus_error_max(x) == 0.0
-    assert consensus_error_stacked(x) == 0.0
+    assert consensus_errors(x) == (0.0, 0.0)
     x[2] += 0.1
-    assert consensus_error_max(x) > 0.0
+    assert consensus_errors(x)[0] > 0.0
 
 
 def test_consensus_errors_translation_invariant():
     rng = np.random.default_rng(3)
     x = rng.normal(size=(5, 3))
     shift = rng.normal(size=3)
-    assert consensus_error_max(x + shift) == pytest.approx(consensus_error_max(x), rel=1e-12)
-    assert consensus_error_stacked(x + shift) == pytest.approx(consensus_error_stacked(x), rel=1e-12)
+    assert consensus_errors(x + shift) == pytest.approx(consensus_errors(x), rel=1e-12)
 
 
 def test_consensus_max_below_stacked():
     rng = np.random.default_rng(4)
     for _ in range(10):
-        x = rng.normal(size=(6, 2))
-        assert consensus_error_max(x) <= consensus_error_stacked(x) + 1e-15
+        err_max, err_stacked = consensus_errors(rng.normal(size=(6, 2)))
+        assert err_max <= err_stacked + 1e-15
 
 
 def test_running_avg_matches_trace():
