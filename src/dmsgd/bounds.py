@@ -8,6 +8,9 @@ gradient-dominance constant.  Feeding penalized-objective constants
 evaluates the first update variant's bounds; feeding the plain-objective
 constants (Lipschitz bound of F, its own noise level, L_m, mu_m) evaluates
 the second variant's — the formulas are identical under that renaming.
+
+Each bound has one form, the one ``harness.evaluate_bounds`` writes; the PL
+asymptote stays as printed, R/(2 a mu_hat^2).
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ __all__ = [
     "simpler_q",
     "optimal_schedule_b",
     "verify_alpha_positivity",
-    "descent_slack",
 ]
 
 
@@ -122,20 +124,6 @@ def consensus_bound(bi):
     return float(num / den)
 
 
-def _fades(bl, k):
-    """Tight factors (1 - (bL)^k, (1 - (bL)^{k+1})^2) at iteration k; (1, 1) when k is None."""
-    return (1.0, 1.0) if k is None else (1.0 - bl**k, (1.0 - bl ** (k + 1)) ** 2)
-
-
-def _residual(bi, fade, fade_next):
-    """R's three terms, the second scaled by ``fade`` and the third by ``fade_next``."""
-    return (
-        bi.alpha * bi.grad_bound * bi.sigma
-        + bi.alpha * bi.grad_bound * np.sqrt(bi.second_moment) * fade / (1.0 - bi.bl)
-        + bi.smooth * fade_next * bi.alpha**2 * bi.second_moment / (2.0 * (1.0 - bi.bl) ** 2)
-    )
-
-
 def _geometric(bi, theta, asymptote, k_max):
     """asymptote + (1 - theta)^(k-1) (gap1 - asymptote) for k = 1..k_max, gap1 exactly at k = 1."""
     vals = asymptote + (1.0 - theta) ** np.arange(k_max) * (bi.gap1 - asymptote)
@@ -144,34 +132,35 @@ def _geometric(bi, theta, asymptote, k_max):
 
 
 @_finite
-def displacement_bound(bi, k=None):
-    """Expected squared step length bound; k-dependent tight form or loose.
+def displacement_bound(bi, k):
+    """Expected squared step length bound a^2 (G^2+s^2)/(1-bL)^2 (1-(bL)^{k+1})^2.
 
-    Loose: a^2 (G^2+s^2)/(1-bL)^2.  Tight at iteration k (0-based count of
-    completed updates, a scalar or an array): multiply by ``_fades``'s (1-(bL)^{k+1})^2.
+    k (a scalar or an array) counts completed updates from 0; as k grows the
+    bound rises to a^2 (G^2+s^2)/(1-bL)^2.
     """
     loose = bi.alpha**2 * bi.second_moment / (1.0 - bi.bl) ** 2
-    if k is None:
-        return float(loose)
     k = np.asarray(k)
     if (k < 0).any():
         raise ValueError("k must be >= 0")
-    return loose * _fades(bi.bl, k)[1]
+    return loose * (1.0 - bi.bl ** (k + 1)) ** 2
 
 
 @_finite
 def r_constant(bi):
-    """Residual constant R = aGs + aG sqrt(G^2+s^2)/(1-bL) + L a^2 (G^2+s^2)/(2(1-bL)^2): ``_residual``."""
-    return float(_residual(bi, 1.0, 1.0))
+    """Residual constant R = aGs + aG sqrt(G^2+s^2)/(1-bL) + L a^2 (G^2+s^2)/(2(1-bL)^2)."""
+    return float(
+        bi.alpha * bi.grad_bound * bi.sigma
+        + bi.alpha * bi.grad_bound * np.sqrt(bi.second_moment) / (1.0 - bi.bl)
+        + bi.smooth * bi.alpha**2 * bi.second_moment / (2.0 * (1.0 - bi.bl) ** 2)
+    )
 
 
 @_finite
-def strongly_convex_trajectory(bi, k_max, tight=False):
+def strongly_convex_trajectory(bi, k_max):
     """Gap bound trajectory for k = 1..k_max under strong convexity.
 
     Closed form (``_geometric``): asymptote R L/(2 a mu^2) plus geometric decay of
-    the initial gap at factor (1 - 2 a mu^2 / L); requires a <= L/(2 mu^2).  The tight
-    variant iterates the one-step recursion with ``_residual(bi, *_fades(bL, k))`` for R.
+    the initial gap at factor (1 - 2 a mu^2 / L); requires a <= L/(2 mu^2).
     """
     if bi.strong_mu is None or bi.strong_mu <= 0:
         raise ValueError("strongly convex trajectory needs strong_mu > 0")
@@ -181,34 +170,26 @@ def strongly_convex_trajectory(bi, k_max, tight=False):
     theta = 2.0 * bi.alpha * mu**2 / l
     if not (0.0 < theta <= 1.0):
         raise ValueError(f"alpha outside the admissible range (0, L/(2 mu^2)]: contraction {theta}")
-    if not tight:
-        return _geometric(bi, theta, r_constant(bi) * l / (2.0 * bi.alpha * mu**2), k_max)
-    vals = np.empty(k_max)
-    vals[0] = gap = bi.gap1
-    for k in range(1, k_max):
-        vals[k] = gap = (1.0 - theta) * gap + _residual(bi, *_fades(bi.bl, k))
-    return vals
+    return _geometric(bi, theta, r_constant(bi) * l / (2.0 * bi.alpha * mu**2), k_max)
 
 
 @_finite
-def pl_trajectory(bi, k_max, residual_power=2):
+def pl_trajectory(bi, k_max):
     """Gap bound trajectory under gradient dominance, as printed.
 
-    Asymptote R/(2 a mu_hat^p) with p = 2 as printed (p = 1 exposes the
-    dimensionally consistent variant), contraction factor (1 - 2 a mu_hat),
-    as ``_geometric``; requires a <= 1/(2 mu_hat).
+    Asymptote R/(2 a mu_hat^2) as printed (the dimensionally consistent form
+    would be R/(2 a mu_hat)), contraction factor (1 - 2 a mu_hat), as
+    ``_geometric``; requires a <= 1/(2 mu_hat).
     """
     if bi.pl_mu is None or bi.pl_mu <= 0:
         raise ValueError("PL trajectory needs pl_mu > 0")
     if bi.gap1 is None:
         raise ValueError("trajectory bounds need the initial gap gap1")
-    if residual_power not in (1, 2):
-        raise ValueError("residual_power must be 1 or 2")
     mu = bi.pl_mu
     theta = 2.0 * bi.alpha * mu
     if not (0.0 < theta <= 1.0):
         raise ValueError(f"alpha outside the admissible range (0, 1/(2 mu_hat)]: contraction {theta}")
-    return _geometric(bi, theta, r_constant(bi) / (2.0 * bi.alpha * mu**residual_power), k_max)
+    return _geometric(bi, theta, r_constant(bi) / (2.0 * bi.alpha * mu**2), k_max)
 
 
 @_finite
@@ -310,24 +291,4 @@ def verify_alpha_positivity(points):
         min_alpha=float(min_alpha),
         argmin=argmin,
         failures=failures,
-    )
-
-
-@_finite
-def descent_slack(bi, k=None):
-    """Additive slack of the per-step expected decrease (loose or tight).
-
-    Everything on the right-hand side of the one-step descent inequality
-    except the -(a/2) E||grad||^2 term.  k (0-based, as in the displacement
-    bound) selects the tight variant, scaled by ``_fades``; the loose one has unit factors.
-    """
-    if k is not None and k < 0:
-        raise ValueError("k must be >= 0")
-    bl, p = bi.bl, bi.second_moment
-    fade, fade_next = _fades(bl, k)
-    return float(
-        (bi.smooth * bi.alpha**2 - bi.alpha) * fade_next * p / (2.0 * (1.0 - bl) ** 2)
-        + bi.alpha * bi.sigma**2 / 2.0
-        + bi.alpha * bi.sigma * np.sqrt(p) * bl * fade / (1.0 - bl)
-        + bi.alpha * bl**2 * fade**2 * p / (2.0 * (1.0 - bl) ** 2)
     )

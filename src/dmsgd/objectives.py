@@ -369,11 +369,6 @@ class UnifiedObjective:
         lap_x = self._lap @ states
         return float(np.sum(states * lap_x) / (2.0 * self.alpha)), lap_x / self.alpha
 
-    def penalty(self, states):
-        if self.alpha is None:
-            return 0.0
-        return self._penalty(self._check(states))[0]
-
     def value(self, states):
         return self.value_and_grad(states)[0]
 

@@ -130,24 +130,19 @@ def build_topology(kind, n, parts=None, edges=None):
 class MixingMatrix:
     """Symmetric doubly stochastic gossip matrix.
 
-    ``laziness`` records the total identity-blend weight applied at
-    construction.  ``edges`` (when known) pins the admissible sparsity
-    pattern: off-diagonal entries may be positive only on graph edges.
+    ``edges`` (when known) pins the admissible sparsity pattern: off-diagonal
+    entries may be positive only on graph edges.  An identity blend (laziness,
+    or omega in ``effective_matrix``) is already part of ``entries``.
     """
 
     n: int
     entries: np.ndarray
-    laziness: float = 0.0
     edges: frozenset | None = field(default=None, compare=False)
 
     def __post_init__(self):
         m = np.asarray(self.entries, dtype=float)
         if m.shape != (self.n, self.n):
             raise ValueError(f"expected {self.n}x{self.n} matrix, got {m.shape}")
-        # metropolis_mixing enforces [0,1); exactly 1.0 can only arise from
-        # effective_matrix(w=1), where the blend legitimately reaches I
-        if not (0.0 <= self.laziness <= 1.0):
-            raise ValueError(f"laziness must lie in [0,1], got {self.laziness}")
         if m.min() < -STOCHASTIC_TOL:
             raise ValueError("mixing matrix has negative entries")
         if np.abs(m.sum(axis=0) - 1.0).max() > STOCHASTIC_TOL:
@@ -183,7 +178,7 @@ def metropolis_mixing(t, laziness=0.0):
         base[l, j] = w
     np.fill_diagonal(base, 1.0 - base.sum(axis=1))
     m = (1.0 - laziness) * base + laziness * np.eye(t.n)
-    return MixingMatrix(n=t.n, entries=m, laziness=laziness, edges=t.edges)
+    return MixingMatrix(n=t.n, entries=m, edges=t.edges)
 
 
 @dataclass(frozen=True)
@@ -293,12 +288,11 @@ def spectrum(m):
 
 
 def effective_matrix(m, omega):
-    """Blend toward the identity: wI + (1-w)Pi, itself a mixing matrix."""
+    """Blend toward the identity: wI + (1-w)Pi, a mixing matrix on the same edges."""
     if not (0.0 <= omega <= 1.0):
         raise ValueError(f"omega must lie in [0,1], got {omega}")
     blended = omega * np.eye(m.n) + (1.0 - omega) * m.entries
-    total_laziness = omega + (1.0 - omega) * m.laziness
-    return MixingMatrix(n=m.n, entries=blended, laziness=total_laziness, edges=m.edges)
+    return MixingMatrix(n=m.n, entries=blended, edges=m.edges)
 
 
 def lambda_cap(omega, lambda2):

@@ -25,9 +25,11 @@ def _openblas_core(np):
 
 
 def _simd_top(np):
+    """The highest active dispatch target; the top baseline entry when none is active."""
     from numpy._core import _multiarray_umath as umath
 
-    return [name for name in umath.__cpu_dispatch__ if umath.__cpu_features__.get(name)][-1]
+    active = [name for name in umath.__cpu_dispatch__ if umath.__cpu_features__.get(name)]
+    return (active or umath.__cpu_baseline__)[-1]
 
 
 def _lookup(read):

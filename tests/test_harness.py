@@ -291,6 +291,15 @@ MINIBATCH_SWEEP = runpy.run_path(str(Path(__file__).parents[1] / "bench" / "work
     "minibatch_sweep"].config_text(0)
 
 
+def test_benchmark_tracer_wraps_only_defined_names():
+    """Every (owner, attribute) the benchmark's tracer wraps is still defined on that owner."""
+    from dmsgd import bounds, optimizer
+
+    layer_table = runpy.run_path(str(Path(__file__).parents[1] / "bench" / "tracer.py"))["layer_table"]
+    table = layer_table(harness, optimizer, bounds, objectives)
+    assert [(owner.__name__, attr) for owner, attr, _, _ in table if attr not in vars(owner)] == []
+
+
 @pytest.mark.parametrize("text, command, builds", [
     (PL_RING_16, "run", 1),
     (PL_RING_16 + "topology.laziness = 0.5\n", "bounds", 1),  # a bare ring of 16 admits no consensus bound

@@ -503,7 +503,7 @@ def test_unified_consensus_point_penalty_free():
     suite = make_quadratic([[0.0], [2.0], [1.0]], [1.0, 2.0, 1.5])
     u = UnifiedObjective(suite, uniform_mixing(3), alpha=0.1)
     point = np.full((3, 1), 0.7)
-    assert u.penalty(point) == pytest.approx(0.0, abs=1e-14)
+    assert u.value(point) - agent_total(suite.evaluate(point)[0]) == pytest.approx(0.0, abs=1e-14)
     assert u.value(point) == pytest.approx(agent_total(suite.evaluate(point)[0]))
     assert np.allclose(u.grad(point), suite.evaluate(point)[1], atol=1e-12)
 
@@ -521,7 +521,7 @@ def test_unified_hand_computed_penalty():
     mix = uniform_mixing(2)
     u = UnifiedObjective(suite, mix, alpha=0.5)
     x = np.array([[0.0], [2.0]])
-    assert u.penalty(x) == pytest.approx(2.0, abs=1e-12)
+    assert u.value(x) - agent_total(suite.evaluate(x)[0]) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_unified_gradient_finite_differences():

@@ -466,3 +466,14 @@ def test_pinned_demo_stdout(name):
                          capture_output=True, text=True).stdout
     out = re.sub(re.escape(tempfile.gettempdir()) + r"\S*", "<tmp>", out)
     assert _sha([out]) == DEMO_PINS[name]
+
+
+def test_simd_lookup_names_the_baseline_when_no_target_is_active():
+    """With dispatch capped at the build's baseline, the report header names the baseline's top entry."""
+    from numpy._core._multiarray_umath import __cpu_baseline__
+
+    tests = Path(__file__).resolve().parent
+    script = f"import sys; sys.path.insert(0, {str(tests)!r}); import conftest; print(conftest._lookup(conftest._simd_top))"
+    env = dict(os.environ, NPY_ENABLE_CPU_FEATURES=" ".join(__cpu_baseline__))
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True, capture_output=True, text=True).stdout
+    assert out.strip() == __cpu_baseline__[-1]

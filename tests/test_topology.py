@@ -138,7 +138,7 @@ def test_spectrum_ring4_golden():
 
 
 def test_spectrum_identity_all_ones():
-    m = MixingMatrix(n=5, entries=np.eye(5), laziness=0.0)
+    m = MixingMatrix(n=5, entries=np.eye(5))
     assert np.allclose(spectrum(m).eigenvalues, np.ones(5), atol=1e-14)
 
 
