@@ -555,7 +555,7 @@ def load_dataset_csv(path):
 
 def load_edge_list(path):
     """The custom topology of an edge list: the agent count ``n``, then one edge ``j l`` (0-indexed,
-    whitespace-separated) per line."""
+    whitespace-separated) per line.  A self-loop or an agent outside 0..n-1 is refused by its line."""
     values = []
     for lineno, line in _numbered_lines(path):
         fields = line.split()
@@ -563,6 +563,12 @@ def load_edge_list(path):
             raise InputFileError(f"{path} line {lineno}: expected {'an edge j l' if values else 'the agent count n'}, "
                                  f"got {line!r}")
         values += _parse_fields(path, [(lineno, fields)], [(i, int) for i in range(len(fields))])
+        if len(values) > 1:
+            (n,), (j, l) = values[0], values[-1]
+            if j == l:
+                raise InputFileError(f"{path} line {lineno}: self-loop ({j},{j}) not allowed")
+            if not (0 <= j < n and 0 <= l < n):
+                raise InputFileError(f"{path} line {lineno}: edge ({j},{l}) out of range for n={n}")
     if not values:
         raise InputFileError(f"empty edge-list file {path}")
     (n,), *pairs = values

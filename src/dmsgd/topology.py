@@ -4,18 +4,18 @@ Every bound in the package is driven by a handful of spectral quantities of
 the mixing matrix: the second-largest eigenvalue lambda_2, the smallest
 eigenvalue lambda_N, the blended second eigenvalue Lambda = w + (1-w)*lambda_2,
 and eta = lambda_min of the blended matrix wI + (1-w)Pi when positive.
-This module builds the graphs, turns them into symmetric doubly stochastic
-matrices via Metropolis weights (plus an optional lazy blend toward the
-identity), and extracts the spectrum with a cyclic Jacobi eigensolver.  The
-solver is bit-identical to ``verify.reference_jacobi_eigenvalues``, 1.5 to
-2.5 times faster, and most of a scenario build at large n; the benchmark
-reports its time as ``topology.spectrum_s``.
+This module builds the graphs as boolean adjacency matrices, turns them into
+symmetric doubly stochastic matrices via Metropolis weights (plus an optional
+lazy blend toward the identity), and extracts the spectrum with a cyclic
+Jacobi eigensolver.  The solver is bit-identical to
+``verify.reference_jacobi_eigenvalues``, 1.5 to 2.5 times faster, and most of
+a scenario build at large n; the benchmark reports it as ``topology.spectrum_s``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,56 +39,37 @@ class JacobiConvergenceError(RuntimeError):
     """Raised when the cyclic Jacobi sweep limit is hit before convergence."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Topology:
-    """Undirected communication graph on agents 0..n-1.
+    """Undirected communication graph on agents 0..n-1, held as its adjacency matrix.
 
-    Edges are canonical (j, l) pairs with j < l, no self-loops, no
-    duplicates.  Construction validates connectivity; disconnected graphs
-    are rejected because gossip averaging cannot reach consensus on them.
+    ``adjacency`` is a symmetric boolean (n, n) array with an empty diagonal,
+    True at (j, l) when agents j and l are neighbours.  Disconnected graphs are
+    rejected because gossip averaging cannot reach consensus on them.
     """
 
-    n: int
-    edges: frozenset
+    adjacency: np.ndarray
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"agent count must be >= 1, got {self.n}")
-        for j, l in self.edges:
-            if j == l:
-                raise ValueError(f"self-loop ({j},{j}) not allowed")
-            if not (0 <= j < l < self.n):
-                raise ValueError(f"edge ({j},{l}) out of range for n={self.n}")
-        if not self._connected():
+        a = np.asarray(self.adjacency, dtype=bool)
+        if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
+            raise ValueError(f"adjacency must be a square matrix of at least one agent, got shape {a.shape}")
+        if np.count_nonzero(a.diagonal()):
+            j = int(np.argmax(a.diagonal()))
+            raise ValueError(f"self-loop ({j},{j}) not allowed")
+        if np.count_nonzero(a != a.T):
+            raise ValueError("adjacency matrix is not symmetric")
+        reached = frontier = a[0] | (np.arange(len(a)) == 0)  # agent 0 and its neighbours, then breadth-first
+        while np.count_nonzero(frontier) and np.count_nonzero(reached) < len(a):
+            frontier = a[frontier].any(axis=0) > reached  # the frontier's neighbours not reached before
+            reached = reached | frontier
+        if np.count_nonzero(reached) < len(a):
             raise ValueError("graph is not connected")
+        object.__setattr__(self, "adjacency", a)
 
-    def _connected(self):
-        if self.n == 1:
-            return True
-        adj = {j: [] for j in range(self.n)}
-        for j, l in self.edges:
-            adj[j].append(l)
-            adj[l].append(j)
-        seen = {0}
-        stack = [0]
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == self.n
-
-    def degrees(self):
-        deg = np.zeros(self.n, dtype=int)
-        for j, l in self.edges:
-            deg[j] += 1
-            deg[l] += 1
-        return deg
-
-
-def _canonical_edges(pairs):
-    return frozenset((min(j, l), max(j, l)) for j, l in pairs)
+    @property
+    def n(self):
+        return len(self.adjacency)
 
 
 def build_topology(kind, n, parts=None, edges=None):
@@ -103,46 +84,48 @@ def build_topology(kind, n, parts=None, edges=None):
         Bipartite split; requires p + q = n, p, q >= 1.  Defaults to
         ``(n // 2, n - n // 2)``.
     edges : iterable of (j, l), optional
-        Edge list for ``kind="custom"``.
+        Edge list for ``kind="custom"``; duplicate pairs collapse.
     """
+    if n < 1:
+        raise ValueError(f"agent count must be >= 1, got {n}")
+    a = np.zeros((n, n), dtype=bool)
     if kind == "full":
-        pairs = [(j, l) for j in range(n) for l in range(j + 1, n)]
+        a = ~np.eye(n, dtype=bool)
     elif kind == "ring":
-        if n <= 2:
-            pairs = [(0, 1)] if n == 2 else []
-        else:
-            pairs = [(j, (j + 1) % n) for j in range(n)]
+        a[np.arange(n), np.arange(1, n + 1) % n] = n > 1  # the lone agent of n = 1 is no neighbour of itself
     elif kind == "bipartite":
         p, q = parts if parts is not None else (n // 2, n - n // 2)
         if p < 1 or q < 1 or p + q != n:
             raise ValueError(f"invalid bipartite split {(p, q)} for n={n}")
-        pairs = [(j, l) for j in range(p) for l in range(p, n)]
+        a[:p, p:] = True
     elif kind == "custom":
         if edges is None:
             raise ValueError("custom topology needs an edge list")
-        pairs = list(edges)
+        for j, l in edges:  # checked before the write: numpy would wrap a negative index
+            if not (0 <= j < n and 0 <= l < n):
+                raise ValueError(f"edge ({j},{l}) out of range for n={n}")
+            a[j, l] = True
     else:
         raise ValueError(f"unknown topology kind {kind!r}")
-    return Topology(n=n, edges=_canonical_edges(pairs))
+    return Topology(a | a.T)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MixingMatrix:
     """Symmetric doubly stochastic gossip matrix.
 
-    ``edges`` (when known) pins the admissible sparsity pattern: off-diagonal
-    entries may be positive only on graph edges.  An identity blend (laziness,
-    or omega in ``effective_matrix``) is already part of ``entries``.
+    ``adjacency`` (when known) is the graph's boolean adjacency matrix: an
+    off-diagonal entry may be positive only where it is True.  An identity blend
+    (laziness, or omega in ``effective_matrix``) is already part of ``entries``.
     """
 
-    n: int
     entries: np.ndarray
-    edges: frozenset | None = field(default=None, compare=False)
+    adjacency: np.ndarray | None = None
 
     def __post_init__(self):
         m = np.asarray(self.entries, dtype=float)
-        if m.shape != (self.n, self.n):
-            raise ValueError(f"expected {self.n}x{self.n} matrix, got {m.shape}")
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise ValueError(f"expected a square matrix, got shape {m.shape}")
         if m.min() < -STOCHASTIC_TOL:
             raise ValueError("mixing matrix has negative entries")
         if np.abs(m.sum(axis=0) - 1.0).max() > STOCHASTIC_TOL:
@@ -151,13 +134,14 @@ class MixingMatrix:
             raise ValueError("row sums differ from 1")
         if np.abs(m - m.T).max() > STOCHASTIC_TOL:
             raise ValueError("mixing matrix is not symmetric")
-        if self.edges is not None:
-            allowed = np.eye(self.n, dtype=bool)
-            for j, l in self.edges:
-                allowed[j, l] = allowed[l, j] = True
-            if (np.abs(m) > STOCHASTIC_TOL)[~allowed].any():
+        if self.adjacency is not None:
+            if (np.abs(m) > STOCHASTIC_TOL)[~(self.adjacency | np.eye(len(m), dtype=bool))].any():
                 raise ValueError("mixing matrix violates the topology sparsity pattern")
         object.__setattr__(self, "entries", m)
+
+    @property
+    def n(self):
+        return len(self.entries)
 
 
 def metropolis_mixing(t, laziness=0.0):
@@ -170,15 +154,11 @@ def metropolis_mixing(t, laziness=0.0):
     """
     if not (0.0 <= laziness < 1.0):
         raise ValueError(f"laziness must lie in [0,1), got {laziness}")
-    deg = t.degrees()
-    base = np.zeros((t.n, t.n))
-    for j, l in t.edges:
-        w = 1.0 / (1.0 + max(deg[j], deg[l]))
-        base[j, l] = w
-        base[l, j] = w
+    deg = t.adjacency.sum(axis=1)
+    base = np.where(t.adjacency, 1.0 / (1.0 + np.maximum.outer(deg, deg)), 0.0)
     np.fill_diagonal(base, 1.0 - base.sum(axis=1))
     m = (1.0 - laziness) * base + laziness * np.eye(t.n)
-    return MixingMatrix(n=t.n, entries=m, edges=t.edges)
+    return MixingMatrix(entries=m, adjacency=t.adjacency)
 
 
 @dataclass(frozen=True)
@@ -288,11 +268,11 @@ def spectrum(m):
 
 
 def effective_matrix(m, omega):
-    """Blend toward the identity: wI + (1-w)Pi, a mixing matrix on the same edges."""
+    """Blend toward the identity: wI + (1-w)Pi, a mixing matrix on the same graph."""
     if not (0.0 <= omega <= 1.0):
         raise ValueError(f"omega must lie in [0,1], got {omega}")
     blended = omega * np.eye(m.n) + (1.0 - omega) * m.entries
-    return MixingMatrix(n=m.n, entries=blended, edges=m.edges)
+    return MixingMatrix(entries=blended, adjacency=m.adjacency)
 
 
 def lambda_cap(omega, lambda2):

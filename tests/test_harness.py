@@ -983,7 +983,8 @@ def test_custom_topology_from_edge_list(tmp_path):
         f"topology.kind = custom\ntopology.edges = {edges}\n",
     )
     scenario = build_scenario(parse_config_text(cfg))
-    assert scenario.objective.mixing.edges == frozenset({(0, 1), (1, 2)})
+    assert scenario.objective.mixing.adjacency.tolist() == [[False, True, False], [True, False, True],
+                                                            [False, True, False]]
 
 
 def test_logistic_dataset_from_csv(tmp_path):

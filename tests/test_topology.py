@@ -28,29 +28,43 @@ def random_mixing(rng, n, extra_edges=0, laziness=None):
     return metropolis_mixing(t, laziness=ell)
 
 
+def adjacency_of(n, pairs):
+    """The boolean adjacency matrix of the undirected graph on ``n`` agents with edges ``pairs``."""
+    a = np.zeros((n, n), dtype=bool)
+    for j, l in pairs:
+        a[j, l] = a[l, j] = True
+    return a
+
+
 def test_full_topology_is_complete_graph():
     t = build_topology("full", 3)
-    assert t.edges == frozenset({(0, 1), (0, 2), (1, 2)})
+    assert np.array_equal(t.adjacency, adjacency_of(3, [(0, 1), (0, 2), (1, 2)]))
 
 
 def test_ring_topology_is_cycle():
     t = build_topology("ring", 4)
-    assert t.edges == frozenset({(0, 1), (1, 2), (2, 3), (0, 3)})
+    assert np.array_equal(t.adjacency, adjacency_of(4, [(0, 1), (1, 2), (2, 3), (0, 3)]))
 
 
 def test_bipartite_topology_k22():
     t = build_topology("bipartite", 4, parts=(2, 2))
-    assert t.edges == frozenset({(0, 2), (0, 3), (1, 2), (1, 3)})
+    assert np.array_equal(t.adjacency, adjacency_of(4, [(0, 2), (0, 3), (1, 2), (1, 3)]))
 
 
 def test_bipartite_default_split():
-    assert build_topology("bipartite", 5).edges == build_topology("bipartite", 5, parts=(2, 3)).edges
+    assert np.array_equal(build_topology("bipartite", 5).adjacency,
+                          build_topology("bipartite", 5, parts=(2, 3)).adjacency)
 
 
 def test_ring_small_n():
-    assert build_topology("ring", 2).edges == frozenset({(0, 1)})
-    assert build_topology("ring", 1).edges == frozenset()
-    assert build_topology("full", 1).edges == frozenset()
+    assert np.array_equal(build_topology("ring", 2).adjacency, adjacency_of(2, [(0, 1)]))
+    assert np.array_equal(build_topology("ring", 1).adjacency, adjacency_of(1, []))
+    assert np.array_equal(build_topology("full", 1).adjacency, adjacency_of(1, []))
+
+
+def test_custom_duplicate_pairs_collapse():
+    t = build_topology("custom", 3, edges=[(0, 1), (1, 0), (1, 2), (0, 1)])
+    assert np.array_equal(t.adjacency, adjacency_of(3, [(0, 1), (1, 2)]))
 
 
 def test_invalid_bipartite_split_rejected():
@@ -66,10 +80,20 @@ def test_disconnected_custom_rejected():
 
 
 def test_self_loop_and_range_rejected():
-    with pytest.raises(ValueError):
-        Topology(n=3, edges=frozenset({(1, 1)}))
-    with pytest.raises(ValueError):
-        Topology(n=3, edges=frozenset({(0, 3)}))
+    with pytest.raises(ValueError, match="self-loop"):
+        Topology(adjacency_of(3, [(0, 1), (1, 2)]) | np.eye(3, dtype=bool))
+    with pytest.raises(ValueError, match="self-loop"):
+        build_topology("custom", 3, edges=[(0, 1), (1, 2), (1, 1)])
+    with pytest.raises(ValueError, match="out of range"):
+        build_topology("custom", 3, edges=[(0, 1), (0, 3)])
+    with pytest.raises(ValueError, match="out of range"):
+        build_topology("custom", 3, edges=[(0, 1), (-1, 2)])  # a negative index would wrap to agent 2
+    with pytest.raises(ValueError, match="symmetric"):
+        Topology(np.triu(adjacency_of(3, [(0, 1), (1, 2)])))
+    with pytest.raises(ValueError, match="at least one agent"):
+        Topology(np.zeros((0, 0), dtype=bool))
+    with pytest.raises(ValueError, match="agent count must be >= 1"):
+        build_topology("ring", 0)
 
 
 def test_edge_list_roundtrip(tmp_path):
@@ -77,7 +101,7 @@ def test_edge_list_roundtrip(tmp_path):
     path.write_text("4\n0 1\n1 2\n2 3\n0 3\n", encoding="utf-8")
     t = load_edge_list(path)
     assert t.n == 4
-    assert t.edges == build_topology("ring", 4).edges
+    assert np.array_equal(t.adjacency, build_topology("ring", 4).adjacency)
 
 
 def test_metropolis_full3_is_uniform():
@@ -96,6 +120,45 @@ def test_metropolis_ring4_rows():
         ]
     )
     assert np.allclose(m.entries, expected, atol=1e-15)
+
+
+def reference_metropolis(n, pairs, laziness):
+    """Metropolis weights by a loop over the edges: 1/(1 + max degree) on each, the slack on the diagonal,
+    then the blend (1-laziness)*base + laziness*I."""
+    edges = {(min(j, l), max(j, l)) for j, l in pairs}
+    deg = np.zeros(n, dtype=int)
+    for j, l in edges:
+        deg[j] += 1
+        deg[l] += 1
+    base = np.zeros((n, n))
+    for j, l in edges:
+        base[j, l] = base[l, j] = 1.0 / (1.0 + max(deg[j], deg[l]))
+    np.fill_diagonal(base, 1.0 - base.sum(axis=1))
+    return (1.0 - laziness) * base + laziness * np.eye(n)
+
+
+def family_pairs(kind, n):
+    if kind == "full":
+        return [(j, l) for j in range(n) for l in range(j + 1, n)]
+    if kind == "ring":
+        return [(j, (j + 1) % n) for j in range(n)] if n > 2 else [(0, 1)][:n - 1]
+    return [(j, l) for j in range(n // 2) for l in range(n // 2, n)]
+
+
+def test_metropolis_bit_identical_to_edge_loop():
+    cases = [(build_topology(kind, n), n, family_pairs(kind, n)) for kind in ("full", "ring", "bipartite")
+             for n in (1, 2, 3, 4, 5, 16, 17, 64, 128) if kind != "bipartite" or n >= 2]
+    rng = np.random.default_rng(11)
+    for _ in range(40):  # a ring plus chords
+        n = int(rng.integers(3, 40))
+        pairs = family_pairs("ring", n) + [tuple(map(int, rng.choice(n, size=2, replace=False)))
+                                           for _ in range(int(rng.integers(1, n)))]
+        cases.append((build_topology("custom", n, edges=pairs), n, pairs))
+    mismatched = [(n, ell) for t, n, pairs in cases for ell in (0.0, 0.123, 0.3, 0.5)
+                  if metropolis_mixing(t, laziness=ell).entries.tobytes()
+                  != reference_metropolis(n, pairs, ell).tobytes()]
+    assert len(cases) == 66
+    assert mismatched == []
 
 
 def test_laziness_blend_limits():
@@ -119,7 +182,7 @@ def test_mixing_invariants_random():
 def test_sparsity_pattern_enforced():
     bad = np.full((3, 3), 1.0 / 3.0)
     with pytest.raises(ValueError, match="sparsity"):
-        MixingMatrix(n=3, entries=bad, edges=frozenset({(0, 1), (1, 2)}))
+        MixingMatrix(entries=bad, adjacency=adjacency_of(3, [(0, 1), (1, 2)]))
 
 
 def test_spectrum_uniform_rank_one():
@@ -138,7 +201,7 @@ def test_spectrum_ring4_golden():
 
 
 def test_spectrum_identity_all_ones():
-    m = MixingMatrix(n=5, entries=np.eye(5))
+    m = MixingMatrix(entries=np.eye(5))
     assert np.allclose(spectrum(m).eigenvalues, np.ones(5), atol=1e-14)
 
 
