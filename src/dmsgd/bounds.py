@@ -10,7 +10,8 @@ constants (Lipschitz bound of F, its own noise level, L_m, mu_m) evaluates
 the second variant's — the formulas are identical under that renaming.
 
 Each bound has one form, the one ``harness.evaluate_bounds`` writes; the PL
-asymptote stays as printed, R/(2 a mu_hat^2).
+asymptote stays as printed, R/(2 a mu_hat^2).  Both gap trajectories come from
+one builder, ``_trajectory``, which returns an empty array for zero iterations.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import numpy as np
 
 __all__ = [
     "BoundInputs",
-    "PositivityReport",
     "consensus_bound",
     "displacement_bound",
     "r_constant",
@@ -33,7 +33,6 @@ __all__ = [
     "simpler_step_bound",
     "simpler_q",
     "optimal_schedule_b",
-    "verify_alpha_positivity",
 ]
 
 
@@ -124,13 +123,6 @@ def consensus_bound(bi):
     return float(num / den)
 
 
-def _geometric(bi, theta, asymptote, k_max):
-    """asymptote + (1 - theta)^(k-1) (gap1 - asymptote) for k = 1..k_max, gap1 exactly at k = 1."""
-    vals = asymptote + (1.0 - theta) ** np.arange(k_max) * (bi.gap1 - asymptote)
-    vals[0] = bi.gap1  # exact telescoping base case
-    return vals
-
-
 @_finite
 def displacement_bound(bi, k):
     """Expected squared step length bound a^2 (G^2+s^2)/(1-bL)^2 (1-(bL)^{k+1})^2.
@@ -155,41 +147,50 @@ def r_constant(bi):
     )
 
 
+def _trajectory(bi, theta, admissible, asymptote, k_max):
+    """asymptote + (1 - theta)^(k-1) (gap1 - asymptote) for k = 1..k_max, gap1 exactly at k = 1.
+
+    Refuses a missing gap1, then a contraction theta outside (0, 1], naming the
+    caller's ``admissible`` step-size range; only then calls ``asymptote()``.
+    k_max = 0 gives an empty trajectory.
+    """
+    if bi.gap1 is None:
+        raise ValueError("trajectory bounds need the initial gap gap1")
+    if not (0.0 < theta <= 1.0):
+        raise ValueError(f"alpha outside the admissible range {admissible}: contraction {theta}")
+    limit = asymptote()
+    vals = limit + (1.0 - theta) ** np.arange(k_max) * (bi.gap1 - limit)
+    vals[:1] = bi.gap1  # exact telescoping base case
+    return vals
+
+
 @_finite
 def strongly_convex_trajectory(bi, k_max):
     """Gap bound trajectory for k = 1..k_max under strong convexity.
 
-    Closed form (``_geometric``): asymptote R L/(2 a mu^2) plus geometric decay of
+    Built by ``_trajectory``: asymptote R L/(2 a mu^2) plus geometric decay of
     the initial gap at factor (1 - 2 a mu^2 / L); requires a <= L/(2 mu^2).
     """
     if bi.strong_mu is None or bi.strong_mu <= 0:
         raise ValueError("strongly convex trajectory needs strong_mu > 0")
-    if bi.gap1 is None:
-        raise ValueError("trajectory bounds need the initial gap gap1")
     mu, l = bi.strong_mu, bi.smooth
-    theta = 2.0 * bi.alpha * mu**2 / l
-    if not (0.0 < theta <= 1.0):
-        raise ValueError(f"alpha outside the admissible range (0, L/(2 mu^2)]: contraction {theta}")
-    return _geometric(bi, theta, r_constant(bi) * l / (2.0 * bi.alpha * mu**2), k_max)
+    return _trajectory(bi, 2.0 * bi.alpha * mu**2 / l, "(0, L/(2 mu^2)]",
+                       lambda: r_constant(bi) * l / (2.0 * bi.alpha * mu**2), k_max)
 
 
 @_finite
 def pl_trajectory(bi, k_max):
     """Gap bound trajectory under gradient dominance, as printed.
 
-    Asymptote R/(2 a mu_hat^2) as printed (the dimensionally consistent form
-    would be R/(2 a mu_hat)), contraction factor (1 - 2 a mu_hat), as
-    ``_geometric``; requires a <= 1/(2 mu_hat).
+    Built by ``_trajectory``: asymptote R/(2 a mu_hat^2) as printed (the
+    dimensionally consistent form would be R/(2 a mu_hat)), contraction factor
+    (1 - 2 a mu_hat); requires a <= 1/(2 mu_hat).
     """
     if bi.pl_mu is None or bi.pl_mu <= 0:
         raise ValueError("PL trajectory needs pl_mu > 0")
-    if bi.gap1 is None:
-        raise ValueError("trajectory bounds need the initial gap gap1")
     mu = bi.pl_mu
-    theta = 2.0 * bi.alpha * mu
-    if not (0.0 < theta <= 1.0):
-        raise ValueError(f"alpha outside the admissible range (0, 1/(2 mu_hat)]: contraction {theta}")
-    return _geometric(bi, theta, r_constant(bi) / (2.0 * bi.alpha * mu**2), k_max)
+    return _trajectory(bi, 2.0 * bi.alpha * mu, "(0, 1/(2 mu_hat)]",
+                       lambda: r_constant(bi) / (2.0 * bi.alpha * mu**2), k_max)
 
 
 @_finite
@@ -254,41 +255,3 @@ def optimal_schedule_b(bi):
     if bi.second_moment <= 0:
         raise ValueError("needs a positive gradient second moment")
     return float(2.0 * bi.gap1 * (1.0 - bi.bl) ** 2 / (bi.smooth * bi.second_moment))
-
-
-@dataclass
-class PositivityReport:
-    checked: int
-    all_positive: bool
-    min_alpha: float
-    argmin: tuple
-    failures: list
-
-
-def verify_alpha_positivity(points):
-    """Sweep (G, sigma, beta, Lambda, L) tuples and report min alpha*.
-
-    Every admissible point (G > 0, beta*Lambda in [0,1), L > 0) must give a
-    strictly positive step size; violations are collected rather than
-    raised so degenerate inputs (G = 0) can be inspected.
-    """
-    min_alpha, argmin, failures = np.inf, None, []
-    count = 0
-    for g, sigma, beta, lam, smooth in points:
-        count += 1
-        try:
-            alpha = nonconvex_alpha_star(
-                BoundInputs(alpha=1.0, beta=beta, lam=lam, grad_bound=g, sigma=sigma, smooth=smooth)
-            )
-        except ValueError:
-            failures.append((g, sigma, beta, lam, smooth))
-            continue
-        if alpha < min_alpha:
-            min_alpha, argmin = alpha, (g, sigma, beta, lam, smooth)
-    return PositivityReport(
-        checked=count,
-        all_positive=not failures,
-        min_alpha=float(min_alpha),
-        argmin=argmin,
-        failures=failures,
-    )

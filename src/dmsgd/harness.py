@@ -39,7 +39,7 @@ from .objectives import (
     unified_optimum,
 )
 from .optimizer import HyperParams, RunTrace, run
-from .topology import build_topology, lambda_cap, metropolis_mixing, spectrum
+from .topology import JACOBI_TOL, build_topology, lambda_cap, metropolis_mixing, spectrum
 from .verify import check_bound_domination
 
 log = logging.getLogger("dmsgd")
@@ -380,6 +380,9 @@ def pilot_measurements(scenario):
 
 def bound_inputs_from_scenario(scenario):
     """Assemble the bounds-engine inputs, measuring G (and sigma) if needed."""
+    if scenario.eta <= JACOBI_TOL:  # a converged Jacobi solve cannot show that a smaller eta is positive
+        raise ValueError(f"eta = lambda_min of the blended mixing matrix is {scenario.eta}, not above the "
+                         f"spectrum's tolerance {JACOBI_TOL}; only a positive-definite blend admits a consensus bound")
     hp, suite = scenario.hp, scenario.objective.suite
     grad_bound = scenario.cfg.get("objective.grad_bound", "auto")
     measured_sigma = None

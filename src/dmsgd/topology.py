@@ -33,6 +33,9 @@ __all__ = [
 ]
 
 STOCHASTIC_TOL = 1e-12
+# Off-diagonal Frobenius mass at which the Jacobi solver declares convergence;
+# an eigenvalue no larger than this cannot be told apart from zero.
+JACOBI_TOL = 1e-12
 
 
 class JacobiConvergenceError(RuntimeError):
@@ -180,11 +183,11 @@ class SpectralInfo:
         return omega + (1.0 - omega) * self.lambda_n
 
 
-def jacobi_eigenvalues(matrix, tol=1e-12, max_sweeps=100):
+def jacobi_eigenvalues(matrix, max_sweeps=100):
     """All eigenvalues of a symmetric matrix via cyclic Jacobi rotations.
 
     Convergence is declared when the off-diagonal Frobenius mass drops
-    below ``tol``.  Raises :class:`JacobiConvergenceError` after
+    to ``JACOBI_TOL``.  Raises :class:`JacobiConvergenceError` after
     ``max_sweeps`` full sweeps, which should not occur for the well
     conditioned matrices this package builds.
 
@@ -220,7 +223,7 @@ def jacobi_eigenvalues(matrix, tol=1e-12, max_sweeps=100):
     mul, add, sub = np.multiply, np.add, np.subtract
     for _ in range(max_sweeps):
         off = off_mass(a)
-        if off <= tol:
+        if off <= JACOBI_TOL:
             return a.diagonal().copy()
         for p in range(n - 1):
             row_p, col_p = rows[p], cols[p]
@@ -254,7 +257,7 @@ def jacobi_eigenvalues(matrix, tol=1e-12, max_sweeps=100):
                         sub(u, v, u)
                         add(buf1, buf2, v)
     off = off_mass(a)
-    if off <= tol:
+    if off <= JACOBI_TOL:
         return a.diagonal().copy()
     raise JacobiConvergenceError(f"no convergence after {max_sweeps} sweeps (off mass {off:.3e})")
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .topology import JacobiConvergenceError
+from .topology import JACOBI_TOL, JacobiConvergenceError
 
 __all__ = [
     "reference_step",
@@ -141,12 +141,13 @@ def _jacobi_rotate(a, p, q):
     a[:, q] = s * cp + c * cq
 
 
-def reference_jacobi_eigenvalues(matrix, tol=1e-12, max_sweeps=100):
+def reference_jacobi_eigenvalues(matrix, max_sweeps=100):
     """Cyclic Jacobi eigenvalues, one whole-row and whole-column rotation at a time.
 
     The independent oracle for ``topology.jacobi_eigenvalues``: the same
-    pivot order, zero-pivot skip, sweep limit and off-mass test, written as
-    the plain textbook update with fresh row and column copies per rotation.
+    pivot order, zero-pivot skip, sweep limit and off-mass test against
+    ``topology.JACOBI_TOL``, written as the plain textbook update with fresh
+    row and column copies per rotation.
     The two must agree bit for bit; no production code calls this.
     """
     a = np.array(matrix, dtype=float)
@@ -160,13 +161,13 @@ def reference_jacobi_eigenvalues(matrix, tol=1e-12, max_sweeps=100):
 
     for _ in range(max_sweeps):
         off = off_mass(a)
-        if off <= tol:
+        if off <= JACOBI_TOL:
             return a.diagonal().copy()
         for p in range(n - 1):
             for q in range(p + 1, n):
                 if abs(a[p, q]) > 0.0:
                     _jacobi_rotate(a, p, q)
     off = off_mass(a)
-    if off <= tol:
+    if off <= JACOBI_TOL:
         return a.diagonal().copy()
     raise JacobiConvergenceError(f"no convergence after {max_sweeps} sweeps (off mass {off:.3e})")

@@ -12,11 +12,11 @@ import pytest
 from dmsgd.bounds import (
     BoundInputs,
     consensus_bound,
+    nonconvex_alpha_star,
     nonconvex_avg_grad_bound,
     pl_trajectory,
     simpler_q,
     strongly_convex_trajectory,
-    verify_alpha_positivity,
 )
 from dmsgd.harness import main, parse_config_text, build_scenario
 from dmsgd.objectives import (
@@ -330,10 +330,12 @@ def test_criterion_10_alpha_positivity():
         )
         for _ in range(1000)
     ]
-    rep = verify_alpha_positivity(points)
-    report(10, "variance-aware step size positive on 1000 admissible points",
-           rep.all_positive and rep.min_alpha > 0.0,
-           f"(min alpha {rep.min_alpha:.3e})")
+    alphas = [
+        nonconvex_alpha_star(BoundInputs(alpha=1.0, beta=beta, lam=lam, grad_bound=g, sigma=sigma, smooth=smooth))
+        for g, sigma, beta, lam, smooth in points
+    ]
+    report(10, "variance-aware step size positive on 1000 admissible points", min(alphas) > 0.0,
+           f"(min alpha {min(alphas):.3e})")
 
 
 # ------------------------------------------------------------- 11: sweeps

@@ -15,7 +15,6 @@ from dmsgd.bounds import (
     simpler_q,
     simpler_step_bound,
     strongly_convex_trajectory,
-    verify_alpha_positivity,
 )
 from dmsgd.harness import (
     BOUND_METRICS,
@@ -235,16 +234,14 @@ def test_positivity_sweep_random():
         (rng.uniform(1e-3, 10), rng.uniform(0, 10), rng.uniform(0, 0.99), rng.uniform(0, 1), rng.uniform(0.1, 10))
         for _ in range(500)
     ]
-    rep = verify_alpha_positivity(pts)
-    assert rep.all_positive
-    assert rep.min_alpha > 0
-    assert rep.checked == 500
+    for g, sigma, beta, lam, smooth in pts:
+        bi = BoundInputs(alpha=1.0, beta=beta, lam=lam, grad_bound=g, sigma=sigma, smooth=smooth)
+        assert nonconvex_alpha_star(bi) > 0
 
 
 def test_positivity_sweep_flags_zero_g():
-    rep = verify_alpha_positivity([(0.0, 1.0, 0.5, 0.5, 1.0)])
-    assert not rep.all_positive
-    assert rep.failures == [(0.0, 1.0, 0.5, 0.5, 1.0)]
+    with pytest.raises(ValueError, match="non-positive step size"):
+        nonconvex_alpha_star(BoundInputs(alpha=1.0, beta=0.5, lam=0.5, grad_bound=0.0, sigma=1.0, smooth=1.0))
 
 
 def test_envelope_values():
@@ -342,7 +339,7 @@ def same_bits(a, b):
 
 
 def test_shared_formulas_keep_the_inline_bits():
-    k_max, ks = 40, np.arange(40)
+    ks = np.arange(40)
     for bi in seeded_inputs(400):
         assert same_bits(r_constant(bi), inline_r(bi))
         loose_disp = bi.alpha**2 * bi.second_moment / (1.0 - bi.bl) ** 2
@@ -351,10 +348,15 @@ def test_shared_formulas_keep_the_inline_bits():
             assert same_bits(displacement_bound(bi, k), loose_disp * (1.0 - bi.bl ** (np.asarray(k) + 1)) ** 2)
         mu, l = bi.strong_mu, bi.smooth
         theta = 2.0 * bi.alpha * mu**2 / l
-        asymptote = inline_r(bi) * l / (2.0 * bi.alpha * mu**2)
-        assert same_bits(strongly_convex_trajectory(bi, k_max), inline_geometric(bi, theta, asymptote, k_max))
-        asymptote = inline_r(bi) / (2.0 * bi.alpha * bi.pl_mu**2)
-        assert same_bits(pl_trajectory(bi, k_max), inline_geometric(bi, 2.0 * bi.alpha * bi.pl_mu, asymptote, k_max))
+        sc_asymptote = inline_r(bi) * l / (2.0 * bi.alpha * mu**2)
+        pl_asymptote = inline_r(bi) / (2.0 * bi.alpha * bi.pl_mu**2)
+        for k_max in (0, 1, 40):
+            sc, pl = strongly_convex_trajectory(bi, k_max), pl_trajectory(bi, k_max)
+            if k_max == 0:  # a run of no iterations has an empty trajectory
+                assert sc.dtype == pl.dtype == np.float64 and sc.shape == pl.shape == (0,)
+                continue
+            assert same_bits(sc, inline_geometric(bi, theta, sc_asymptote, k_max))
+            assert same_bits(pl, inline_geometric(bi, 2.0 * bi.alpha * bi.pl_mu, pl_asymptote, k_max))
 
 
 # ------------------------------------------------- noiseless violation map

@@ -523,8 +523,7 @@ def test_cli_bounds_records_skipped_trajectory(tmp_path):
     assert meta["skipped.cor1_gap"].startswith("alpha outside the admissible range (0, L/(2 mu^2)]")
 
 
-def test_cli_bounds_pl_dispatch(tmp_path):
-    cfg = """\
+PL_CONFIG = """\
 topology.kind = full
 topology.n = 3
 topology.laziness = 0.5
@@ -541,7 +540,10 @@ hp.omega = 0.5
 hp.iters = 30
 hp.seed = 0
 """
-    cfg_path = write_config(tmp_path, cfg)
+
+
+def test_cli_bounds_pl_dispatch(tmp_path):
+    cfg_path = write_config(tmp_path, PL_CONFIG)
     out = str(tmp_path / "out")
     assert main(["bounds", "--config", cfg_path, "--out", out]) == 0
     _, rows = read_bounds_csv(os.path.join(out, "bounds.csv"))
@@ -645,9 +647,9 @@ def test_cli_sweep_nonfinite_optimum_is_an_error_row(tmp_path):
     assert [row[5:] for row in rows] == [["error", "nan", "nan", "nan"]] * 2
 
 
-def test_cli_bounds_eta_error(tmp_path):
+def test_cli_bounds_eta_error(tmp_path, capsys):
     # ring of 4 with omega 0: lambda_min of the blend is -1/3
-    cfg = """\
+    ring = """\
 topology.kind = ring
 topology.n = 4
 objective.kind = quadratic
@@ -660,8 +662,18 @@ hp.beta = 0.5
 hp.omega = 0.0
 hp.iters = 10
 """
-    cfg_path = write_config(tmp_path, cfg)
-    assert main(["bounds", "--config", cfg_path, "--out", str(tmp_path)]) == 1
+    # full graphs at laziness 0 and omega 0: the exact lambda_min is 0, computed as rounding noise of either sign
+    # that the Jacobi tolerance cannot tell from zero
+    full = QUAD_CONFIG.replace("topology.laziness = 0.5", "topology.laziness = 0")
+    full = full.replace("hp.omega = 0.5", "hp.omega = 0.0")
+    full_4 = full.replace("topology.n = 3", "topology.n = 4").replace(
+        "objective.targets = 1.8,2.0;2.0,2.2;2.2,1.8", "objective.targets = 1.8,2.0;2.0,2.2;2.2,1.8;1.9,2.1")
+    for cfg in (ring, full, full_4):
+        cfg_path = write_config(tmp_path, cfg)
+        assert main(["bounds", "--config", cfg_path, "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: no bound exists for these inputs: eta = ")
+        assert "not above the spectrum's tolerance 1e-12" in err[0]
 
 
 def test_bound_inputs_sigma_stacking(tmp_path):
@@ -970,6 +982,29 @@ def test_cli_sweep_zero_iteration_cells_complete(tmp_path):
     suite = build_scenario(parse_config_text(cfg)).objective.suite
     gap0 = agent_total(suite.evaluate(np.zeros(suite.d))[0]) - suite.f_star
     assert [row.split(",")[5:] for row in rows] == [["completed", repr(float(gap0)), "nan", "nan"]] * 2
+
+
+# configs at hp.iters = 0, each with the gap bound that bounds evaluates there rather than skips
+ZERO_ITERATION_CONFIGS = {
+    "quadratic": (QUAD_CONFIG, "cor1_gap"),
+    "pl": (PL_CONFIG, "thm2_gap"),
+    "sqrt": (QUAD_CONFIG.replace("hp.option = I", "hp.option = II\nhp.schedule = sqrt\nhp.B = 1.0"), "sqrt_step_q"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ZERO_ITERATION_CONFIGS))
+def test_cli_zero_iterations_run_bounds_check(tmp_path, capsys, name):
+    cfg, gap_bound = ZERO_ITERATION_CONFIGS[name]
+    # run writes an empty trace, bounds an empty bounds.csv, and check has no row to compare
+    cfg_path, out = write_config(tmp_path, re.sub(r"hp.iters = \d+", "hp.iters = 0", cfg)), tmp_path / "out"
+    assert main(["run", "--config", cfg_path, "--out", str(out)]) == 0
+    assert main(["bounds", "--config", cfg_path, "--out", str(out)]) == 0
+    assert main(["check", "--trace", str(out / "trace_seed0.csv"), "--bounds", str(out / "bounds.csv")]) == 0
+    lines = (out / "bounds.csv").read_text(encoding="utf-8").splitlines()
+    assert [ln for ln in lines if not ln.startswith("#")] == ["k,bound_name,value"]
+    meta, rows = read_bounds_csv(str(out / "bounds.csv"))
+    assert rows == {} and "config_hash" in meta and f"skipped.{gap_bound}" not in meta
+    assert capsys.readouterr().err == ""
 
 
 # ----------------------------------------------------- interface coverage
