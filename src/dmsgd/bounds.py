@@ -9,9 +9,12 @@ evaluates the first update variant's bounds; feeding the plain-objective
 constants (Lipschitz bound of F, its own noise level, L_m, mu_m) evaluates
 the second variant's — the formulas are identical under that renaming.
 
-Each bound has one form, the one ``harness.evaluate_bounds`` writes; the PL
-asymptote stays as printed, R/(2 a mu_hat^2).  Both gap trajectories come from
-one builder, ``_trajectory``, which returns an empty array for zero iterations.
+Each bound has one form; the PL asymptote stays as printed, R/(2 a mu_hat^2).
+Both gap trajectories come from one builder, ``_trajectory``, which returns an
+empty array for zero iterations.  A bound refuses inputs it cannot support by
+raising ``ValueError`` with the reason.  ``harness.BOUNDS`` names every bound
+``dmsgd bounds`` writes and when it applies, and ``harness.evaluate_bounds``
+turns each refusal into a ``skipped.<name>`` metadata line of ``bounds.csv``.
 """
 
 from __future__ import annotations

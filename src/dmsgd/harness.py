@@ -3,9 +3,9 @@
 Configs are flat ``section.key = value`` text files (``#`` starts a
 comment).  Every file the package reads is read here: configs, dataset CSVs,
 edge lists, traces and bounds.  A run writes one trace CSV per seed plus an averaged trace;
-``bounds`` evaluates every bound applicable to the configured objective
-class; ``check`` verifies a trace against a bounds file; ``sweep`` runs a
-small grid and emits a summary CSV.  Exit codes: 0 ok, 1 runtime error,
+``bounds`` evaluates every bound of ``BOUNDS`` that applies to the config and
+records each one the engine refuses; ``check`` verifies a trace against a
+bounds file; ``sweep`` runs a small grid and emits a summary CSV.  Exit codes: 0 ok, 1 runtime error,
 2 config/usage error, 3 bound violation.
 """
 
@@ -55,14 +55,21 @@ SWEEP_AXES = (("omega", "hp.omega"), ("beta", "hp.beta"), ("topology", "topology
 BOUND_INPUT_KEYS = ("alpha", "beta", "lam", "eta", "n_agents", "grad_bound", "sigma", "smooth",
                     "strong_mu", "pl_mu", "gap1")
 
-# which trace column each bound row dominates, and how the metric transforms
-BOUND_METRICS = {
-    "consensus": ("consensus_err_max", lambda m: m),
-    "displacement_sq": ("step_norm", lambda m: m**2),
-    "cor1_gap": ("gap", lambda m: m),
-    "thm2_gap": ("gap", lambda m: m),
-    "avg_grad_envelope": ("running_avg_grad", lambda m: m),
-    "sqrt_step_q": ("running_avg_grad", lambda m: m),
+# every bound, in bounds.csv's row order: name -> (the trace column it dominates, that column's transform, the
+# schedule and the BoundInputs constant it needs, its values at rows ks).  Each call looks its function up on
+# bounds_mod when it runs, so that a wrapper set on that module sees the call.
+BOUNDS = {
+    "consensus": ("consensus_err_max", lambda m: m, "constant", None,
+                  lambda bi, hp, ks: np.full(len(ks), bounds_mod.consensus_bound(bi))),
+    "displacement_sq": ("step_norm", lambda m: m**2, "constant", None,
+                        lambda bi, hp, ks: bounds_mod.displacement_bound(bi, ks)),
+    "avg_grad_envelope": ("running_avg_grad", lambda m: m, "constant", None,
+                          lambda bi, hp, ks: bounds_mod.nonconvex_avg_grad_bound(bi, ks)),
+    "cor1_gap": ("gap", lambda m: m, "constant", "strong_mu",
+                 lambda bi, hp, ks: bounds_mod.strongly_convex_trajectory(bi, len(ks))),
+    "thm2_gap": ("gap", lambda m: m, "constant", "pl_mu", lambda bi, hp, ks: bounds_mod.pl_trajectory(bi, len(ks))),
+    "sqrt_step_q": ("running_avg_grad", lambda m: m, "sqrt", None,
+                    lambda bi, hp, ks: bounds_mod.simpler_step_bound(bi, hp.schedule_b, ks)),
 }
 
 PILOT_ITERS = 200
@@ -412,29 +419,19 @@ def bound_inputs_from_scenario(scenario):
 
 
 def evaluate_bounds(scenario, bi):
-    """Every bound applicable to the scenario's objective class.
+    """Every bound of ``BOUNDS`` whose schedule the scenario runs and whose constant ``bi`` holds.
 
-    Returns ``(reports, skipped)``: ``(name, ks, values)`` rows, and
-    ``{name: reason}`` for each gap trajectory the engine refused for these
-    inputs.  A refused consensus, displacement or envelope bound raises the
-    engine's ``ValueError``.
+    Returns ``(reports, skipped)``: ``(name, ks, values)`` rows, and ``{name: reason}`` for each of these bounds
+    the engine refused for these inputs (its ``ValueError``).  Any other exception propagates.
     """
     hp = scenario.hp
     ks = np.arange(1, hp.iters + 1)
-    if hp.schedule == "sqrt":
-        return [("sqrt_step_q", ks, bounds_mod.simpler_step_bound(bi, hp.schedule_b, ks))], {}
-    reports = [
-        ("consensus", ks, np.full(hp.iters, bounds_mod.consensus_bound(bi))),
-        ("displacement_sq", ks, bounds_mod.displacement_bound(bi, ks)),
-        ("avg_grad_envelope", ks, bounds_mod.nonconvex_avg_grad_bound(bi, ks)),
-    ]
-    skipped = {}
-    for name, constant, trajectory in (("cor1_gap", bi.strong_mu, bounds_mod.strongly_convex_trajectory),
-                                       ("thm2_gap", bi.pl_mu, bounds_mod.pl_trajectory)):
-        if constant is None:
+    reports, skipped = [], {}
+    for name, (_, _, schedule, constant, values) in BOUNDS.items():
+        if hp.schedule != schedule or (constant and getattr(bi, constant) is None):
             continue
         try:
-            reports.append((name, ks, trajectory(bi, hp.iters)))
+            reports.append((name, ks, values(bi, hp, ks)))
         except ValueError as exc:
             log.info("skipping %s: %s", name, exc)
             skipped[name] = str(exc)
@@ -658,7 +655,7 @@ def cmd_run(args):
 
 
 def cmd_bounds(args):
-    """bounds.csv: the bound rows, the engine's inputs and every skipped trajectory."""
+    """bounds.csv: the bound rows, the engine's inputs and the reason for every refused bound."""
     cfg = load_config(args.config)
     checked = check_scenario(cfg, {})
     out_dir = _output_dir(args, cfg)
@@ -666,7 +663,9 @@ def cmd_bounds(args):
     try:
         bi = bound_inputs_from_scenario(scenario)
         reports, skipped = evaluate_bounds(scenario, bi)
-    except ValueError as exc:  # the bounds engine refuses inputs it cannot support
+        if not reports:
+            raise ValueError("; ".join(f"{name}: {reason}" for name, reason in skipped.items()))
+    except ValueError as exc:  # BoundInputs or the eta floor refuses the inputs, or the engine refuses every bound
         raise RuntimeFailure(f"no bound exists for these inputs: {exc}") from exc
     metadata = {"config_hash": config_hash(cfg)}
     metadata.update((key, getattr(bi, key)) for key in BOUND_INPUT_KEYS)
@@ -685,13 +684,18 @@ def cmd_check(args):
         raise InputFileError(f"{args.trace} (config hash {hashes[0]!r}) cannot pair with {args.bounds} ({hashes[1]!r})")
     n_rows = len(trace["k"])  # both readers checked that k runs 1..rows: pairing by position is pairing by k
     for name, values in bound_rows.items():
-        if name not in BOUND_METRICS:
+        if name not in BOUNDS:
             raise InputFileError(f"unknown bound name {name!r} in {args.bounds}")
         if len(values) != n_rows:
             raise InputFileError(f"length mismatch for {name}: bounds file has {len(values)} rows, "
                                  f"trace has {n_rows}")
+    for key, reason in bounds_meta.items():
+        if key.startswith("skipped."):
+            print(f"skipped {key.removeprefix('skipped.')}: {reason}")
+    if not bound_rows:
+        print(f"nothing compared: {args.bounds} holds no bound row, {args.trace} holds {n_rows} rows")
     for name, values in bound_rows.items():
-        column, transform = BOUND_METRICS[name]
+        column, transform = BOUNDS[name][:2]
         with np.errstate(over="ignore"):  # a huge value read from a file overflows to inf: a violation
             report = check_bound_domination(transform(trace[column]), values, slack=args.slack)
         if not report.passed:

@@ -17,7 +17,7 @@ from dmsgd.bounds import (
     strongly_convex_trajectory,
 )
 from dmsgd.harness import (
-    BOUND_METRICS,
+    BOUNDS,
     RunConfig,
     _solve,
     bound_inputs_from_scenario,
@@ -405,14 +405,15 @@ def test_noiseless_violation_map():
         cfg = noiseless_quadratic(rng)
         scenario = _solve(cfg, *check_scenario(cfg, {}))
         try:
-            reports, _ = evaluate_bounds(scenario, bound_inputs_from_scenario(scenario))
+            bi = bound_inputs_from_scenario(scenario)
         except ValueError:  # the engine refuses the inputs, as dmsgd bounds does with exit 1
             refused += 1
             continue
+        reports, _ = evaluate_bounds(scenario, bi)
         trace = run(scenario.objective, scenario.oracle, scenario.hp, scenario.f_star)
         omega_kind = "adaptive" if scenario.hp.omega == "adaptive" else "fixed"
         for name, _, values in reports:
-            column, transform = BOUND_METRICS[name]
+            column, transform = BOUNDS[name][:2]
             failed, checked = found.get((name, scenario.hp.option, omega_kind), (0, 0))
             report = check_bound_domination(transform(getattr(trace, column)), values)
             found[name, scenario.hp.option, omega_kind] = (failed + (not report.passed), checked + 1)

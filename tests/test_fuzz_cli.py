@@ -300,7 +300,8 @@ def test_check_refuses_k_out_of_order(csv_texts, tmp_path, capsys, which, row, k
     ("logistic", "run", "hp.alpha", "1e-36", 0),
     ("logistic", "run", "objective.separation", "1.3407807929942597e+154", 1),
     ("logistic", "bounds", "objective.separation", "1e100", 0),  # R overflows: cor1_gap is skipped
-    ("quadratic", "bounds", "objective.grad_bound", "1e200", 1),  # G**2 overflows the consensus bound
+    # G**2 overflows the consensus and displacement bounds and R: each is skipped, the envelope is written
+    ("quadratic", "bounds", "objective.grad_bound", "1e200", 0),
 ])
 def test_config_fuzz_regressions(tmp_path, base, command, key, value, expected):
     cfg = tmp_path / "run.cfg"

@@ -511,16 +511,42 @@ def test_cli_bounds_quadratic_dispatch(tmp_path):
     assert all(len(v) == 40 for v in rows.values())
 
 
-def test_cli_bounds_records_skipped_trajectory(tmp_path):
+def test_cli_bounds_records_skipped_trajectory(tmp_path, capsys):
     # option II, L = 4, mu = 1: alpha above L/(2 mu^2) = 2 is outside cor1_gap's range
     cfg = (QUAD_CONFIG.replace("objective.curvatures = 1", "objective.curvatures = 1;2;4")
            .replace("objective.grad_bound = auto", "objective.grad_bound = 2.0")
            .replace("hp.option = I", "hp.option = II").replace("hp.alpha = 0.05", "hp.alpha = 2.5"))
-    out = tmp_path / "out"
-    assert main(["bounds", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+    cfg_path, out = write_config(tmp_path, cfg), tmp_path / "out"
+    assert main(["run", "--config", cfg_path, "--out", str(out)]) == 0
+    assert main(["bounds", "--config", cfg_path, "--out", str(out)]) == 0
     meta, rows = read_bounds_csv(str(out / "bounds.csv"))
     assert "cor1_gap" not in rows
     assert meta["skipped.cor1_gap"].startswith("alpha outside the admissible range (0, L/(2 mu^2)]")
+    capsys.readouterr()
+    # check names the skipped bound before it compares; this option-II run then exceeds the consensus bound
+    assert main(["check", "--trace", str(out / "trace_seed0.csv"), "--bounds", str(out / "bounds.csv")]) == 3
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == f"skipped cor1_gap: {meta['skipped.cor1_gap']}"
+    assert lines[-1].startswith("VIOLATION consensus: ")
+
+
+def test_cli_bounds_skips_each_refused_bound(tmp_path, capsys):
+    # G = 1e200: G**2 overflows the consensus and displacement bounds and R (so cor1_gap); the envelope reads no G
+    cfg = QUAD_CONFIG.replace("objective.grad_bound = auto", "objective.grad_bound = 1e200")
+    cfg_path, out = write_config(tmp_path, cfg), tmp_path / "out"
+    assert main(["run", "--config", cfg_path, "--out", str(out)]) == 0
+    assert main(["bounds", "--config", cfg_path, "--out", str(out)]) == 0
+    meta, rows = read_bounds_csv(str(out / "bounds.csv"))
+    assert list(rows) == ["avg_grad_envelope"] and len(rows["avg_grad_envelope"]) == 40
+    skipped = {key.removeprefix("skipped."): reason for key, reason in meta.items() if key.startswith("skipped.")}
+    assert list(skipped) == ["consensus", "displacement_sq", "cor1_gap"]
+    for name, function in zip(skipped, ("consensus_bound", "displacement_bound", "r_constant")):
+        assert skipped[name].startswith(f"{function} overflows for these inputs")
+    capsys.readouterr()
+    assert main(["check", "--trace", str(out / "trace_seed0.csv"), "--bounds", str(out / "bounds.csv")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:3] == [f"skipped {name}: {reason}" for name, reason in skipped.items()]
+    assert len(lines) == 4 and lines[3].startswith("ok avg_grad_envelope: 40 rows, ")
 
 
 PL_CONFIG = """\
@@ -708,6 +734,17 @@ hp.iters = 20
     _, rows = read_bounds_csv(os.path.join(out, "bounds.csv"))
     assert set(rows) == {"sqrt_step_q"}
     assert rows["sqrt_step_q"][0] / rows["sqrt_step_q"][3] == pytest.approx(2.0)  # Q/sqrt(1) vs Q/sqrt(4)
+
+
+def test_cli_bounds_sqrt_schedule_refused_exit_1(tmp_path, capsys):
+    # G = 1e200 overflows Q, and sqrt_step_q is the only bound of a sqrt schedule: every bound is refused
+    cfg = (QUAD_CONFIG.replace("hp.option = I", "hp.option = II\nhp.schedule = sqrt\nhp.B = 1.0")
+           .replace("objective.grad_bound = auto", "objective.grad_bound = 1e200"))
+    out = tmp_path / "out"
+    assert main(["bounds", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 1
+    assert not (out / "bounds.csv").exists()
+    (line,) = capsys.readouterr().err.strip().splitlines()
+    assert line.startswith("error: no bound exists for these inputs: sqrt_step_q: simpler_q overflows")
 
 
 # ------------------------------------------------------------------ check
@@ -1000,11 +1037,14 @@ def test_cli_zero_iterations_run_bounds_check(tmp_path, capsys, name):
     assert main(["run", "--config", cfg_path, "--out", str(out)]) == 0
     assert main(["bounds", "--config", cfg_path, "--out", str(out)]) == 0
     assert main(["check", "--trace", str(out / "trace_seed0.csv"), "--bounds", str(out / "bounds.csv")]) == 0
+    printed = capsys.readouterr()
+    assert printed.out.splitlines() == [
+        f"nothing compared: {out / 'bounds.csv'} holds no bound row, {out / 'trace_seed0.csv'} holds 0 rows"]
     lines = (out / "bounds.csv").read_text(encoding="utf-8").splitlines()
     assert [ln for ln in lines if not ln.startswith("#")] == ["k,bound_name,value"]
     meta, rows = read_bounds_csv(str(out / "bounds.csv"))
     assert rows == {} and "config_hash" in meta and f"skipped.{gap_bound}" not in meta
-    assert capsys.readouterr().err == ""
+    assert printed.err == ""
 
 
 # ----------------------------------------------------- interface coverage

@@ -551,6 +551,31 @@ def test_unified_derived_constants_dominate():
     assert u_i.l_prime(spec_i) == pytest.approx(suite.l_m)
 
 
+# graph, laziness, alpha: (mu', the penalized Hessian's smallest eigenvalue, L', its largest)
+PENALIZED_CURVATURES = {
+    ("ring", 4, 0.3, 0.01): (47.17, 1.244, 48.67, 94.59),
+    ("full", 3, 0.3, 0.01): (35.5, 1.245, 72.0, 71.69),
+    ("ring", 8, 0.05, 0.1): (6.833, 1.158, 3.855, 14.01),
+}
+
+
+@pytest.mark.parametrize("kind, n, laziness, alpha", sorted(PENALIZED_CURVATURES))
+def test_penalized_constants_against_the_penalized_hessian(kind, n, laziness, alpha):
+    """Documents how mu' and L' relate to the extreme eigenvalues of the option-I Hessian diag(a) + (I - Pi)/alpha
+    today: the penalty adds no curvature along the consensus direction, yet mu' adds (1 - lambda_N)/(2 alpha), so
+    mu' overstates the strong convexity on every graph, and on ring-8 it exceeds L'.  A change to either constant
+    edits this table."""
+    curvatures = np.linspace(0.5, 2.0, n)
+    mix = metropolis_mixing(build_topology(kind, n), laziness=laziness)
+    u, spec = UnifiedObjective(make_quadratic(np.zeros((n, 1)), curvatures), mix, alpha), spectrum(mix)
+    hessian = np.diag(curvatures) + (np.eye(n) - mix.entries) / alpha
+    true_min, true_max = np.linalg.eigvalsh(hessian)[[0, -1]]
+    measured = (u.mu_prime(spec), true_min, u.l_prime(spec), true_max)
+    assert measured == pytest.approx(PENALIZED_CURVATURES[kind, n, laziness, alpha], rel=1e-3)
+    assert u.mu_prime(spec) > true_min
+    assert (u.mu_prime(spec) > u.l_prime(spec)) == ((kind, n) == ("ring", 8))
+
+
 def test_unified_alpha_none_is_plain_objective():
     suite = make_quadratic([[0.0], [2.0]], [1.0, 1.0])
     u = UnifiedObjective(suite, uniform_mixing(2), alpha=None)

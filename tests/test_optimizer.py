@@ -225,6 +225,25 @@ def test_fixed_point_of_option_one():
     assert np.abs(swarm.x_cur - x_star).max() <= 1e-12
 
 
+def test_option_two_consensus_floor_is_the_local_minimizer_spread():
+    # option II mixes only the momentum of the displacement, so at a fixed point each agent sits at its own local
+    # minimizer: the consensus error tends to max_j |x*_j - xbar*| = 2 at every alpha, while the consensus bound
+    # is linear in alpha.  Pins today's dynamics; a change to the option-II update edits this test.
+    targets = np.array([[-2.0], [-1.0], [1.0], [2.0]])
+    mix = metropolis_mixing(build_topology("ring", 4), laziness=0.3)
+    objective = UnifiedObjective(make_quadratic(targets, 1.0), mix, None)
+    _, f_star = unified_optimum(objective)
+    oracle = StochasticOracle(mode="additive", sigma=0.0)
+    spread = np.abs(targets - targets.mean()).max()
+    assert spread == 2.0
+    for alpha, final in ((0.01, 2.0000), (0.001, 1.9802)):
+        hp = HyperParams(option="II", alpha=alpha, beta=0.5, omega=0.5, iters=3000)
+        trace = run(objective, oracle, hp, f_star)
+        assert trace.status == "completed"
+        assert trace.consensus_err_max[-1] == pytest.approx(final, abs=1e-4)
+        assert trace.consensus_err_max[-1] == pytest.approx(spread, rel=0.01)
+
+
 def test_displacement_bound_beta_zero():
     # with b=0 every step norm is alpha * ||S(x_k)|| <= alpha * M by the
     # definition of the measured gradient bound
