@@ -46,14 +46,15 @@ class BoundInputs:
     ``eta`` must come from an actual blended mixing matrix with positive
     smallest eigenvalue; construction refuses non-positive values rather
     than inventing one.  ``gap1`` is the initial objective gap (identical to
-    the zero-state gap under the all-zeros initialization).
+    the zero-state gap under the all-zeros initialization).  ``dmsgd bounds``
+    records the fields as ``bounds.csv`` metadata in this order.
     """
 
     alpha: float
     beta: float
     lam: float  # blended second eigenvalue
-    n_agents: int = 1
     eta: float | None = None
+    n_agents: int = 1
     grad_bound: float = 0.0  # G
     sigma: float = 0.0
     smooth: float = 1.0  # L
@@ -103,7 +104,7 @@ def _finite(bound):
             with np.errstate(all="ignore"):
                 value = bound(*args, **kwargs)
         except OverflowError as exc:  # Python float ** overflows with an error, not inf
-            raise ValueError(f"{bound.__name__} overflows for these inputs ({exc})") from exc
+            raise ValueError(f"{bound.__name__} overflows for these inputs") from exc
         if not np.isfinite(value).all():
             raise ValueError(f"{bound.__name__} is not finite for these inputs")
         return value

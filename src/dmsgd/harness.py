@@ -18,7 +18,7 @@ import logging
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import partial
 
 import numpy as np
@@ -51,9 +51,8 @@ SWEEP_HEADER = "omega,beta,topology,option,seed,status,final_gap,final_consensus
 # each sweep.<axis> overrides one config key; the first five sweep columns
 SWEEP_AXES = (("omega", "hp.omega"), ("beta", "hp.beta"), ("topology", "topology.kind"),
               ("option", "hp.option"), ("seed", "hp.seed"))
-# the bound inputs every bounds.csv records as metadata
-BOUND_INPUT_KEYS = ("alpha", "beta", "lam", "eta", "n_agents", "grad_bound", "sigma", "smooth",
-                    "strong_mu", "pl_mu", "gap1")
+# the bound inputs every bounds.csv records as metadata, in the order of their BoundInputs fields
+BOUND_INPUT_KEYS = tuple(f.name for f in fields(bounds_mod.BoundInputs))
 
 # every bound, in bounds.csv's row order: name -> (the trace column it dominates, that column's transform, the
 # schedule and the BoundInputs constant it needs, its values at rows ks).  Each call looks its function up on
@@ -377,7 +376,7 @@ def pilot_measurements(scenario):
     """
     trace = run(scenario.objective, scenario.oracle, replace(scenario.hp, iters=PILOT_ITERS), scenario.f_star)
     if len(trace) == 0:
-        raise RuntimeFailure("pilot run produced no finite iterations; cannot measure a gradient bound")
+        raise RuntimeFailure("pilot run produced no finite iterations; cannot measure G or sigma")
     grad_bound = PILOT_INFLATION * float(np.sqrt(trace.grad_norm_sq.max()))
     sigma = None
     if scenario.oracle.mode == "minibatch":
@@ -386,20 +385,17 @@ def pilot_measurements(scenario):
 
 
 def bound_inputs_from_scenario(scenario):
-    """Assemble the bounds-engine inputs, measuring G (and sigma) if needed."""
+    """Assemble the bounds-engine inputs; a pilot run measures G when it is ``auto`` and a minibatch's sigma."""
     if scenario.eta <= JACOBI_TOL:  # a converged Jacobi solve cannot show that a smaller eta is positive
         raise ValueError(f"eta = lambda_min of the blended mixing matrix is {scenario.eta}, not above the "
                          f"spectrum's tolerance {JACOBI_TOL}; only a positive-definite blend admits a consensus bound")
     hp, suite = scenario.hp, scenario.objective.suite
     grad_bound = scenario.cfg.get("objective.grad_bound", "auto")
-    measured_sigma = None
-    if grad_bound == "auto":
-        grad_bound, measured_sigma = pilot_measurements(scenario)
-    if scenario.oracle.mode == "additive":
-        # stacked deviation of N independent per-agent draws
-        sigma = scenario.oracle.sigma * np.sqrt(suite.n)
-    else:
-        sigma = measured_sigma if measured_sigma is not None else 0.0
+    sigma = scenario.oracle.sigma * np.sqrt(suite.n)  # additive: stacked deviation of N independent per-agent draws
+    if grad_bound == "auto" or scenario.oracle.mode == "minibatch":  # a given G keeps a minibatch's sigma measured
+        pilot_bound, pilot_sigma = pilot_measurements(scenario)
+        grad_bound = pilot_bound if grad_bound == "auto" else grad_bound
+        sigma = sigma if pilot_sigma is None else pilot_sigma
     alpha = hp.alpha if hp.schedule == "constant" else 1.0  # placeholder for sqrt runs
     zero = np.zeros((suite.n, suite.d))
     gap1 = scenario.objective.value(zero) - scenario.f_star
@@ -445,12 +441,6 @@ def _fmt(x):
     return repr(float(x))
 
 
-def abort_cause(trace):
-    """``<reason> agent=<j|none> k=<iteration>`` for an aborted trace."""
-    agent = "none" if trace.abort_agent is None else trace.abort_agent
-    return f"{trace.abort_reason} agent={agent} k={trace.aborted_at}"
-
-
 def trace_metadata(scenario, seed, trace):
     meta = {
         "config_hash": config_hash(scenario.cfg),
@@ -461,8 +451,8 @@ def trace_metadata(scenario, seed, trace):
         "eta": _fmt(scenario.eta),
         "status": trace.status,
     }
-    if trace.status == "aborted":
-        meta["abort"] = abort_cause(trace)
+    if trace.abort is not None:
+        meta["abort"] = trace.abort
     return meta
 
 
@@ -645,7 +635,7 @@ def cmd_run(args):
         if trace.status != "completed":
             failed = (seed, trace)
     if failed is not None:
-        raise RuntimeFailure(f"run aborted (seed {failed[0]}, {abort_cause(failed[1])}); partial trace flagged")
+        raise RuntimeFailure(f"run aborted (seed {failed[0]}, {failed[1].abort}); partial trace flagged")
     if n_seeds > 1:
         path = os.path.join(out_dir, "trace_avg.csv")
         avg = averaged_trace(traces)

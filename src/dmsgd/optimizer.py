@@ -96,12 +96,12 @@ class RunTrace:
 
     ``draw_dev_sq`` is ||draws - exact stacked gradient||^2 of the oracle
     draw taken at each row, from which a pilot measures the noise level.
-    An aborted run records the iteration it stopped at, why
-    (``nonfinite_value``: the metrics at x_k or the running sum of squared
-    gradient norms; ``nonfinite_grad``: the oracle draw; ``nonfinite_step``:
-    the new state or step norm) and the first agent whose own row went
-    non-finite, or None when only a total over the agents or iterations
-    overflowed.
+    ``abort``, None for a completed run, states why a run stopped as
+    ``<reason> agent=<j|none> k=<iteration>``: ``nonfinite_value`` (the
+    metrics at x_k or the running sum of squared gradient norms),
+    ``nonfinite_grad`` (the oracle draw) or ``nonfinite_step`` (the new state
+    or step norm), and the first agent whose own row went non-finite, or none
+    when only a total over the agents or iterations overflowed.
     """
 
     COLUMNS: ClassVar[tuple] = (
@@ -119,10 +119,11 @@ class RunTrace:
     omega_used: np.ndarray
     draw_dev_sq: np.ndarray
     swarm: AgentSwarm | None
-    status: str = "completed"
-    aborted_at: int | None = None
-    abort_reason: str | None = None
-    abort_agent: int | None = None
+    abort: str | None = None
+
+    @property
+    def status(self):
+        return "completed" if self.abort is None else "aborted"
 
     def __len__(self):
         return len(self.k)
@@ -170,12 +171,12 @@ def step_size_at(hp, k):
 
 
 def _first_nonfinite_row(*arrays):
-    """Index of the first agent whose row is non-finite in any of ``arrays``, else None."""
+    """Index of the first agent whose row is non-finite in any of ``arrays``, else "none"."""
     for arr in arrays:
         bad = np.flatnonzero(~np.isfinite(arr).reshape(len(arr), -1).all(axis=1))
         if bad.size:
             return int(bad[0])
-    return None
+    return "none"
 
 
 def step(swarm, mixing, hp, grads):
@@ -229,15 +230,16 @@ def run(objective, oracle, hp, f_star):
     ``suite.evaluate``: its local values and gradients feed the metric value
     and gradient, the exact gradients are the base of the oracle draw, and
     an abort's diagnostics reuse them.  The penalty and its gradient share
-    one product with I - Pi.  Deterministic given (seed, config).  A
-    non-finite value, draw or step aborts with the partial trace flagged.
+    one product with I - Pi.  Deterministic given (seed, config).  Each
+    completed iteration is one record in ``RunTrace.COLUMNS`` order; a
+    non-finite value, draw or step ends the loop and sets ``abort``.
     """
     suite, mixing = objective.suite, objective.mixing
     n, d = suite.n, suite.d
     swarm = AgentSwarm.zeros(mixing, n, d)
     rngs = agent_rngs(hp.seed, n)
-    cols = {name: [] for name in RunTrace.COLUMNS}
-    abort = {}
+    rows = []  # one tuple per completed iteration, in RunTrace.COLUMNS order
+    reason = None
     grad_sq_sum = 0.0
     # a diverging run overflows before the finiteness checks below abort it
     with np.errstate(over="ignore", invalid="ignore"):
@@ -251,33 +253,19 @@ def run(objective, oracle, hp, f_star):
             grad_sq_sum += gsq
             # the sum is non-finite when gsq is, and when it overflows: no row writes an inf running average
             if not (np.isfinite(val) and np.isfinite(grad_sq_sum) and np.isfinite(err_stacked)):
-                abort = dict(aborted_at=k, abort_reason="nonfinite_value", abort_agent=_first_nonfinite_row(
-                    x_k, exact, values, metric_grad_sq))
+                reason, suspects = "nonfinite_value", (x_k, exact, values, metric_grad_sq)
                 break
             draws = stochastic_grad(suite, oracle, x_k, exact, rngs)
             if not np.isfinite(draws).all():
-                abort = dict(aborted_at=k, abort_reason="nonfinite_grad", abort_agent=_first_nonfinite_row(draws))
+                reason, suspects = "nonfinite_grad", (draws,)
                 break
             omega = step(swarm, mixing, hp, draws)
             step_norm = float(np.linalg.norm(swarm.x_cur - swarm.x_prev))
             if not (np.isfinite(swarm.x_cur).all() and np.isfinite(step_norm)):
-                abort = dict(aborted_at=k, abort_reason="nonfinite_step", abort_agent=_first_nonfinite_row(
-                    swarm.x_cur, np.linalg.norm(swarm.x_cur - swarm.x_prev, axis=1)))
+                reason, suspects = "nonfinite_step", (swarm.x_cur, np.linalg.norm(swarm.x_cur - swarm.x_prev, axis=1))
                 break
-            cols["consensus_err_max"].append(err_max)
-            cols["consensus_err_stacked"].append(err_stacked)
-            cols["value"].append(val)
-            cols["gap"].append(val - f_star)
-            cols["grad_norm_sq"].append(gsq)
-            cols["running_avg_grad"].append(grad_sq_sum / (k + 1))
-            cols["step_norm"].append(step_norm)
-            cols["omega_used"].append(float(np.mean(omega)))
-            cols["draw_dev_sq"].append(float(np.sum((draws - exact) ** 2)))
-    rows = len(cols["gap"])
-    return RunTrace(
-        k=np.arange(1, rows + 1),
-        swarm=swarm,
-        status="aborted" if abort else "completed",
-        **abort,
-        **{name: np.array(vals) for name, vals in cols.items()},
-    )
+            rows.append((err_max, err_stacked, val, val - f_star, gsq, grad_sq_sum / (k + 1), step_norm,
+                         float(np.mean(omega)), float(np.sum((draws - exact) ** 2))))
+    abort = None if reason is None else f"{reason} agent={_first_nonfinite_row(*suspects)} k={k}"
+    table = np.array(rows, dtype=float).reshape(-1, len(RunTrace.COLUMNS))
+    return RunTrace(k=np.arange(1, len(rows) + 1), swarm=swarm, abort=abort, **dict(zip(RunTrace.COLUMNS, table.T)))

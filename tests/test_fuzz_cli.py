@@ -196,9 +196,12 @@ LOGISTIC_SWEEP = BASES["logistic"] + SWEEP_GRID
     ("topology.edges", "3\n0 1\n0 3\n", "line 3"),  # an agent past n - 1
     ("topology.edges", "3\n0 1\n1 1\n", "line 3"),  # a self-loop
     ("topology.edges", "3\n0 1\n-1 2\n", "line 3"),  # a negative agent
+    ("objective.dataset", "# note\na,label\n1,0\n", "no '#' lines"),
+    ("objective.dataset", "a,b\n1,0\n", "must end with a 'label' column"),
+    ("topology.edges", "", "empty edge-list file"),
     (None, LOGISTIC_SWEEP.encode("utf-8") + b"# \xff\n", "cannot read config"),  # a config that is not UTF-8
 ], ids=["labels-only", "wide-row", "short-row", "nan-feature", "three-field-edge", "out-of-range-edge", "self-loop-edge",
-        "negative-edge", "undecodable-config"])
+        "negative-edge", "metadata-line", "no-label-column", "empty-edge-list", "undecodable-config"])
 def test_dataset_without_feature_columns_is_refused(tmp_path, capsys, key, content, expected):
     """A bad input file ends in one config error line, naming the key that names the file and the bad line."""
     text = content

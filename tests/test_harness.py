@@ -155,6 +155,7 @@ def test_target_rows_must_match_the_topology(tmp_path):
     ("topology.kind = full", "topology.kind = bipartite\ntopology.parts = a,b"),
     ("oracle.sigma = 0.0", "oracle.sigma = -1"),
     ("hp.beta = 0.5", "hp.betta = 0.9"),
+    ("objective.targets = 1.8,2.0;2.0,2.2;2.2,1.8", "objective.targets = 1.8,2.0;2.0;2.2,1.8"),
 ])
 def test_cli_malformed_config_exit_2(tmp_path, capsys, old, new):
     cfg_path = write_config(tmp_path, QUAD_CONFIG.replace(old, new))
@@ -162,6 +163,15 @@ def test_cli_malformed_config_exit_2(tmp_path, capsys, old, new):
         assert main([command, "--config", cfg_path, "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("config error:")
+
+
+def test_bipartite_parts_split_the_agents(tmp_path):
+    text = (QUAD_CONFIG.replace("topology.kind = full\ntopology.n = 3", "topology.kind = bipartite\ntopology.n = 6\n"
+                                "topology.parts = 2,4")
+            .replace("1.8,2.0;2.0,2.2;2.2,1.8", "1.8,2.0;2.0,2.2;2.2,1.8;1.9,2.1;2.1,1.9;2.0,2.0"))
+    adjacency = build_scenario(parse_config_text(text)).objective.mixing.adjacency
+    assert adjacency.sum(axis=1).tolist() == [4, 4, 2, 2, 2, 2]  # agents 0, 1 against agents 2..5
+    assert main(["run", "--config", write_config(tmp_path, text), "--out", str(tmp_path / "out")]) == 0
 
 
 def test_cli_bad_adaptive_scope_named_exit_2(tmp_path, capsys):
@@ -541,7 +551,7 @@ def test_cli_bounds_skips_each_refused_bound(tmp_path, capsys):
     skipped = {key.removeprefix("skipped."): reason for key, reason in meta.items() if key.startswith("skipped.")}
     assert list(skipped) == ["consensus", "displacement_sq", "cor1_gap"]
     for name, function in zip(skipped, ("consensus_bound", "displacement_bound", "r_constant")):
-        assert skipped[name].startswith(f"{function} overflows for these inputs")
+        assert skipped[name] == f"{function} overflows for these inputs"
     capsys.readouterr()
     assert main(["check", "--trace", str(out / "trace_seed0.csv"), "--bounds", str(out / "bounds.csv")]) == 0
     lines = capsys.readouterr().out.splitlines()
@@ -823,6 +833,16 @@ def _rename_consensus_bound(text):
                                     _other_config_hash, _drop_config_hash, _drop_last_row])
 def test_cli_check_malformed_csv_exit_2(tmp_path, capsys, which, mangle):
     _assert_check_input_error(tmp_path, capsys, which, mangle)
+
+
+def test_cli_check_trace_given_as_bounds_exit_2(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["run", "--config", write_config(tmp_path, QUAD_CONFIG), "--out", str(out)]) == 0
+    trace = str(out / "trace_seed0.csv")
+    capsys.readouterr()
+    assert main(["check", "--trace", trace, "--bounds", trace]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"input error: {trace} is not a bounds file")
 
 
 def test_cli_check_unknown_bound_name_exit_2(tmp_path, capsys):
@@ -1165,10 +1185,12 @@ hp.beta = 0.3
 hp.omega = 0.5
 hp.iters = 20
 """
-    scenario = build_scenario(parse_config_text(cfg))
-    bi = bound_inputs_from_scenario(scenario)
+    bi = bound_inputs_from_scenario(build_scenario(parse_config_text(cfg)))
     assert bi.sigma > 0.0  # minibatch noise measured during the pilot
     assert bi.grad_bound > 0.0
+    # a given G stays as given, and the pilot still measures the minibatch noise
+    bi = bound_inputs_from_scenario(build_scenario(parse_config_text(cfg + "objective.grad_bound = 3.0\n")))
+    assert bi.sigma > 0.0 and bi.grad_bound == 3.0
 
 
 def test_adaptive_omega_bound_inputs():

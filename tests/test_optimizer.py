@@ -277,7 +277,7 @@ def test_run_aborts_on_divergence():
     objective, oracle, hp, f_star = quad_setup(alpha=1e8, beta=0.0, iters=400)
     trace = run(objective, oracle, hp, f_star)
     assert trace.status == "aborted"
-    assert trace.aborted_at is not None
+    assert trace.abort == f"nonfinite_step agent=1 k={len(trace) + 1}"
     assert len(trace) < 400
     for name in TRACE_COLUMNS:
         assert np.isfinite(getattr(trace, name)).all(), name
@@ -291,8 +291,7 @@ def test_run_aborts_where_the_running_gradient_sum_overflows():
     suite = make_quadratic([[target], [target]], [1.0, 1.0])
     hp = HyperParams(option="I", alpha=1e-12, beta=0.0, omega=0.0, iters=10)
     trace = run(UnifiedObjective(suite, uniform_mixing(2), hp.alpha), StochasticOracle(sigma=0.0), hp, 0.0)
-    assert (trace.status, trace.abort_reason, trace.abort_agent, trace.aborted_at) == (
-        "aborted", "nonfinite_value", None, 2)
+    assert (trace.status, trace.abort) == ("aborted", "nonfinite_value agent=none k=2")
     assert len(trace) == 1 and trace.grad_norm_sq[0] > half_max
     for name in TRACE_COLUMNS:
         assert np.isfinite(getattr(trace, name)).all(), name
@@ -301,16 +300,15 @@ def test_run_aborts_where_the_running_gradient_sum_overflows():
 def test_run_records_abort_reason_and_agent():
     # the state overflows: agent 1, pulled toward 2.0, takes the first infinite step
     trace = run(*quad_setup(alpha=1e8, beta=0.0, iters=400))
-    assert (trace.abort_reason, trace.abort_agent) == ("nonfinite_step", 1)
-    assert trace.aborted_at == len(trace) + 1
+    assert (trace.status, trace.abort) == ("aborted", f"nonfinite_step agent=1 k={len(trace) + 1}")
     # an infinite noise scale makes agent 0's first draw non-finite
     trace = run(*quad_setup(sigma=float("inf")))
-    assert (trace.abort_reason, trace.abort_agent, trace.aborted_at) == ("nonfinite_grad", 0, 1)
+    assert (trace.status, trace.abort) == ("aborted", "nonfinite_grad agent=0 k=1")
     # agent 1's curvature overflows the squared metric gradient at x = 0
     objective, oracle, hp, _ = quad_setup()
     suite = make_quadratic([[0.0], [2.0]], [1.0, 1e300])
     trace = run(UnifiedObjective(suite, objective.mixing, hp.alpha), oracle, hp, 0.0)
-    assert (trace.abort_reason, trace.abort_agent, trace.aborted_at) == ("nonfinite_value", 1, 1)
+    assert (trace.status, trace.abort) == ("aborted", "nonfinite_value agent=1 k=1")
     assert len(trace) == 0
 
 
@@ -327,15 +325,14 @@ def test_run_aborts_at_the_first_nonfinite_draw(monkeypatch):
 
     monkeypatch.setattr(optimizer, "stochastic_grad", draw)
     trace = run(*quad_setup(sigma=0.1))
-    assert (trace.abort_reason, trace.abort_agent, trace.aborted_at) == ("nonfinite_grad", 1, 3)
+    assert (trace.status, trace.abort) == ("aborted", "nonfinite_grad agent=1 k=3")
     assert len(trace) == 2 and trace.swarm.k == 3  # the bad draw never reached the state
     assert np.isfinite(trace.swarm.x_cur).all()
 
 
 def test_completed_run_has_no_abort_reason():
     trace = run(*quad_setup())
-    assert trace.status == "completed"
-    assert (trace.aborted_at, trace.abort_reason, trace.abort_agent) == (None, None, None)
+    assert (trace.status, trace.abort, len(trace)) == ("completed", None, 10)
 
 
 def test_readme_quick_start_runs(capsys):
