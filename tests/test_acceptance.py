@@ -4,6 +4,7 @@ Every expected value here is either computed by an independent oracle inside
 the test or pinned from the frozen oracle evaluations in the unit tests.
 """
 
+import hashlib
 import time
 
 import numpy as np
@@ -27,7 +28,7 @@ from dmsgd.objectives import (
     stochastic_grad,
     unified_optimum,
 )
-from dmsgd.optimizer import AgentSwarm, HyperParams, run, step
+from dmsgd.optimizer import AgentSwarm, HyperParams, RunTrace, run, step
 from dmsgd.topology import (
     build_topology,
     effective_matrix,
@@ -229,6 +230,10 @@ def test_criterion_6_nonconvex_envelope():
 # ------------------------------------------------------ 7: simpler schedule
 
 
+# sha256 of criterion 7's traces: the noiseless run, then the 64 seeds at sigma = 0.5
+CRITERION_7_TRACES_PIN = "8af3edc3e0423d13743d66ce746284c11d4bc7bf8f263be90f0dc0abde9eeb03"
+
+
 def test_criterion_7_simpler_step_size():
     n, seeds_count, iters = 3, 64, 1000
     laziness, beta, omega, schedule_b = 0.5, 0.5, 0.5, 0.5
@@ -241,6 +246,7 @@ def test_criterion_7_simpler_step_size():
     delta = objective.value(np.zeros((n, 1))) - f_star
     ok_all = True
     details = []
+    traces_sha = hashlib.sha256()  # every trace's status, final state and columns, in run order
     for sigma in (0.0, 0.5):
         oracle = StochasticOracle(sigma=sigma)
         avgs, max_grad = [], 0.0
@@ -248,6 +254,9 @@ def test_criterion_7_simpler_step_size():
             hp = HyperParams(option="II", alpha=None, schedule="sqrt", schedule_b=schedule_b,
                              beta=beta, omega=omega, iters=iters, seed=s)
             trace = run(objective, oracle, hp, f_star)
+            traces_sha.update(trace.status.encode("utf-8"))
+            for a in [trace.swarm.x_cur] + [getattr(trace, col) for col in RunTrace.COLUMNS]:
+                traces_sha.update(np.ascontiguousarray(a, dtype=np.float64).tobytes())
             avgs.append(trace.running_avg_grad)
             max_grad = max(max_grad, float(np.sqrt(trace.grad_norm_sq.max())))
         mean_avg = np.mean(avgs, axis=0)
@@ -262,6 +271,7 @@ def test_criterion_7_simpler_step_size():
         dom = check_bound_domination(mean_avg[window], bound, slack=0.0)
         ok_all = ok_all and dom.passed
         details.append(f"sigma={sigma}: worst ratio {dom.worst_ratio:.2f}")
+    assert traces_sha.hexdigest() == CRITERION_7_TRACES_PIN
     report(7, "sqrt(B/k) schedule within the Q/sqrt(k) envelope", ok_all, "(" + "; ".join(details) + ")")
 
 

@@ -450,6 +450,26 @@ def test_pinned_ring_custom_sweep_csv(tmp_path, monkeypatch):
     assert _sha([sweep]) == RING_CUSTOM_PIN
 
 
+# 16 noisy seeds over 30 rows: every per-seed trace and the averaged trace
+SEEDS_RUN = (QUAD.replace("objective.targets = 1.8,2.0;2.0,2.2;2.2,1.8", "objective.targets = 0.3;1.1;1.7")
+             .replace("oracle.sigma = 0.0", "oracle.sigma = 0.5").replace("hp.option = I", "hp.option = II")
+             .replace("hp.alpha = 0.05", "hp.alpha = 0.1").replace("hp.iters = 40", "hp.iters = 30"))
+SEEDS_RUN_PIN = "aa6bb24ec89627fdd1d859befc8a9b166f91c0211c7a96a5f2f825befac24739"
+
+
+def test_pinned_run_seeds_csv(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SEEDS_RUN, encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--seeds", "16", "--out", str(out)]) == 0
+    names = sorted(os.listdir(out))
+    assert names == sorted(["trace_avg.csv"] + [f"trace_seed{s}.csv" for s in range(16)])
+    rows = [[ln for ln in (out / name).read_text(encoding="utf-8").splitlines() if not ln.startswith("#")]
+            for name in names]
+    assert all(len(r) == 31 for r in rows)  # the header and 30 rows
+    assert _sha([p for name, r in zip(names, rows) for p in (name, r)]) == SEEDS_RUN_PIN
+
+
 @pytest.mark.parametrize("name", sorted(BOUNDS_CONFIGS))
 def test_pinned_bounds_csv(tmp_path, name):
     lines = _cli_output(tmp_path, "bounds", BOUNDS_CONFIGS[name], "bounds.csv").decode("utf-8").splitlines()
