@@ -11,7 +11,7 @@ import numpy as np
 from dmsgd.bounds import BoundInputs, consensus_bound
 from dmsgd.objectives import StochasticOracle, UnifiedObjective, make_quadratic, unified_optimum
 from dmsgd.optimizer import HyperParams, run
-from dmsgd.topology import build_topology, lambda_cap, metropolis_mixing, spectrum
+from dmsgd.topology import build_topology, metropolis_mixing, spectrum
 
 alpha, beta, omega = 0.01, 0.5, 0.5
 suite = make_quadratic([[0.0], [0.5], [1.0]], [1.0, 1.0, 1.0])
@@ -23,12 +23,13 @@ _, f_star = unified_optimum(objective)
 hp = HyperParams(option="I", alpha=alpha, beta=beta, omega=omega, iters=500)
 trace = run(objective, StochasticOracle(sigma=0.0), hp, f_star)
 
+lam, eta = spec.blended(omega)
 bi = BoundInputs(
     alpha=alpha,
     beta=beta,
-    lam=lambda_cap(omega, spec.lambda2),
+    lam=lam,
     n_agents=3,
-    eta=spec.lambda_min_effective(omega),
+    eta=eta,
     grad_bound=1.0,
     sigma=0.0,
 )

@@ -11,7 +11,7 @@ import numpy as np
 from dmsgd.bounds import BoundInputs, strongly_convex_trajectory
 from dmsgd.objectives import StochasticOracle, UnifiedObjective, make_quadratic, unified_optimum
 from dmsgd.optimizer import HyperParams, run
-from dmsgd.topology import build_topology, lambda_cap, metropolis_mixing, spectrum
+from dmsgd.topology import build_topology, metropolis_mixing, spectrum
 
 alpha, beta, omega, laziness = 0.1, 0.5, 0.5, 0.9
 suite = make_quadratic([[1.0, 0.0], [2.0, 1.0], [3.0, 2.0]], [1.0, 1.0, 1.0])
@@ -24,9 +24,9 @@ hp = HyperParams(option="I", alpha=alpha, beta=beta, omega=omega, iters=200)
 trace = run(objective, StochasticOracle(sigma=0.0), hp, f_star)
 
 mu_p, l_p = objective.mu_prime(spec), objective.l_prime(spec)
+lam, eta = spec.blended(omega)
 bi = BoundInputs(
-    alpha=alpha, beta=beta, lam=lambda_cap(omega, spec.lambda2), n_agents=3,
-    eta=spec.lambda_min_effective(omega),
+    alpha=alpha, beta=beta, lam=lam, n_agents=3, eta=eta,
     grad_bound=1.05 * float(np.sqrt(trace.grad_norm_sq.max())),
     sigma=0.0, smooth=l_p, strong_mu=mu_p, gap1=float(trace.gap[0]),
 )

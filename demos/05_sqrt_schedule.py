@@ -11,7 +11,7 @@ import numpy as np
 from dmsgd.bounds import BoundInputs, optimal_schedule_b, simpler_q
 from dmsgd.objectives import StochasticOracle, UnifiedObjective, make_quadratic, unified_optimum
 from dmsgd.optimizer import HyperParams, run
-from dmsgd.topology import build_topology, lambda_cap, metropolis_mixing, spectrum
+from dmsgd.topology import build_topology, metropolis_mixing, spectrum
 
 n, beta, omega, sigma, schedule_b = 3, 0.5, 0.5, 0.5, 0.5
 suite = make_quadratic([[0.5], [1.0], [1.5]], [1.0, 1.0, 1.0])
@@ -30,8 +30,8 @@ for seed in range(16):
 mean_avg = np.mean(avgs, axis=0)
 
 delta = objective.value(np.zeros((n, 1))) - f_star
-bi = BoundInputs(alpha=1.0, beta=beta, lam=lambda_cap(omega, spec.lambda2), n_agents=n,
-                 eta=spec.lambda_min_effective(omega), grad_bound=1.05 * max_grad,
+lam, eta = spec.blended(omega)
+bi = BoundInputs(alpha=1.0, beta=beta, lam=lam, n_agents=n, eta=eta, grad_bound=1.05 * max_grad,
                  sigma=sigma * np.sqrt(n), smooth=suite.l_m, gap1=delta)
 q = simpler_q(bi, schedule_b)
 

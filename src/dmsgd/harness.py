@@ -39,7 +39,7 @@ from .objectives import (
     unified_optimum,
 )
 from .optimizer import HyperParams, RunTrace, run
-from .topology import JACOBI_TOL, build_topology, lambda_cap, metropolis_mixing, spectrum
+from .topology import JACOBI_TOL, build_topology, metropolis_mixing, spectrum
 from .verify import check_bound_domination
 
 log = logging.getLogger("dmsgd")
@@ -249,6 +249,9 @@ class Scenario:
     The stacked ``objective`` is the only holder of the problem's suite and
     mixing matrix (``objective.suite``, ``objective.mixing``); ``spectral``
     is that matrix's spectrum and ``f_star`` the objective's minimum.
+    ``lam`` and ``eta`` blend the spectrum at ``hp.omega``; an adaptive blend's
+    weights range over [0, 1], so it takes each at its worst: Lambda at w = 1
+    and eta at w = 0.
     """
 
     cfg: RunConfig
@@ -259,17 +262,12 @@ class Scenario:
     f_star: float
 
     @property
-    def omega_bound(self):
-        """The omega used for Lambda/eta in bound inputs: 1 for the adaptive blend."""
-        return 1.0 if self.hp.omega == "adaptive" else float(self.hp.omega)
-
-    @property
     def lam(self):
-        return lambda_cap(self.omega_bound, self.spectral.lambda2)
+        return self.spectral.blended(1.0 if self.hp.omega == "adaptive" else self.hp.omega)[0]
 
     @property
     def eta(self):
-        return self.spectral.lambda_min_effective(0.0 if self.hp.omega == "adaptive" else self.omega_bound)
+        return self.spectral.blended(0.0 if self.hp.omega == "adaptive" else self.hp.omega)[1]
 
 
 def _checked(keys, build, *args, **kwargs):
@@ -597,10 +595,14 @@ def read_bounds_csv(path):
 
 
 def averaged_trace(traces):
-    """Per-row mean across seeds, over the rows every trace has."""
+    """Per-row mean across seeds, over the rows every trace has, summed in seed order.
+
+    ``np.mean`` adds eight or more seeds pairwise when the traces hold one row and in order when they hold more,
+    so a row's average would depend on the run's length.
+    """
     length = min(len(t) for t in traces)
     return RunTrace(k=np.arange(1, length + 1), swarm=None, **{
-        col: np.mean([getattr(t, col)[:length] for t in traces], axis=0) for col in RunTrace.COLUMNS})
+        col: agent_total([getattr(t, col)[:length] for t in traces]) / len(traces) for col in RunTrace.COLUMNS})
 
 
 # ------------------------------------------------------------ subcommands

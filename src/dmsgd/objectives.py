@@ -44,7 +44,7 @@ PL_SMOOTHNESS = 8.0  # sup |d2/dx2 (x^2 + 3 sin^2 x)| = sup |2 + 6 cos 2x|
 
 
 def agent_total(per_agent):
-    """Sum over the leading agent axis, adding agents in order j = 0..n-1.
+    """Sum over the leading axis (agents, or seeds), adding its entries in order j = 0..n-1.
 
     ``np.sum`` adds eight or more terms pairwise, which moves the last bit of
     F(x) = sum_j f_j(x_j); an in-order accumulate from 0.0 keeps it reproducible.

@@ -2,8 +2,9 @@
 
 Every bound in the package is driven by a handful of spectral quantities of
 the mixing matrix: the second-largest eigenvalue lambda_2, the smallest
-eigenvalue lambda_N, the blended second eigenvalue Lambda = w + (1-w)*lambda_2,
-and eta = lambda_min of the blended matrix wI + (1-w)Pi when positive.
+eigenvalue lambda_N, and the pair ``SpectralInfo.blended(w)`` returns for the
+blended matrix wI + (1-w)Pi, its second eigenvalue Lambda = w + (1-w)*lambda_2
+and its smallest eta = w + (1-w)*lambda_N (a bound needs eta positive).
 This module builds the graphs as boolean adjacency matrices, turns them into
 symmetric doubly stochastic matrices via Metropolis weights (plus an optional
 lazy blend toward the identity), and extracts the spectrum with a cyclic
@@ -29,13 +30,14 @@ __all__ = [
     "jacobi_eigenvalues",
     "spectrum",
     "effective_matrix",
-    "lambda_cap",
 ]
 
 STOCHASTIC_TOL = 1e-12
 # Off-diagonal Frobenius mass at which the Jacobi solver declares convergence;
 # an eigenvalue no larger than this cannot be told apart from zero.
 JACOBI_TOL = 1e-12
+# Full sweeps after which the Jacobi solver gives up unconverged.
+JACOBI_MAX_SWEEPS = 100
 
 
 class JacobiConvergenceError(RuntimeError):
@@ -176,19 +178,19 @@ class SpectralInfo:
     lambda2: float
     lambda_n: float
 
-    def lambda_min_effective(self, omega):
-        """Smallest eigenvalue of wI + (1-w)Pi; eta when positive."""
+    def blended(self, omega):
+        """(Lambda, eta): the second-largest and smallest eigenvalues of wI + (1-w)Pi."""
         if not (0.0 <= omega <= 1.0):
             raise ValueError(f"omega must lie in [0,1], got {omega}")
-        return omega + (1.0 - omega) * self.lambda_n
+        return omega + (1.0 - omega) * self.lambda2, omega + (1.0 - omega) * self.lambda_n
 
 
-def jacobi_eigenvalues(matrix, max_sweeps=100):
+def jacobi_eigenvalues(matrix):
     """All eigenvalues of a symmetric matrix via cyclic Jacobi rotations.
 
     Convergence is declared when the off-diagonal Frobenius mass drops
     to ``JACOBI_TOL``.  Raises :class:`JacobiConvergenceError` after
-    ``max_sweeps`` full sweeps, which should not occur for the well
+    ``JACOBI_MAX_SWEEPS`` full sweeps, which should not occur for the well
     conditioned matrices this package builds.
 
     Sweeps visit the pivots (p, q) in cyclic row order and skip those that
@@ -208,8 +210,6 @@ def jacobi_eigenvalues(matrix, max_sweeps=100):
     """
     a = np.array(matrix, dtype=float)
     n = a.shape[0]
-    if n == 1:
-        return a.diagonal().copy()
     def off_mass(mat):
         od = mat.copy()
         np.fill_diagonal(od, 0.0)
@@ -221,7 +221,7 @@ def jacobi_eigenvalues(matrix, max_sweeps=100):
     c_arr, s_arr = np.empty(()), np.empty(())
     item, sqrt = a.item, math.sqrt
     mul, add, sub = np.multiply, np.add, np.subtract
-    for _ in range(max_sweeps):
+    for _ in range(JACOBI_MAX_SWEEPS):
         off = off_mass(a)
         if off <= JACOBI_TOL:
             return a.diagonal().copy()
@@ -259,7 +259,7 @@ def jacobi_eigenvalues(matrix, max_sweeps=100):
     off = off_mass(a)
     if off <= JACOBI_TOL:
         return a.diagonal().copy()
-    raise JacobiConvergenceError(f"no convergence after {max_sweeps} sweeps (off mass {off:.3e})")
+    raise JacobiConvergenceError(f"no convergence after {JACOBI_MAX_SWEEPS} sweeps (off mass {off:.3e})")
 
 
 def spectrum(m):
@@ -277,11 +277,3 @@ def effective_matrix(m, omega):
     blended = omega * np.eye(m.n) + (1.0 - omega) * m.entries
     return MixingMatrix(entries=blended, adjacency=m.adjacency)
 
-
-def lambda_cap(omega, lambda2):
-    """Blended second eigenvalue Lambda = w + (1-w)*lambda_2."""
-    if not (0.0 <= omega <= 1.0):
-        raise ValueError(f"omega must lie in [0,1], got {omega}")
-    if not (-1.0 <= lambda2 <= 1.0):
-        raise ValueError(f"lambda2 must lie in [-1,1], got {lambda2}")
-    return omega + (1.0 - omega) * lambda2

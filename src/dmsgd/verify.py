@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .topology import JACOBI_TOL, JacobiConvergenceError
+from .topology import JACOBI_MAX_SWEEPS, JACOBI_TOL, JacobiConvergenceError
 
 __all__ = [
     "reference_step",
@@ -141,25 +141,23 @@ def _jacobi_rotate(a, p, q):
     a[:, q] = s * cp + c * cq
 
 
-def reference_jacobi_eigenvalues(matrix, max_sweeps=100):
+def reference_jacobi_eigenvalues(matrix):
     """Cyclic Jacobi eigenvalues, one whole-row and whole-column rotation at a time.
 
     The independent oracle for ``topology.jacobi_eigenvalues``: the same
-    pivot order, zero-pivot skip, sweep limit and off-mass test against
-    ``topology.JACOBI_TOL``, written as the plain textbook update with fresh
+    pivot order, zero-pivot skip, sweep limit ``topology.JACOBI_MAX_SWEEPS``
+    and off-mass test against ``topology.JACOBI_TOL``, written as the plain textbook update with fresh
     row and column copies per rotation.
     The two must agree bit for bit; no production code calls this.
     """
     a = np.array(matrix, dtype=float)
     n = a.shape[0]
-    if n == 1:
-        return a.diagonal().copy()
     def off_mass(mat):
         od = mat.copy()
         np.fill_diagonal(od, 0.0)
         return float(np.linalg.norm(od))
 
-    for _ in range(max_sweeps):
+    for _ in range(JACOBI_MAX_SWEEPS):
         off = off_mass(a)
         if off <= JACOBI_TOL:
             return a.diagonal().copy()
@@ -170,4 +168,4 @@ def reference_jacobi_eigenvalues(matrix, max_sweeps=100):
     off = off_mass(a)
     if off <= JACOBI_TOL:
         return a.diagonal().copy()
-    raise JacobiConvergenceError(f"no convergence after {max_sweeps} sweeps (off mass {off:.3e})")
+    raise JacobiConvergenceError(f"no convergence after {JACOBI_MAX_SWEEPS} sweeps (off mass {off:.3e})")

@@ -32,7 +32,6 @@ from dmsgd.optimizer import AgentSwarm, HyperParams, RunTrace, run, step
 from dmsgd.topology import (
     build_topology,
     effective_matrix,
-    lambda_cap,
     metropolis_mixing,
     spectrum,
 )
@@ -85,8 +84,7 @@ def test_criterion_2_consensus_domination():
     mix = lazy_full(3, 0.0)
     spec = spectrum(mix)
     alpha, beta, omega = 0.01, 0.5, 0.5
-    lam = lambda_cap(omega, spec.lambda2)
-    eta = spec.lambda_min_effective(omega)
+    lam, eta = spec.blended(omega)
     bi = BoundInputs(alpha=alpha, beta=beta, lam=lam, n_agents=3, eta=eta, grad_bound=1.0, sigma=0.0)
     bound = consensus_bound(bi)
     hp = HyperParams(option="I", alpha=alpha, beta=beta, omega=omega, iters=500)
@@ -115,9 +113,9 @@ def test_criterion_3_strongly_convex_rate():
     grad_bound = 1.05 * float(np.sqrt(trace.grad_norm_sq.max()))
     mu_p = objective.mu_prime(spec)
     l_p = objective.l_prime(spec)
+    lam, eta = spec.blended(omega)
     bi = BoundInputs(
-        alpha=alpha, beta=beta, lam=lambda_cap(omega, spec.lambda2), n_agents=3,
-        eta=spec.lambda_min_effective(omega), grad_bound=grad_bound, sigma=0.0,
+        alpha=alpha, beta=beta, lam=lam, n_agents=3, eta=eta, grad_bound=grad_bound, sigma=0.0,
         smooth=l_p, strong_mu=mu_p, gap1=float(trace.gap[0]),
     )
     traj = strongly_convex_trajectory(bi, 1000)
@@ -181,9 +179,9 @@ def test_criterion_5_pl_convergence():
     _, f_star = unified_optimum(objective)
     hp = HyperParams(option="I", alpha=alpha, beta=beta, omega=omega, iters=1000)
     trace = run(objective, StochasticOracle(sigma=0.0), hp, f_star)
+    lam, eta = spec.blended(omega)
     bi = BoundInputs(
-        alpha=alpha, beta=beta, lam=lambda_cap(omega, spec.lambda2), n_agents=3,
-        eta=spec.lambda_min_effective(omega), grad_bound=1.0, sigma=0.0,
+        alpha=alpha, beta=beta, lam=lam, n_agents=3, eta=eta, grad_bound=1.0, sigma=0.0,
         smooth=objective.l_prime(spec), pl_mu=mu_hat, gap1=float(trace.gap[0]),
     )
     traj = pl_trajectory(bi, 1000)  # as-printed variant
@@ -199,7 +197,7 @@ def envelope_case(suite, l_m):
     laziness, beta, omega = 0.5, 0.5, 0.5
     mix = lazy_full(3, laziness)
     spec = spectrum(mix)
-    lam = lambda_cap(omega, spec.lambda2)
+    lam, eta = spec.blended(omega)
     alpha = (spec.lambda2 - (beta * lam) ** 2) / l_m
     objective = UnifiedObjective(suite, mix, alpha)
     # the closed-form alpha satisfies alpha = (1 - (beta Lambda)^2) / L'
@@ -210,7 +208,7 @@ def envelope_case(suite, l_m):
     zero = np.zeros((suite.n, suite.d))
     delta = objective.value(zero) - f_star
     bi = BoundInputs(
-        alpha=alpha, beta=beta, lam=lam, n_agents=3, eta=spec.lambda_min_effective(omega),
+        alpha=alpha, beta=beta, lam=lam, n_agents=3, eta=eta,
         grad_bound=1.0, sigma=0.0, smooth=objective.l_prime(spec), gap1=delta,
     )
     envelope = nonconvex_avg_grad_bound(bi, trace.k)
@@ -239,7 +237,7 @@ def test_criterion_7_simpler_step_size():
     laziness, beta, omega, schedule_b = 0.5, 0.5, 0.5, 0.5
     mix = lazy_full(n, laziness)
     spec = spectrum(mix)
-    lam = lambda_cap(omega, spec.lambda2)
+    lam, eta = spec.blended(omega)
     suite = make_quadratic([[0.5], [1.0], [1.5]], [1.0, 1.0, 1.0])
     objective = UnifiedObjective(suite, mix, None)  # option II: plain F
     _, f_star = unified_optimum(objective)
@@ -261,7 +259,7 @@ def test_criterion_7_simpler_step_size():
             max_grad = max(max_grad, float(np.sqrt(trace.grad_norm_sq.max())))
         mean_avg = np.mean(avgs, axis=0)
         bi = BoundInputs(
-            alpha=1.0, beta=beta, lam=lam, n_agents=n, eta=spec.lambda_min_effective(omega),
+            alpha=1.0, beta=beta, lam=lam, n_agents=n, eta=eta,
             grad_bound=1.05 * max_grad, sigma=sigma * np.sqrt(n), smooth=suite.l_m, gap1=delta,
         )
         q = simpler_q(bi, schedule_b)

@@ -427,6 +427,24 @@ def data_rows(path):
         return [ln for ln in fh.read().splitlines() if not ln.startswith("#")]
 
 
+def test_cli_run_average_does_not_depend_on_the_run_length(tmp_path):
+    """trace_avg.csv's row 1 is the in-order seed sum over 16 seeds divided by 16, at one row and at two."""
+    text = (QUAD_CONFIG.replace("objective.targets = 1.8,2.0;2.0,2.2;2.2,1.8", "objective.targets = 0.3;1.1;1.7")
+            .replace("oracle.sigma = 0.0", "oracle.sigma = 0.5").replace("hp.option = I", "hp.option = II")
+            .replace("hp.alpha = 0.05", "hp.alpha = 0.1"))
+    first_rows = []
+    for iters in (1, 2):
+        out = str(tmp_path / f"iters{iters}")
+        cfg_path = write_config(tmp_path, text.replace("hp.iters = 40", f"hp.iters = {iters}"), f"i{iters}.cfg")
+        assert main(["run", "--config", cfg_path, "--seeds", "16", "--out", out]) == 0
+        avg = read_trace_csv(os.path.join(out, "trace_avg.csv"))[1]
+        seeds = [read_trace_csv(os.path.join(out, f"trace_seed{s}.csv"))[1] for s in range(16)]
+        gaps = [s["gap"][0] for s in seeds]
+        assert avg["gap"][0] == sum(gaps) / 16
+        first_rows.append(data_rows(os.path.join(out, "trace_avg.csv"))[1])
+    assert first_rows[0] == first_rows[1]
+
+
 def test_cli_run_seeds_match_single_seed_runs(tmp_path):
     text = QUAD_CONFIG.replace("oracle.sigma = 0.0", "oracle.sigma = 0.3")
     out = str(tmp_path / "multi")
@@ -1193,12 +1211,14 @@ hp.iters = 20
     assert bi.sigma > 0.0 and bi.grad_bound == 3.0
 
 
-def test_adaptive_omega_bound_inputs():
+def test_adaptive_omega_takes_lambda_and_eta_at_their_worst():
     cfg = parse_config_text(QUAD_CONFIG.replace("hp.omega = 0.5", "hp.omega = adaptive"))
     scenario = build_scenario(cfg)
     # conservative symbols: Lambda at omega = 1, eta at omega = 0
-    assert scenario.lam == pytest.approx(1.0)
-    assert scenario.eta == pytest.approx(scenario.spectral.lambda_n)
+    assert scenario.lam == scenario.spectral.blended(1.0)[0] == pytest.approx(1.0)
+    assert scenario.eta == scenario.spectral.blended(0.0)[1] == pytest.approx(scenario.spectral.lambda_n)
+    fixed = build_scenario(parse_config_text(QUAD_CONFIG))
+    assert (fixed.lam, fixed.eta) == fixed.spectral.blended(0.5)
 
 
 def test_log_env_levels(monkeypatch):

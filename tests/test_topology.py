@@ -2,15 +2,16 @@ import numpy as np
 import pytest
 from test_pins import SPECTRUM_MATRICES
 
+from dmsgd import topology, verify
 from dmsgd.harness import load_edge_list
 from dmsgd.topology import (
     JacobiConvergenceError,
     MixingMatrix,
+    SpectralInfo,
     Topology,
     build_topology,
     effective_matrix,
     jacobi_eigenvalues,
-    lambda_cap,
     metropolis_mixing,
     spectrum,
 )
@@ -214,10 +215,17 @@ def test_jacobi_matches_numpy_oracle():
         assert np.abs(ours - ref).max() < 1e-10
 
 
-def test_jacobi_nonconvergence_raises():
+def _sweep_limit(monkeypatch, sweeps):
+    # the production solver and the reference each read the limit from their own module
+    monkeypatch.setattr(topology, "JACOBI_MAX_SWEEPS", sweeps)
+    monkeypatch.setattr(verify, "JACOBI_MAX_SWEEPS", sweeps)
+
+
+def test_jacobi_nonconvergence_raises(monkeypatch):
+    _sweep_limit(monkeypatch, 0)
     a = np.array([[0.5, 0.5], [0.5, 0.5]])
     with pytest.raises(JacobiConvergenceError):
-        jacobi_eigenvalues(a, max_sweeps=0)
+        jacobi_eigenvalues(a)
 
 
 def _jacobi_zoo():
@@ -246,15 +254,24 @@ def test_jacobi_bit_identical_to_reference(name):
     assert ours.tobytes() == ref.tobytes()
 
 
-@pytest.mark.parametrize("max_sweeps", [0, 1])
-def test_jacobi_nonconvergence_message_matches_reference(max_sweeps):
+@pytest.mark.parametrize("sweeps", [0, 1])
+def test_jacobi_nonconvergence_message_matches_reference(monkeypatch, sweeps):
+    _sweep_limit(monkeypatch, sweeps)
     m = SPECTRUM_MATRICES["ring16_lazy0.3"]().entries
     with pytest.raises(JacobiConvergenceError) as ours:
-        jacobi_eigenvalues(m, max_sweeps=max_sweeps)
+        jacobi_eigenvalues(m)
     with pytest.raises(JacobiConvergenceError) as ref:
-        reference_jacobi_eigenvalues(m, max_sweeps=max_sweeps)
+        reference_jacobi_eigenvalues(m)
     assert str(ours.value) == str(ref.value)
-    assert f"after {max_sweeps} sweeps" in str(ours.value)
+    assert f"after {sweeps} sweeps" in str(ours.value)
+
+
+def test_jacobi_single_agent_converges_without_a_sweep(monkeypatch):
+    """A 1x1 matrix has no off-diagonal mass: both solvers return its entry even at a sweep limit of 0."""
+    _sweep_limit(monkeypatch, 0)
+    single = JACOBI_ZOO["single_agent"]
+    for solve in (jacobi_eigenvalues, reference_jacobi_eigenvalues):
+        assert solve(single).tobytes() == single[0].tobytes()
 
 
 def test_largest_eigenvalue_is_one():
@@ -290,22 +307,24 @@ def test_affine_spectral_map():
         assert np.abs(eff - (w + (1 - w) * base)).max() <= 1e-10
 
 
-def test_lambda_min_effective_matches_spectrum():
+def test_blended_matches_spectrum():
     m = metropolis_mixing(build_topology("ring", 4))
     s = spectrum(m)
     for w in (0.0, 0.3, 0.5, 1.0):
-        direct = spectrum(effective_matrix(m, w)).eigenvalues[-1]
-        assert abs(s.lambda_min_effective(w) - direct) <= 1e-10
+        direct = spectrum(effective_matrix(m, w))
+        lam, eta = s.blended(w)
+        assert abs(lam - direct.lambda2) <= 1e-10
+        assert abs(eta - direct.lambda_n) <= 1e-10
 
 
-def test_lambda_cap_values():
-    assert lambda_cap(0.0, 0.3) == pytest.approx(0.3)
-    assert lambda_cap(1.0, -0.7) == pytest.approx(1.0)
-    assert lambda_cap(0.5, 1 / 3) == pytest.approx(2 / 3)
-    with pytest.raises(ValueError):
-        lambda_cap(-0.1, 0.0)
-    with pytest.raises(ValueError):
-        lambda_cap(0.5, 1.2)
+def test_blended_values():
+    s = SpectralInfo(eigenvalues=np.array([1.0, 0.3, -0.7]), lambda2=0.3, lambda_n=-0.7)
+    assert s.blended(0.0) == (0.3, -0.7)
+    assert s.blended(1.0) == (1.0, 1.0)
+    assert s.blended(0.5) == pytest.approx((0.65, 0.15))
+    for w in (-0.1, 1.5):
+        with pytest.raises(ValueError):
+            s.blended(w)
 
 
 def test_projection_commutes_with_effective_matrix():
@@ -333,4 +352,4 @@ def test_single_agent_convention():
     s = spectrum(m)
     assert s.lambda2 == pytest.approx(1.0)
     assert s.lambda_n == pytest.approx(1.0)
-    assert s.lambda_min_effective(0.3) == pytest.approx(1.0)
+    assert s.blended(0.3) == pytest.approx((1.0, 1.0))
