@@ -31,7 +31,7 @@ mean_avg = np.mean(avgs, axis=0)
 
 delta = objective.value(np.zeros((n, 1))) - f_star
 lam, eta = spec.blended(omega)
-bi = BoundInputs(alpha=1.0, beta=beta, lam=lam, n_agents=n, eta=eta, grad_bound=1.05 * max_grad,
+bi = BoundInputs(alpha=None, beta=beta, lam=lam, n_agents=n, eta=eta, grad_bound=1.05 * max_grad,
                  sigma=sigma * np.sqrt(n), smooth=suite.l_m, gap1=delta)
 q = simpler_q(bi, schedule_b)
 

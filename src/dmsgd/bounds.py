@@ -43,14 +43,16 @@ __all__ = [
 class BoundInputs:
     """Constants feeding the closed-form bounds.
 
-    ``eta`` must come from an actual blended mixing matrix with positive
-    smallest eigenvalue; construction refuses non-positive values rather
-    than inventing one.  ``gap1`` is the initial objective gap (identical to
+    ``alpha`` is ``None`` for a sqrt(B/k) schedule, which has no constant
+    step size; every bound that reads it then refuses the inputs.  ``eta``
+    must come from an actual blended mixing matrix with positive smallest
+    eigenvalue; construction refuses non-positive values rather than
+    inventing one.  ``gap1`` is the initial objective gap (identical to
     the zero-state gap under the all-zeros initialization).  ``dmsgd bounds``
     records the fields as ``bounds.csv`` metadata in this order.
     """
 
-    alpha: float
+    alpha: float | None
     beta: float
     lam: float  # blended second eigenvalue
     eta: float | None = None
@@ -63,7 +65,7 @@ class BoundInputs:
     gap1: float | None = None
 
     def __post_init__(self):
-        if self.alpha <= 0:
+        if self.alpha is not None and self.alpha <= 0:
             raise ValueError("alpha must be positive")
         if not (0.0 <= self.beta < 1.0):
             raise ValueError("beta must lie in [0,1)")
@@ -112,6 +114,13 @@ def _finite(bound):
     return checked
 
 
+def _alpha(bi):
+    """The constant step size ``bi.alpha``; a bound that reads it refuses a schedule run's ``None``."""
+    if bi.alpha is None:
+        raise ValueError("this bound needs a constant step size alpha; a sqrt(B/k) schedule has none")
+    return bi.alpha
+
+
 @_finite
 def consensus_bound(bi):
     """Uniform per-agent consensus error bound.
@@ -122,7 +131,7 @@ def consensus_bound(bi):
     if bi.eta is None:
         raise ValueError("consensus bound needs eta = lambda_min of the blended mixing matrix")
     bl = bi.bl
-    num = 8.0 * bi.alpha * np.sqrt(bi.n_agents) * np.sqrt(bi.second_moment)
+    num = 8.0 * _alpha(bi) * np.sqrt(bi.n_agents) * np.sqrt(bi.second_moment)
     den = np.sqrt(bi.eta * (1.0 - bl)) * (1.0 - np.sqrt(bl))
     return float(num / den)
 
@@ -134,7 +143,7 @@ def displacement_bound(bi, k):
     k (a scalar or an array) counts completed updates from 0; as k grows the
     bound rises to a^2 (G^2+s^2)/(1-bL)^2.
     """
-    loose = bi.alpha**2 * bi.second_moment / (1.0 - bi.bl) ** 2
+    loose = _alpha(bi) ** 2 * bi.second_moment / (1.0 - bi.bl) ** 2
     k = np.asarray(k)
     if (k < 0).any():
         raise ValueError("k must be >= 0")
@@ -144,10 +153,11 @@ def displacement_bound(bi, k):
 @_finite
 def r_constant(bi):
     """Residual constant R = aGs + aG sqrt(G^2+s^2)/(1-bL) + L a^2 (G^2+s^2)/(2(1-bL)^2)."""
+    a = _alpha(bi)
     return float(
-        bi.alpha * bi.grad_bound * bi.sigma
-        + bi.alpha * bi.grad_bound * np.sqrt(bi.second_moment) / (1.0 - bi.bl)
-        + bi.smooth * bi.alpha**2 * bi.second_moment / (2.0 * (1.0 - bi.bl) ** 2)
+        a * bi.grad_bound * bi.sigma
+        + a * bi.grad_bound * np.sqrt(bi.second_moment) / (1.0 - bi.bl)
+        + bi.smooth * a**2 * bi.second_moment / (2.0 * (1.0 - bi.bl) ** 2)
     )
 
 
@@ -177,9 +187,9 @@ def strongly_convex_trajectory(bi, k_max):
     """
     if bi.strong_mu is None or bi.strong_mu <= 0:
         raise ValueError("strongly convex trajectory needs strong_mu > 0")
-    mu, l = bi.strong_mu, bi.smooth
-    return _trajectory(bi, 2.0 * bi.alpha * mu**2 / l, "(0, L/(2 mu^2)]",
-                       lambda: r_constant(bi) * l / (2.0 * bi.alpha * mu**2), k_max)
+    a, mu, l = _alpha(bi), bi.strong_mu, bi.smooth
+    return _trajectory(bi, 2.0 * a * mu**2 / l, "(0, L/(2 mu^2)]",
+                       lambda: r_constant(bi) * l / (2.0 * a * mu**2), k_max)
 
 
 @_finite
@@ -192,9 +202,9 @@ def pl_trajectory(bi, k_max):
     """
     if bi.pl_mu is None or bi.pl_mu <= 0:
         raise ValueError("PL trajectory needs pl_mu > 0")
-    mu = bi.pl_mu
-    return _trajectory(bi, 2.0 * bi.alpha * mu, "(0, 1/(2 mu_hat)]",
-                       lambda: r_constant(bi) / (2.0 * bi.alpha * mu**2), k_max)
+    a, mu = _alpha(bi), bi.pl_mu
+    return _trajectory(bi, 2.0 * a * mu, "(0, 1/(2 mu_hat)]",
+                       lambda: r_constant(bi) / (2.0 * a * mu**2), k_max)
 
 
 @_finite
@@ -226,7 +236,7 @@ def nonconvex_avg_grad_bound(bi, k):
     if bi.gap1 is None:
         raise ValueError("the envelope needs the initial gap")
     k = np.asarray(k)
-    return 2.0 * bi.gap1 / (bi.alpha * (k + 1))
+    return 2.0 * bi.gap1 / (_alpha(bi) * (k + 1))
 
 
 @_finite

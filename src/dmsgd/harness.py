@@ -244,7 +244,7 @@ def config_hash(cfg):
 
 @dataclass
 class Scenario:
-    """Everything derived from a config that a run or bound evaluation needs.
+    """Everything derived from a config that ``bounds`` needs (``build_scenario`` makes one for the benchmark).
 
     The stacked ``objective`` is the only holder of the problem's suite and
     mixing matrix (``objective.suite``, ``objective.mixing``); ``spectral``
@@ -394,11 +394,10 @@ def bound_inputs_from_scenario(scenario):
         pilot_bound, pilot_sigma = pilot_measurements(scenario)
         grad_bound = pilot_bound if grad_bound == "auto" else grad_bound
         sigma = sigma if pilot_sigma is None else pilot_sigma
-    alpha = hp.alpha if hp.schedule == "constant" else 1.0  # placeholder for sqrt runs
     zero = np.zeros((suite.n, suite.d))
     gap1 = scenario.objective.value(zero) - scenario.f_star
     return bounds_mod.BoundInputs(
-        alpha=alpha,
+        alpha=hp.alpha if hp.schedule == "constant" else None,  # a sqrt(B/k) schedule has no constant step size
         beta=hp.beta,
         lam=scenario.lam,
         n_agents=suite.n,
@@ -439,16 +438,8 @@ def _fmt(x):
     return repr(float(x))
 
 
-def trace_metadata(scenario, seed, trace):
-    meta = {
-        "config_hash": config_hash(scenario.cfg),
-        "seed": str(seed),
-        "lambda2": _fmt(scenario.spectral.lambda2),
-        "lambdaN": _fmt(scenario.spectral.lambda_n),
-        "Lambda": _fmt(scenario.lam),
-        "eta": _fmt(scenario.eta),
-        "status": trace.status,
-    }
+def trace_metadata(cfg, seed, trace):
+    meta = {"config_hash": config_hash(cfg), "seed": str(seed), "status": trace.status}
     if trace.abort is not None:
         meta["abort"] = trace.abort
     return meta
@@ -623,15 +614,15 @@ def cmd_run(args):
     n_seeds = args.seeds if args.seeds is not None else cfg.get("output.seeds", 1)
     if n_seeds < 1:
         raise ConfigError(f"the seed count must be >= 1, got {n_seeds}")
-    checked = check_scenario(cfg, {})
+    mixing, suite, hp, oracle = check_scenario(cfg, {})
     out_dir = _output_dir(args, cfg)
-    scenario = _solve(cfg, *checked)
+    objective, f_star = _stacked_problem(mixing, suite, hp)
     traces = []
     failed = None
-    for seed in range(scenario.hp.seed, scenario.hp.seed + n_seeds):
-        trace = run(scenario.objective, scenario.oracle, replace(scenario.hp, seed=seed), scenario.f_star)
+    for seed in range(hp.seed, hp.seed + n_seeds):
+        trace = run(objective, oracle, replace(hp, seed=seed), f_star)
         path = os.path.join(out_dir, f"trace_seed{seed}.csv")
-        write_trace_csv(path, trace, trace_metadata(scenario, seed, trace))
+        write_trace_csv(path, trace, trace_metadata(cfg, seed, trace))
         log.info("wrote %s (%d rows, %s)", path, len(trace), trace.status)
         traces.append(trace)
         if trace.status != "completed":
@@ -641,13 +632,14 @@ def cmd_run(args):
     if n_seeds > 1:
         path = os.path.join(out_dir, "trace_avg.csv")
         avg = averaged_trace(traces)
-        write_trace_csv(path, avg, trace_metadata(scenario, "avg", avg))
+        write_trace_csv(path, avg, trace_metadata(cfg, "avg", avg))
         log.info("wrote %s", path)
     return 0
 
 
 def cmd_bounds(args):
-    """bounds.csv: the bound rows, the engine's inputs and the reason for every refused bound."""
+    """bounds.csv: the bound rows, the mixing matrix's lambda_2 and lambda_N, the engine's inputs and the reason for
+    every refused bound."""
     cfg = load_config(args.config)
     checked = check_scenario(cfg, {})
     out_dir = _output_dir(args, cfg)
@@ -659,7 +651,8 @@ def cmd_bounds(args):
             raise ValueError("; ".join(f"{name}: {reason}" for name, reason in skipped.items()))
     except ValueError as exc:  # BoundInputs or the eta floor refuses the inputs, or the engine refuses every bound
         raise RuntimeFailure(f"no bound exists for these inputs: {exc}") from exc
-    metadata = {"config_hash": config_hash(cfg)}
+    metadata = {"config_hash": config_hash(cfg), "lambda2": _fmt(scenario.spectral.lambda2),
+                "lambdaN": _fmt(scenario.spectral.lambda_n)}
     metadata.update((key, getattr(bi, key)) for key in BOUND_INPUT_KEYS)
     metadata.update((f"skipped.{name}", reason) for name, reason in skipped.items())
     path = os.path.join(out_dir, "bounds.csv")

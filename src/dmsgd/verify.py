@@ -74,9 +74,6 @@ class DominationReport:
     bound_at_violation: float | None = None
     worst_ratio: float = 0.0
 
-    def __bool__(self):
-        return self.passed
-
 
 def check_bound_domination(metric, bound, slack=0.0):
     """Verify metric_k <= bound_k * (1 + slack) for every k.

@@ -259,7 +259,7 @@ def test_criterion_7_simpler_step_size():
             max_grad = max(max_grad, float(np.sqrt(trace.grad_norm_sq.max())))
         mean_avg = np.mean(avgs, axis=0)
         bi = BoundInputs(
-            alpha=1.0, beta=beta, lam=lam, n_agents=n, eta=eta,
+            alpha=None, beta=beta, lam=lam, n_agents=n, eta=eta,
             grad_bound=1.05 * max_grad, sigma=sigma * np.sqrt(n), smooth=suite.l_m, gap1=delta,
         )
         q = simpler_q(bi, schedule_b)

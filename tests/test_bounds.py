@@ -50,6 +50,24 @@ def test_inputs_validation():
         inputs(eta=-1 / 3)
     with pytest.raises(ValueError):
         inputs(sigma=-0.1)
+    with pytest.raises(ValueError, match="alpha must be positive"):
+        inputs(alpha=-0.01)
+    assert inputs(alpha=None).alpha is None  # a sqrt(B/k) schedule has no constant step size
+
+
+@pytest.mark.parametrize("bound", [
+    consensus_bound,
+    lambda bi: displacement_bound(bi, np.arange(3)),
+    r_constant,
+    lambda bi: strongly_convex_trajectory(bi, 3),
+    lambda bi: pl_trajectory(bi, 3),
+    lambda bi: nonconvex_avg_grad_bound(bi, np.arange(1, 4)),
+], ids=["consensus", "displacement", "r_constant", "strongly_convex", "pl", "envelope"])
+def test_alpha_reading_bounds_refuse_no_alpha(bound):
+    bi = inputs(alpha=None, strong_mu=0.5, pl_mu=0.5, gap1=1.0)
+    with pytest.raises(ValueError, match="constant step size alpha"):
+        bound(bi)
+    assert bound(replace(bi, alpha=0.01)) is not None  # the same inputs with a step size have a value
 
 
 # -------------------------------------------------------------- consensus

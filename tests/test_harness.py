@@ -35,7 +35,7 @@ from dmsgd.objectives import (
     partition_noniid,
     unified_optimum,
 )
-from dmsgd.topology import build_topology, metropolis_mixing
+from dmsgd.topology import build_topology, metropolis_mixing, spectrum
 from test_pins import RING_CUSTOM_SWEEP
 
 QUAD_CONFIG = """\
@@ -235,7 +235,11 @@ def optimum_calls(monkeypatch):
 
 
 def test_spectrum_call_counter_counts(tmp_path, spectrum_calls):
-    assert main(["run", "--config", write_config(tmp_path, QUAD_CONFIG), "--out", str(tmp_path / "out")]) == 0
+    """``run`` computes no spectrum; ``bounds``, the one command that reads it, computes one."""
+    cfg_path = write_config(tmp_path, QUAD_CONFIG)
+    assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 0
+    assert spectrum_calls == []
+    assert main(["bounds", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 0
     assert spectrum_calls == [3]
 
 
@@ -497,6 +501,28 @@ def test_cli_run_completed_trace_has_no_abort_line(tmp_path):
         meta, _ = read_trace_csv(os.path.join(out, name))
         assert meta["status"] == "completed"
         assert "abort" not in meta
+
+
+@pytest.mark.parametrize("alpha, code, keys", [
+    ("0.05", 0, ["config_hash", "seed", "status"]),
+    ("1e9", 1, ["config_hash", "seed", "status", "abort"]),
+], ids=["completed", "aborted"])
+def test_run_computes_no_spectrum_and_bounds_records_it(tmp_path, spectrum_calls, alpha, code, keys):
+    """``run --seeds 2`` computes no spectrum, and each trace's metadata is the config hash, the seed, the status
+    and any abort; ``bounds.csv`` records lambda_2 and lambda_N of the mixing matrix."""
+    cfg_path = write_config(tmp_path, QUAD_CONFIG.replace("hp.alpha = 0.05", f"hp.alpha = {alpha}"))
+    out = str(tmp_path / "out")
+    assert main(["run", "--config", cfg_path, "--out", out, "--seeds", "2"]) == code
+    assert spectrum_calls == []
+    names = sorted(os.listdir(out))
+    assert names == ["trace_avg.csv", "trace_seed0.csv", "trace_seed1.csv"][code:]
+    for name in names:
+        assert list(read_trace_csv(os.path.join(out, name))[0]) == keys
+    if code == 0:
+        assert main(["bounds", "--config", cfg_path, "--out", out]) == 0
+        meta, _ = read_bounds_csv(os.path.join(out, "bounds.csv"))
+        spectral = spectrum(metropolis_mixing(build_topology("full", 3), laziness=0.5))
+        assert (meta["lambda2"], meta["lambdaN"]) == (repr(float(spectral.lambda2)), repr(float(spectral.lambda_n)))
 
 
 def test_cli_run_config_error_exit_2(tmp_path):
