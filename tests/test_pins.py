@@ -391,7 +391,7 @@ BOUNDS_PINS = {
                         "22e6ddcd0bd7f397163c750134488f727de45bba1c9818f281a8f071d2e9679a"),
     "quadratic_cor1_skipped": ("701335ee33063538a0459b060e7e9a7dcde5ec714c083d1135dbc0eb04424203",
                                "767c9155c2f90e0713859709399d83e7c8f22af063e067f9d6fc627d6229a6fa"),
-    "sqrt_schedule": ("46f68171e664cab28ac144602e5ff4db0192271fab39317837c94a9ce39f6c8f",
+    "sqrt_schedule": ("e79e1330892eaaee031b58c4c202125b03dc67994489d9fdbecc0a6fd5e21c41",
                       "1cecd8bb2f9aed68b3ba2c2493b638e8e69d503c55347f98eb9090404f97459e"),
 }
 
