@@ -43,13 +43,13 @@ __all__ = [
 class BoundInputs:
     """Constants feeding the closed-form bounds.
 
-    ``alpha`` is ``None`` for a sqrt(B/k) schedule, which has no constant
-    step size; every bound that reads it then refuses the inputs.  ``eta``
-    must come from an actual blended mixing matrix with positive smallest
-    eigenvalue; construction refuses non-positive values rather than
-    inventing one.  ``gap1`` is the initial objective gap (identical to
-    the zero-state gap under the all-zeros initialization).  ``dmsgd bounds``
-    records the fields as ``bounds.csv`` metadata in this order.
+    ``alpha`` is ``None`` for a sqrt(B/k) schedule, which has no constant step
+    size; every bound that reads it then refuses the inputs.  ``eta`` must come
+    from an actual blended mixing matrix with positive smallest eigenvalue;
+    construction refuses non-positive values rather than inventing one.
+    ``gap1`` is the initial objective gap (identical to the zero-state gap
+    under the all-zeros initialization).  ``dmsgd bounds`` records the fields
+    as ``bounds.csv`` metadata in this order.
     """
 
     alpha: float | None

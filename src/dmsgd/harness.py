@@ -244,7 +244,7 @@ def config_hash(cfg):
 
 @dataclass
 class Scenario:
-    """Everything derived from a config that ``bounds`` needs (``build_scenario`` makes one for the benchmark).
+    """Everything derived from a config that ``dmsgd bounds`` needs.
 
     The stacked ``objective`` is the only holder of the problem's suite and
     mixing matrix (``objective.suite``, ``objective.mixing``); ``spectral``
@@ -638,8 +638,7 @@ def cmd_run(args):
 
 
 def cmd_bounds(args):
-    """bounds.csv: the bound rows, the mixing matrix's lambda_2 and lambda_N, the engine's inputs and the reason for
-    every refused bound."""
+    """bounds.csv: the bound rows, the mixing matrix's lambda_2 and lambda_N, the engine's inputs and refusals."""
     cfg = load_config(args.config)
     checked = check_scenario(cfg, {})
     out_dir = _output_dir(args, cfg)
