@@ -244,22 +244,23 @@ def config_hash(cfg):
 
 @dataclass
 class Scenario:
-    """Everything derived from a config that ``dmsgd bounds`` needs.
+    """What ``dmsgd bounds`` reads of a config.
 
-    The stacked ``objective`` is the only holder of the problem's suite and
-    mixing matrix (``objective.suite``, ``objective.mixing``); ``spectral``
-    is that matrix's spectrum and ``f_star`` the objective's minimum.
+    The checked stacked ``objective`` holds the problem's suite and mixing
+    matrix (``objective.suite``, ``objective.mixing``); ``spectral`` is that
+    matrix's spectrum, ``f_star`` the objective's minimum and ``grad_bound``
+    the parsed ``objective.grad_bound`` (``"auto"`` or a number).
     ``lam`` and ``eta`` blend the spectrum at ``hp.omega``; an adaptive blend's
     weights range over [0, 1], so it takes each at its worst: Lambda at w = 1
     and eta at w = 0.
     """
 
-    cfg: RunConfig
     spectral: object
     oracle: object
     hp: HyperParams
     objective: object
     f_star: float
+    grad_bound: float | str
 
     @property
     def lam(self):
@@ -318,8 +319,9 @@ def _build_suite(cfg, n_agents):
 
 
 def check_scenario(cfg, suites):
-    """The checked ``(mixing, suite, hp, oracle)`` of ``cfg``: the graph, ``hp`` and the oracle, then the suite of
-    its agent count in ``suites``, built there if missing (a PL build solves its optimum and its PL constant)."""
+    """The checked ``(objective, hp, oracle)`` of ``cfg``: the graph, ``hp`` and the oracle, then the suite of its
+    agent count in ``suites``, built there if missing (a PL build solves its optimum and its PL constant), and last
+    the stacked objective of that suite over the mixing matrix, penalized under option I.  It solves nothing."""
     topo = _build_topology(cfg)
     mixing = _checked("topology.laziness", metropolis_mixing, topo, laziness=cfg.get("topology.laziness", 0.0))
     hp = _checked("hp.option, hp.schedule, hp.alpha, hp.B, hp.beta, hp.omega, hp.adaptive_scope, hp.iters, hp.seed",
@@ -341,20 +343,13 @@ def check_scenario(cfg, suites):
     if topo.n not in suites:
         suites[topo.n] = _build_suite(cfg, topo.n)
     _checked("oracle.batch", oracle.check_fits, suites[topo.n])
-    return mixing, suites[topo.n], hp, oracle
+    return UnifiedObjective(suites[topo.n], mixing, hp.alpha if hp.option == "I" else None), hp, oracle
 
 
-def _stacked_problem(mixing, suite, hp):
-    """The stacked objective of ``suite`` over ``mixing`` under ``hp.option``, and its minimum."""
-    objective = UnifiedObjective(suite, mixing, hp.alpha if hp.option == "I" else None)
-    return objective, unified_optimum(objective)[1]
-
-
-def _solve(cfg, mixing, suite, hp, oracle):
-    """The numerics of a checked ``cfg``: the spectrum, the stacked objective and its optimum."""
-    spectral = spectrum(mixing)
-    objective, f_star = _stacked_problem(mixing, suite, hp)
-    return Scenario(cfg=cfg, spectral=spectral, oracle=oracle, hp=hp, objective=objective, f_star=f_star)
+def _solve(cfg, objective, hp, oracle):
+    """The numerics of a checked ``cfg``: the spectrum of the objective's mixing matrix and the objective's minimum."""
+    return Scenario(spectral=spectrum(objective.mixing), oracle=oracle, hp=hp, objective=objective,
+                    f_star=unified_optimum(objective)[1], grad_bound=cfg.get("objective.grad_bound", "auto"))
 
 
 def build_scenario(cfg):
@@ -387,8 +382,7 @@ def bound_inputs_from_scenario(scenario):
     if scenario.eta <= JACOBI_TOL:  # a converged Jacobi solve cannot show that a smaller eta is positive
         raise ValueError(f"eta = lambda_min of the blended mixing matrix is {scenario.eta}, not above the "
                          f"spectrum's tolerance {JACOBI_TOL}; only a positive-definite blend admits a consensus bound")
-    hp, suite = scenario.hp, scenario.objective.suite
-    grad_bound = scenario.cfg.get("objective.grad_bound", "auto")
+    hp, suite, grad_bound = scenario.hp, scenario.objective.suite, scenario.grad_bound
     sigma = scenario.oracle.sigma * np.sqrt(suite.n)  # additive: stacked deviation of N independent per-agent draws
     if grad_bound == "auto" or scenario.oracle.mode == "minibatch":  # a given G keeps a minibatch's sigma measured
         pilot_bound, pilot_sigma = pilot_measurements(scenario)
@@ -614,9 +608,9 @@ def cmd_run(args):
     n_seeds = args.seeds if args.seeds is not None else cfg.get("output.seeds", 1)
     if n_seeds < 1:
         raise ConfigError(f"the seed count must be >= 1, got {n_seeds}")
-    mixing, suite, hp, oracle = check_scenario(cfg, {})
+    objective, hp, oracle = check_scenario(cfg, {})
     out_dir = _output_dir(args, cfg)
-    objective, f_star = _stacked_problem(mixing, suite, hp)
+    f_star = unified_optimum(objective)[1]
     traces = []
     failed = None
     for seed in range(hp.seed, hp.seed + n_seeds):
@@ -707,7 +701,8 @@ def _sweep_cell(objective, f_star, hp, oracle):
 
 def cmd_sweep(args):
     """sweep.csv, one row per cell in grid order; each cell is checked once, cells of one agent count share a suite,
-    and cells that share a topology and option share one problem, built from the first one's mixing and suite."""
+    and cells that share a topology and option share the stacked objective of their first cell's check, and its
+    one optimum."""
     cfg = load_config(args.config)
     # _build_suite reads no sweep axis (topology.kind only names a refusal's key): one suite per agent count
     suites = {}
@@ -718,26 +713,25 @@ def cmd_sweep(args):
     for cell in cells:
         items = dict(cfg.items)
         items.update((key, val) for (_, key), val in zip(SWEEP_AXES, cell) if val is not None)
-        mixing, suite, hp, oracle = check_scenario(RunConfig(items=items), suites)
+        objective, hp, oracle = check_scenario(RunConfig(items=items), suites)
         rows.append([items.get(key, "") for _, key in SWEEP_AXES])
-        _, _, members = problems.setdefault((items.get("topology.kind"), hp.option), (mixing, suite, []))
+        _, members = problems.setdefault((items.get("topology.kind"), hp.option), (objective, []))
         members.append((rows[-1], hp, oracle))
     out_dir = _output_dir(args, cfg)
-    for mixing, suite, members in problems.values():
+    for objective, members in problems.values():
         try:
-            objective, f_star = _stacked_problem(mixing, suite, members[0][1])
-        except Exception as exc:  # a failed build fails each of its cells in-row
+            f_star = unified_optimum(objective)[1]
+        except Exception as exc:  # a failed solve fails each of its cells in-row
             log.warning("sweep problem of cell %s failed: %s", ",".join(members[0][0]), exc)
-            objective = None
+            f_star = None
         for row, hp, oracle in members:
             status, numbers = "error", [float("nan")] * 3
-            if objective is not None:
+            if f_star is not None:
                 try:
                     status, *numbers = _sweep_cell(objective, f_star, hp, oracle)
                 except Exception as exc:
                     log.warning("sweep cell %s failed: %s", ",".join(row), exc)
             row += [status] + [_fmt(x) for x in numbers]
-        del objective  # freed before the next problem is built
     path = os.path.join(out_dir, "sweep.csv")
     _write_csv(path, {"config_hash": config_hash(cfg)}, SWEEP_HEADER, rows)
     log.info("wrote %s (%d cells)", path, len(rows))

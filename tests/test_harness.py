@@ -18,6 +18,7 @@ from dmsgd.harness import (
     TRACE_HEADER,
     build_scenario,
     bound_inputs_from_scenario,
+    check_scenario,
     config_hash,
     evaluate_bounds,
     load_config,
@@ -257,8 +258,10 @@ def test_spectrum_call_counter_counts(tmp_path, spectrum_calls):
     # range checks, with no sweep.* key for the sweep
     (edit, command, []) for edit in ("hp.beta = 2", "oracle.sigma = -1") for command in ("run", "bounds", "sweep")
 ])
-def test_config_errors_end_before_the_spectrum(tmp_path, capsys, spectrum_calls, optimum_calls, edit, command,
+def test_config_errors_end_before_the_numerics(tmp_path, capsys, spectrum_calls, optimum_calls, edit, command,
                                                args):
+    """Every config error exits 2 before the numerics.  Only the ``bounds`` cases could see a spectrum; for ``run``
+    and ``sweep``, ``optimum_calls == []`` is what shows that the check ends before them."""
     key = edit.split(" = ", 1)[0]
     text = "".join(ln + "\n" for ln in RING_128.splitlines() if not ln.startswith(key + " =")) + edit + "\n"
     blocker = tmp_path / "file"
@@ -281,6 +284,21 @@ objective.shifts = """ + ";".join(str(j / 10) for j in range(16)) + """
 hp.alpha = 0.05
 hp.iters = 20
 """
+
+
+@pytest.mark.parametrize("text, alpha, n", [
+    (QUAD_CONFIG, 0.05, 3),
+    (QUAD_CONFIG.replace("hp.option = I", "hp.option = II"), None, 3),
+    (PL_RING_16 + "hp.option = II\nhp.schedule = sqrt\nhp.B = 1.0\n", None, 16),
+], ids=["option_I", "option_II", "sqrt_option_II"])
+def test_check_returns_the_stacked_objective(spectrum_calls, optimum_calls, text, alpha, n):
+    """The config check ends with the stacked objective, penalized by ``hp.alpha`` under option I only, over the
+    topology's agents, and solves nothing."""
+    objective, hp, oracle = check_scenario(parse_config_text(text), {})
+    assert objective.alpha == (hp.alpha if hp.option == "I" else None) == alpha
+    assert objective.suite.n == objective.mixing.n == n
+    assert oracle.mode == "additive"
+    assert spectrum_calls == [] and optimum_calls == []
 
 
 @pytest.mark.parametrize("edit", ["hp.beta = 2", "hp.schedule = sqrt\nhp.B = 1.0", "oracle.sigma = -1"])
