@@ -12,9 +12,11 @@ agents whose partitions have the same length into one (g, m, d) feature
 array, so its evaluation and minibatch draws take one batched pass per
 partition length, not one matvec per agent.  The penalized stacked objective
 F(x) + (1/2a) x^T (I - Pi) x lives here too, since its derived curvature
-constants are what the convergence bounds are stated in.  ``scipy.optimize``
-is imported only inside the solvers that call it (logistic and PL optima), so
-quadratic runs never load it.
+constants are what the convergence bounds are stated in.  The PL family's
+mean objective has a closed form, so its common optimum and PL constant come
+from one scalar function.  ``scipy.optimize`` is imported only inside the
+L-BFGS solver of the logistic optima and of the stacked non-quadratic optima,
+so quadratic runs and PL suite builds never load it.
 """
 
 from __future__ import annotations
@@ -50,12 +52,6 @@ def agent_total(per_agent):
     F(x) = sum_j f_j(x_j); an in-order accumulate from 0.0 keeps it reproducible.
     """
     return 0.0 + np.add.accumulate(per_agent, axis=0)[-1]
-
-
-def _summed(evaluate, x):
-    """F(x) = sum_j f_j(x) and its gradient at one shared point x (d,), summed in agent order."""
-    values, grads = evaluate(x)
-    return agent_total(values), agent_total(grads)
 
 
 @dataclass
@@ -131,8 +127,14 @@ def make_pl(n, shifts=0.0):
     """Scalar smooth non-convex PL suite f_j(x) = (x-s_j)^2 + 3 sin^2(x-s_j).
 
     Smooth with constant 8, not convex (second derivative dips to -4), yet
-    satisfies the gradient-dominance inequality; the declared PL constant is
-    estimated on a grid via :func:`estimate_pl_constant`.
+    satisfies the gradient-dominance inequality.  With sin^2 z = (1 - cos 2z)/2
+    the mean objective fbar = (1/N) sum_j f_j has the closed form
+    fbar(x) = (x - sbar)^2 + var(s) + 3/2 - c cos(2x - phi), where
+    c e^{i phi} = (3/2N) sum_j e^{2i s_j}; ``params["mean"]`` maps points to
+    (fbar, fbar', fbar'') from it.  On the grid sbar + [-10, 10) step 1e-3 a
+    scan of fbar plus Newton steps give the common optimum, and
+    :func:`estimate_pl_constant` gives the declared PL constant, so neither
+    depends on where the shifts sit.  Equal shifts have x* = s and f* = 0.
     """
     s = _per_agent(shifts, n, "shifts")[:, None]
 
@@ -140,6 +142,27 @@ def make_pl(n, shifts=0.0):
         z = X - s
         return np.sum(z**2 + 3.0 * np.sin(z) ** 2, axis=-1), 2.0 * z + 3.0 * np.sin(2.0 * z)
 
+    s_bar = agent_total(s[:, 0]) / n
+    var = agent_total((s[:, 0] - s_bar) ** 2) / n
+    rotor = 1.5 * agent_total(np.exp(2j * s[:, 0])) / n  # c e^{i phi}
+    c, phi = abs(rotor), np.angle(rotor)
+
+    def mean(x):
+        w = 2.0 * x - phi
+        cos_w = np.cos(w)
+        return (x - s_bar) ** 2 + var + 1.5 - c * cos_w, 2.0 * (x - s_bar) + 2.0 * c * np.sin(w), 2.0 + 4.0 * c * cos_w
+
+    grid = s_bar + np.arange(-10.0, 10.0, 1e-3)  # the minimizer lies within 3/2 of sbar
+    if np.ptp(s) == 0.0:
+        x = s[0, 0]
+    else:
+        x = grid[np.argmin(mean(grid)[0])]
+        for _ in range(50):  # Newton on fbar while it is convex and a step still moves x
+            _, g, h = mean(x)
+            if h <= 0.0 or x - g / h == x:
+                break
+            x -= g / h
+    x_star = np.array([x])
     suite = ObjectiveSuite(
         n=n,
         d=1,
@@ -147,19 +170,11 @@ def make_pl(n, shifts=0.0):
         evaluate=evaluate,
         l_m=PL_SMOOTHNESS,
         mu_m=0.0,
-        params={"shifts": s},
+        x_star=x_star,
+        f_star=float(agent_total(evaluate(x_star)[0])),
+        params={"shifts": s, "mean": mean},
     )
-    if np.ptp(s) == 0.0:
-        suite.x_star, suite.f_star = s[0].copy(), 0.0
-    else:
-        from scipy.optimize import minimize
-
-        # d=1: coarse scan plus local polish on the summed objective
-        xs = np.linspace(s.min() - 3.0, s.max() + 3.0, 2001)
-        x0 = xs[int(np.argmin(agent_total(evaluate(xs[:, None, None])[0].T)))]
-        res = minimize(lambda v: _summed(evaluate, v), np.array([x0]), jac=True)
-        suite.x_star, suite.f_star = np.array([res.x[0]]), float(res.fun)
-    suite.pl_constant = estimate_pl_constant(suite, np.arange(-10.0, 10.0, 1e-3))
+    suite.pl_constant = estimate_pl_constant(mean, suite.f_star / n, grid)
     return suite
 
 
@@ -459,32 +474,32 @@ def common_optimum(suite):
     starts = [np.zeros(suite.d)]
     if suite.x_star is not None:
         starts.append(np.asarray(suite.x_star, dtype=float))
-    best = _lbfgs_multistart(lambda v: _summed(suite.evaluate, v), starts)
+
+    def summed(x):  # F(x) and its gradient at one shared point x (d,), summed in agent order
+        values, grads = suite.evaluate(x)
+        return agent_total(values), agent_total(grads)
+
+    best = _lbfgs_multistart(summed, starts)
     suite.x_star = best.x.copy()
     suite.f_star = float(best.fun)
     return suite.f_star
 
 
-def estimate_pl_constant(suite, grid):
-    """Grid estimate of the gradient-dominance constant.
+def estimate_pl_constant(mean, fbar_star, grid):
+    """Grid estimate of the gradient-dominance constant of a scalar mean objective.
 
-    Evaluates min over the grid of ||grad fbar||^2 / (2 (fbar - fbar*)) for
-    the mean local objective fbar = (1/N) sum_j f_j (scalar suites only);
-    points at the optimal value are excluded.  The mean keeps the estimate
-    independent of the agent count, so for a quadratic suite it returns the
-    mean curvature, which dominates mu_m.
+    ``mean`` maps an array of points to (fbar, fbar', ...), the mean local
+    objective fbar = (1/N) sum_j f_j and its derivative, and ``fbar_star`` is
+    the minimum of fbar.  Returns the min over the grid of
+    fbar'^2 / (2 (fbar - fbar*)); points at the optimal value are excluded.
+    The mean keeps the estimate independent of the agent count, so for a
+    quadratic suite it returns the mean curvature, which dominates mu_m.
     """
-    if suite.d != 1:
-        raise ValueError("PL estimation is defined for scalar suites")
-    if suite.f_star is None:
-        raise ValueError("suite must declare f_star")
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise ValueError("empty grid")
-    values, grads = suite.evaluate(grid.reshape(-1, 1, 1))  # every agent at each grid point
-    fbar = agent_total(values.T) / suite.n
-    gbar = agent_total(grads[..., 0].T) / suite.n
-    gap = fbar - suite.f_star / suite.n
+    fbar, gbar = mean(grid)[:2]
+    gap = fbar - fbar_star
     away = gap > 1e-12
     if not away.any():
         raise ValueError("grid contains no points away from the optimum")

@@ -37,7 +37,7 @@ from dmsgd.objectives import (
     unified_optimum,
 )
 from dmsgd.topology import build_topology, metropolis_mixing, spectrum
-from test_pins import RING_CUSTOM_SWEEP
+from test_pins import CONFIGS, RING_CUSTOM_SWEEP
 
 QUAD_CONFIG = """\
 topology.kind = full
@@ -306,9 +306,9 @@ def test_check_returns_the_stacked_objective(spectrum_calls, optimum_calls, text
 def test_config_errors_end_before_the_suite(tmp_path, capsys, monkeypatch, edit, command):
     calls, estimate = [], objectives.estimate_pl_constant
 
-    def counted(suite, grid):
-        calls.append(suite.n)
-        return estimate(suite, grid)
+    def counted(*args):
+        calls.append(args)
+        return estimate(*args)
 
     monkeypatch.setattr(objectives, "estimate_pl_constant", counted)
     cfg_path = write_config(tmp_path, PL_RING_16 + edit + "\n")
@@ -479,21 +479,35 @@ def test_cli_run_seeds_match_single_seed_runs(tmp_path):
         assert data_rows(os.path.join(out, name)) == data_rows(os.path.join(single, name))
 
 
+def run_fresh_python(script):
+    """Run ``script`` in a new interpreter that imports this checkout's dmsgd; fail with its stderr."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dmsgd.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_quadratic_cli_never_imports_scipy_optimize(tmp_path):
     cfg_path = write_config(tmp_path, QUAD_CONFIG)
     out = str(tmp_path / "out")
-    script = f"""\
+    run_fresh_python(f"""\
 import sys
 from dmsgd.harness import main
 assert main(["run", "--config", {cfg_path!r}, "--out", {out!r}]) == 0
 assert main(["bounds", "--config", {cfg_path!r}, "--out", {out!r}]) == 0
 assert main(["check", "--trace", {out + "/trace_seed0.csv"!r}, "--bounds", {out + "/bounds.csv"!r}]) == 0
 assert "scipy.optimize" not in sys.modules, "scipy.optimize was imported"
-"""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(dmsgd.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
+""")
+
+
+def test_pl_suite_build_never_imports_scipy():
+    """The PL optimum and constant are closed-form: only the stacked L-BFGS optimum would load scipy."""
+    run_fresh_python("""\
+import sys
+from dmsgd.objectives import make_pl
+make_pl(4, shifts=[-0.6, -0.2, 0.3, 0.8])
+assert "scipy" not in sys.modules, "scipy was imported"
+""")
 
 
 def test_cli_run_aborted_marks_trace(tmp_path, capsys):
@@ -647,6 +661,21 @@ def test_cli_bounds_pl_dispatch(tmp_path):
     _, rows = read_bounds_csv(os.path.join(out, "bounds.csv"))
     assert "thm2_gap" in rows
     assert "cor1_gap" not in rows
+
+
+def test_cli_bounds_pl_mu_ignores_a_common_shift_offset(tmp_path):
+    """Adding 50 to every shift moves the PL constant's grid with the shifts, so bounds records the same pl_mu."""
+    near = CONFIGS["pl_shifts"]
+    far = near.replace("objective.shifts = -0.6;-0.2;0.3;0.8", "objective.shifts = 49.4;49.8;50.3;50.8")
+    assert far != near
+    pl_mu = []
+    for name, text in (("near", near), ("far", far)):
+        out = str(tmp_path / name)
+        assert main(["bounds", "--config", write_config(tmp_path, text, f"{name}.cfg"), "--out", out]) == 0
+        meta, rows = read_bounds_csv(os.path.join(out, "bounds.csv"))
+        assert "thm2_gap" in rows
+        pl_mu.append(float(meta["pl_mu"]))
+    assert pl_mu[1] == pytest.approx(pl_mu[0], rel=1e-9, abs=0.0)
 
 
 # set-ups that call scipy's L-BFGS, which must finish under main's raise-on-overflow state

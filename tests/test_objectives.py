@@ -161,12 +161,20 @@ def test_pl_finite_differences():
         assert central_diff_ok(suite, j, pts)
 
 
+def summed_mean(suite):
+    """The mean local objective of a scalar suite and its derivative, as agent-order sums of ``suite.evaluate``."""
+    def mean(x):
+        values, grads = suite.evaluate(np.asarray(x, dtype=float).reshape(-1, 1, 1))  # every agent at each point
+        return agent_total(values.T) / suite.n, agent_total(grads[..., 0].T) / suite.n
+    return mean
+
+
 def test_estimate_pl_identities():
     grid = np.arange(-5.0, 5.0, 1e-2)
     half_sq = make_quadratic([[0.0]], [1.0])
-    assert estimate_pl_constant(half_sq, grid) == pytest.approx(1.0, abs=1e-12)
+    assert estimate_pl_constant(summed_mean(half_sq), half_sq.f_star, grid) == pytest.approx(1.0, abs=1e-12)
     scaled = make_quadratic([[0.0]], [0.3])
-    assert estimate_pl_constant(scaled, grid) == pytest.approx(0.3, abs=1e-12)
+    assert estimate_pl_constant(summed_mean(scaled), scaled.f_star, grid) == pytest.approx(0.3, abs=1e-12)
 
 
 def test_estimate_pl_dominates_mu_m():
@@ -176,12 +184,51 @@ def test_estimate_pl_dominates_mu_m():
         a = rng.uniform(0.2, 3.0, size=3)
         t = rng.normal(size=(3, 1))
         suite = make_quadratic(t, a)
-        assert estimate_pl_constant(suite, grid) >= suite.mu_m - 1e-9
+        assert estimate_pl_constant(summed_mean(suite), suite.f_star / suite.n, grid) >= suite.mu_m - 1e-9
 
 
 def test_estimate_pl_empty_grid():
-    with pytest.raises(ValueError):
-        estimate_pl_constant(make_pl(1), np.array([]))
+    with pytest.raises(ValueError, match="empty grid"):
+        estimate_pl_constant(make_pl(1).params["mean"], 0.0, np.array([]))
+
+
+def pl_shift_sets():
+    """The 4-agent shifts of the pinned PL config, then seeded random shift sets of 3 to 256 agents."""
+    yield [-0.6, -0.2, 0.3, 0.8]
+    for n in (3, 16, 64, 256):
+        yield np.random.default_rng(n).uniform(-1.0, 1.0, size=n).tolist()
+
+
+@pytest.mark.parametrize("n", [1, 3, 16, 256])
+def test_pl_closed_form_matches_the_agent_sum(n):
+    """The closed-form mean and its PL constant match the per-agent sums over the suite's grid."""
+    shifts = 0.3 if n == 1 else np.random.default_rng(n).uniform(-1.0, 1.0, size=n)
+    suite = make_pl(n, shifts=shifts)
+    grid = agent_total(suite.params["shifts"][:, 0]) / n + np.arange(-10.0, 10.0, 1e-3)
+    fbar, gbar, _ = suite.params["mean"](grid)
+    fsum, gsum = summed_mean(suite)(grid)
+    assert (np.abs(fbar - fsum) <= 1e-13 * (1.0 + np.abs(fbar))).all()
+    assert (np.abs(gbar - gsum) <= 1e-13 * (1.0 + np.abs(fbar))).all()
+    gap = fsum - suite.f_star / n
+    away = gap > 1e-12
+    oracle = np.min(gsum[away] ** 2 / (2.0 * gap[away]))
+    assert suite.pl_constant == pytest.approx(oracle, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("shifts", list(pl_shift_sets()), ids=lambda s: f"n{len(s)}")
+def test_pl_common_optimum_is_stationary(shifts):
+    suite = make_pl(len(shifts), shifts=shifts)
+    assert abs(agent_total(suite.evaluate(suite.x_star)[1])[0]) <= 1e-12 * suite.n
+    assert suite.f_star == agent_total(suite.evaluate(suite.x_star)[0])
+
+
+@pytest.mark.parametrize("n, shifts", [(1, 0.0), (3, [-0.5, 0.0, 0.5]), (4, [-0.6, -0.2, 0.3, 0.8])])
+def test_pl_constant_ignores_a_common_offset(n, shifts):
+    """Moving every shift by 50 moves the grid with them: the PL constant and the optimum's value stay."""
+    near, far = make_pl(n, shifts=shifts), make_pl(n, shifts=np.asarray(shifts) + 50.0)
+    assert far.pl_constant == pytest.approx(near.pl_constant, rel=1e-9, abs=0.0)
+    assert far.f_star == pytest.approx(near.f_star, rel=1e-9, abs=1e-12)
+    assert far.x_star[0] - 50.0 == pytest.approx(near.x_star[0], abs=1e-9)
 
 
 # ---------------------------------------------------------------- datasets
