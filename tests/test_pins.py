@@ -188,7 +188,7 @@ PINS = {
     },
     "pl_shifts": {
         "trace": "b048c9ce7aa86d2012a1ff55afaceabfb388f01cc5b2839d03175cb74a621fcc",
-        "bounds": "4715e67852826baa56de730d7a52eaf48118437c2a5c539841dd735ab9dc396a",
+        "bounds": "f5bd15a2592287aab13bd5526512d3168f68e56a572ff010e8ee184489f43023",
         "bound_names": ("consensus", "displacement_sq", "avg_grad_envelope", "thm2_gap"),
     },
 }
@@ -385,9 +385,9 @@ hp.iters = 20
 BOUNDS_META_KEYS = ("config_hash",) + BOUND_INPUTS
 
 BOUNDS_PINS = {
-    "pl_thm2": ("94ad297717c4eb1879953b28dc0e6908cf8136943291d1d1e49d986f68f58f1b",
-                "02909589c0795f65bf76474fb9c02835be206d764ac7af0140d19888957e5496"),
-    "pl_thm2_skipped": ("f9632ce5b2169932d1465cdcec65854a35cba9623ed461c2771ca6eb50c18c01",
+    "pl_thm2": ("2b6bead63997c956c718c427180b6d8bf5f2f41b119e2b92e9a7e2eb6a6762b2",
+                "75bf71ab52fb6532efdb84856ab7fb6e534bbfe4848f73388381425f70f1b72e"),
+    "pl_thm2_skipped": ("176472300b0e396f8eeaeb5183aad47313e49b8225dcee20384a9cc4775585ad",
                         "22e6ddcd0bd7f397163c750134488f727de45bba1c9818f281a8f071d2e9679a"),
     "quadratic_cor1_skipped": ("701335ee33063538a0459b060e7e9a7dcde5ec714c083d1135dbc0eb04424203",
                                "767c9155c2f90e0713859709399d83e7c8f22af063e067f9d6fc627d6229a6fa"),
