@@ -12,11 +12,10 @@ agents whose partitions have the same length into one (g, m, d) feature
 array, so its evaluation and minibatch draws take one batched pass per
 partition length, not one matvec per agent.  The penalized stacked objective
 F(x) + (1/2a) x^T (I - Pi) x lives here too, since its derived curvature
-constants are what the convergence bounds are stated in.  The PL family's
-mean objective has a closed form, so its common optimum and PL constant come
-from one scalar function.  ``scipy.optimize`` is imported only inside the
-L-BFGS solver of the logistic optima and of the stacked non-quadratic optima,
-so quadratic runs and PL suite builds never load it.
+constants are what the convergence bounds are stated in.  ``scipy.optimize``
+is imported only inside the L-BFGS solver of the logistic and stacked optima;
+a PL suite solves its own optimum in closed form, so quadratic runs and PL
+suite builds never load it.
 """
 
 from __future__ import annotations
@@ -127,14 +126,12 @@ def make_pl(n, shifts=0.0):
     """Scalar smooth non-convex PL suite f_j(x) = (x-s_j)^2 + 3 sin^2(x-s_j).
 
     Smooth with constant 8, not convex (second derivative dips to -4), yet
-    satisfies the gradient-dominance inequality.  With sin^2 z = (1 - cos 2z)/2
-    the mean objective fbar = (1/N) sum_j f_j has the closed form
-    fbar(x) = (x - sbar)^2 + var(s) + 3/2 - c cos(2x - phi), where
-    c e^{i phi} = (3/2N) sum_j e^{2i s_j}; ``params["mean"]`` maps points to
-    (fbar, fbar', fbar'') from it.  On the grid sbar + [-10, 10) step 1e-3 a
-    scan of fbar plus Newton steps give the common optimum, and
-    :func:`estimate_pl_constant` gives the declared PL constant, so neither
-    depends on where the shifts sit.  Equal shifts have x* = s and f* = 0.
+    satisfies the gradient-dominance inequality.  The mean objective has the
+    closed form fbar(x) = (x - sbar)^2 + var(s) + 3/2 - c cos(2x - phi), with
+    c e^{i phi} = (3/2N) sum_j e^{2i s_j}; ``params["mean"]`` maps x to
+    (fbar, fbar', fbar'').  A scan of fbar on the grid sbar + [-10, 10) step
+    1e-3 and Newton steps give the common optimum, and the PL constant is
+    estimated on the same grid, so neither depends on where the shifts sit.
     """
     s = _per_agent(shifts, n, "shifts")[:, None]
 
