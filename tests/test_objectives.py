@@ -192,17 +192,15 @@ def test_estimate_pl_empty_grid():
         estimate_pl_constant(make_pl(1).params["mean"], 0.0, np.array([]))
 
 
-def pl_shift_sets():
-    """The 4-agent shifts of the pinned PL config, then seeded random shift sets of 3 to 256 agents."""
-    yield [-0.6, -0.2, 0.3, 0.8]
-    for n in (3, 16, 64, 256):
-        yield np.random.default_rng(n).uniform(-1.0, 1.0, size=n).tolist()
+def random_shifts(n):
+    """Seeded PL shifts, uniform on [-1, 1), for n agents."""
+    return np.random.default_rng(n).uniform(-1.0, 1.0, size=n)
 
 
 @pytest.mark.parametrize("n", [1, 3, 16, 256])
 def test_pl_closed_form_matches_the_agent_sum(n):
     """The closed-form mean and its PL constant match the per-agent sums over the suite's grid."""
-    shifts = 0.3 if n == 1 else np.random.default_rng(n).uniform(-1.0, 1.0, size=n)
+    shifts = 0.3 if n == 1 else random_shifts(n)
     suite = make_pl(n, shifts=shifts)
     grid = agent_total(suite.params["shifts"][:, 0]) / n + np.arange(-10.0, 10.0, 1e-3)
     fbar, gbar, _ = suite.params["mean"](grid)
@@ -215,7 +213,9 @@ def test_pl_closed_form_matches_the_agent_sum(n):
     assert suite.pl_constant == pytest.approx(oracle, rel=1e-12, abs=0.0)
 
 
-@pytest.mark.parametrize("shifts", list(pl_shift_sets()), ids=lambda s: f"n{len(s)}")
+# the shifts of the pinned 4-agent PL config, then seeded shift sets of 3 to 256 agents
+@pytest.mark.parametrize("shifts", [[-0.6, -0.2, 0.3, 0.8]] + [random_shifts(n) for n in (3, 16, 64, 256)],
+                         ids=lambda s: f"n{len(s)}")
 def test_pl_common_optimum_is_stationary(shifts):
     suite = make_pl(len(shifts), shifts=shifts)
     assert abs(agent_total(suite.evaluate(suite.x_star)[1])[0]) <= 1e-12 * suite.n
