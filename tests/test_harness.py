@@ -363,6 +363,10 @@ def test_sweep_solves_each_topology_and_option_once(tmp_path, spectrum_calls, op
     assert main(["sweep", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 0
     assert len(optimum_calls) == problems
     assert spectrum_calls == []  # no sweep column reads the spectrum
+    # one completed row per cell of the axes' product, under the header
+    cells = np.prod([len(line.split(",")) for line in grid.splitlines()])
+    rows = data_rows(tmp_path / "out" / "sweep.csv")[1:]
+    assert [row.split(",")[5] for row in rows] == ["completed"] * cells
 
 
 def test_unknown_key_rejected_before_sweep(tmp_path, capsys):
@@ -479,12 +483,14 @@ def test_cli_run_seeds_match_single_seed_runs(tmp_path):
         assert data_rows(os.path.join(out, name)) == data_rows(os.path.join(single, name))
 
 
-def run_fresh_python(script):
-    """Run ``script`` in a new interpreter that imports this checkout's dmsgd; fail with its stderr."""
+def run_fresh_python(script, returncode=0):
+    """Run ``script`` in a new interpreter that imports this checkout's dmsgd; fail with its stderr unless it exits
+    with ``returncode``.  Returns the finished process."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(dmsgd.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == returncode, proc.stderr
+    return proc
 
 
 def test_quadratic_cli_never_imports_scipy_optimize(tmp_path):
@@ -522,7 +528,7 @@ def test_cli_run_aborted_marks_trace(tmp_path, capsys):
     assert meta["abort"] == cause
     lines = Path(out, "trace_seed0.csv").read_text(encoding="utf-8").splitlines()
     assert f"# abort={cause}" in lines
-    assert cause in capsys.readouterr().err
+    assert capsys.readouterr().err.splitlines() == [f"error: run aborted (seed 0, {cause}); partial trace flagged"]
 
 
 def test_cli_run_completed_trace_has_no_abort_line(tmp_path):
@@ -655,12 +661,17 @@ hp.seed = 0
 
 
 def test_cli_bounds_pl_dispatch(tmp_path):
-    cfg_path = write_config(tmp_path, PL_CONFIG)
-    out = str(tmp_path / "out")
-    assert main(["bounds", "--config", cfg_path, "--out", out]) == 0
-    _, rows = read_bounds_csv(os.path.join(out, "bounds.csv"))
-    assert "thm2_gap" in rows
-    assert "cor1_gap" not in rows
+    """A PL suite, with equal or distinct shifts, gets thm2_gap rows and a pl_mu line, not cor1_gap, and its run
+    passes check."""
+    for name, text, seed in (("equal", PL_CONFIG, 0), ("distinct", CONFIGS["pl_shifts"], 3)):
+        cfg_path, out = write_config(tmp_path, text, f"{name}.cfg"), tmp_path / name
+        assert main(["run", "--config", cfg_path, "--out", str(out)]) == 0
+        assert main(["bounds", "--config", cfg_path, "--out", str(out)]) == 0
+        meta, rows = read_bounds_csv(str(out / "bounds.csv"))
+        assert "thm2_gap" in rows
+        assert "cor1_gap" not in rows
+        assert float(meta["pl_mu"]) > 0.0
+        assert main(["check", "--trace", str(out / f"trace_seed{seed}.csv"), "--bounds", str(out / "bounds.csv")]) == 0
 
 
 def test_cli_bounds_pl_mu_ignores_a_common_shift_offset(tmp_path):
@@ -832,7 +843,8 @@ hp.iters = 20
     cfg_path = write_config(tmp_path, cfg)
     out = str(tmp_path / "out")
     assert main(["bounds", "--config", cfg_path, "--out", out]) == 0
-    _, rows = read_bounds_csv(os.path.join(out, "bounds.csv"))
+    meta, rows = read_bounds_csv(os.path.join(out, "bounds.csv"))
+    assert meta["alpha"] == "None"  # a sqrt(B/k) schedule has no constant step size
     assert set(rows) == {"sqrt_step_q"}
     assert rows["sqrt_step_q"][0] / rows["sqrt_step_q"][3] == pytest.approx(2.0)  # Q/sqrt(1) vs Q/sqrt(4)
 
@@ -1058,6 +1070,20 @@ def test_cli_out_of_memory_exit_1(tmp_path, capsys, monkeypatch, command, name, 
     cfg_path = write_config(tmp_path, QUAD_CONFIG)
     assert main([command, "--config", cfg_path, "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err.strip().splitlines() == [f"error: out of memory ({detail})"]
+
+
+def test_cli_out_of_memory_under_an_address_space_cap(tmp_path):
+    """The allocation that test_cli_out_of_memory_exit_1 stands in for, made for real: hp.iters = 1e11 asks
+    bounds for 745 GiB, which a child capped at 4 GiB of address space cannot get."""
+    cfg_path = write_config(tmp_path, QUAD_CONFIG.replace("hp.iters = 40", "hp.iters = 100000000000"))
+    proc = run_fresh_python(f"""\
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (4 * 2**30, resource.getrlimit(resource.RLIMIT_AS)[1]))
+from dmsgd.harness import main
+sys.exit(main(["bounds", "--config", {cfg_path!r}, "--out", {str(tmp_path / "out")!r}]))
+""", returncode=1)
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith("error: out of memory (Unable to allocate 745. GiB ") and line.endswith(")")
 
 
 def test_cli_emit_bounds_is_an_unknown_key(tmp_path, capsys):
