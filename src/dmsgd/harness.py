@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import itertools
 import logging
 import math
@@ -207,7 +208,9 @@ class RunConfig:
 
 def parse_config_text(text):
     items = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    # only LF, CRLF and CR end a line, as in every file read: str.splitlines would also split at \f, U+2028 and more
+    for lineno, raw in enumerate(io.StringIO(text, newline=None), start=1):
+        raw = raw.removesuffix("\n")
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -91,6 +91,18 @@ def test_parse_comments_and_blanks():
     assert cfg.items == {"hp.beta": "0.5"}
 
 
+def test_parse_ends_lines_only_at_lf_crlf_and_cr():
+    """Characters that str.splitlines also breaks at (form feed, U+2028, ...) stay inside their line: a comment
+    hides all of its line, and an error counts lines as the README does and shows no line ending."""
+    assert parse_config_text("topology.kind = ring  # note\u2028hp.iters = 7\n").items == {"topology.kind": "ring"}
+    with pytest.raises(ConfigError, match=r"^line 2: expected 'key = value', got 'bad line'$"):
+        parse_config_text("a\fb = 1\nbad line")
+    assert parse_config_text("hp.seed = 1\r\nhp.iters = 2\rhp.beta = 0.5\n").items == {
+        "hp.seed": "1", "hp.iters": "2", "hp.beta": "0.5"}
+    with pytest.raises(ConfigError, match=r"^line 3: expected 'key = value', got 'bad'$"):
+        parse_config_text("hp.seed = 1\r\n\rbad\r\n")
+
+
 def test_scenario_validation_errors(tmp_path):
     with pytest.raises(ConfigError, match="missing"):
         build_scenario(parse_config_text("topology.kind = full\n"))
