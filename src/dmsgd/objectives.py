@@ -499,5 +499,7 @@ def estimate_pl_constant(mean, fbar_star, grid):
     gap = fbar - fbar_star
     away = gap > 1e-12
     if not away.any():
-        raise ValueError("grid contains no points away from the optimum")
+        raise ValueError(f"grid contains no points away from the optimum: no grid value of fbar exceeds fbar* = "
+                         f"{fbar_star:.6g} by more than 1e-12, and at that magnitude rounding hides gaps below "
+                         f"{np.spacing(abs(fbar_star)):.2g}")
     return float(np.min(gbar[away] ** 2 / (2.0 * gap[away])))

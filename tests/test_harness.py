@@ -701,6 +701,18 @@ def test_cli_bounds_pl_mu_ignores_a_common_shift_offset(tmp_path):
     assert pl_mu[1] == pytest.approx(pl_mu[0], rel=1e-9, abs=0.0)
 
 
+def test_cli_bounds_pl_refusal_names_the_rounding(tmp_path, capsys):
+    """Shifts near 1e16 put fbar* near 1e32, where rounding hides every gap on the PL grid: bounds exits 2 with one
+    line that gives fbar* and says so."""
+    text = CONFIGS["pl_shifts"].replace("objective.shifts = -0.6;-0.2;0.3;0.8", "objective.shifts = 1e16;1e16;-1e16;0")
+    assert text != CONFIGS["pl_shifts"]
+    assert main(["bounds", "--config", write_config(tmp_path, text), "--out", str(tmp_path / "out")]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("config error: topology.n, objective.shifts: grid contains no points away from the "
+                           "optimum: no grid value of fbar exceeds fbar* = 6.875e+31 by more than 1e-12, and at that "
+                           "magnitude rounding hides gaps below ")
+
+
 # set-ups that call scipy's L-BFGS, which must finish under main's raise-on-overflow state
 LBFGS_CONFIGS = {
     "pl_distinct_shifts": """\
