@@ -1,6 +1,10 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import dmsgd
 from dmsgd.objectives import StochasticOracle, UnifiedObjective, make_quadratic, make_pl, unified_optimum
 from dmsgd.optimizer import AgentSwarm, HyperParams, adaptive_omega, consensus_errors, run, step
 from dmsgd.topology import build_topology, effective_matrix, metropolis_mixing
@@ -10,6 +14,22 @@ from dmsgd.verify import (
     recompute_running_avg,
     reference_step,
 )
+
+
+# the independent oracles of verify.py, and the helper of its reference Jacobi solver
+ORACLES = {"reference_step", "finite_diff_grad", "recompute_running_avg", "reference_jacobi_eigenvalues",
+           "_jacobi_rotate"}
+
+
+def test_no_production_module_names_an_oracle():
+    """An oracle checks production code and shares none of it: no module of the package but verify.py names one,
+    as a name, an attribute, an import or a definition."""
+    modules = [path for path in sorted(Path(dmsgd.__file__).parent.glob("*.py")) if path.name != "verify.py"]
+    assert len(modules) >= 6
+    named = {(path.name, name) for path in modules for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             for name in (getattr(node, field, None) for field in ("id", "attr", "name", "asname", "arg"))
+             if name in ORACLES}
+    assert named == set()
 
 
 # ---------------------------------------------------------- reference step
