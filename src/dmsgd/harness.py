@@ -717,7 +717,8 @@ def cmd_sweep(args):
         items = dict(cfg.items)
         items.update((key, val) for (_, key), val in zip(SWEEP_AXES, cell) if val is not None)
         objective, hp, oracle = check_scenario(RunConfig(items=items), suites)
-        rows.append([items.get(key, "") for _, key in SWEEP_AXES])
+        # a key the config leaves unset shows the value the cell ran with (the hp axes' labels are their fields)
+        rows.append([items[key] if key in items else str(getattr(hp, label)) for label, key in SWEEP_AXES])
         _, members = problems.setdefault((items.get("topology.kind"), hp.option), (objective, []))
         members.append((rows[-1], hp, oracle))
     out_dir = _output_dir(args, cfg)

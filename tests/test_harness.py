@@ -1143,6 +1143,17 @@ def test_cli_sweep_grid_rows(tmp_path):
     assert all("completed" in ln for ln in lines[1:])
 
 
+def test_cli_sweep_row_shows_defaulted_axes(tmp_path):
+    """A sweep column whose key the config leaves unset shows the value its cell ran with, not a blank."""
+    text = "".join(ln + "\n" for ln in QUAD_CONFIG.splitlines()
+                   if ln.split(" = ")[0] not in ("hp.option", "hp.beta", "hp.omega", "hp.seed"))
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", write_config(tmp_path, text + "sweep.topology = full,ring\n"),
+                 "--out", str(out)]) == 0
+    rows = [row.split(",")[:6] for row in data_rows(out / "sweep.csv")[1:]]
+    assert rows == [["0.0", "0.0", topology, "I", "0", "completed"] for topology in ("full", "ring")]
+
+
 def test_cli_sweep_empty_grid(tmp_path):
     cfg_path = write_config(tmp_path, QUAD_CONFIG)
     out = str(tmp_path / "out")
