@@ -439,7 +439,7 @@ hp.iters = 15
 sweep.topology = ring,custom
 sweep.seed = 0,1
 """
-RING_CUSTOM_PIN = "73d2ea330aa51582b76fe0652afff15ee305e520899420e954e714a595968535"
+RING_CUSTOM_PIN = "17d2d7e7b8ff0bebe2576d7ce008dc9e2c7fbad08a167240fb18a7958597c7a0"
 
 
 def test_pinned_ring_custom_sweep_csv(tmp_path, monkeypatch):
