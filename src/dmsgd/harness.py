@@ -124,6 +124,8 @@ def _parse_floats(raw, key):
 def _parse_vectors(raw, key):
     """'a,b;c,d' -> array of row vectors."""
     rows = [[_parse_float(v, key) for v in chunk.split(",")] for chunk in raw.split(";") if chunk.strip()]
+    if not rows:
+        raise ConfigError(f"{key} has no rows: {raw!r}")
     if len({len(r) for r in rows}) != 1:
         raise ConfigError(f"ragged rows in {key}: {raw!r}")
     return np.array(rows)
@@ -314,11 +316,11 @@ def _build_suite(cfg, n_agents):
     else:
         ds = _checked("objective.dataset", load_dataset_csv, path)
     if cfg.get("objective.partition", "iid") == "iid":
-        ds.partitions = _checked(f"{topo_key}, objective.partition_seed", partition_iid, ds, n_agents,
-                                 cfg.get("objective.partition_seed", 0))
+        parts = _checked(f"{topo_key}, objective.partition_seed", partition_iid, ds, n_agents,
+                         cfg.get("objective.partition_seed", 0))
     else:
-        ds.partitions = _checked(topo_key, partition_noniid, ds, n_agents)
-    return _checked("objective.reg", make_logistic, ds, reg=cfg.get("objective.reg", 0.0))
+        parts = _checked(topo_key, partition_noniid, ds, n_agents)
+    return _checked("objective.reg", make_logistic, ds, parts, reg=cfg.get("objective.reg", 0.0))
 
 
 def check_scenario(cfg, suites):
@@ -515,8 +517,8 @@ def _check_k(path, rows):
 
 
 def load_dataset_csv(path):
-    """A dataset CSV: a header of feature names and a final ``label``, then one row of finite numbers and an
-    integer label per sample."""
+    """A dataset CSV: a header of feature names and a final ``label``, then one row of finite numbers and a class
+    index label 0, 1, ... per sample; a negative label is refused by its line."""
     meta, header, rows = read_csv_with_metadata(path)
     if meta:
         raise InputFileError(f"{path}: a dataset CSV has no '#' lines")
@@ -526,6 +528,9 @@ def load_dataset_csv(path):
         raise InputFileError(f"{path}: dataset CSV has no feature column before 'label'")
     columns = [partial(_parse_float, key=name) for name in header[:-1]] + [partial(_parse_int, key="label")]
     parsed = _parse_fields(path, rows, list(enumerate(columns)))
+    for (lineno, _), row in zip(rows, parsed):
+        if row[-1] < 0:
+            raise InputFileError(f"{path} line {lineno}: label {row[-1]} is not a class index 0, 1, ...")
     return Dataset(features=np.array([r[:-1] for r in parsed]), labels=np.array([r[-1] for r in parsed], dtype=int))
 
 

@@ -62,11 +62,14 @@ class ObjectiveSuite:
     gradients.  It broadcasts X against (n, d): a single shared point (d,) is
     evaluated by every agent, and the quadratic and PL families also take
     leading axes, (..., n, d) -> (..., n) values and (..., n, d) gradients.
-    ``mu_m`` is 0 when the suite is not strongly convex; ``x_star`` /
-    ``f_star`` describe the minimizer of the summed objective
-    F(x) = sum_j f_j(x) when known.
-    Sample-based suites declare each agent's ``sample_counts`` and a batched
-    minibatch gradient ``sample_grad`` (see :func:`make_logistic`).
+    ``mu_m`` is 0 when the suite is not strongly convex.  A builder passes
+    every field it knows: the quadratic and PL builders the minimizer
+    ``x_star`` and minimum ``f_star`` of F(x) = sum_j f_j(x) (PL also its
+    ``pl_constant``), the logistic builder each agent's ``sample_counts`` and
+    a batched minibatch gradient ``sample_grad`` (see :func:`make_logistic`).
+    The one write to a built suite is :func:`common_optimum` keeping the
+    ``x_star`` and ``f_star`` it solves for a logistic suite, which every
+    problem over that suite then shares.
     """
 
     n: int
@@ -108,18 +111,18 @@ def make_quadratic(targets, curvatures):
         diff = X - targets
         return 0.5 * a * np.sum(diff**2, axis=-1), a[:, None] * diff
 
-    suite = ObjectiveSuite(
+    x_star = (a[:, None] * targets).sum(axis=0) / a.sum()
+    return ObjectiveSuite(
         n=n,
         d=d,
         kind="quadratic",
         evaluate=evaluate,
         l_m=float(a.max()),
         mu_m=float(a.min()),
-        x_star=(a[:, None] * targets).sum(axis=0) / a.sum(),
+        x_star=x_star,
+        f_star=float(agent_total(evaluate(x_star)[0])),
         params={"targets": targets, "curvatures": a},
     )
-    suite.f_star = float(agent_total(evaluate(suite.x_star)[0]))
-    return suite
 
 
 def make_pl(n, shifts=0.0):
@@ -160,28 +163,27 @@ def make_pl(n, shifts=0.0):
                 break
             x -= g / h
     x_star = np.array([x])
-    suite = ObjectiveSuite(
+    f_star = float(agent_total(evaluate(x_star)[0]))
+    return ObjectiveSuite(
         n=n,
         d=1,
         kind="pl",
         evaluate=evaluate,
         l_m=PL_SMOOTHNESS,
         mu_m=0.0,
+        pl_constant=estimate_pl_constant(mean, f_star / n, grid),
         x_star=x_star,
-        f_star=float(agent_total(evaluate(x_star)[0])),
+        f_star=f_star,
         params={"shifts": s, "mean": mean},
     )
-    suite.pl_constant = estimate_pl_constant(mean, suite.f_star / n, grid)
-    return suite
 
 
-@dataclass
+@dataclass(frozen=True)
 class Dataset:
-    """Feature matrix with integer class labels and optional agent partitions."""
+    """Feature matrix with integer class labels 0, 1, ...; a partition strategy returns each agent's rows."""
 
     features: np.ndarray
     labels: np.ndarray
-    partitions: list | None = None
 
     @property
     def n_samples(self):
@@ -233,8 +235,8 @@ def _logistic_grads(F, Y, W, margins, reg):
     return np.matmul(coef[:, None, :], F)[:, 0, :] / Y.shape[1] + reg * W
 
 
-def make_logistic(dataset, reg=0.0):
-    """Per-agent l2-regularized logistic losses over the dataset partitions.
+def make_logistic(dataset, partitions, reg=0.0):
+    """Per-agent l2-regularized logistic losses, agent j's over the dataset rows ``partitions[j]``.
 
     Labels are mapped one-vs-rest against class 0 (y = -1 for class 0, +1
     otherwise; the binary case reduces to the usual +-1 encoding).  Each
@@ -250,20 +252,18 @@ def make_logistic(dataset, reg=0.0):
     """
     if reg < 0:
         raise ValueError("regularization must be >= 0")
-    if dataset.partitions is None:
-        raise ValueError("dataset has no agent partitions; run a partition strategy first")
-    if any(len(p) == 0 for p in dataset.partitions):
+    if any(len(p) == 0 for p in partitions):
         raise ValueError("every agent partition must be non-empty")
-    n = len(dataset.partitions)
+    n = len(partitions)
     d = dataset.d_feat
     ys = np.where(dataset.labels == 0, -1.0, 1.0)
-    lengths = np.array([len(p) for p in dataset.partitions])
+    lengths = np.array([len(p) for p in partitions])
     # local sample index -> dataset row, padded to the longest partition
     rows = np.zeros((n, lengths.max()), dtype=np.intp)
     groups = []
     for m in np.unique(lengths):
         agents = np.flatnonzero(lengths == m)
-        rows[agents, :m] = [dataset.partitions[j] for j in agents]
+        rows[agents, :m] = [partitions[j] for j in agents]
         groups.append((agents, dataset.features[rows[agents, :m]], ys[rows[agents, :m]]))
 
     def evaluate(W):
@@ -461,22 +461,16 @@ def unified_optimum(objective):
 
 
 def common_optimum(suite):
-    """Minimum of the summed objective F(x) = sum_j f_j(x) at a shared point.
-
-    Uses the declared closed form when available, otherwise multistart
-    quasi-Newton minimization (and caches the result on the suite).
-    """
+    """Minimum of the summed objective F(x) = sum_j f_j(x) at a shared point: the builder's ``f_star``, or for a
+    logistic suite an L-BFGS-B solve from zero, whose minimizer and minimum it keeps as ``x_star`` and ``f_star``."""
     if suite.f_star is not None:
         return suite.f_star
-    starts = [np.zeros(suite.d)]
-    if suite.x_star is not None:
-        starts.append(np.asarray(suite.x_star, dtype=float))
 
     def summed(x):  # F(x) and its gradient at one shared point x (d,), summed in agent order
         values, grads = suite.evaluate(x)
         return agent_total(values), agent_total(grads)
 
-    best = _lbfgs_multistart(summed, starts)
+    best = _lbfgs_multistart(summed, [np.zeros(suite.d)])
     suite.x_star = best.x.copy()
     suite.f_star = float(best.fun)
     return suite.f_star

@@ -1308,8 +1308,7 @@ hp.iters = 5
 """
     scenario = build_scenario(parse_config_text(cfg))
     ds = make_synthetic_dataset(0, 60, 5, 2)
-    ds.partitions = partition_noniid(ds, 4)
-    suite = make_logistic(ds, reg=0.1)
+    suite = make_logistic(ds, partition_noniid(ds, 4), reg=0.1)
     assert suite.x_star is None
     mixing = metropolis_mixing(build_topology("ring", 4), laziness=0.3)
     _, f_star = unified_optimum(UnifiedObjective(suite, mixing, 0.2 if option == "I" else None))

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.optimize
@@ -331,14 +333,12 @@ def test_dataset_csv_roundtrip(tmp_path):
 
 def logistic_fixture(seed=0, reg=0.1):
     ds = make_synthetic_dataset(seed, 80, 3, 2)
-    ds.partitions = partition_iid(ds, 4, seed=seed)
-    return make_logistic(ds, reg=reg)
+    return make_logistic(ds, partition_iid(ds, 4, seed=seed), reg=reg)
 
 
 def test_logistic_zero_weight_loss():
     ds = make_synthetic_dataset(0, 8, 2, 2)
-    ds.partitions = [np.array([i]) for i in range(8)]
-    suite = make_logistic(ds, reg=0.0)
+    suite = make_logistic(ds, [np.array([i]) for i in range(8)], reg=0.0)
     values = suite.evaluate(np.zeros(2))[0]
     for j in range(8):
         assert values[j] == pytest.approx(np.log(2.0))
@@ -358,17 +358,25 @@ def test_logistic_finite_differences():
         assert central_diff_ok(suite, j, pts)
 
 
+def test_dataset_is_frozen():
+    """A dataset is built whole: its agents' rows are make_logistic's argument, never a field set afterwards."""
+    ds = make_synthetic_dataset(0, 8, 2, 2)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ds.labels = np.zeros(8, dtype=int)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ds.partitions = partition_iid(ds, 2, seed=0)
+
+
 def test_logistic_empty_partition_rejected():
     ds = make_synthetic_dataset(0, 10, 2, 2)
-    ds.partitions = [np.arange(10), np.array([], dtype=int)]
     with pytest.raises(ValueError, match="non-empty"):
-        make_logistic(ds)
+        make_logistic(ds, [np.arange(10), np.array([], dtype=int)])
 
 
-def _per_agent_logistic(ds, reg):
+def _per_agent_logistic(ds, partitions, reg):
     """Reference logistic suite with one matvec per agent over its own partition."""
     ys = np.where(ds.labels == 0, -1.0, 1.0)
-    parts = [(ds.features[p], ys[p]) for p in ds.partitions]
+    parts = [(ds.features[p], ys[p]) for p in partitions]
 
     def grad(xs, yy, w):
         with np.errstate(over="ignore"):
@@ -402,11 +410,11 @@ def _per_agent_logistic(ds, reg):
 ])
 def test_logistic_stacked_matches_per_agent_reference(samples, classes, parts, lengths):
     ds = make_synthetic_dataset(5, samples, 3, classes)
-    ds.partitions = partition_iid(ds, parts, seed=1) if isinstance(parts, int) else [np.array(p) for p in parts]
-    agents = len(ds.partitions)
-    suite = make_logistic(ds, reg=0.05)
+    partitions = partition_iid(ds, parts, seed=1) if isinstance(parts, int) else [np.array(p) for p in parts]
+    agents = len(partitions)
+    suite = make_logistic(ds, partitions, reg=0.05)
     assert set(suite.sample_counts) == lengths
-    values, grads, draws = _per_agent_logistic(ds, 0.05)
+    values, grads, draws = _per_agent_logistic(ds, partitions, 0.05)
     rng = np.random.default_rng(6)
     for t in range(20):
         W = rng.normal(scale=2.0, size=(agents, 3))
@@ -496,8 +504,7 @@ def test_additive_oracle_statistics():
 
 def test_minibatch_full_batch_is_exact():
     ds = make_synthetic_dataset(2, 40, 3, 2)
-    ds.partitions = partition_iid(ds, 4, seed=0)
-    suite = make_logistic(ds, reg=0.05)
+    suite = make_logistic(ds, partition_iid(ds, 4, seed=0), reg=0.05)
     oracle = StochasticOracle(mode="minibatch", batch=10)
     rng = np.random.default_rng(2)
     x = np.tile(rng.normal(size=3), (4, 1))
@@ -507,8 +514,7 @@ def test_minibatch_full_batch_is_exact():
 
 def test_minibatch_unbiased():
     ds = make_synthetic_dataset(3, 40, 2, 2)
-    ds.partitions = partition_iid(ds, 2, seed=0)
-    suite = make_logistic(ds, reg=0.0)
+    suite = make_logistic(ds, partition_iid(ds, 2, seed=0), reg=0.0)
     oracle = StochasticOracle(mode="minibatch", batch=4)
     rng = np.random.default_rng(3)
     x = np.array([[0.2, -0.1], [0.2, -0.1]])
@@ -523,8 +529,7 @@ def test_minibatch_unbiased():
 
 def test_minibatch_too_large_rejected():
     ds = make_synthetic_dataset(4, 20, 2, 2)
-    ds.partitions = partition_iid(ds, 2, seed=0)
-    suite = make_logistic(ds)
+    suite = make_logistic(ds, partition_iid(ds, 2, seed=0))
     oracle = StochasticOracle(mode="minibatch", batch=11)
     with pytest.raises(ValueError, match="batch"):
         oracle.check_fits(suite)
