@@ -187,7 +187,7 @@ CONFIG_KEYS = {
 CONFIG_KEYS.update((f"sweep.{label}", _comma_list(key)) for label, key in SWEEP_AXES)
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     """Flat key/value configuration: the raw strings in ``items``, each parsed once into ``values``."""
 
@@ -197,7 +197,7 @@ class RunConfig:
         unknown = sorted(set(self.items) - CONFIG_KEYS.keys())
         if unknown:
             raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
-        self.values = {key: CONFIG_KEYS[key](raw, key) for key, raw in self.items.items()}
+        object.__setattr__(self, "values", {key: CONFIG_KEYS[key](raw, key) for key, raw in self.items.items()})
 
     def get(self, key, default=None):
         return self.values.get(key, default)
@@ -247,7 +247,7 @@ def config_hash(cfg):
 # --------------------------------------------------------------- scenario
 
 
-@dataclass
+@dataclass(frozen=True)
 class Scenario:
     """What ``dmsgd bounds`` reads of a config.
 
@@ -341,7 +341,7 @@ def check_scenario(cfg, suites):
         )
     if cfg.get("oracle.mode", "additive") == "additive":
         oracle = _checked("oracle.sigma", StochasticOracle, mode="additive", sigma=cfg.get("oracle.sigma", 0.0))
-    elif cfg.get("oracle.batch", "full") == "full":  # a full batch is the exact local gradient
+    elif cfg.require("oracle.batch") == "full":  # a full batch is the exact local gradient
         oracle = StochasticOracle(mode="additive", sigma=0.0)
     else:
         oracle = _checked("oracle.batch", StochasticOracle, mode="minibatch", batch=cfg.get("oracle.batch"))
@@ -371,10 +371,11 @@ def pilot_measurements(scenario):
     Runs the configured dynamics for a pilot horizon and returns
     1.05 x max ||grad objective|| plus, when the oracle is a minibatch, a
     1.05-inflated root mean of the stacked draw deviation the run recorded.
+    A pilot that aborts measures nothing, whatever rows it wrote first.
     """
     trace = run(scenario.objective, scenario.oracle, replace(scenario.hp, iters=PILOT_ITERS), scenario.f_star)
-    if len(trace) == 0:
-        raise RuntimeFailure("pilot run produced no finite iterations; cannot measure G or sigma")
+    if trace.status != "completed":
+        raise RuntimeFailure(f"pilot run aborted ({trace.abort}); cannot measure G or sigma")
     grad_bound = PILOT_INFLATION * float(np.sqrt(trace.grad_norm_sq.max()))
     sigma = None
     if scenario.oracle.mode == "minibatch":
@@ -694,14 +695,14 @@ def cmd_check(args):
     return 0
 
 
-def _sweep_cell(objective, f_star, hp, oracle):
-    """(status, final_gap, final_consensus, mean_omega) of one run on ``objective``."""
+def _sweep_cell(objective, f_star, f_common, hp, oracle):
+    """(status, final_gap, final_consensus, mean_omega) of one run on ``objective``; the final gap is F at the
+    average iterate less ``f_common``, the minimum of F at a shared point."""
     trace = run(objective, oracle, hp, f_star)
     if trace.status != "completed":
         return "diverged", float("inf"), float("inf"), float("nan")
-    suite = objective.suite
     xbar = trace.swarm.x_cur.mean(axis=0)
-    final_gap = agent_total(suite.evaluate(xbar)[0]) - common_optimum(suite)
+    final_gap = agent_total(objective.suite.evaluate(xbar)[0]) - f_common
     if len(trace) == 0:  # hp.iters = 0: no row holds a consensus error or an omega
         return "completed", final_gap, float("nan"), float("nan")
     return "completed", final_gap, float(trace.consensus_err_max[-1]), float(trace.omega_used.mean())
@@ -709,8 +710,8 @@ def _sweep_cell(objective, f_star, hp, oracle):
 
 def cmd_sweep(args):
     """sweep.csv, one row per cell in grid order; each cell is checked once, cells of one agent count share a suite,
-    and cells that share a topology and option share the stacked objective of their first cell's check, and its
-    one optimum."""
+    and cells that share a topology and option share the stacked objective of their first cell's check, its one
+    optimum and its suite's one common optimum."""
     cfg = load_config(args.config)
     # _build_suite reads no sweep axis (topology.kind only names a refusal's key): one suite per agent count
     suites = {}
@@ -729,7 +730,7 @@ def cmd_sweep(args):
     out_dir = _output_dir(args, cfg)
     for objective, members in problems.values():
         try:
-            f_star = unified_optimum(objective)[1]
+            f_star, f_common = unified_optimum(objective)[1], common_optimum(objective.suite)[1]
         except Exception as exc:  # a failed solve fails each of its cells in-row
             log.warning("sweep problem of cell %s failed: %s", ",".join(members[0][0]), exc)
             f_star = None
@@ -737,7 +738,7 @@ def cmd_sweep(args):
             status, numbers = "error", [float("nan")] * 3
             if f_star is not None:
                 try:
-                    status, *numbers = _sweep_cell(objective, f_star, hp, oracle)
+                    status, *numbers = _sweep_cell(objective, f_star, f_common, hp, oracle)
                 except Exception as exc:
                     log.warning("sweep cell %s failed: %s", ",".join(row), exc)
             row += [status] + [_fmt(x) for x in numbers]

@@ -53,7 +53,7 @@ def agent_total(per_agent):
     return 0.0 + np.add.accumulate(per_agent, axis=0)[-1]
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class ObjectiveSuite:
     """N local losses over the agent stack, with declared curvature constants.
 
@@ -67,9 +67,6 @@ class ObjectiveSuite:
     ``x_star`` and minimum ``f_star`` of F(x) = sum_j f_j(x) (PL also its
     ``pl_constant``), the logistic builder each agent's ``sample_counts`` and
     a batched minibatch gradient ``sample_grad`` (see :func:`make_logistic`).
-    The one write to a built suite is :func:`common_optimum` keeping the
-    ``x_star`` and ``f_star`` it solves for a logistic suite, which every
-    problem over that suite then shares.
     """
 
     n: int
@@ -294,7 +291,7 @@ def make_logistic(dataset, partitions, reg=0.0):
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class StochasticOracle:
     """Gradient noise model: exact + Gaussian, or uniform minibatch.
 
@@ -349,7 +346,7 @@ def stochastic_grad(suite, oracle, x, exact, rngs):
     return draws
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class UnifiedObjective:
     """Stacked objective F(x) + (1/2a) sum_c x_c^T (I - Pi) x_c.
 
@@ -366,7 +363,7 @@ class UnifiedObjective:
     def __post_init__(self):
         if self.alpha is not None and self.alpha <= 0:
             raise ValueError("alpha must be positive")
-        self._lap = np.eye(self.mixing.n) - self.mixing.entries
+        object.__setattr__(self, "_lap", np.eye(self.mixing.n) - self.mixing.entries)
         if self.suite.n != self.mixing.n:
             raise ValueError(f"the suite has {self.suite.n} agents but the mixing matrix has {self.mixing.n}")
 
@@ -410,9 +407,9 @@ def _lbfgs_multistart(fun, starts):
 
     ``fun`` returns the value and gradient together (``jac=True``), so each
     point the solver visits is evaluated once.  An optimum that is not
-    finite is a numerical failure (FloatingPointError), never a cached
-    minimum; nan trial points on the way there are the solver's to reject,
-    so numpy's invalid-value warning stays off.
+    finite is a numerical failure (FloatingPointError), never a minimum; nan
+    trial points on the way there are the solver's to reject, so numpy's
+    invalid-value warning stays off.
     """
     from scipy.optimize import minimize
 
@@ -432,9 +429,8 @@ def unified_optimum(objective):
 
     Quadratic suites solve the closed form per coordinate; other suites fall
     back to multistart quasi-Newton minimization over the stacked space,
-    started from zero and from the common optimum ``suite.x_star`` (solved
-    here first if the suite has none yet, so the result does not depend on
-    what ran before).
+    started from zero and from the common minimizer of :func:`common_optimum`
+    (and, for a PL suite, from the shifts).
     """
     suite = objective.suite
     n, d = suite.n, suite.d
@@ -447,8 +443,7 @@ def unified_optimum(objective):
             h = np.diag(a) + objective._lap / objective.alpha
             x = np.linalg.solve(h, a[:, None] * targets)
         return x, objective.value(x)
-    common_optimum(suite)
-    starts = [np.zeros((n, d)), np.tile(suite.x_star, (n, 1))]
+    starts = [np.zeros((n, d)), np.tile(common_optimum(suite)[0], (n, 1))]
     if suite.kind == "pl":
         starts.append(suite.params["shifts"].copy())
 
@@ -461,19 +456,17 @@ def unified_optimum(objective):
 
 
 def common_optimum(suite):
-    """Minimum of the summed objective F(x) = sum_j f_j(x) at a shared point: the builder's ``f_star``, or for a
-    logistic suite an L-BFGS-B solve from zero, whose minimizer and minimum it keeps as ``x_star`` and ``f_star``."""
+    """Minimizer and minimum ``(x, f)`` of the summed objective F(x) = sum_j f_j(x) at a shared point: the builder's
+    ``x_star`` and ``f_star``, or for a logistic suite an L-BFGS-B solve from zero, which it does on every call."""
     if suite.f_star is not None:
-        return suite.f_star
+        return suite.x_star, suite.f_star
 
     def summed(x):  # F(x) and its gradient at one shared point x (d,), summed in agent order
         values, grads = suite.evaluate(x)
         return agent_total(values), agent_total(grads)
 
     best = _lbfgs_multistart(summed, [np.zeros(suite.d)])
-    suite.x_star = best.x.copy()
-    suite.f_star = float(best.fun)
-    return suite.f_star
+    return best.x, float(best.fun)
 
 
 def estimate_pl_constant(mean, fbar_star, grid):

@@ -76,7 +76,8 @@ class HyperParams:
 
 @dataclass
 class AgentSwarm:
-    """Mutable simulator state: current/previous parameters and the previous consensus."""
+    """The run loop's state, the one object the package changes after building it: current/previous parameters
+    and the previous consensus."""
 
     x_cur: np.ndarray
     x_prev: np.ndarray
@@ -90,7 +91,7 @@ class AgentSwarm:
         return cls(x_cur=x, x_prev=x.copy(), v_prev=mixing.entries @ x, k=1)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class RunTrace:
     """Per-iteration records for rows k = 1..iters plus the final swarm.
 

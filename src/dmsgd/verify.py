@@ -63,7 +63,7 @@ def finite_diff_grad(f, x, h=1e-6):
     return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class DominationReport:
     """Outcome of metric <= bound * (1 + slack) checked row by row."""
 

@@ -31,6 +31,7 @@ from dmsgd.harness import (
 from dmsgd.objectives import (
     UnifiedObjective,
     agent_total,
+    common_optimum,
     make_logistic,
     make_synthetic_dataset,
     partition_noniid,
@@ -381,6 +382,23 @@ def test_sweep_solves_each_topology_and_option_once(tmp_path, spectrum_calls, op
     assert [row.split(",")[5] for row in rows] == ["completed"] * cells
 
 
+def test_sweep_solves_each_common_optimum_once(tmp_path, monkeypatch):
+    """A logistic sweep solves the common optimum of each problem once, next to its stacked optimum; no cell
+    solves one."""
+    calls, common_optimum = [], harness.common_optimum
+
+    def counted(suite):
+        calls.append(suite.n)
+        return common_optimum(suite)
+
+    monkeypatch.setattr(harness, "common_optimum", counted)
+    cfg_path = write_config(tmp_path, AGENTLESS["logistic"] + "sweep.topology = full,ring\nsweep.seed = 0,1\n")
+    assert main(["sweep", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 0
+    assert calls == [6, 6]
+    rows = data_rows(tmp_path / "out" / "sweep.csv")[1:]
+    assert [row.split(",")[5] for row in rows] == ["completed"] * 4
+
+
 def test_unknown_key_rejected_before_sweep(tmp_path, capsys):
     with pytest.raises(ConfigError, match="hp.betta"):
         build_scenario(parse_config_text(QUAD_CONFIG + "hp.betta = 0.9\n"))
@@ -541,6 +559,70 @@ def test_cli_run_aborted_marks_trace(tmp_path, capsys):
     lines = Path(out, "trace_seed0.csv").read_text(encoding="utf-8").splitlines()
     assert f"# abort={cause}" in lines
     assert capsys.readouterr().err.splitlines() == [f"error: run aborted (seed 0, {cause}); partial trace flagged"]
+
+
+@pytest.mark.parametrize("alpha, k", [("1e9", 18), ("1e300", 1)])
+def test_cli_bounds_refuses_an_aborted_pilot(tmp_path, capsys, alpha, k):
+    """A pilot that aborts measures nothing, whether or not it wrote finite rows before the abort."""
+    cfg_path = write_config(tmp_path, QUAD_CONFIG.replace("hp.alpha = 0.05", f"hp.alpha = {alpha}"))
+    out = tmp_path / "out"
+    assert main(["bounds", "--config", cfg_path, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: pilot run aborted (nonfinite_step agent=0 k={k}); cannot measure G or sigma"]
+    assert os.listdir(out) == []
+
+
+def test_cli_minibatch_needs_its_batch(tmp_path, capsys):
+    """``oracle.mode = minibatch`` without ``oracle.batch`` is a config error, not a full-batch run."""
+    cfg = QUAD_CONFIG.replace("oracle.sigma = 0.0", "").replace("oracle.mode = additive", "oracle.mode = minibatch")
+    cfg_path = write_config(tmp_path, cfg)
+    for command in ("run", "bounds", "sweep"):
+        assert main([command, "--config", cfg_path, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.splitlines() == ["config error: missing config key 'oracle.batch'"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_sampleless_minibatch_is_the_exact_gradient(tmp_path, capsys):
+    """A quadratic suite has one sample per agent: a minibatch of 1 draws nothing, so its trace and bounds.csv
+    equal those of a noiseless additive oracle bit for bit, config hash aside; a minibatch of 2 is refused."""
+    minibatch = QUAD_CONFIG.replace("oracle.mode = additive\noracle.sigma = 0.0",
+                                    "oracle.mode = minibatch\noracle.batch = 1")
+    files = []
+    for name, cfg in (("minibatch", minibatch), ("additive", QUAD_CONFIG)):
+        cfg_path, out = write_config(tmp_path, cfg, f"{name}.cfg"), tmp_path / name
+        assert main(["run", "--config", cfg_path, "--out", str(out)]) == 0
+        assert main(["bounds", "--config", cfg_path, "--out", str(out)]) == 0
+        files.append([[ln for ln in (out / f).read_text(encoding="utf-8").splitlines()
+                       if not ln.startswith("# config_hash=")] for f in ("trace_seed0.csv", "bounds.csv")])
+    assert files[0] == files[1]
+    capsys.readouterr()
+    cfg_path = write_config(tmp_path, minibatch.replace("oracle.batch = 1", "oracle.batch = 2"))
+    assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "batch2")]) == 2
+    assert capsys.readouterr().err.splitlines() == ["config error: oracle.batch: batch 2 exceeds agent 0's 1 samples"]
+
+
+def test_cli_bounds_refuses_zero_smoothness(tmp_path, capsys):
+    """Features that are all 0 under option II with no regularization give l_m = 0: the run is fine, and no bound
+    exists for it."""
+    (tmp_path / "zeros.csv").write_text("f1,f2,label\n" + "".join(f"0,0,{i % 2}\n" for i in range(12)),
+                                        encoding="utf-8")
+    cfg_path = write_config(tmp_path, f"""\
+topology.kind = ring
+topology.n = 3
+topology.laziness = 0.5
+objective.kind = logistic
+objective.dataset = {tmp_path / "zeros.csv"}
+objective.reg = 0
+oracle.mode = additive
+hp.option = II
+hp.alpha = 0.1
+hp.iters = 10
+""")
+    assert main(["run", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    assert main(["bounds", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: no bound exists for these inputs: smoothness must be positive"]
 
 
 def test_cli_run_completed_trace_has_no_abort_line(tmp_path):
@@ -1281,7 +1363,7 @@ hp.iters = 5
     scenario = build_scenario(parse_config_text(cfg))
     suite, objective = scenario.objective.suite, scenario.objective
     # the common optimum is a stationary point of F, and the stacked optimum lies below x = 0
-    assert np.linalg.norm(agent_total(suite.evaluate(suite.x_star)[1])) < 1e-6
+    assert np.linalg.norm(agent_total(suite.evaluate(common_optimum(suite)[0])[1])) < 1e-6
     assert np.isfinite(scenario.f_star)
     assert scenario.f_star < objective.value(np.zeros((suite.n, suite.d)))
 

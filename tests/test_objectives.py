@@ -432,17 +432,26 @@ def test_logistic_stacked_matches_per_agent_reference(samples, classes, parts, l
             assert np.array_equal(ours, ref)
 
 
+def test_common_optimum_writes_nothing():
+    # a logistic suite's common optimum is solved on each call and returned, never kept in the suite
+    suite = logistic_fixture()
+    x, f = common_optimum(suite)
+    assert suite.x_star is None and suite.f_star is None
+    assert np.linalg.norm(agent_total(suite.evaluate(x)[1])) < 1e-6
+    assert f == agent_total(suite.evaluate(x)[0])
+    assert common_optimum(suite)[1] == f
+
+
 def record_evaluations(suite):
-    """Wrap ``suite.evaluate`` so every point it is called at is appended to the returned list."""
-    points, evaluate = [], suite.evaluate
+    """A copy of ``suite`` whose ``evaluate`` appends every point it is called at to the list returned with it."""
+    points = []
 
     def recorded(X):
         X = np.asarray(X, dtype=float)
         points.append((X.shape, X.tobytes()))
-        return evaluate(X)
+        return suite.evaluate(X)
 
-    suite.evaluate = recorded
-    return points
+    return dataclasses.replace(suite, evaluate=recorded), points
 
 
 def test_logistic_suite_evaluated_once_per_point(monkeypatch):
@@ -457,15 +466,14 @@ def test_logistic_suite_evaluated_once_per_point(monkeypatch):
         return res
 
     monkeypatch.setattr(scipy.optimize, "minimize", counted_minimize)
-    suite = logistic_fixture()
+    suite, points = record_evaluations(logistic_fixture())
     mix = metropolis_mixing(build_topology("ring", suite.n))
-    points = record_evaluations(suite)
     common_optimum(suite)
     assert len(solver_points) == 1 and len(points) == solver_points[0] > 2
     points.clear()
     objective = UnifiedObjective(suite, mix, alpha=0.1)
-    _, f_star = unified_optimum(objective)
-    assert len(solver_points) == 3 and len(points) == sum(solver_points[1:])
+    _, f_star = unified_optimum(objective)  # solves the common optimum again, then the stacked one from two starts
+    assert len(solver_points) == 4 and len(points) == sum(solver_points[1:])
     assert all(a != b for a, b in zip(points, points[1:]))  # no point evaluated twice in a row
     points.clear()
     hp = HyperParams(alpha=0.1, beta=0.5, omega=0.5, iters=25)

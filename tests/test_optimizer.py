@@ -1,9 +1,12 @@
 import dataclasses
+import importlib
+import pkgutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dmsgd
 from dmsgd import optimizer
 from dmsgd.harness import TRACE_COLUMNS
 from dmsgd.objectives import StochasticOracle, UnifiedObjective, make_quadratic, stochastic_grad, unified_optimum
@@ -33,6 +36,20 @@ def quad_setup(alpha=0.1, beta=0.9, omega=0.0, option="I", iters=10, seed=0, sig
     objective = UnifiedObjective(suite, mix, alpha if option == "I" else None)
     _, f_star = unified_optimum(objective)
     return objective, oracle, hp, f_star
+
+
+def test_the_swarm_is_the_only_mutable_dataclass():
+    """``AgentSwarm``, the run loop's state, is the one object the package changes after building it: every other
+    dataclass a ``dmsgd`` module defines is frozen."""
+    frozen, mutable = [], []
+    for info in pkgutil.iter_modules(dmsgd.__path__):
+        module = importlib.import_module(f"dmsgd.{info.name}")
+        for name, obj in vars(module).items():
+            if isinstance(obj, type) and dataclasses.is_dataclass(obj) and obj.__module__ == module.__name__:
+                (frozen if obj.__dataclass_params__.frozen else mutable).append(f"{info.name}.{name}")
+    assert mutable == ["optimizer.AgentSwarm"]
+    assert {"harness.RunConfig", "harness.Scenario", "objectives.ObjectiveSuite", "objectives.StochasticOracle",
+            "objectives.UnifiedObjective", "optimizer.RunTrace", "verify.DominationReport"} <= set(frozen)
 
 
 # ------------------------------------------------------------- micro steps
