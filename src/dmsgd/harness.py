@@ -695,10 +695,10 @@ def cmd_check(args):
     return 0
 
 
-def _sweep_cell(objective, f_star, f_common, hp, oracle):
-    """(status, final_gap, final_consensus, mean_omega) of one run on ``objective``; the final gap is F at the
-    average iterate less ``f_common``, the minimum of F at a shared point."""
-    trace = run(objective, oracle, hp, f_star)
+def _sweep_cell(objective, f_common, hp, oracle):
+    """(status, final_gap, final_consensus, mean_omega) of one run on ``objective``, whose trace gap no column reads
+    (nan); the final gap is F at the average iterate less ``f_common``, the minimum of F at a shared point."""
+    trace = run(objective, oracle, hp, math.nan)
     if trace.status != "completed":
         return "diverged", float("inf"), float("inf"), float("nan")
     xbar = trace.swarm.x_cur.mean(axis=0)
@@ -710,8 +710,8 @@ def _sweep_cell(objective, f_star, f_common, hp, oracle):
 
 def cmd_sweep(args):
     """sweep.csv, one row per cell in grid order; each cell is checked once, cells of one agent count share a suite,
-    and cells that share a topology and option share the stacked objective of their first cell's check, its one
-    optimum and its suite's one common optimum."""
+    and cells that share a topology and option share the stacked objective of their first cell's check and one solve
+    of its suite's common optimum, the one optimum a sweep reads.  A sweep solves no stacked optimum."""
     cfg = load_config(args.config)
     # _build_suite reads no sweep axis (topology.kind only names a refusal's key): one suite per agent count
     suites = {}
@@ -730,15 +730,15 @@ def cmd_sweep(args):
     out_dir = _output_dir(args, cfg)
     for objective, members in problems.values():
         try:
-            f_star, f_common = unified_optimum(objective)[1], common_optimum(objective.suite)[1]
+            f_common = common_optimum(objective.suite)[1]
         except Exception as exc:  # a failed solve fails each of its cells in-row
             log.warning("sweep problem of cell %s failed: %s", ",".join(members[0][0]), exc)
-            f_star = None
+            f_common = None
         for row, hp, oracle in members:
             status, numbers = "error", [float("nan")] * 3
-            if f_star is not None:
+            if f_common is not None:
                 try:
-                    status, *numbers = _sweep_cell(objective, f_star, f_common, hp, oracle)
+                    status, *numbers = _sweep_cell(objective, f_common, hp, oracle)
                 except Exception as exc:
                     log.warning("sweep cell %s failed: %s", ",".join(row), exc)
             row += [status] + [_fmt(x) for x in numbers]

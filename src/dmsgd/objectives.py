@@ -62,10 +62,11 @@ class ObjectiveSuite:
     gradients.  It broadcasts X against (n, d): a single shared point (d,) is
     evaluated by every agent, and the quadratic and PL families also take
     leading axes, (..., n, d) -> (..., n) values and (..., n, d) gradients.
-    ``mu_m`` is 0 when the suite is not strongly convex.  A builder passes
-    every field it knows: the quadratic and PL builders the minimizer
-    ``x_star`` and minimum ``f_star`` of F(x) = sum_j f_j(x) (PL also its
-    ``pl_constant``), the logistic builder each agent's ``sample_counts`` and
+    ``mu_m`` is 0 when the suite is not strongly convex, and ``sample_counts``
+    holds each agent's sample count: 1 in the quadratic and PL families, whose
+    one sample is the exact local loss.  A builder passes every field it knows:
+    the quadratic and PL builders the minimizer ``x_star`` and minimum ``f_star``
+    of F(x) = sum_j f_j(x) (PL also its ``pl_constant``), the logistic builder
     a batched minibatch gradient ``sample_grad`` (see :func:`make_logistic`).
     """
 
@@ -74,11 +75,11 @@ class ObjectiveSuite:
     kind: str
     evaluate: callable
     l_m: float
+    sample_counts: tuple
     mu_m: float = 0.0
     pl_constant: float | None = None
     x_star: np.ndarray | None = None
     f_star: float | None = None
-    sample_counts: tuple | None = None
     sample_grad: callable | None = None
     params: dict = field(default_factory=dict)
 
@@ -116,6 +117,7 @@ def make_quadratic(targets, curvatures):
         evaluate=evaluate,
         l_m=float(a.max()),
         mu_m=float(a.min()),
+        sample_counts=(1,) * n,
         x_star=x_star,
         f_star=float(agent_total(evaluate(x_star)[0])),
         params={"targets": targets, "curvatures": a},
@@ -167,6 +169,7 @@ def make_pl(n, shifts=0.0):
         kind="pl",
         evaluate=evaluate,
         l_m=PL_SMOOTHNESS,
+        sample_counts=(1,) * n,
         mu_m=0.0,
         pl_constant=estimate_pl_constant(mean, f_star / n, grid),
         x_star=x_star,
@@ -175,7 +178,7 @@ def make_pl(n, shifts=0.0):
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """Feature matrix with integer class labels 0, 1, ...; a partition strategy returns each agent's rows."""
 
@@ -314,11 +317,10 @@ class StochasticOracle:
             raise ValueError("minibatch oracle needs batch >= 1")
 
     def check_fits(self, suite):
-        """A minibatch must fit in every agent's partition (a sampleless suite has one sample)."""
-        counts = suite.sample_counts or (1,) * suite.n
-        if self.mode == "minibatch" and self.batch > min(counts):
-            j = int(np.argmin(counts))
-            raise ValueError(f"batch {self.batch} exceeds agent {j}'s {counts[j]} samples")
+        """A minibatch must fit in every agent's partition."""
+        if self.mode == "minibatch" and self.batch > min(suite.sample_counts):
+            j = int(np.argmin(suite.sample_counts))
+            raise ValueError(f"batch {self.batch} exceeds agent {j}'s {suite.sample_counts[j]} samples")
 
 
 def stochastic_grad(suite, oracle, x, exact, rngs):
@@ -335,8 +337,6 @@ def stochastic_grad(suite, oracle, x, exact, rngs):
             return exact
         scale = oracle.sigma / np.sqrt(suite.d)
         return exact + np.stack([rng.normal(0.0, scale, size=suite.d) for rng in rngs])
-    if suite.sample_grad is None:
-        return exact
     drawn = [j for j, n_j in enumerate(suite.sample_counts) if oracle.batch < n_j]
     if not drawn:
         return exact

@@ -227,7 +227,7 @@ def run(objective, oracle, hp, f_star):
     local losses and its mixing matrix the consensus step, and its stacked
     value/gradient feed the metric columns (the penalized objective for
     option I, plain F for option II); ``f_star`` is its optimal value, so
-    gap = objective(x) - f_star.  Each iterate is evaluated once, by
+    gap = objective(x) - f_star; an ``f_star`` of nan makes only that column nan.  Each iterate is evaluated once, by
     ``suite.evaluate``: its local values and gradients feed the metric value
     and gradient, the exact gradients are the base of the oracle draw, and
     an abort's diagnostics reuse them.  The penalty and its gradient share

@@ -166,7 +166,7 @@ def metropolis_mixing(t, laziness=0.0):
     return MixingMatrix(entries=m, adjacency=t.adjacency)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralInfo:
     """Eigenvalues of a mixing matrix, sorted descending.
 

@@ -68,6 +68,28 @@ def test_alpha_reading_bounds_refuse_no_alpha(bound):
     assert bound(replace(bi, alpha=0.01)) is not None  # the same inputs with a step size have a value
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: inputs(n_agents=0), "agent count must be >= 1"),
+    (lambda: displacement_bound(inputs(), np.array([0, -1])), "k must be >= 0"),
+    (lambda: strongly_convex_trajectory(inputs(strong_mu=0.5), 3), "trajectory bounds need the initial gap gap1"),
+    (lambda: strongly_convex_trajectory(inputs(strong_mu=0.0, gap1=1.0), 3), "needs strong_mu > 0"),
+    (lambda: pl_trajectory(inputs(pl_mu=0.5), 3), "trajectory bounds need the initial gap gap1"),
+    (lambda: pl_trajectory(inputs(pl_mu=0.0, gap1=1.0), 3), "PL trajectory needs pl_mu > 0"),
+    (lambda: nonconvex_alpha_star(inputs(grad_bound=0.0)), "gradient bound and sigma cannot both be zero"),
+    (lambda: nonconvex_avg_grad_bound(inputs(), np.arange(1, 4)), "the envelope needs the initial gap"),
+    (lambda: simpler_q(inputs(gap1=1.0), 0.0), "B must be positive"),
+    (lambda: simpler_q(inputs(), 1.0), "the sqrt-schedule bound needs the initial gap"),
+    (lambda: simpler_step_bound(inputs(gap1=1.0), 1.0, np.arange(0, 3)), "k must be >= 1"),
+    (lambda: optimal_schedule_b(inputs()), "needs the initial gap"),
+    (lambda: optimal_schedule_b(inputs(grad_bound=0.0, gap1=1.0)), "needs a positive gradient second moment"),
+], ids=["agents", "displacement-k", "cor1-gap1", "cor1-mu", "thm2-gap1", "thm2-mu", "alpha-star", "envelope-gap1",
+        "q-B", "q-gap1", "sqrt-k", "schedule-b-gap1", "schedule-b-moment"])
+def test_bound_refusals(call, message):
+    """Each refusal of the engine raises ValueError with its own reason."""
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 # -------------------------------------------------------------- consensus
 
 

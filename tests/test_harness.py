@@ -1,3 +1,4 @@
+import logging
 import os
 import re
 import runpy
@@ -238,13 +239,14 @@ def spectrum_calls(monkeypatch):
 
 @pytest.fixture
 def optimum_calls(monkeypatch):
-    calls, unified_optimum = [], harness.unified_optimum
-
-    def counted(objective):
-        calls.append(objective.suite.n)
-        return unified_optimum(objective)
-
-    monkeypatch.setattr(harness, "unified_optimum", counted)
+    """``(name, agents)`` of each call of ``harness.unified_optimum`` (on a stacked objective) and
+    ``harness.common_optimum`` (on a suite), in call order."""
+    calls = []
+    for name in ("unified_optimum", "common_optimum"):
+        def counted(problem, name=name, solve=getattr(harness, name)):
+            calls.append((name, getattr(problem, "suite", problem).n))
+            return solve(problem)
+        monkeypatch.setattr(harness, name, counted)
     return calls
 
 
@@ -274,7 +276,8 @@ def test_spectrum_call_counter_counts(tmp_path, spectrum_calls):
 def test_config_errors_end_before_the_numerics(tmp_path, capsys, spectrum_calls, optimum_calls, edit, command,
                                                args):
     """Every config error exits 2 before the numerics.  Only the ``bounds`` cases could see a spectrum; for ``run``
-    and ``sweep``, ``optimum_calls == []`` is what shows that the check ends before them."""
+    and ``sweep``, ``optimum_calls == []`` is what shows that the check ends before them: ``run`` solves the
+    stacked optimum first, and ``sweep`` each problem's common optimum."""
     key = edit.split(" = ", 1)[0]
     text = "".join(ln + "\n" for ln in RING_128.splitlines() if not ln.startswith(key + " =")) + edit + "\n"
     blocker = tmp_path / "file"
@@ -372,9 +375,10 @@ def test_each_suite_is_built_once_per_agent_count(tmp_path, monkeypatch, text, c
     ("sweep.option = I,II\nsweep.topology = full,ring\n", 4),
 ])
 def test_sweep_solves_each_topology_and_option_once(tmp_path, spectrum_calls, optimum_calls, grid, problems):
+    """A sweep reads one optimum, the common minimum of each problem's suite; it solves no stacked optimum."""
     cfg_path = write_config(tmp_path, QUAD_CONFIG + grid)
     assert main(["sweep", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 0
-    assert len(optimum_calls) == problems
+    assert optimum_calls == [("common_optimum", 3)] * problems
     assert spectrum_calls == []  # no sweep column reads the spectrum
     # one completed row per cell of the axes' product, under the header
     cells = np.prod([len(line.split(",")) for line in grid.splitlines()])
@@ -383,8 +387,7 @@ def test_sweep_solves_each_topology_and_option_once(tmp_path, spectrum_calls, op
 
 
 def test_sweep_solves_each_common_optimum_once(tmp_path, monkeypatch):
-    """A logistic sweep solves the common optimum of each problem once, next to its stacked optimum; no cell
-    solves one."""
+    """A logistic sweep solves the common optimum of each problem once, and no cell solves one."""
     calls, common_optimum = [], harness.common_optimum
 
     def counted(suite):
@@ -1260,6 +1263,27 @@ def test_cli_sweep_divergent_cell_recorded(tmp_path):
         parts = row.split(",")
         assert parts[5] == "diverged"
         assert parts[6] == "inf"
+
+
+def test_cli_sweep_failed_cell_is_an_error_row(tmp_path, monkeypatch, caplog):
+    """A cell whose run raises is an error row with one warning naming it; the other cells complete, exit 0."""
+    run = harness.run
+
+    def failing(objective, oracle, hp, f_star):
+        if hp.seed == 1:
+            raise RuntimeError("injected failure")
+        return run(objective, oracle, hp, f_star)
+
+    monkeypatch.setattr(harness, "run", failing)
+    out = tmp_path / "out"
+    with caplog.at_level(logging.WARNING, logger="dmsgd"):
+        assert main(["sweep", "--config", write_config(tmp_path, QUAD_CONFIG + "sweep.seed = 0,1,2\n"),
+                     "--out", str(out)]) == 0
+    rows = [row.split(",") for row in data_rows(out / "sweep.csv")[1:]]
+    assert [row[4:6] for row in rows] == [["0", "completed"], ["1", "error"], ["2", "completed"]]
+    assert rows[1][6:] == ["nan", "nan", "nan"]
+    assert [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING] == [
+        "sweep cell 0.5,0.5,full,I,1 failed: injected failure"]
 
 
 def test_cli_sweep_zero_iteration_cells_complete(tmp_path):

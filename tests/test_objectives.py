@@ -367,6 +367,14 @@ def test_dataset_is_frozen():
         ds.partitions = partition_iid(ds, 2, seed=0)
 
 
+def test_dataset_compares_by_identity():
+    """Two datasets built alike are two records: == is identity and each hashes, where comparing the feature
+    arrays would raise."""
+    a, b = make_synthetic_dataset(0, 8, 2, 2), make_synthetic_dataset(0, 8, 2, 2)
+    assert a == a and a != b
+    assert len({a, b}) == 2
+
+
 def test_logistic_empty_partition_rejected():
     ds = make_synthetic_dataset(0, 10, 2, 2)
     with pytest.raises(ValueError, match="non-empty"):
@@ -572,6 +580,14 @@ def test_unified_consensus_point_penalty_free():
 def test_unified_refuses_mismatched_agent_counts(alpha):
     with pytest.raises(ValueError, match="suite has 4 agents but the mixing matrix has 5"):
         UnifiedObjective(make_quadratic(np.zeros((4, 2)), 1.0), metropolis_mixing(build_topology("ring", 5)), alpha)
+
+
+@pytest.mark.parametrize("alpha, message", [(0.0, "alpha must be positive"), (-0.1, "alpha must be positive")],
+                         ids=["alpha-zero", "alpha-negative"])
+def test_objective_refusals(alpha, message):
+    """Each refusal of a stacked objective's inputs raises ValueError with its own reason."""
+    with pytest.raises(ValueError, match=message):
+        UnifiedObjective(make_quadratic(np.zeros((2, 1)), 1.0), uniform_mixing(2), alpha)
 
 
 def test_unified_hand_computed_penalty():

@@ -387,6 +387,19 @@ def test_hyperparams_validation():
         HyperParams(iters=-1)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: HyperParams(schedule="cosine"), "unknown schedule 'cosine'"),
+    (lambda: HyperParams(adaptive_scope="swarm"), "adaptive_scope must be 'agent' or 'global', got 'swarm'"),
+    (lambda: step_size_at(HyperParams(alpha=None, schedule="sqrt", schedule_b=1.0), 0), "sqrt schedule needs k >= 1"),
+    (lambda: step(AgentSwarm.zeros(uniform_mixing(2), 2, 3), uniform_mixing(2), HyperParams(), np.zeros((2, 2))),
+     r"gradient shape \(2, 2\) != state shape \(2, 3\)"),
+], ids=["schedule", "adaptive-scope", "sqrt-k", "grad-shape"])
+def test_optimizer_refusals(call, message):
+    """Each refusal of the loop's inputs raises ValueError with its own reason."""
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_hyperparams_are_frozen():
     hp = HyperParams(beta=0.5)
     with pytest.raises(dataclasses.FrozenInstanceError):

@@ -327,6 +327,30 @@ def test_blended_values():
             s.blended(w)
 
 
+def test_spectral_info_compares_by_identity():
+    """Two spectra of one matrix are two records: == is identity and each hashes, where comparing the eigenvalue
+    arrays would raise."""
+    m = metropolis_mixing(build_topology("ring", 4), laziness=0.3)
+    a, b = spectrum(m), spectrum(m)
+    assert a == a and a != b
+    assert len({a, b}) == 2
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: build_topology("custom", 3), "custom topology needs an edge list"),
+    (lambda: build_topology("star", 3), "unknown topology kind 'star'"),
+    (lambda: MixingMatrix(np.full((2, 3), 0.5)), r"expected a square matrix, got shape \(2, 3\)"),
+    (lambda: MixingMatrix(np.array([[1.5, -0.5], [-0.5, 1.5]])), "mixing matrix has negative entries"),
+    (lambda: MixingMatrix(np.array([[1.0, 0.0], [1.0, 0.0]])), "column sums differ from 1"),
+    (lambda: MixingMatrix(np.array([[1.0, 1.0], [0.0, 0.0]])), "row sums differ from 1"),
+    (lambda: MixingMatrix(np.roll(np.eye(3), 1, axis=1)), "mixing matrix is not symmetric"),
+], ids=["custom-no-edges", "unknown-kind", "not-square", "negative", "column-sums", "row-sums", "asymmetric"])
+def test_topology_refusals(call, message):
+    """Each refusal of a graph or mixing-matrix build raises ValueError with its own reason."""
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_projection_commutes_with_effective_matrix():
     rng = np.random.default_rng(4)
     for _ in range(5):

@@ -72,6 +72,18 @@ def test_reference_dimension_mismatch():
         reference_step("I", np.eye(2), np.eye(2), 0.1, 0.0, np.zeros((2, 1)), np.zeros((3, 1)), np.zeros((2, 1)))
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: reference_step("I", np.eye(3), np.eye(3), 0.1, 0.0, *[np.zeros((2, 1))] * 3),
+     "mixing matrix dimensions disagree with the state"),
+    (lambda: reference_step("III", np.eye(2), np.eye(2), 0.1, 0.0, *[np.zeros((2, 1))] * 3),
+     "option must be 'I' or 'II', got 'III'"),
+], ids=["mixing-dimension", "option"])
+def test_reference_refusals(call, message):
+    """Each refusal of the reference stepper raises ValueError with its own reason."""
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def loop_vs_reference(option, omega, beta=0.8, steps=100, n=6, d=3, seed=5, adaptive=False):
     """Drive the per-agent loop and the dense reference on shared draws."""
     rng = np.random.default_rng(seed)
