@@ -15,6 +15,8 @@ empty array for zero iterations.  A bound refuses inputs it cannot support by
 raising ``ValueError`` with the reason.  ``harness.BOUNDS`` names every bound
 ``dmsgd bounds`` writes and when it applies, and ``harness.evaluate_bounds``
 turns each refusal into a ``skipped.<name>`` metadata line of ``bounds.csv``.
+``check_bound_domination`` gives the verdict ``dmsgd check`` prints: a metric
+trajectory against a bound trajectory, row by row, with a relative slack.
 """
 
 from __future__ import annotations
@@ -36,6 +38,8 @@ __all__ = [
     "simpler_step_bound",
     "simpler_q",
     "optimal_schedule_b",
+    "DominationReport",
+    "check_bound_domination",
 ]
 
 
@@ -269,3 +273,48 @@ def optimal_schedule_b(bi):
     if bi.second_moment <= 0:
         raise ValueError("needs a positive gradient second moment")
     return float(2.0 * bi.gap1 * (1.0 - bi.bl) ** 2 / (bi.smooth * bi.second_moment))
+
+
+@dataclass(frozen=True)
+class DominationReport:
+    """Outcome of metric <= bound * (1 + slack) checked row by row."""
+
+    passed: bool
+    checked: int
+    first_violation: int | None = None
+    metric_at_violation: float | None = None
+    bound_at_violation: float | None = None
+    worst_ratio: float = 0.0
+
+
+def check_bound_domination(metric, bound, slack=0.0):
+    """Verify metric_k <= bound_k * (1 + slack) for every k.
+
+    Rows are compared positionally (both trajectories must have equal
+    length); an empty pair passes vacuously.  The first violating index is
+    1-based, matching trace row numbering.
+    """
+    metric = np.asarray(metric, dtype=float)
+    bound = np.asarray(bound, dtype=float)
+    if metric.shape != bound.shape:
+        raise ValueError(f"length mismatch: metric {metric.shape} vs bound {bound.shape}")
+    if slack < 0:
+        raise ValueError("slack must be >= 0")
+    if metric.size == 0:
+        return DominationReport(passed=True, checked=0)
+    allowed = bound * (1.0 + slack)
+    ok = metric <= allowed
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = np.where(allowed > 0, metric / allowed, np.where(metric <= 0, 0.0, np.inf))
+    worst = float(np.nanmax(ratios))
+    if ok.all():
+        return DominationReport(passed=True, checked=metric.size, worst_ratio=worst)
+    idx = int(np.argmin(ok))
+    return DominationReport(
+        passed=False,
+        checked=metric.size,
+        first_violation=idx + 1,
+        metric_at_violation=float(metric[idx]),
+        bound_at_violation=float(allowed[idx]),
+        worst_ratio=worst,
+    )

@@ -25,6 +25,7 @@ from functools import partial
 import numpy as np
 
 from . import bounds as bounds_mod
+from .bounds import check_bound_domination
 from .objectives import (
     Dataset,
     StochasticOracle,
@@ -41,7 +42,6 @@ from .objectives import (
 )
 from .optimizer import HyperParams, RunTrace, run
 from .topology import JACOBI_TOL, build_topology, metropolis_mixing, spectrum
-from .verify import check_bound_domination
 
 log = logging.getLogger("dmsgd")
 
@@ -117,15 +117,21 @@ def _parse_int(raw, key):
 
 
 def _parse_floats(raw, key):
-    """'a;b;c' (or 'a,b,c') -> 1-d array."""
-    return np.array([_parse_float(v, key) for v in raw.replace(";", ",").split(",") if v.strip()])
+    """'a;b;c' (or 'a,b,c') -> 1-d array; an empty entry is refused, never dropped."""
+    values = raw.replace(";", ",").split(",")
+    if not all(v.strip() for v in values):
+        raise ConfigError(f"{key} has an empty entry: {raw!r}")
+    return np.array([_parse_float(v, key) for v in values])
 
 
 def _parse_vectors(raw, key):
-    """'a,b;c,d' -> array of row vectors."""
-    rows = [[_parse_float(v, key) for v in chunk.split(",")] for chunk in raw.split(";") if chunk.strip()]
-    if not rows:
+    """'a,b;c,d' -> array of row vectors; an empty row is refused, never dropped."""
+    chunks = raw.split(";")
+    if not any(chunk.strip() for chunk in chunks):
         raise ConfigError(f"{key} has no rows: {raw!r}")
+    if not all(chunk.strip() for chunk in chunks):
+        raise ConfigError(f"{key} has an empty row: {raw!r}")
+    rows = [[_parse_float(v, key) for v in chunk.split(",")] for chunk in chunks]
     if len({len(r) for r in rows}) != 1:
         raise ConfigError(f"ragged rows in {key}: {raw!r}")
     return np.array(rows)
@@ -476,13 +482,15 @@ def _numbered_lines(path):
 
 
 def read_csv_with_metadata(path):
-    """(metadata, header, rows): ``# key=value`` lines, the first other line, then ``(line number, fields)`` of
-    each line after it; every row must be as wide as the header."""
+    """(metadata, header, rows): ``# key=value`` lines, each key once, the first other line, then ``(line number,
+    fields)`` of each line after it; every row must be as wide as the header."""
     meta, header, rows = {}, None, []
     for lineno, line in _numbered_lines(path):
         if line.startswith("#"):
-            key, _, value = line[1:].partition("=")
-            meta[key.strip()] = value.strip()
+            key, _, value = (part.strip() for part in line[1:].partition("="))
+            if key in meta:
+                raise InputFileError(f"{path} line {lineno}: duplicate key {key!r}")
+            meta[key] = value
             continue
         fields = line.split(",")
         if header is None:
@@ -788,20 +796,20 @@ def build_parser():
 
 
 def _setup_logging():
-    level = {"quiet": logging.WARNING, "info": logging.INFO, "debug": logging.DEBUG}.get(
-        os.environ.get("DMSGD_LOG", "info"), logging.INFO
-    )
-    logging.basicConfig(level=level, format="%(levelname)s %(message)s", stream=sys.stderr)
+    """Log at the level ``DMSGD_LOG`` names, info when it is unset; any other value is a config error."""
+    levels = {"quiet": logging.WARNING, "info": logging.INFO, "debug": logging.DEBUG}
+    value = _one_of(*levels)(os.environ.get("DMSGD_LOG", "info"), "DMSGD_LOG")
+    logging.basicConfig(level=levels[value], format="%(levelname)s %(message)s", stream=sys.stderr)
 
 
 def main(argv=None):
-    _setup_logging()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else 2
     try:
+        _setup_logging()
         # an input valid in form can still overflow the arithmetic: exit 1, not a warning
         with np.errstate(over="raise"):
             return args.func(args)

@@ -8,9 +8,10 @@ and its smallest eta = w + (1-w)*lambda_N (a bound needs eta positive).
 This module builds the graphs as boolean adjacency matrices, turns them into
 symmetric doubly stochastic matrices via Metropolis weights (plus an optional
 lazy blend toward the identity), and extracts the spectrum with a cyclic
-Jacobi eigensolver.  The solver is bit-identical to
-``verify.reference_jacobi_eigenvalues``, 1.5 to 2.5 times faster, and most of
-a scenario build at large n; the benchmark reports it as ``topology.spectrum_s``.
+Jacobi eigensolver.  The solver is bit-identical to the test oracle
+``reference_jacobi_eigenvalues`` in ``tests/oracles.py``, 1.5 to 2.5 times
+faster, and most of a scenario build at large n; the benchmark reports it as
+``topology.spectrum_s``.
 """
 
 from __future__ import annotations
@@ -197,12 +198,12 @@ def jacobi_eigenvalues(matrix):
     are exactly zero.  Each rotation first replaces rows p and q by
     (c*u - s*v, s*u + c*v), then columns p and q the same way, every
     product rounded before the sum; the result is bit-identical to
-    ``verify.reference_jacobi_eigenvalues``.  The pivot scalars are Python
-    floats, and each row or column pair takes six in-place numpy calls on
-    views and scratch buffers made once per call (four when c == 1.0, since
-    multiplying by 1.0 is exact; that holds for 38% of the rotations on a
-    lazy ring of 128, and the four-call path makes its solve about 15%
-    faster).  No matmul or BLAS rotation is used,
+    ``reference_jacobi_eigenvalues`` in ``tests/oracles.py``.  The pivot
+    scalars are Python floats, and each row or column pair takes six in-place
+    numpy calls on views and scratch buffers made once per call (four when
+    c == 1.0, since multiplying by 1.0 is exact; that holds for 38% of the
+    rotations on a lazy ring of 128, and the four-call path makes its solve
+    about 15% faster).  No matmul or BLAS rotation is used,
     because a fused multiply-add or another summation order would move the
     last bits.  Every sweep still makes O(n^2) Python-level rotations; on
     rings of 16 to 128 agents at laziness 0.3 the solve takes 1/2.5 to 1/1.5

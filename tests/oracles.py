@@ -1,29 +1,16 @@
-"""Independent oracles, and the bound-domination check.
+"""Independent oracles, which tests read and no module of ``dmsgd`` shares.
 
 Each oracle checks production code and shares none of it: the dense
 reference stepper checks ``optimizer.step``/``optimizer.run``, the reference
 Jacobi solver ``topology.jacobi_eigenvalues``, ``recompute_running_avg`` the
 trace's running-average column and ``finite_diff_grad`` the gradients.
-Bound-domination reports, which ``dmsgd check`` prints, compare a metric
-trajectory against a bound trajectory with a configurable relative slack.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .topology import JACOBI_MAX_SWEEPS, JACOBI_TOL, JacobiConvergenceError
-
-__all__ = [
-    "reference_step",
-    "finite_diff_grad",
-    "DominationReport",
-    "check_bound_domination",
-    "recompute_running_avg",
-    "reference_jacobi_eigenvalues",
-]
+from dmsgd.topology import JACOBI_MAX_SWEEPS, JACOBI_TOL, JacobiConvergenceError
 
 
 def reference_step(option, pi_eff, pi, alpha, beta, x_k, x_prev, grads):
@@ -61,51 +48,6 @@ def finite_diff_grad(f, x, h=1e-6):
         e.flat[i] = h
         out.flat[i] = (f(x + e) - f(x - e)) / (2.0 * h)
     return out
-
-
-@dataclass(frozen=True)
-class DominationReport:
-    """Outcome of metric <= bound * (1 + slack) checked row by row."""
-
-    passed: bool
-    checked: int
-    first_violation: int | None = None
-    metric_at_violation: float | None = None
-    bound_at_violation: float | None = None
-    worst_ratio: float = 0.0
-
-
-def check_bound_domination(metric, bound, slack=0.0):
-    """Verify metric_k <= bound_k * (1 + slack) for every k.
-
-    Rows are compared positionally (both trajectories must have equal
-    length); an empty pair passes vacuously.  The first violating index is
-    1-based, matching trace row numbering.
-    """
-    metric = np.asarray(metric, dtype=float)
-    bound = np.asarray(bound, dtype=float)
-    if metric.shape != bound.shape:
-        raise ValueError(f"length mismatch: metric {metric.shape} vs bound {bound.shape}")
-    if slack < 0:
-        raise ValueError("slack must be >= 0")
-    if metric.size == 0:
-        return DominationReport(passed=True, checked=0)
-    allowed = bound * (1.0 + slack)
-    ok = metric <= allowed
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(allowed > 0, metric / allowed, np.where(metric <= 0, 0.0, np.inf))
-    worst = float(np.nanmax(ratios))
-    if ok.all():
-        return DominationReport(passed=True, checked=metric.size, worst_ratio=worst)
-    idx = int(np.argmin(ok))
-    return DominationReport(
-        passed=False,
-        checked=metric.size,
-        first_violation=idx + 1,
-        metric_at_violation=float(metric[idx]),
-        bound_at_violation=float(allowed[idx]),
-        worst_ratio=worst,
-    )
 
 
 def recompute_running_avg(grad_norm_sq):

@@ -5,6 +5,7 @@ import pytest
 
 from dmsgd.bounds import (
     BoundInputs,
+    check_bound_domination,
     consensus_bound,
     displacement_bound,
     nonconvex_alpha_star,
@@ -25,7 +26,6 @@ from dmsgd.harness import (
     evaluate_bounds,
 )
 from dmsgd.optimizer import run
-from dmsgd.verify import check_bound_domination
 
 
 def inputs(**kw):

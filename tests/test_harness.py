@@ -5,6 +5,7 @@ import runpy
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +26,7 @@ from dmsgd.harness import (
     load_config,
     main,
     parse_config_text,
+    pilot_measurements,
     read_bounds_csv,
     read_trace_csv,
     serialize_config,
@@ -38,6 +40,7 @@ from dmsgd.objectives import (
     partition_noniid,
     unified_optimum,
 )
+from dmsgd.optimizer import run
 from dmsgd.topology import build_topology, metropolis_mixing, spectrum
 from test_pins import CONFIGS, RING_CUSTOM_SWEEP
 
@@ -171,6 +174,13 @@ def test_target_rows_must_match_the_topology(tmp_path):
     ("oracle.sigma = 0.0", "oracle.sigma = -1"),
     ("hp.beta = 0.5", "hp.betta = 0.9"),
     ("objective.targets = 1.8,2.0;2.0,2.2;2.2,1.8", "objective.targets = 1.8,2.0;2.0;2.2,1.8"),
+    # an empty entry or row is refused, never dropped
+    ("objective.curvatures = 1", "objective.curvatures = 1,,2,3"),
+    ("objective.targets = 1.8,2.0;2.0,2.2;2.2,1.8", "objective.targets = 1.8,2.0;;2.0,2.2;2.2,1.8"),
+    ("objective.targets = 1.8,2.0;2.0,2.2;2.2,1.8", "objective.targets = 1.8,2.0;2.0,2.2;2.2,1.8;"),
+    ("topology.kind = full\ntopology.n = 3\ntopology.laziness = 0.5\nobjective.kind = quadratic\n"
+     "objective.targets = 1.8,2.0;2.0,2.2;2.2,1.8\nobjective.curvatures = 1",
+     "topology.kind = ring\ntopology.n = 3\ntopology.laziness = 0.5\nobjective.kind = pl\nobjective.shifts = 0;;1;,2"),
 ])
 def test_cli_malformed_config_exit_2(tmp_path, capsys, old, new):
     cfg_path = write_config(tmp_path, QUAD_CONFIG.replace(old, new))
@@ -1101,6 +1111,24 @@ def test_cli_check_refuses_files_without_config_hash(tmp_path, capsys, mangle, s
                                        f"with {out / 'bounds.csv'} ({shown})\n")
 
 
+@pytest.mark.parametrize("which", ["trace_seed0.csv", "bounds.csv"])
+@pytest.mark.parametrize("offset", [0, 1], ids=["above", "below"])
+def test_cli_check_refuses_a_repeated_metadata_key(tmp_path, capsys, which, offset):
+    """A '#' key given twice is refused by the line that repeats it, above or below the real one: the reader
+    never picks one of the two values."""
+    cfg_path = write_config(tmp_path, QUAD_CONFIG)
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg_path, "--out", str(out)]) == 0
+    assert main(["bounds", "--config", cfg_path, "--out", str(out)]) == 0
+    lines = (out / which).read_text(encoding="utf-8").splitlines()
+    real = next(i for i, line in enumerate(lines) if line.startswith("# config_hash="))
+    lines.insert(real + offset, "# config_hash=deadbeef0000")
+    (out / which).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["check", "--trace", str(out / "trace_seed0.csv"), "--bounds", str(out / "bounds.csv")]) == 2
+    assert capsys.readouterr().err == f"input error: {out / which} line {real + 2}: duplicate key 'config_hash'\n"
+
+
 def test_cli_check_missing_file_exit_2(tmp_path):
     assert main(["check", "--trace", str(tmp_path / "no.csv"), "--bounds", str(tmp_path / "no.csv")]) == 2
 
@@ -1450,6 +1478,19 @@ hp.iters = 20
     assert bi.sigma > 0.0 and bi.grad_bound == 3.0
 
 
+@pytest.mark.parametrize("text, minibatch", [(QUAD_CONFIG.replace("oracle.sigma = 0.0", "oracle.sigma = 0.1"), False),
+                                             (MINIBATCH_SWEEP, True)], ids=["additive", "minibatch-logistic"])
+def test_pilot_measures_by_the_readme_rule(text, minibatch):
+    """The pilot runs 200 iterations and takes G = 1.05 sqrt(max grad_norm_sq) and, for a minibatch oracle only,
+    sigma = 1.05 sqrt(mean draw_dev_sq): the rule as the README states it, in the pilot's own arithmetic."""
+    scenario = build_scenario(parse_config_text(text))
+    trace = run(scenario.objective, scenario.oracle, replace(scenario.hp, iters=200), scenario.f_star)
+    assert len(trace) == 200 and trace.status == "completed"
+    grad_bound = 1.05 * float(np.sqrt(trace.grad_norm_sq.max()))
+    sigma = 1.05 * float(np.sqrt(np.mean(trace.draw_dev_sq))) if minibatch else None
+    assert pilot_measurements(scenario) == (grad_bound, sigma)
+
+
 def test_adaptive_omega_takes_lambda_and_eta_at_their_worst():
     cfg = parse_config_text(QUAD_CONFIG.replace("hp.omega = 0.5", "hp.omega = adaptive"))
     scenario = build_scenario(cfg)
@@ -1470,3 +1511,16 @@ def test_log_env_levels(monkeypatch):
         logging.getLogger().handlers.clear()
         _setup_logging()
         assert logging.getLogger().level == level
+    monkeypatch.delenv("DMSGD_LOG")
+    logging.getLogger().handlers.clear()
+    _setup_logging()
+    assert logging.getLogger().level == logging.INFO
+
+
+@pytest.mark.parametrize("value", ["quite", "", "INFO"])
+def test_log_env_typo_exit_2(tmp_path, capsys, monkeypatch, value):
+    """A DMSGD_LOG outside quiet | info | debug is a typo, refused in one line before any work, never info."""
+    monkeypatch.setenv("DMSGD_LOG", value)
+    assert main(["run", "--config", write_config(tmp_path, QUAD_CONFIG), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"config error: DMSGD_LOG must be one of quiet | info | debug, got {value!r}\n"
+    assert not (tmp_path / "out").exists()

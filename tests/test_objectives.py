@@ -24,7 +24,7 @@ from dmsgd.objectives import (
 from dmsgd.harness import load_dataset_csv
 from dmsgd.optimizer import HyperParams, run
 from dmsgd.topology import build_topology, metropolis_mixing, spectrum
-from dmsgd.verify import finite_diff_grad
+from oracles import finite_diff_grad
 
 
 def central_diff_ok(suite, j, points, rel=1e-5, h=1e-6):

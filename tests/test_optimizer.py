@@ -21,7 +21,7 @@ from dmsgd.optimizer import (
     step_size_at,
 )
 from dmsgd.topology import build_topology, effective_matrix, metropolis_mixing, spectrum
-from dmsgd.verify import recompute_running_avg
+from oracles import recompute_running_avg
 
 
 def uniform_mixing(n):
@@ -49,7 +49,7 @@ def test_the_swarm_is_the_only_mutable_dataclass():
                 (frozen if obj.__dataclass_params__.frozen else mutable).append(f"{info.name}.{name}")
     assert mutable == ["optimizer.AgentSwarm"]
     assert {"harness.RunConfig", "harness.Scenario", "objectives.ObjectiveSuite", "objectives.StochasticOracle",
-            "objectives.UnifiedObjective", "optimizer.RunTrace", "verify.DominationReport"} <= set(frozen)
+            "objectives.UnifiedObjective", "optimizer.RunTrace", "bounds.DominationReport"} <= set(frozen)
 
 
 # ------------------------------------------------------------- micro steps

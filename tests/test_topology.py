@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from test_pins import SPECTRUM_MATRICES
 
-from dmsgd import topology, verify
+import oracles
+from dmsgd import topology
 from dmsgd.harness import load_edge_list
 from dmsgd.topology import (
     JacobiConvergenceError,
@@ -15,7 +16,7 @@ from dmsgd.topology import (
     metropolis_mixing,
     spectrum,
 )
-from dmsgd.verify import reference_jacobi_eigenvalues
+from oracles import reference_jacobi_eigenvalues
 
 
 def random_mixing(rng, n, extra_edges=0, laziness=None):
@@ -218,7 +219,7 @@ def test_jacobi_matches_numpy_oracle():
 def _sweep_limit(monkeypatch, sweeps):
     # the production solver and the reference each read the limit from their own module
     monkeypatch.setattr(topology, "JACOBI_MAX_SWEEPS", sweeps)
-    monkeypatch.setattr(verify, "JACOBI_MAX_SWEEPS", sweeps)
+    monkeypatch.setattr(oracles, "JACOBI_MAX_SWEEPS", sweeps)
 
 
 def test_jacobi_nonconvergence_raises(monkeypatch):
