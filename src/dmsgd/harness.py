@@ -483,10 +483,12 @@ def _numbered_lines(path):
 
 def read_csv_with_metadata(path):
     """(metadata, header, rows): ``# key=value`` lines, each key once, the first other line, then ``(line number,
-    fields)`` of each line after it; every row must be as wide as the header."""
+    fields)`` of each line after it; every row must be as wide as the header, and no ``#`` line may follow it."""
     meta, header, rows = {}, None, []
     for lineno, line in _numbered_lines(path):
         if line.startswith("#"):
+            if header is not None:
+                raise InputFileError(f"{path} line {lineno}: '#' line after the header")
             key, _, value = (part.strip() for part in line[1:].partition("="))
             if key in meta:
                 raise InputFileError(f"{path} line {lineno}: duplicate key {key!r}")

@@ -428,9 +428,11 @@ def unified_optimum(objective):
     """Minimizer and minimum of the stacked (penalized) objective.
 
     Quadratic suites solve the closed form per coordinate; other suites fall
-    back to multistart quasi-Newton minimization over the stacked space,
-    started from zero and from the common minimizer of :func:`common_optimum`
-    (and, for a PL suite, from the shifts).
+    back to quasi-Newton minimization over the stacked space, started from the
+    common minimizer of :func:`common_optimum` tiled over the agents.  A
+    strongly convex suite (``mu_m > 0``) has one minimizer, so that one start
+    is enough; any other suite is also started from zero, first, since a tie
+    goes to the first start (and a PL suite last from its shifts).
     """
     suite = objective.suite
     n, d = suite.n, suite.d
@@ -443,7 +445,8 @@ def unified_optimum(objective):
             h = np.diag(a) + objective._lap / objective.alpha
             x = np.linalg.solve(h, a[:, None] * targets)
         return x, objective.value(x)
-    starts = [np.zeros((n, d)), np.tile(common_optimum(suite)[0], (n, 1))]
+    tile = np.tile(common_optimum(suite)[0], (n, 1))
+    starts = [tile] if suite.mu_m > 0 else [np.zeros((n, d)), tile]
     if suite.kind == "pl":
         starts.append(suite.params["shifts"].copy())
 

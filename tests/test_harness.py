@@ -1129,6 +1129,26 @@ def test_cli_check_refuses_a_repeated_metadata_key(tmp_path, capsys, which, offs
     assert capsys.readouterr().err == f"input error: {out / which} line {real + 2}: duplicate key 'config_hash'\n"
 
 
+@pytest.mark.parametrize("which", ["trace_seed0.csv", "bounds.csv"])
+@pytest.mark.parametrize("rows_above", [0, 2], ids=["after-header", "between-rows"])
+def test_cli_check_refuses_metadata_below_the_header(tmp_path, capsys, which, rows_above):
+    """A '#' line moved below the header is refused by its line, even when its key is given nowhere else: a file is
+    paired only by the metadata written above its header."""
+    cfg_path = write_config(tmp_path, QUAD_CONFIG)
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg_path, "--out", str(out)]) == 0
+    assert main(["bounds", "--config", cfg_path, "--out", str(out)]) == 0
+    lines = (out / which).read_text(encoding="utf-8").splitlines()
+    moved = lines.pop(next(i for i, line in enumerate(lines) if line.startswith("# config_hash=")))
+    header = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+    at = header + 1 + rows_above
+    lines.insert(at, moved)
+    (out / which).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["check", "--trace", str(out / "trace_seed0.csv"), "--bounds", str(out / "bounds.csv")]) == 2
+    assert capsys.readouterr().err == f"input error: {out / which} line {at + 1}: '#' line after the header\n"
+
+
 def test_cli_check_missing_file_exit_2(tmp_path):
     assert main(["check", "--trace", str(tmp_path / "no.csv"), "--bounds", str(tmp_path / "no.csv")]) == 2
 

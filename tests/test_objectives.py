@@ -9,6 +9,7 @@ from scipy.stats import chi2
 from dmsgd.objectives import (
     StochasticOracle,
     UnifiedObjective,
+    _lbfgs_multistart,
     agent_total,
     common_optimum,
     estimate_pl_constant,
@@ -21,10 +22,11 @@ from dmsgd.objectives import (
     stochastic_grad,
     unified_optimum,
 )
-from dmsgd.harness import load_dataset_csv
+from dmsgd.harness import check_scenario, load_dataset_csv, parse_config_text
 from dmsgd.optimizer import HyperParams, run
 from dmsgd.topology import build_topology, metropolis_mixing, spectrum
 from oracles import finite_diff_grad
+from test_pins import CONFIGS as PIN_CONFIGS
 
 
 def central_diff_ok(suite, j, points, rel=1e-5, h=1e-6):
@@ -480,14 +482,105 @@ def test_logistic_suite_evaluated_once_per_point(monkeypatch):
     assert len(solver_points) == 1 and len(points) == solver_points[0] > 2
     points.clear()
     objective = UnifiedObjective(suite, mix, alpha=0.1)
-    _, f_star = unified_optimum(objective)  # solves the common optimum again, then the stacked one from two starts
-    assert len(solver_points) == 4 and len(points) == sum(solver_points[1:])
+    _, f_star = unified_optimum(objective)  # solves the common optimum again, then the stacked one from its tile
+    assert len(solver_points) == 3 and len(points) == sum(solver_points[1:])
     assert all(a != b for a, b in zip(points, points[1:]))  # no point evaluated twice in a row
     points.clear()
     hp = HyperParams(alpha=0.1, beta=0.5, omega=0.5, iters=25)
     trace = run(objective, StochasticOracle(mode="minibatch", batch=5), hp, f_star)
     assert trace.status == "completed"
     assert len(points) == hp.iters
+
+
+def recorded_starts(monkeypatch):
+    """The list of the start of every L-BFGS-B solve from here on, flat as the solver takes it, in call order."""
+    starts = []
+
+    def recording(fun, x0, **kwargs):
+        starts.append(np.array(x0, copy=True))
+        return minimize(fun, x0, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "minimize", recording)
+    return starts
+
+
+@pytest.mark.parametrize("alpha", [0.1, None], ids=["option-I", "option-II"])
+def test_strongly_convex_stacked_optimum_has_one_start(monkeypatch, alpha):
+    # mu_m > 0 gives one minimizer, so the stacked solve starts only at the tiled common minimizer
+    suite = logistic_fixture(reg=0.1)
+    assert suite.mu_m > 0
+    tile = np.tile(common_optimum(suite)[0], (suite.n, 1))
+    starts = recorded_starts(monkeypatch)
+    unified_optimum(UnifiedObjective(suite, metropolis_mixing(build_topology("ring", suite.n)), alpha=alpha))
+    assert len(starts) == 2  # the common solve, then one stacked solve
+    assert np.array_equal(starts[0], np.zeros(suite.d))
+    assert np.array_equal(starts[1], tile.ravel())
+
+
+def test_convex_stacked_optimum_starts_from_zero_first(monkeypatch):
+    suite = logistic_fixture(reg=0.0)
+    assert suite.mu_m == 0
+    tile = np.tile(common_optimum(suite)[0], (suite.n, 1))
+    starts = recorded_starts(monkeypatch)
+    unified_optimum(UnifiedObjective(suite, metropolis_mixing(build_topology("ring", suite.n)), alpha=0.1))
+    assert len(starts) == 3  # the common solve, then the stacked solve from zero and from the tile
+    assert np.array_equal(starts[1], np.zeros(suite.n * suite.d))
+    assert np.array_equal(starts[2], tile.ravel())
+
+
+def test_pl_stacked_optimum_keeps_three_starts(monkeypatch):
+    suite = make_pl(4, [-0.6, -0.2, 0.3, 0.8])
+    starts = recorded_starts(monkeypatch)
+    unified_optimum(UnifiedObjective(suite, metropolis_mixing(build_topology("ring", 4), laziness=0.3), alpha=0.05))
+    assert len(starts) == 3  # the builder holds the common optimum, so every solve is stacked
+    assert np.array_equal(starts[0], np.zeros(4))
+    assert np.array_equal(starts[1], np.tile(suite.x_star, (4, 1)).ravel())
+    assert np.array_equal(starts[2], suite.params["shifts"].ravel())
+
+
+# the minibatch_sweep benchmark workload at full size, its sweep keys left out
+MINIBATCH_SWEEP_CONFIG = """\
+topology.kind = ring
+topology.n = 16
+topology.laziness = 0.3
+objective.kind = logistic
+objective.dataset = synthetic
+objective.dataset_seed = 0
+objective.samples = 400
+objective.features = 10
+objective.classes = 2
+objective.agents = 16
+objective.partition = noniid
+objective.reg = 0.1
+objective.grad_bound = auto
+oracle.mode = minibatch
+oracle.batch = 16
+hp.option = I
+hp.alpha = 0.5
+hp.beta = 0.5
+hp.omega = 0.5
+hp.iters = 50
+"""
+
+
+@pytest.mark.parametrize("name", ["logistic_iid_full_batch", "logistic_iid_ragged", "logistic_iid_minibatch",
+                                  "minibatch_sweep"])
+def test_one_start_optimum_matches_both_starts(name):
+    # a strongly convex stacked optimum solved from the tile alone lands where the zero and tile starts do
+    text = MINIBATCH_SWEEP_CONFIG if name == "minibatch_sweep" else PIN_CONFIGS[name]
+    objective = check_scenario(parse_config_text(text), {})[0]
+    suite = objective.suite
+    n, d = suite.n, suite.d
+    assert suite.mu_m > 0
+    tile = np.tile(common_optimum(suite)[0], (n, 1))
+
+    def fun(v):
+        value, grad = objective.value_and_grad(v.reshape(n, d))
+        return value, grad.ravel()
+
+    reference = _lbfgs_multistart(fun, [np.zeros(n * d), tile.ravel()]).fun
+    f_star = unified_optimum(objective)[1]
+    assert abs(f_star - reference) <= 1e-14 * abs(reference)
 
 
 # ---------------------------------------------------------------- oracles

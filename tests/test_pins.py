@@ -167,18 +167,18 @@ PINS = {
         "bound_names": ("consensus", "displacement_sq", "avg_grad_envelope", "cor1_gap"),
     },
     "logistic_iid_full_batch": {
-        "trace": "7d61fe6b7bcc581183b3dbe2bd4db94b7885820857dda6aa62539aa3de406bf3",
+        "trace": "99c5219add2159b34d314e47967a393b93277b7e007b06ea0757f320fcb01a1c",
         "bounds": "860cd43699297b6ed390ddfcc8a66a145f8d705431d71aa608a8079f4c88f57e",
         "bound_names": ("consensus", "displacement_sq", "avg_grad_envelope", "cor1_gap"),
     },
     "logistic_iid_minibatch": {
-        "trace": "e7648a601fd68f77dd7ccf836bf6b8e4ef11bda1bf47866752b72e2535bc232d",
-        "bounds": "4c0cfa9d105433ab97c5a51eafcdd54cf2aeb8045b56708a89209fea31a3b095",
+        "trace": "cdcce73ad65012ee37857997ade24e0312c49f2c59394869f985bdd49900956d",
+        "bounds": "37f460d1846c1e2e1ffffe653029ac78d6fad9a279d85c10d595c830097860c6",
         "bound_names": ("consensus", "displacement_sq", "avg_grad_envelope", "cor1_gap"),
     },
     "logistic_iid_ragged": {
-        "trace": "de9f6c8e647920d07e95be765227a835b0893620d419b68495843760d0bac80e",
-        "bounds": "d7bc5b777579c50139da3f80e9fcf1d386f7cdff7a9839a05a4a2d42f13a5b67",
+        "trace": "d22837659e17cb570a035f147db7421eff6fb2db07630eb39a033e921ab70203",
+        "bounds": "c709509f2054de5062e8f761013af9b75f795cac5da7ed2e4a50e26785cc672f",
         "bound_names": ("consensus", "displacement_sq", "avg_grad_envelope", "cor1_gap"),
     },
     "option2_fixed_omega": {
