@@ -720,38 +720,39 @@ def _sweep_cell(objective, f_common, hp, oracle):
 
 def cmd_sweep(args):
     """sweep.csv, one row per cell in grid order; each cell is checked once, cells of one agent count share a suite,
-    and cells that share a topology and option share the stacked objective of their first cell's check and one solve
-    of its suite's common optimum, the one optimum a sweep reads.  A sweep solves no stacked optimum."""
+    and each cell runs, in grid order, on the stacked objective of its own check.  Each suite's common optimum, the one
+    optimum a sweep reads, is solved once, at its first cell.  A sweep solves no stacked optimum."""
     cfg = load_config(args.config)
     # _build_suite reads no sweep axis (topology.kind only names a refusal's key): one suite per agent count
     suites = {}
     check_scenario(cfg, suites)
     axes = [cfg.get(f"sweep.{label}", [None]) for label, _ in SWEEP_AXES]
     cells = list(itertools.product(*axes)) if any(axis != [None] for axis in axes) else []
-    rows, problems = [], {}
+    rows, checked = [], []
     for cell in cells:
         items = dict(cfg.items)
         items.update((key, val) for (_, key), val in zip(SWEEP_AXES, cell) if val is not None)
         objective, hp, oracle = check_scenario(RunConfig(items=items), suites)
         # a key the config leaves unset shows the value the cell ran with (the hp axes' labels are their fields)
         rows.append([items[key] if key in items else str(getattr(hp, label)) for label, key in SWEEP_AXES])
-        _, members = problems.setdefault((items.get("topology.kind"), hp.option), (objective, []))
-        members.append((rows[-1], hp, oracle))
+        checked.append((objective, hp, oracle))
     out_dir = _output_dir(args, cfg)
-    for objective, members in problems.values():
-        try:
-            f_common = common_optimum(objective.suite)[1]
-        except Exception as exc:  # a failed solve fails each of its cells in-row
-            log.warning("sweep problem of cell %s failed: %s", ",".join(members[0][0]), exc)
-            f_common = None
-        for row, hp, oracle in members:
-            status, numbers = "error", [float("nan")] * 3
-            if f_common is not None:
-                try:
-                    status, *numbers = _sweep_cell(objective, f_common, hp, oracle)
-                except Exception as exc:
-                    log.warning("sweep cell %s failed: %s", ",".join(row), exc)
-            row += [status] + [_fmt(x) for x in numbers]
+    f_common = {}  # agent count -> the common minimum of its suite, None if that solve failed
+    for row, (objective, hp, oracle) in zip(rows, checked):
+        n = objective.suite.n
+        if n not in f_common:
+            try:
+                f_common[n] = common_optimum(objective.suite)[1]
+            except Exception as exc:  # a failed solve fails each of that suite's cells in-row
+                log.warning("sweep common optimum of the %d-agent suite failed: %s", n, exc)
+                f_common[n] = None
+        status, numbers = "error", [float("nan")] * 3
+        if f_common[n] is not None:
+            try:
+                status, *numbers = _sweep_cell(objective, f_common[n], hp, oracle)
+            except Exception as exc:
+                log.warning("sweep cell %s failed: %s", ",".join(row), exc)
+        row += [status] + [_fmt(x) for x in numbers]
     path = os.path.join(out_dir, "sweep.csv")
     _write_csv(path, {"config_hash": config_hash(cfg)}, SWEEP_HEADER, rows)
     log.info("wrote %s (%d cells)", path, len(rows))

@@ -9,7 +9,7 @@ This module builds the graphs as boolean adjacency matrices, turns them into
 symmetric doubly stochastic matrices via Metropolis weights (plus an optional
 lazy blend toward the identity), and extracts the spectrum with a cyclic
 Jacobi eigensolver.  The solver is bit-identical to the test oracle
-``reference_jacobi_eigenvalues`` in ``tests/oracles.py``, 1.5 to 2.5 times
+``reference_jacobi_eigenvalues`` in ``tests/oracles.py``, 2.1 to 2.5 times
 faster, and most of a scenario build at large n; the benchmark reports it as
 ``topology.spectrum_s``.
 """
@@ -199,14 +199,16 @@ def jacobi_eigenvalues(matrix):
     (c*u - s*v, s*u + c*v), then columns p and q the same way, every
     product rounded before the sum; the result is bit-identical to
     ``reference_jacobi_eigenvalues`` in ``tests/oracles.py``.  The pivot
-    scalars are Python floats, and each row or column pair takes six in-place
-    numpy calls on views and scratch buffers made once per call (four when
-    c == 1.0, since multiplying by 1.0 is exact; that holds for 38% of the
-    rotations on a lazy ring of 128, and the four-call path makes its solve
-    about 15% faster).  No matmul or BLAS rotation is used,
+    scalars are Python floats, and each row or column pair takes one sequence
+    of in-place numpy calls on views and scratch buffers made once per call:
+    s*u and s*v into the buffers, c*u and c*v in place, then the difference
+    and the sum.  The two multiplications by c are skipped when c == 1.0,
+    since multiplying by 1.0 is exact; that holds for 38% of the rotations on
+    a lazy ring of 128, and the skip makes its solve 8% to 14% faster on
+    rings of 16 to 128.  No matmul or BLAS rotation is used,
     because a fused multiply-add or another summation order would move the
     last bits.  Every sweep still makes O(n^2) Python-level rotations; on
-    rings of 16 to 128 agents at laziness 0.3 the solve takes 1/2.5 to 1/1.5
+    rings of 16 to 128 agents at laziness 0.3 the solve takes 1/2.5 to 1/2.1
     of the reference's time (``topology.spectrum_s`` in the benchmark).
     """
     a = np.array(matrix, dtype=float)
@@ -245,18 +247,13 @@ def jacobi_eigenvalues(matrix):
                 s_arr[()] = t * c
                 # (u, v) <- (c*u - s*v, s*u + c*v) on rows p, q, then columns p, q
                 for u, v in ((row_p, rows[q]), (col_p, cols[q])):
-                    if c == 1.0:
-                        mul(u, s_arr, buf1)
-                        mul(v, s_arr, buf2)
-                        sub(u, buf2, u)
-                        add(buf1, v, v)
-                    else:
-                        mul(u, s_arr, buf1)
-                        mul(v, c_arr, buf2)
-                        mul(v, s_arr, v)
+                    mul(u, s_arr, buf1)
+                    mul(v, s_arr, buf2)
+                    if c != 1.0:  # multiplying by 1.0 is exact, so skip it
                         mul(u, c_arr, u)
-                        sub(u, v, u)
-                        add(buf1, buf2, v)
+                        mul(v, c_arr, v)
+                    sub(u, buf2, u)
+                    add(buf1, v, v)
     off = off_mass(a)
     if off <= JACOBI_TOL:
         return a.diagonal().copy()

@@ -287,7 +287,7 @@ def test_config_errors_end_before_the_numerics(tmp_path, capsys, spectrum_calls,
                                                args):
     """Every config error exits 2 before the numerics.  Only the ``bounds`` cases could see a spectrum; for ``run``
     and ``sweep``, ``optimum_calls == []`` is what shows that the check ends before them: ``run`` solves the
-    stacked optimum first, and ``sweep`` each problem's common optimum."""
+    stacked optimum first, and ``sweep`` each suite's common optimum."""
     key = edit.split(" = ", 1)[0]
     text = "".join(ln + "\n" for ln in RING_128.splitlines() if not ln.startswith(key + " =")) + edit + "\n"
     blocker = tmp_path / "file"
@@ -380,36 +380,47 @@ def test_each_suite_is_built_once_per_agent_count(tmp_path, monkeypatch, text, c
     assert len(calls) == builds
 
 
-@pytest.mark.parametrize("grid, problems", [
-    ("sweep.topology = full,ring,bipartite\nsweep.omega = 0.2,0.5,adaptive\nsweep.seed = 0,1\n", 3),
-    ("sweep.option = I,II\nsweep.topology = full,ring\n", 4),
-])
-def test_sweep_solves_each_topology_and_option_once(tmp_path, spectrum_calls, optimum_calls, grid, problems):
-    """A sweep reads one optimum, the common minimum of each problem's suite; it solves no stacked optimum."""
-    cfg_path = write_config(tmp_path, QUAD_CONFIG + grid)
-    assert main(["sweep", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 0
-    assert optimum_calls == [("common_optimum", 3)] * problems
+@pytest.mark.parametrize("text, suites", [
+    (QUAD_CONFIG + "sweep.topology = full,ring,bipartite\nsweep.omega = 0.2,0.5,adaptive\nsweep.seed = 0,1\n", [3]),
+    (QUAD_CONFIG + "sweep.option = I,II\nsweep.topology = full,ring\n", [3]),
+    (AGENTLESS["logistic"] + "sweep.topology = full,ring\nsweep.seed = 0,1\n", [6]),
+    (RING_CUSTOM_SWEEP, [6, 4]),
+], ids=["quadratic-topologies", "quadratic-options", "logistic-topologies", "ring-custom"])
+def test_sweep_solves_one_common_optimum_per_suite(tmp_path, monkeypatch, spectrum_calls, optimum_calls, text, suites):
+    """A sweep reads one optimum, the common minimum of a suite, and solves it once per suite, at the suite's first
+    cell in grid order, whatever topologies and options share that suite; it solves no stacked optimum."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "ring4.edges").write_text("4\n0 1\n1 2\n2 3\n3 0\n", encoding="utf-8")
+    assert main(["sweep", "--config", write_config(tmp_path, text), "--out", str(tmp_path / "out")]) == 0
+    assert optimum_calls == [("common_optimum", n) for n in suites]
     assert spectrum_calls == []  # no sweep column reads the spectrum
     # one completed row per cell of the axes' product, under the header
-    cells = np.prod([len(line.split(",")) for line in grid.splitlines()])
+    cells = np.prod([len(ln.split(",")) for ln in text.splitlines() if ln.startswith("sweep.")])
     rows = data_rows(tmp_path / "out" / "sweep.csv")[1:]
     assert [row.split(",")[5] for row in rows] == ["completed"] * cells
 
 
-def test_sweep_solves_each_common_optimum_once(tmp_path, monkeypatch):
-    """A logistic sweep solves the common optimum of each problem once, and no cell solves one."""
-    calls, common_optimum = [], harness.common_optimum
+def test_sweep_failed_common_optimum_fails_its_suites_cells(tmp_path, monkeypatch, caplog):
+    """A failed common-optimum solve fails each cell of its suite in-row, with one warning naming the suite's agent
+    count; the cells of the other suite complete, and the sweep exits 0."""
+    common_optimum = harness.common_optimum
 
-    def counted(suite):
-        calls.append(suite.n)
+    def failing(suite):
+        if suite.n == 4:
+            raise RuntimeError("injected failure")
         return common_optimum(suite)
 
-    monkeypatch.setattr(harness, "common_optimum", counted)
-    cfg_path = write_config(tmp_path, AGENTLESS["logistic"] + "sweep.topology = full,ring\nsweep.seed = 0,1\n")
-    assert main(["sweep", "--config", cfg_path, "--out", str(tmp_path / "out")]) == 0
-    assert calls == [6, 6]
-    rows = data_rows(tmp_path / "out" / "sweep.csv")[1:]
-    assert [row.split(",")[5] for row in rows] == ["completed"] * 4
+    monkeypatch.setattr(harness, "common_optimum", failing)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "ring4.edges").write_text("4\n0 1\n1 2\n2 3\n3 0\n", encoding="utf-8")
+    with caplog.at_level(logging.WARNING, logger="dmsgd"):
+        assert main(["sweep", "--config", write_config(tmp_path, RING_CUSTOM_SWEEP), "--out", "out"]) == 0
+    rows = [row.split(",") for row in data_rows(tmp_path / "out" / "sweep.csv")[1:]]
+    assert [row[2:6] for row in rows] == [["ring", "I", "0", "completed"], ["ring", "I", "1", "completed"],
+                                         ["custom", "I", "0", "error"], ["custom", "I", "1", "error"]]
+    assert [row[6:] for row in rows[2:]] == [["nan", "nan", "nan"]] * 2
+    assert [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING] == [
+        "sweep common optimum of the 4-agent suite failed: injected failure"]
 
 
 def test_unknown_key_rejected_before_sweep(tmp_path, capsys):

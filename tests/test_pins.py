@@ -5,14 +5,16 @@ inputs and every ``evaluate_bounds`` row) for a configuration the benchmark
 leaves out; each spectrum digest is the sha256 of ``spectrum(m).eigenvalues``
 for a stock mixing matrix.  The CLI pins cover whole ``sweep.csv`` files, the
 data rows and input metadata of ``bounds.csv`` files (with and without a
-skipped trajectory) and the stdout of every demo.  A refactor that moves any
-value by a single bit fails here.  The digests were taken once and must not be
+skipped trajectory) and the stdout of every demo; the benchmark sweep config's
+two optima are pinned by their ``repr``.  A refactor that moves any value by a
+single bit fails here.  The digests were taken once and must not be
 re-pinned to make a refactor pass.
 """
 
 import hashlib
 import os
 import re
+import runpy
 import subprocess
 import sys
 import tempfile
@@ -22,6 +24,7 @@ import numpy as np
 import pytest
 
 from dmsgd.harness import bound_inputs_from_scenario, build_scenario, evaluate_bounds, main, parse_config_text
+from dmsgd.objectives import common_optimum
 from dmsgd.optimizer import run
 from dmsgd.topology import build_topology, effective_matrix, metropolis_mixing, spectrum
 
@@ -448,6 +451,21 @@ def test_pinned_ring_custom_sweep_csv(tmp_path, monkeypatch):
     sweep = _cli_output(tmp_path, "sweep", RING_CUSTOM_SWEEP, "sweep.csv")
     assert [row.split(",")[5] for row in sweep.decode("utf-8").splitlines()[2:]] == ["completed"] * 4
     assert _sha([sweep]) == RING_CUSTOM_PIN
+
+
+# the benchmark's minibatch_sweep config at seed 0, full and smoke size: the repr of the stacked optimum's f* and of
+# its suite's common minimum.  bench/pins.json's digests absorb a move of a few ULP in either.
+BENCH_OPTIMA = {
+    "WORKLOADS": ("1.5660682885347814", "2.202190655590381"),
+    "SMOKE": ("0.4668785397163045", "0.5141490857969754"),
+}
+
+
+@pytest.mark.parametrize("size", sorted(BENCH_OPTIMA))
+def test_pinned_benchmark_optima(size):
+    workload = runpy.run_path(str(Path(__file__).parents[1] / "bench" / "workloads.py"))[size]["minibatch_sweep"]
+    scenario = build_scenario(parse_config_text(workload.config_text(0)))
+    assert (repr(scenario.f_star), repr(common_optimum(scenario.objective.suite)[1])) == BENCH_OPTIMA[size]
 
 
 # 16 noisy seeds over 30 rows: every per-seed trace and the averaged trace
