@@ -26,6 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .topology import JACOBI_TOL
+
 __all__ = [
     "BoundInputs",
     "consensus_bound",
@@ -48,9 +50,9 @@ class BoundInputs:
     """Constants feeding the closed-form bounds.
 
     ``alpha`` is ``None`` for a sqrt(B/k) schedule, which has no constant step
-    size; every bound that reads it then refuses the inputs.  ``eta`` must come
-    from an actual blended mixing matrix with positive smallest eigenvalue;
-    construction refuses non-positive values rather than inventing one.
+    size; every bound that reads it then refuses the inputs.  ``eta``, the
+    blended mixing matrix's smallest eigenvalue, must lie above the spectrum's
+    tolerance ``JACOBI_TOL``, below which it cannot be told from zero.
     ``gap1`` is the initial objective gap (identical to the zero-state gap
     under the all-zeros initialization).  ``dmsgd bounds`` records the fields
     as ``bounds.csv`` metadata in this order.
@@ -75,11 +77,10 @@ class BoundInputs:
             raise ValueError("beta must lie in [0,1)")
         if self.beta * self.lam >= 1.0:
             raise ValueError("beta * Lambda must be < 1")
-        if self.eta is not None and not (0.0 < self.eta <= 1.0):
-            raise ValueError(
-                f"eta = lambda_min of the blended mixing matrix must lie in (0,1], got {self.eta}; "
-                "non positive-definite blends admit no consensus bound"
-            )
+        if self.eta is not None and not (JACOBI_TOL < self.eta <= 1.0):
+            raise ValueError(f"eta = lambda_min of the blended mixing matrix must lie in ({JACOBI_TOL}, 1], got "
+                             f"{self.eta}; the spectrum cannot show that a smaller eta is positive, and only a "
+                             "positive-definite blend admits a consensus bound")
         if self.grad_bound < 0 or self.sigma < 0:
             raise ValueError("gradient bound and sigma must be >= 0")
         if self.smooth <= 0:

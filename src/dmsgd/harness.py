@@ -41,7 +41,7 @@ from .objectives import (
     unified_optimum,
 )
 from .optimizer import HyperParams, RunTrace, run
-from .topology import JACOBI_TOL, build_topology, metropolis_mixing, spectrum
+from .topology import build_topology, metropolis_mixing, spectrum
 
 log = logging.getLogger("dmsgd")
 
@@ -52,6 +52,10 @@ SWEEP_HEADER = "omega,beta,topology,option,seed,status,final_gap,final_consensus
 # each sweep.<axis> overrides one config key; the first five sweep columns
 SWEEP_AXES = (("omega", "hp.omega"), ("beta", "hp.beta"), ("topology", "topology.kind"),
               ("option", "hp.option"), ("seed", "hp.seed"))
+# each HyperParams field and the key that sets it, in the order a refused hp value's line names the keys
+HP_KEYS = {"option": "hp.option", "schedule": "hp.schedule", "alpha": "hp.alpha", "schedule_b": "hp.B",
+           "beta": "hp.beta", "omega": "hp.omega", "adaptive_scope": "hp.adaptive_scope", "iters": "hp.iters",
+           "seed": "hp.seed"}
 # the bound inputs every bounds.csv records as metadata, in the order of their BoundInputs fields
 BOUND_INPUT_KEYS = tuple(f.name for f in fields(bounds_mod.BoundInputs))
 
@@ -290,12 +294,17 @@ def _checked(keys, build, *args, **kwargs):
         raise ConfigError(f"{keys}: {exc}") from exc
 
 
+def _given(cfg, **param_keys):
+    """``{param: value}`` for each ``param=key`` whose key ``cfg`` sets: a builder's own default stands for the rest."""
+    return {param: cfg.values[key] for param, key in param_keys.items() if key in cfg.values}
+
+
 def _build_topology(cfg):
     kind = cfg.require("topology.kind")
     if kind == "custom":
         return _checked("topology.edges", load_edge_list, cfg.require("topology.edges"))
     return _checked("topology.kind, topology.n, topology.parts", build_topology, kind, cfg.require("topology.n"),
-                    parts=cfg.get("topology.parts"))
+                    **_given(cfg, parts="topology.parts"))
 
 
 def _build_suite(cfg, n_agents):
@@ -307,48 +316,40 @@ def _build_suite(cfg, n_agents):
         if len(targets) != n_agents:
             raise ConfigError(f"objective.targets has {len(targets)} rows but {topo_key} gives {n_agents} agents")
         return _checked("objective.targets, objective.curvatures", make_quadratic,
-                        targets, cfg.get("objective.curvatures", 1.0))
+                        targets, **_given(cfg, curvatures="objective.curvatures"))
     own_key = "objective.n" if kind == "pl" else "objective.agents"
     if cfg.get(own_key, n_agents) != n_agents:
         raise ConfigError(f"{own_key} = {cfg.get(own_key)} but {topo_key} gives {n_agents} agents")
     if kind == "pl":
-        return _checked(f"{topo_key}, objective.shifts", make_pl, n_agents, shifts=cfg.get("objective.shifts", 0.0))
+        return _checked(f"{topo_key}, objective.shifts", make_pl, n_agents, **_given(cfg, shifts="objective.shifts"))
     path = cfg.get("objective.dataset", "synthetic")
     if path == "synthetic":
         ds = _checked("objective.dataset_seed, objective.samples, objective.features, objective.classes, "
-                      "objective.separation", make_synthetic_dataset, cfg.get("objective.dataset_seed", 0),
-                      cfg.get("objective.samples", 400), cfg.get("objective.features", 5),
-                      cfg.get("objective.classes", 2), separation=cfg.get("objective.separation", 4.0))
+                      "objective.separation", make_synthetic_dataset, **_given(cfg, seed="objective.dataset_seed",
+                      n_samples="objective.samples", d_feat="objective.features", n_classes="objective.classes",
+                      separation="objective.separation"))
     else:
         ds = _checked("objective.dataset", load_dataset_csv, path)
     if cfg.get("objective.partition", "iid") == "iid":
         parts = _checked(f"{topo_key}, objective.partition_seed", partition_iid, ds, n_agents,
-                         cfg.get("objective.partition_seed", 0))
+                         **_given(cfg, seed="objective.partition_seed"))
     else:
         parts = _checked(topo_key, partition_noniid, ds, n_agents)
-    return _checked("objective.reg", make_logistic, ds, parts, reg=cfg.get("objective.reg", 0.0))
+    return _checked("objective.reg", make_logistic, ds, parts, **_given(cfg, reg="objective.reg"))
 
 
 def check_scenario(cfg, suites):
     """The checked ``(objective, hp, oracle)`` of ``cfg``: the graph, ``hp`` and the oracle, then the suite of its
     agent count in ``suites``, built there if missing (a PL build solves its optimum and its PL constant), and last
-    the stacked objective of that suite over the mixing matrix, penalized under option I.  It solves nothing."""
+    the stacked objective of that suite over the mixing matrix, penalized under option I.  It solves nothing.  Each
+    builder gets only the keys ``cfg`` sets: the library states each default and refusal, here named by its keys."""
     topo = _build_topology(cfg)
-    mixing = _checked("topology.laziness", metropolis_mixing, topo, laziness=cfg.get("topology.laziness", 0.0))
-    hp = _checked("hp.option, hp.schedule, hp.alpha, hp.B, hp.beta, hp.omega, hp.adaptive_scope, hp.iters, hp.seed",
-                  HyperParams, option=cfg.get("hp.option", "I"), alpha=cfg.get("hp.alpha"),
-                  beta=cfg.get("hp.beta", 0.0), omega=cfg.get("hp.omega", 0.0), iters=cfg.get("hp.iters", 100),
-                  seed=cfg.get("hp.seed", 0), schedule=cfg.get("hp.schedule", "constant"),
-                  schedule_b=cfg.get("hp.B"), adaptive_scope=cfg.get("hp.adaptive_scope", "agent"))
-    if hp.schedule == "sqrt" and hp.option == "I":
-        raise ConfigError(
-            "hp.schedule, hp.option: the sqrt(B/k) schedule varies the penalty weight of the option-I "
-            "objective every iteration; drive schedule runs through option II"
-        )
+    mixing = _checked("topology.laziness", metropolis_mixing, topo, **_given(cfg, laziness="topology.laziness"))
+    hp = _checked(", ".join(HP_KEYS.values()), HyperParams, **_given(cfg, **HP_KEYS))
     if cfg.get("oracle.mode", "additive") == "additive":
-        oracle = _checked("oracle.sigma", StochasticOracle, mode="additive", sigma=cfg.get("oracle.sigma", 0.0))
+        oracle = _checked("oracle.sigma", StochasticOracle, **_given(cfg, sigma="oracle.sigma"))
     elif cfg.require("oracle.batch") == "full":  # a full batch is the exact local gradient
-        oracle = StochasticOracle(mode="additive", sigma=0.0)
+        oracle = StochasticOracle()
     else:
         oracle = _checked("oracle.batch", StochasticOracle, mode="minibatch", batch=cfg.get("oracle.batch"))
     if topo.n not in suites:
@@ -390,11 +391,10 @@ def pilot_measurements(scenario):
 
 
 def bound_inputs_from_scenario(scenario):
-    """Assemble the bounds-engine inputs; a pilot run measures G when it is ``auto`` and a minibatch's sigma."""
-    if scenario.eta <= JACOBI_TOL:  # a converged Jacobi solve cannot show that a smaller eta is positive
-        raise ValueError(f"eta = lambda_min of the blended mixing matrix is {scenario.eta}, not above the "
-                         f"spectrum's tolerance {JACOBI_TOL}; only a positive-definite blend admits a consensus bound")
+    """The bounds-engine inputs, checked before a pilot run measures G when it is ``auto`` and a minibatch's sigma."""
     hp, suite, grad_bound = scenario.hp, scenario.objective.suite, scenario.grad_bound
+    bi = bounds_mod.BoundInputs(alpha=hp.alpha if hp.schedule == "constant" else None, beta=hp.beta,
+                                lam=scenario.lam, n_agents=suite.n, eta=scenario.eta)
     sigma = scenario.oracle.sigma * np.sqrt(suite.n)  # additive: stacked deviation of N independent per-agent draws
     if grad_bound == "auto" or scenario.oracle.mode == "minibatch":  # a given G keeps a minibatch's sigma measured
         pilot_bound, pilot_sigma = pilot_measurements(scenario)
@@ -402,19 +402,9 @@ def bound_inputs_from_scenario(scenario):
         sigma = sigma if pilot_sigma is None else pilot_sigma
     zero = np.zeros((suite.n, suite.d))
     gap1 = scenario.objective.value(zero) - scenario.f_star
-    return bounds_mod.BoundInputs(
-        alpha=hp.alpha if hp.schedule == "constant" else None,  # a sqrt(B/k) schedule has no constant step size
-        beta=hp.beta,
-        lam=scenario.lam,
-        n_agents=suite.n,
-        eta=scenario.eta,
-        grad_bound=grad_bound,
-        sigma=float(sigma),
-        smooth=scenario.objective.l_prime(scenario.spectral),
-        strong_mu=(scenario.objective.mu_prime(scenario.spectral) if suite.mu_m > 0 else None),
-        pl_mu=suite.pl_constant,
-        gap1=gap1,
-    )
+    return replace(bi, grad_bound=grad_bound, sigma=float(sigma), smooth=scenario.objective.l_prime(scenario.spectral),
+                   strong_mu=(scenario.objective.mu_prime(scenario.spectral) if suite.mu_m > 0 else None),
+                   pl_mu=suite.pl_constant, gap1=gap1)
 
 
 def evaluate_bounds(scenario, bi):
@@ -661,7 +651,7 @@ def cmd_bounds(args):
         reports, skipped = evaluate_bounds(scenario, bi)
         if not reports:
             raise ValueError("; ".join(f"{name}: {reason}" for name, reason in skipped.items()))
-    except ValueError as exc:  # BoundInputs or the eta floor refuses the inputs, or the engine refuses every bound
+    except ValueError as exc:  # BoundInputs refuses the inputs, or the engine refuses every bound
         raise RuntimeFailure(f"no bound exists for these inputs: {exc}") from exc
     metadata = {"config_hash": config_hash(cfg), "lambda2": _fmt(scenario.spectral.lambda2),
                 "lambdaN": _fmt(scenario.spectral.lambda_n)}

@@ -92,7 +92,7 @@ def _per_agent(values, n, what):
     return np.broadcast_to(values, (n,)).copy()
 
 
-def make_quadratic(targets, curvatures):
+def make_quadratic(targets, curvatures=1.0):
     """Strongly convex suite f_j(x) = (a_j/2) ||x - t_j||^2.
 
     ``targets`` is (n, d); ``curvatures`` broadcasts to length n and must be
@@ -194,7 +194,7 @@ class Dataset:
         return self.features.shape[1]
 
 
-def make_synthetic_dataset(seed, n_samples, d_feat, n_classes, separation=4.0):
+def make_synthetic_dataset(seed=0, n_samples=400, d_feat=5, n_classes=2, separation=4.0):
     """Gaussian class-conditional dataset with well separated means.
 
     Labels are assigned round-robin so class counts are balanced within one;
@@ -211,7 +211,7 @@ def make_synthetic_dataset(seed, n_samples, d_feat, n_classes, separation=4.0):
     return Dataset(features=features, labels=labels)
 
 
-def partition_iid(dataset, n_agents, seed):
+def partition_iid(dataset, n_agents, seed=0):
     """Shuffle all indices and split into near-equal contiguous blocks."""
     if n_agents > dataset.n_samples:
         raise ValueError(f"cannot split {dataset.n_samples} samples over {n_agents} agents")

@@ -36,12 +36,14 @@ class HyperParams:
 
     ``omega`` is a float in [0,1] or the string "adaptive"; adaptive scope
     "agent" uses each agent's own displacement norms, "global" uses the
-    stacked norms (the variant with a compact-form counterpart).  Frozen: the
-    ranges checked here hold for its lifetime, and ``replace`` re-checks.
+    stacked norms (the variant with a compact-form counterpart).  ``alpha``
+    has no default.  Option I penalizes at the constant step, so the sqrt(B/k)
+    schedule runs under option II.  Frozen: the ranges checked here hold for
+    its lifetime, and ``replace`` re-checks.
     """
 
     option: str = "I"
-    alpha: float | None = 0.1
+    alpha: float | None = None
     beta: float = 0.0
     omega: float | str = 0.0
     iters: int = 100
@@ -72,6 +74,9 @@ class HyperParams:
             raise ValueError("iters must be >= 0")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if self.schedule == "sqrt" and self.option == "I":
+            raise ValueError("the sqrt(B/k) schedule varies the penalty weight of the option-I objective every "
+                             "iteration; drive schedule runs through option II")
 
 
 @dataclass

@@ -70,6 +70,7 @@ def test_alpha_reading_bounds_refuse_no_alpha(bound):
 
 @pytest.mark.parametrize("call, message", [
     (lambda: inputs(n_agents=0), "agent count must be >= 1"),
+    (lambda: inputs(eta=1e-13), r"must lie in \(1e-12, 1\], got 1e-13; the spectrum cannot show"),
     (lambda: displacement_bound(inputs(), np.array([0, -1])), "k must be >= 0"),
     (lambda: strongly_convex_trajectory(inputs(strong_mu=0.5), 3), "trajectory bounds need the initial gap gap1"),
     (lambda: strongly_convex_trajectory(inputs(strong_mu=0.0, gap1=1.0), 3), "needs strong_mu > 0"),
@@ -82,8 +83,8 @@ def test_alpha_reading_bounds_refuse_no_alpha(bound):
     (lambda: simpler_step_bound(inputs(gap1=1.0), 1.0, np.arange(0, 3)), "k must be >= 1"),
     (lambda: optimal_schedule_b(inputs()), "needs the initial gap"),
     (lambda: optimal_schedule_b(inputs(grad_bound=0.0, gap1=1.0)), "needs a positive gradient second moment"),
-], ids=["agents", "displacement-k", "cor1-gap1", "cor1-mu", "thm2-gap1", "thm2-mu", "alpha-star", "envelope-gap1",
-        "q-B", "q-gap1", "sqrt-k", "schedule-b-gap1", "schedule-b-moment"])
+], ids=["agents", "eta-floor", "displacement-k", "cor1-gap1", "cor1-mu", "thm2-gap1", "thm2-mu", "alpha-star",
+        "envelope-gap1", "q-B", "q-gap1", "sqrt-k", "schedule-b-gap1", "schedule-b-moment"])
 def test_bound_refusals(call, message):
     """Each refusal of the engine raises ValueError with its own reason."""
     with pytest.raises(ValueError, match=message):

@@ -115,7 +115,10 @@ def test_scenario_validation_errors(tmp_path):
     with pytest.raises(ConfigError, match="agents"):
         build_scenario(parse_config_text(bad))
     sched = QUAD_CONFIG.replace("hp.option = I", "hp.option = I\nhp.schedule = sqrt\nhp.B = 1.0")
-    with pytest.raises(ConfigError, match="option II"):
+    with pytest.raises(ConfigError, match=re.escape(
+            "hp.option, hp.schedule, hp.alpha, hp.B, hp.beta, hp.omega, hp.adaptive_scope, hp.iters, hp.seed: the "
+            "sqrt(B/k) schedule varies the penalty weight of the option-I objective every iteration; drive schedule "
+            "runs through option II")):
         build_scenario(parse_config_text(sched))
 
 
@@ -227,6 +230,82 @@ def test_readme_key_table_names_exactly_the_parsed_keys():
     keys = readme_config_keys()
     assert keys - CONFIG_KEYS.keys() == set()  # documented but refused as unknown
     assert CONFIG_KEYS.keys() - keys == set()  # accepted but undocumented
+
+
+def readme_defaults():
+    """{key: text} of each README key table line that ends ``default <text>``."""
+    readme = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        block = fh.read().split("All keys:\n\n```\n", 1)[1].split("```", 1)[0]
+    return dict(re.fullmatch(r"(\S+) .*, default (.+)", line).groups() for line in block.splitlines()
+                if ", default " in line)
+
+
+DEFAULTS_QUAD = """\
+topology.kind = full
+topology.n = 3
+objective.kind = quadratic
+objective.targets = 1.8,2.0;2.0,2.2;2.2,1.8
+hp.alpha = 0.05
+"""
+DEFAULTS_BIPARTITE = DEFAULTS_QUAD.replace("kind = full\ntopology.n = 3", "kind = bipartite\ntopology.n = 5").replace(
+    "1.8,2.0;2.0,2.2;2.2,1.8", "0;1;2;3;4")
+DEFAULTS_PL = "topology.kind = ring\ntopology.n = 4\nobjective.kind = pl\nhp.alpha = 0.05\n"
+DEFAULTS_LOGISTIC = DEFAULTS_PL.replace("kind = pl", "kind = logistic")
+# each key whose README line states a default: a config that leaves it out, and the config text of that default
+DEFAULTED_KEYS = {
+    "topology.laziness": (DEFAULTS_QUAD, "0"),
+    "topology.parts": (DEFAULTS_BIPARTITE, "2,3"),  # n//2,n-n//2 of n = 5
+    "objective.curvatures": (DEFAULTS_QUAD, "1"),
+    "objective.n": (DEFAULTS_PL, "4"),  # the topology's
+    "objective.shifts": (DEFAULTS_PL, "0"),
+    "objective.dataset": (DEFAULTS_LOGISTIC, "synthetic"),
+    "objective.dataset_seed": (DEFAULTS_LOGISTIC, "0"),
+    "objective.samples": (DEFAULTS_LOGISTIC, "400"),
+    "objective.features": (DEFAULTS_LOGISTIC, "5"),
+    "objective.classes": (DEFAULTS_LOGISTIC, "2"),
+    "objective.separation": (DEFAULTS_LOGISTIC, "4.0"),
+    "objective.agents": (DEFAULTS_LOGISTIC, "4"),  # the topology's
+    "objective.partition": (DEFAULTS_LOGISTIC, "iid"),
+    "objective.partition_seed": (DEFAULTS_LOGISTIC, "0"),
+    "objective.reg": (DEFAULTS_LOGISTIC, "0"),
+    "oracle.mode": (DEFAULTS_QUAD, "additive"),
+    "oracle.sigma": (DEFAULTS_QUAD, "0"),
+    **{key: (DEFAULTS_QUAD, value) for key, value in (
+        ("hp.option", "I"), ("hp.schedule", "constant"), ("hp.beta", "0"), ("hp.omega", "0"),
+        ("hp.adaptive_scope", "agent"), ("hp.iters", "100"), ("hp.seed", "0"))},
+}
+
+
+def test_readme_states_each_default():
+    """The README states a default for the keys of DEFAULTED_KEYS and for the three keys check_scenario does not
+    read, and states the default each key of DEFAULTED_KEYS is set to below."""
+    expected = {key: value for key, (_, value) in DEFAULTED_KEYS.items()}
+    expected.update({"topology.parts": "n//2,n-n//2", "objective.n": "the topology's",
+                     "objective.agents": "the topology's", "objective.grad_bound": "auto", "output.dir": ".",
+                     "output.seeds": "1"})
+    assert readme_defaults() == expected
+
+
+def checked_state(cfg):
+    """What a run reads of ``check_scenario(cfg)``: the bytes of the mixing entries, of the suite's arrays and of its
+    values and gradients at one point, the suite's constants, the penalty's alpha, ``hp`` and the oracle."""
+    objective, hp, oracle = check_scenario(cfg, {})
+    suite = objective.suite
+    x = np.linspace(-1.0, 1.0, suite.n * suite.d).reshape(suite.n, suite.d)
+    arrays = [objective.mixing.entries, *suite.evaluate(x), *(v for v in suite.params.values()
+                                                              if isinstance(v, np.ndarray))]
+    arrays += [] if suite.x_star is None else [suite.x_star]
+    constants = (suite.n, suite.d, suite.kind, suite.l_m, suite.mu_m, suite.pl_constant, suite.f_star,
+                 suite.sample_counts)
+    return [a.tobytes() for a in arrays], constants, objective.alpha, hp, oracle
+
+
+@pytest.mark.parametrize("key", sorted(DEFAULTED_KEYS))
+def test_a_left_out_key_builds_its_readme_default(key):
+    """A config that leaves a key out builds what one that sets the README's default does."""
+    base, value = DEFAULTED_KEYS[key]
+    assert checked_state(parse_config_text(base)) == checked_state(parse_config_text(f"{base}{key} = {value}\n"))
 
 
 # a ring of 128 spends about a second in the Jacobi spectrum
@@ -915,7 +994,7 @@ def test_cli_sweep_nonfinite_optimum_is_an_error_row(tmp_path):
     assert [row[5:] for row in rows] == [["error", "nan", "nan", "nan"]] * 2
 
 
-def test_cli_bounds_eta_error(tmp_path, capsys):
+def test_cli_bounds_eta_error(tmp_path, capsys, monkeypatch):
     # ring of 4 with omega 0: lambda_min of the blend is -1/3
     ring = """\
 topology.kind = ring
@@ -936,12 +1015,15 @@ hp.iters = 10
     full = full.replace("hp.omega = 0.5", "hp.omega = 0.0")
     full_4 = full.replace("topology.n = 3", "topology.n = 4").replace(
         "objective.targets = 1.8,2.0;2.0,2.2;2.2,1.8", "objective.targets = 1.8,2.0;2.0,2.2;2.2,1.8;1.9,2.1")
+    pilots = []
+    monkeypatch.setattr(harness, "pilot_measurements", lambda scenario: pilots.append(scenario))
     for cfg in (ring, full, full_4):
         cfg_path = write_config(tmp_path, cfg)
         assert main(["bounds", "--config", cfg_path, "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: no bound exists for these inputs: eta = ")
-        assert "not above the spectrum's tolerance 1e-12" in err[0]
+        assert "must lie in (1e-12, 1]" in err[0]
+    assert pilots == []  # BoundInputs refuses eta before a pilot measures G
 
 
 def test_bound_inputs_sigma_stacking(tmp_path):

@@ -26,6 +26,7 @@ from dmsgd.harness import check_scenario, load_dataset_csv, parse_config_text
 from dmsgd.optimizer import HyperParams, run
 from dmsgd.topology import build_topology, metropolis_mixing, spectrum
 from oracles import finite_diff_grad
+from test_harness import MINIBATCH_SWEEP
 from test_pins import CONFIGS as PIN_CONFIGS
 
 
@@ -538,36 +539,12 @@ def test_pl_stacked_optimum_keeps_three_starts(monkeypatch):
     assert np.array_equal(starts[2], suite.params["shifts"].ravel())
 
 
-# the minibatch_sweep benchmark workload at full size, its sweep keys left out
-MINIBATCH_SWEEP_CONFIG = """\
-topology.kind = ring
-topology.n = 16
-topology.laziness = 0.3
-objective.kind = logistic
-objective.dataset = synthetic
-objective.dataset_seed = 0
-objective.samples = 400
-objective.features = 10
-objective.classes = 2
-objective.agents = 16
-objective.partition = noniid
-objective.reg = 0.1
-objective.grad_bound = auto
-oracle.mode = minibatch
-oracle.batch = 16
-hp.option = I
-hp.alpha = 0.5
-hp.beta = 0.5
-hp.omega = 0.5
-hp.iters = 50
-"""
-
-
 @pytest.mark.parametrize("name", ["logistic_iid_full_batch", "logistic_iid_ragged", "logistic_iid_minibatch",
                                   "minibatch_sweep"])
 def test_one_start_optimum_matches_both_starts(name):
     # a strongly convex stacked optimum solved from the tile alone lands where the zero and tile starts do
-    text = MINIBATCH_SWEEP_CONFIG if name == "minibatch_sweep" else PIN_CONFIGS[name]
+    # the benchmark's config: check_scenario reads neither its sweep keys nor its hp.seed
+    text = MINIBATCH_SWEEP if name == "minibatch_sweep" else PIN_CONFIGS[name]
     objective = check_scenario(parse_config_text(text), {})[0]
     suite = objective.suite
     n, d = suite.n, suite.d

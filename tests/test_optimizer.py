@@ -112,7 +112,7 @@ def test_adaptive_omega_global_scope():
 
 
 def test_step_size_schedule():
-    hp = HyperParams(schedule="sqrt", schedule_b=4.0, alpha=None, iters=5)
+    hp = HyperParams(option="II", schedule="sqrt", schedule_b=4.0, alpha=None, iters=5)
     assert step_size_at(hp, 1) == pytest.approx(2.0)
     assert step_size_at(hp, 4) == pytest.approx(1.0)
     const = HyperParams(alpha=0.3, iters=5)
@@ -374,26 +374,29 @@ def test_hyperparams_validation():
     with pytest.raises(ValueError):
         HyperParams(option="III")
     with pytest.raises(ValueError):
-        HyperParams(beta=1.0)
+        HyperParams(alpha=0.1, beta=1.0)
     with pytest.raises(ValueError):
-        HyperParams(omega=1.5)
+        HyperParams(alpha=0.1, omega=1.5)
     with pytest.raises(ValueError):
-        HyperParams(omega="auto")
+        HyperParams(alpha=0.1, omega="auto")
     with pytest.raises(ValueError):
         HyperParams(alpha=-0.1)
     with pytest.raises(ValueError):
-        HyperParams(schedule="sqrt", schedule_b=None)
+        HyperParams(option="II", schedule="sqrt", schedule_b=None)
     with pytest.raises(ValueError):
-        HyperParams(iters=-1)
+        HyperParams(alpha=0.1, iters=-1)
 
 
 @pytest.mark.parametrize("call, message", [
     (lambda: HyperParams(schedule="cosine"), "unknown schedule 'cosine'"),
-    (lambda: HyperParams(adaptive_scope="swarm"), "adaptive_scope must be 'agent' or 'global', got 'swarm'"),
-    (lambda: step_size_at(HyperParams(alpha=None, schedule="sqrt", schedule_b=1.0), 0), "sqrt schedule needs k >= 1"),
-    (lambda: step(AgentSwarm.zeros(uniform_mixing(2), 2, 3), uniform_mixing(2), HyperParams(), np.zeros((2, 2))),
-     r"gradient shape \(2, 2\) != state shape \(2, 3\)"),
-], ids=["schedule", "adaptive-scope", "sqrt-k", "grad-shape"])
+    (lambda: HyperParams(alpha=0.1, adaptive_scope="swarm"), "adaptive_scope must be 'agent' or 'global', got 'swarm'"),
+    (lambda: step_size_at(HyperParams(option="II", schedule="sqrt", schedule_b=1.0), 0), "sqrt schedule needs k >= 1"),
+    (lambda: step(AgentSwarm.zeros(uniform_mixing(2), 2, 3), uniform_mixing(2), HyperParams(alpha=0.1),
+                  np.zeros((2, 2))), r"gradient shape \(2, 2\) != state shape \(2, 3\)"),
+    (lambda: HyperParams(), "constant schedule needs alpha > 0"),
+    (lambda: HyperParams(alpha=0.1, schedule="sqrt", schedule_b=0.5),
+     r"the sqrt\(B/k\) schedule varies the penalty weight of the option-I objective every iteration"),
+], ids=["schedule", "adaptive-scope", "sqrt-k", "grad-shape", "no-alpha", "sqrt-option-I"])
 def test_optimizer_refusals(call, message):
     """Each refusal of the loop's inputs raises ValueError with its own reason."""
     with pytest.raises(ValueError, match=message):
@@ -401,7 +404,7 @@ def test_optimizer_refusals(call, message):
 
 
 def test_hyperparams_are_frozen():
-    hp = HyperParams(beta=0.5)
+    hp = HyperParams(alpha=0.1, beta=0.5)
     with pytest.raises(dataclasses.FrozenInstanceError):
         hp.beta = 2.0
     assert hp.beta == 0.5
