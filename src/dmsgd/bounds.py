@@ -12,11 +12,12 @@ the second variant's — the formulas are identical under that renaming.
 Each bound has one form; the PL asymptote stays as printed, R/(2 a mu_hat^2).
 Both gap trajectories come from one builder, ``_trajectory``, which returns an
 empty array for zero iterations.  A bound refuses inputs it cannot support by
-raising ``ValueError`` with the reason.  ``harness.BOUNDS`` names every bound
-``dmsgd bounds`` writes and when it applies, and ``harness.evaluate_bounds``
-turns each refusal into a ``skipped.<name>`` metadata line of ``bounds.csv``.
-``check_bound_domination`` gives the verdict ``dmsgd check`` prints: a metric
-trajectory against a bound trajectory, row by row, with a relative slack.
+raising ``ValueError`` with the reason.  ``BOUNDS`` holds one ``Bound`` record
+per bound that ``dmsgd bounds`` writes: the trace column it dominates, when it
+applies and its values; ``evaluate_bounds`` evaluates each record that applies
+and collects each refusal, which ``bounds.csv`` records as a ``skipped.<name>``
+line.  ``check_bound_domination`` gives the verdict ``dmsgd check`` prints: a
+metric trajectory against a bound trajectory, row by row, with a relative slack.
 """
 
 from __future__ import annotations
@@ -274,6 +275,53 @@ def optimal_schedule_b(bi):
     if bi.second_moment <= 0:
         raise ValueError("needs a positive gradient second moment")
     return float(2.0 * bi.gap1 * (1.0 - bi.bl) ** 2 / (bi.smooth * bi.second_moment))
+
+
+def _identity(metric):
+    return metric
+
+
+@dataclass(frozen=True)
+class Bound:
+    """One bound of ``bounds.csv``: it dominates ``transform`` of the trace ``column``, applies to runs on
+    ``schedule`` whose inputs hold the ``needs`` constant, and ``values(bi, hp, ks)`` gives its rows ks."""
+
+    column: str
+    values: object
+    schedule: str = "constant"
+    needs: str | None = None
+    transform: object = _identity
+
+
+# every bound, in bounds.csv's row order; each values function calls its formula by its module-global name, so a
+# wrapper set on this module sees the call
+BOUNDS = {
+    "consensus": Bound("consensus_err_max", lambda bi, hp, ks: np.full(len(ks), consensus_bound(bi))),
+    "displacement_sq": Bound("step_norm", lambda bi, hp, ks: displacement_bound(bi, ks), transform=lambda m: m**2),
+    "avg_grad_envelope": Bound("running_avg_grad", lambda bi, hp, ks: nonconvex_avg_grad_bound(bi, ks)),
+    "cor1_gap": Bound("gap", lambda bi, hp, ks: strongly_convex_trajectory(bi, len(ks)), needs="strong_mu"),
+    "thm2_gap": Bound("gap", lambda bi, hp, ks: pl_trajectory(bi, len(ks)), needs="pl_mu"),
+    "sqrt_step_q": Bound("running_avg_grad", lambda bi, hp, ks: simpler_step_bound(bi, hp.schedule_b, ks),
+                         schedule="sqrt"),
+}
+
+
+def evaluate_bounds(bi, hp):
+    """Every bound of ``BOUNDS`` whose schedule ``hp`` runs and whose constant ``bi`` holds, at rows 1..hp.iters.
+
+    Returns ``(reports, skipped)``: ``(name, ks, values)`` rows, and ``{name: reason}`` for each of these bounds
+    the engine refused for these inputs (its ``ValueError``).  Any other exception propagates.
+    """
+    ks = np.arange(1, hp.iters + 1)
+    reports, skipped = [], {}
+    for name, bound in BOUNDS.items():
+        if hp.schedule != bound.schedule or (bound.needs and getattr(bi, bound.needs) is None):
+            continue
+        try:
+            reports.append((name, ks, bound.values(bi, hp, ks)))
+        except ValueError as exc:
+            skipped[name] = str(exc)
+    return reports, skipped
 
 
 @dataclass(frozen=True)

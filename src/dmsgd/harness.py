@@ -3,8 +3,8 @@
 Configs are flat ``section.key = value`` text files (``#`` starts a
 comment).  Every file the package reads is read here: configs, dataset CSVs,
 edge lists, traces and bounds.  A run writes one trace CSV per seed plus an averaged trace;
-``bounds`` evaluates every bound of ``BOUNDS`` that applies to the config and
-records each one the engine refuses; ``check`` verifies a trace against a
+``bounds`` evaluates every bound of ``bounds.BOUNDS`` that applies to the config
+and records each one the engine refuses; ``check`` verifies a trace against a
 bounds file; ``sweep`` runs a small grid and emits a summary CSV.  Exit codes: 0 ok, 1 runtime error,
 2 config/usage error, 3 bound violation.
 """
@@ -19,13 +19,12 @@ import logging
 import math
 import os
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 from functools import partial
 
 import numpy as np
 
-from . import bounds as bounds_mod
-from .bounds import check_bound_domination
+from .bounds import BOUNDS, BoundInputs, check_bound_domination, evaluate_bounds
 from .objectives import (
     Dataset,
     StochasticOracle,
@@ -56,26 +55,6 @@ SWEEP_AXES = (("omega", "hp.omega"), ("beta", "hp.beta"), ("topology", "topology
 HP_KEYS = {"option": "hp.option", "schedule": "hp.schedule", "alpha": "hp.alpha", "schedule_b": "hp.B",
            "beta": "hp.beta", "omega": "hp.omega", "adaptive_scope": "hp.adaptive_scope", "iters": "hp.iters",
            "seed": "hp.seed"}
-# the bound inputs every bounds.csv records as metadata, in the order of their BoundInputs fields
-BOUND_INPUT_KEYS = tuple(f.name for f in fields(bounds_mod.BoundInputs))
-
-# every bound, in bounds.csv's row order: name -> (the trace column it dominates, that column's transform, the
-# schedule and the BoundInputs constant it needs, its values at rows ks).  Each call looks its function up on
-# bounds_mod when it runs, so that a wrapper set on that module sees the call.
-BOUNDS = {
-    "consensus": ("consensus_err_max", lambda m: m, "constant", None,
-                  lambda bi, hp, ks: np.full(len(ks), bounds_mod.consensus_bound(bi))),
-    "displacement_sq": ("step_norm", lambda m: m**2, "constant", None,
-                        lambda bi, hp, ks: bounds_mod.displacement_bound(bi, ks)),
-    "avg_grad_envelope": ("running_avg_grad", lambda m: m, "constant", None,
-                          lambda bi, hp, ks: bounds_mod.nonconvex_avg_grad_bound(bi, ks)),
-    "cor1_gap": ("gap", lambda m: m, "constant", "strong_mu",
-                 lambda bi, hp, ks: bounds_mod.strongly_convex_trajectory(bi, len(ks))),
-    "thm2_gap": ("gap", lambda m: m, "constant", "pl_mu", lambda bi, hp, ks: bounds_mod.pl_trajectory(bi, len(ks))),
-    "sqrt_step_q": ("running_avg_grad", lambda m: m, "sqrt", None,
-                    lambda bi, hp, ks: bounds_mod.simpler_step_bound(bi, hp.schedule_b, ks)),
-}
-
 PILOT_ITERS = 200
 PILOT_INFLATION = 1.05
 
@@ -265,9 +244,6 @@ class Scenario:
     matrix (``objective.suite``, ``objective.mixing``); ``spectral`` is that
     matrix's spectrum, ``f_star`` the objective's minimum and ``grad_bound``
     the parsed ``objective.grad_bound`` (``"auto"`` or a number).
-    ``lam`` and ``eta`` blend the spectrum at ``hp.omega``; an adaptive blend's
-    weights range over [0, 1], so it takes each at its worst: Lambda at w = 1
-    and eta at w = 0.
     """
 
     spectral: object
@@ -276,14 +252,6 @@ class Scenario:
     objective: object
     f_star: float
     grad_bound: float | str
-
-    @property
-    def lam(self):
-        return self.spectral.blended(1.0 if self.hp.omega == "adaptive" else self.hp.omega)[0]
-
-    @property
-    def eta(self):
-        return self.spectral.blended(0.0 if self.hp.omega == "adaptive" else self.hp.omega)[1]
 
 
 def _checked(keys, build, *args, **kwargs):
@@ -393,8 +361,10 @@ def pilot_measurements(scenario):
 def bound_inputs_from_scenario(scenario):
     """The bounds-engine inputs, checked before a pilot run measures G when it is ``auto`` and a minibatch's sigma."""
     hp, suite, grad_bound = scenario.hp, scenario.objective.suite, scenario.grad_bound
-    bi = bounds_mod.BoundInputs(alpha=hp.alpha if hp.schedule == "constant" else None, beta=hp.beta,
-                                lam=scenario.lam, n_agents=suite.n, eta=scenario.eta)
+    # an adaptive blend's weight ranges over [0, 1]: Lambda is at its worst at w = 1, eta at w = 0
+    lam_w, eta_w = (1.0, 0.0) if hp.omega == "adaptive" else (hp.omega, hp.omega)
+    bi = BoundInputs(alpha=hp.alpha if hp.schedule == "constant" else None, beta=hp.beta,
+                     lam=scenario.spectral.blended(lam_w)[0], n_agents=suite.n, eta=scenario.spectral.blended(eta_w)[1])
     sigma = scenario.oracle.sigma * np.sqrt(suite.n)  # additive: stacked deviation of N independent per-agent draws
     if grad_bound == "auto" or scenario.oracle.mode == "minibatch":  # a given G keeps a minibatch's sigma measured
         pilot_bound, pilot_sigma = pilot_measurements(scenario)
@@ -405,26 +375,6 @@ def bound_inputs_from_scenario(scenario):
     return replace(bi, grad_bound=grad_bound, sigma=float(sigma), smooth=scenario.objective.l_prime(scenario.spectral),
                    strong_mu=(scenario.objective.mu_prime(scenario.spectral) if suite.mu_m > 0 else None),
                    pl_mu=suite.pl_constant, gap1=gap1)
-
-
-def evaluate_bounds(scenario, bi):
-    """Every bound of ``BOUNDS`` whose schedule the scenario runs and whose constant ``bi`` holds.
-
-    Returns ``(reports, skipped)``: ``(name, ks, values)`` rows, and ``{name: reason}`` for each of these bounds
-    the engine refused for these inputs (its ``ValueError``).  Any other exception propagates.
-    """
-    hp = scenario.hp
-    ks = np.arange(1, hp.iters + 1)
-    reports, skipped = [], {}
-    for name, (_, _, schedule, constant, values) in BOUNDS.items():
-        if hp.schedule != schedule or (constant and getattr(bi, constant) is None):
-            continue
-        try:
-            reports.append((name, ks, values(bi, hp, ks)))
-        except ValueError as exc:
-            log.info("skipping %s: %s", name, exc)
-            skipped[name] = str(exc)
-    return reports, skipped
 
 
 # -------------------------------------------------------------- CSV files
@@ -648,14 +598,16 @@ def cmd_bounds(args):
     scenario = _solve(cfg, *checked)
     try:
         bi = bound_inputs_from_scenario(scenario)
-        reports, skipped = evaluate_bounds(scenario, bi)
+        reports, skipped = evaluate_bounds(bi, scenario.hp)
+        for name, reason in skipped.items():
+            log.info("skipping %s: %s", name, reason)
         if not reports:
             raise ValueError("; ".join(f"{name}: {reason}" for name, reason in skipped.items()))
     except ValueError as exc:  # BoundInputs refuses the inputs, or the engine refuses every bound
         raise RuntimeFailure(f"no bound exists for these inputs: {exc}") from exc
     metadata = {"config_hash": config_hash(cfg), "lambda2": _fmt(scenario.spectral.lambda2),
                 "lambdaN": _fmt(scenario.spectral.lambda_n)}
-    metadata.update((key, getattr(bi, key)) for key in BOUND_INPUT_KEYS)
+    metadata.update(asdict(bi))
     metadata.update((f"skipped.{name}", reason) for name, reason in skipped.items())
     path = os.path.join(out_dir, "bounds.csv")
     write_bounds_csv(path, reports, metadata)
@@ -681,18 +633,18 @@ def cmd_check(args):
             print(f"skipped {key.removeprefix('skipped.')}: {reason}")
     if not bound_rows:
         print(f"nothing compared: {args.bounds} holds no bound row, {args.trace} holds {n_rows} rows")
+    failed = False
     for name, values in bound_rows.items():
-        column, transform = BOUNDS[name][:2]
+        bound = BOUNDS[name]
         with np.errstate(over="ignore"):  # a huge value read from a file overflows to inf: a violation
-            report = check_bound_domination(transform(trace[column]), values, slack=args.slack)
-        if not report.passed:
-            print(
-                f"VIOLATION {name}: k={report.first_violation} metric="
-                f"{report.metric_at_violation:.6g} bound={report.bound_at_violation:.6g}",
-            )
-            return 3
-        print(f"ok {name}: {report.checked} rows, worst ratio {report.worst_ratio:.4f}")
-    return 0
+            report = check_bound_domination(bound.transform(trace[bound.column]), values, slack=args.slack)
+        if report.passed:
+            print(f"ok {name}: {report.checked} rows, worst ratio {report.worst_ratio:.4f}")
+        else:
+            print(f"VIOLATION {name}: k={report.first_violation} metric="
+                  f"{report.metric_at_violation:.6g} bound={report.bound_at_violation:.6g}")
+            failed = True
+    return 3 if failed else 0
 
 
 def _sweep_cell(objective, f_common, hp, oracle):

@@ -3,7 +3,8 @@
 Each oracle checks production code and shares none of it: the dense
 reference stepper checks ``optimizer.step``/``optimizer.run``, the reference
 Jacobi solver ``topology.jacobi_eigenvalues``, ``recompute_running_avg`` the
-trace's running-average column and ``finite_diff_grad`` the gradients.
+trace's running-average column, ``additive_noise`` its ``draw_dev_sq`` column
+and ``finite_diff_grad`` the gradients.
 """
 
 from __future__ import annotations
@@ -55,6 +56,17 @@ def recompute_running_avg(grad_norm_sq):
     grad_norm_sq = np.asarray(grad_norm_sq, dtype=float)
     k = np.arange(1, grad_norm_sq.size + 1)
     return np.cumsum(grad_norm_sq) / (k + 1)
+
+
+def additive_noise(seed, n, d, sigma, iters):
+    """(iters, n, d): row k - 1 holds each agent's k-th N(0, sigma^2/d I) draw of an additive oracle, each agent drawing
+    from its own generator keyed by (seed, agent id)."""
+    noise = np.empty((iters, n, d))
+    for j in range(n):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=(int(seed), j)))
+        for k in range(iters):
+            noise[k, j] = rng.normal(0.0, sigma / np.sqrt(d), size=d)
+    return noise
 
 
 def _jacobi_rotate(a, p, q):

@@ -1,13 +1,16 @@
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dmsgd.bounds import (
+    BOUNDS,
     BoundInputs,
     check_bound_domination,
     consensus_bound,
     displacement_bound,
+    evaluate_bounds,
     nonconvex_alpha_star,
     nonconvex_avg_grad_bound,
     optimal_schedule_b,
@@ -17,14 +20,7 @@ from dmsgd.bounds import (
     simpler_step_bound,
     strongly_convex_trajectory,
 )
-from dmsgd.harness import (
-    BOUNDS,
-    RunConfig,
-    _solve,
-    bound_inputs_from_scenario,
-    check_scenario,
-    evaluate_bounds,
-)
+from dmsgd.harness import RunConfig, _solve, bound_inputs_from_scenario, check_scenario
 from dmsgd.optimizer import run
 
 
@@ -435,6 +431,29 @@ NOISELESS_MAP = {
 NOISELESS_REFUSED = 9
 
 
+# the README's "applies" cell of a bound on a schedule, by the constant it needs
+APPLIES = {None: "{} schedule", "strong_mu": "{}, strongly convex", "pl_mu": "{}, PL objective"}
+
+
+def readme_bound_table():
+    """The cells of each row of the README's bound table, in order."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n| bound name ", 1)[1].split("\n\n", 1)[0]
+    return [[cell.strip() for cell in line.strip("|").split("|")] for line in block.splitlines()[2:]]
+
+
+def test_readme_bound_table_states_each_record():
+    """The README's bound table lists the bounds of ``BOUNDS`` in bounds.csv's row order, when each applies (its
+    schedule, and the constant it needs) and the trace column it dominates, "squared" where its transform squares."""
+    expected = []
+    for name, bound in BOUNDS.items():
+        squared = bound.transform(3.0) == 9.0
+        assert squared or bound.transform(3.0) == 3.0
+        dominates = f"`{bound.column}`" + (" squared" if squared else "")
+        expected.append([f"`{name}`", APPLIES[bound.needs].format(bound.schedule), dominates])
+    assert readme_bound_table() == expected
+
+
 def test_noiseless_violation_map():
     """Where each bound fails noiseless runs that it was evaluated for, with zero slack.  A map, not a pass test:
     a fix, a new refusal or a changed bound moves a count here, and the change states why."""
@@ -448,12 +467,12 @@ def test_noiseless_violation_map():
         except ValueError:  # the engine refuses the inputs, as dmsgd bounds does with exit 1
             refused += 1
             continue
-        reports, _ = evaluate_bounds(scenario, bi)
+        reports, _ = evaluate_bounds(bi, scenario.hp)
         trace = run(scenario.objective, scenario.oracle, scenario.hp, scenario.f_star)
         omega_kind = "adaptive" if scenario.hp.omega == "adaptive" else "fixed"
         for name, _, values in reports:
-            column, transform = BOUNDS[name][:2]
+            bound = BOUNDS[name]
             failed, checked = found.get((name, scenario.hp.option, omega_kind), (0, 0))
-            report = check_bound_domination(transform(getattr(trace, column)), values)
+            report = check_bound_domination(bound.transform(getattr(trace, bound.column)), values)
             found[name, scenario.hp.option, omega_kind] = (failed + (not report.passed), checked + 1)
     assert (found, refused) == (NOISELESS_MAP, NOISELESS_REFUSED)

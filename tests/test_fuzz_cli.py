@@ -349,4 +349,5 @@ def test_check_infinite_trace_value_is_a_violation(csv_texts, tmp_path, capsys):
     (tmp_path / "bounds.csv").write_text(csv_texts["bounds"], encoding="utf-8")
     capsys.readouterr()
     assert main(["check", "--trace", str(tmp_path / "trace.csv"), "--bounds", str(tmp_path / "bounds.csv")]) == 3
-    assert capsys.readouterr().out.splitlines()[-1].startswith("VIOLATION avg_grad_envelope: k=2 metric=inf ")
+    violations = [line for line in capsys.readouterr().out.splitlines() if line.startswith("VIOLATION ")]
+    assert len(violations) == 1 and violations[0].startswith("VIOLATION avg_grad_envelope: k=2 metric=inf ")

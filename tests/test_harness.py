@@ -22,7 +22,6 @@ from dmsgd.harness import (
     bound_inputs_from_scenario,
     check_scenario,
     config_hash,
-    evaluate_bounds,
     load_config,
     main,
     parse_config_text,
@@ -429,12 +428,18 @@ MINIBATCH_SWEEP = runpy.run_path(str(Path(__file__).parents[1] / "bench" / "work
 
 
 def test_benchmark_tracer_wraps_only_defined_names():
-    """Every (owner, attribute) the benchmark's tracer wraps is still defined on that owner."""
+    """Every (owner, attribute) the benchmark's tracer wraps is still defined on that owner, and its ``bounds.eval``
+    layer wraps exactly the formulas and the domination check that ``bounds.__all__`` lists: the bound records and
+    their evaluation stay out of it, so that moving them does not change what the benchmark times."""
     from dmsgd import bounds, optimizer
 
     layer_table = runpy.run_path(str(Path(__file__).parents[1] / "bench" / "tracer.py"))["layer_table"]
     table = layer_table(harness, optimizer, bounds, objectives)
     assert [(owner.__name__, attr) for owner, attr, _, _ in table if attr not in vars(owner)] == []
+    assert [(owner, attr) for owner, attr, layer, _ in table if layer == "bounds.eval"] == [(bounds, attr) for attr in (
+        "consensus_bound", "displacement_bound", "r_constant", "strongly_convex_trajectory", "pl_trajectory",
+        "nonconvex_alpha_star", "nonconvex_avg_grad_bound", "simpler_step_bound", "simpler_q", "optimal_schedule_b",
+        "check_bound_domination")]
 
 
 @pytest.mark.parametrize("text, command, builds", [
@@ -812,11 +817,15 @@ def test_cli_bounds_records_skipped_trajectory(tmp_path, capsys):
     assert "cor1_gap" not in rows
     assert meta["skipped.cor1_gap"].startswith("alpha outside the admissible range (0, L/(2 mu^2)]")
     capsys.readouterr()
-    # check names the skipped bound before it compares; this option-II run then exceeds the consensus bound
+    # check names the skipped bound before it compares; this option-II run then exceeds the consensus bound and
+    # the envelope, and check compares every bound before it exits 3
     assert main(["check", "--trace", str(out / "trace_seed0.csv"), "--bounds", str(out / "bounds.csv")]) == 3
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == f"skipped cor1_gap: {meta['skipped.cor1_gap']}"
-    assert lines[-1].startswith("VIOLATION consensus: ")
+    verdicts = {line.split(":")[0].split()[-1]: line for line in lines[1:]}
+    assert list(verdicts) == list(rows)
+    assert verdicts["consensus"].startswith("VIOLATION consensus: ")
+    assert verdicts["avg_grad_envelope"].startswith("VIOLATION avg_grad_envelope: k=1 metric=85.94 bound=11.448")
 
 
 def test_cli_bounds_skips_each_refused_bound(tmp_path, capsys):
@@ -1427,6 +1436,21 @@ def test_cli_sweep_failed_cell_is_an_error_row(tmp_path, monkeypatch, caplog):
         "sweep cell 0.5,0.5,full,I,1 failed: injected failure"]
 
 
+def test_sweep_cell_reads_its_run():
+    """A sweep cell's columns, each read off the run it makes, bit for bit: ``mean_omega`` is the mean of the rows'
+    ``omega_used``, ``final_consensus`` is row K's ``consensus_err_max`` (at x_K), and ``final_gap`` is F at the mean
+    of x_{K+1}, the state after the last step, less ``f_common``."""
+    text = QUAD_CONFIG.replace("hp.omega = 0.5", "hp.omega = adaptive").replace("sigma = 0.0", "sigma = 0.2")
+    objective, hp, oracle = check_scenario(parse_config_text(text), {})
+    f_common = common_optimum(objective.suite)[1]
+    status, final_gap, final_consensus, mean_omega = harness._sweep_cell(objective, f_common, hp, oracle)
+    trace = run(objective, oracle, hp, float("nan"))
+    assert status == trace.status == "completed" and len(trace) == hp.iters
+    assert mean_omega == trace.omega_used.mean()
+    assert final_consensus == trace.consensus_err_max[-1]
+    assert final_gap == sum(objective.suite.evaluate(trace.swarm.x_cur.mean(axis=0))[0]) - f_common
+
+
 def test_cli_sweep_zero_iteration_cells_complete(tmp_path):
     # a run of no iterations completes at the all-zeros start: its gap is the
     # initial one, and no row holds a consensus error or an omega
@@ -1607,11 +1631,13 @@ def test_pilot_measures_by_the_readme_rule(text, minibatch):
 def test_adaptive_omega_takes_lambda_and_eta_at_their_worst():
     cfg = parse_config_text(QUAD_CONFIG.replace("hp.omega = 0.5", "hp.omega = adaptive"))
     scenario = build_scenario(cfg)
+    bi = bound_inputs_from_scenario(scenario)
     # conservative symbols: Lambda at omega = 1, eta at omega = 0
-    assert scenario.lam == scenario.spectral.blended(1.0)[0] == pytest.approx(1.0)
-    assert scenario.eta == scenario.spectral.blended(0.0)[1] == pytest.approx(scenario.spectral.lambda_n)
+    assert bi.lam == scenario.spectral.blended(1.0)[0] == pytest.approx(1.0)
+    assert bi.eta == scenario.spectral.blended(0.0)[1] == pytest.approx(scenario.spectral.lambda_n)
     fixed = build_scenario(parse_config_text(QUAD_CONFIG))
-    assert (fixed.lam, fixed.eta) == fixed.spectral.blended(0.5)
+    fixed_bi = bound_inputs_from_scenario(fixed)
+    assert (fixed_bi.lam, fixed_bi.eta) == fixed.spectral.blended(0.5)
 
 
 def test_log_env_levels(monkeypatch):

@@ -21,7 +21,7 @@ from dmsgd.optimizer import (
     step_size_at,
 )
 from dmsgd.topology import build_topology, effective_matrix, metropolis_mixing, spectrum
-from oracles import recompute_running_avg
+from oracles import additive_noise, recompute_running_avg
 
 
 def uniform_mixing(n):
@@ -109,6 +109,19 @@ def test_adaptive_omega_global_scope():
     v = np.array([[0.0], [3.0]])
     vp = np.zeros((2, 1))
     assert adaptive_omega(x, xp, v, vp, scope="global") == pytest.approx(0.25)
+    z = np.zeros((2, 1))
+    assert adaptive_omega(z, z, z, z, scope="global") == 0.5  # declared tie-break, as per agent
+
+
+def test_draw_dev_sq_is_the_squared_norm_of_each_additive_draw():
+    """Each row's draw_dev_sq is ||draws - exact||^2 of that iteration, the squared norm of the additive noise that
+    each agent's own generator drew; only the rounding of (exact + noise) - exact stands between them."""
+    suite = make_quadratic([[0.0, 1.0], [2.0, -1.0], [1.0, 0.5]], [1.0, 2.0, 0.5])
+    hp = HyperParams(option="II", alpha=0.1, beta=0.5, omega="adaptive", iters=30, seed=7)
+    trace = run(UnifiedObjective(suite, uniform_mixing(3), None), StochasticOracle(sigma=0.3), hp, 0.0)
+    assert trace.status == "completed" and len(trace) == hp.iters
+    noise = additive_noise(hp.seed, suite.n, suite.d, 0.3, hp.iters)
+    np.testing.assert_allclose(trace.draw_dev_sq, np.sum(noise**2, axis=(1, 2)), rtol=1e-12, atol=0.0)
 
 
 def test_step_size_schedule():

@@ -23,7 +23,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dmsgd.harness import bound_inputs_from_scenario, build_scenario, evaluate_bounds, main, parse_config_text
+from dmsgd.bounds import evaluate_bounds
+from dmsgd.harness import bound_inputs_from_scenario, build_scenario, main, parse_config_text
 from dmsgd.objectives import common_optimum
 from dmsgd.optimizer import run
 from dmsgd.topology import build_topology, effective_matrix, metropolis_mixing, spectrum
@@ -214,7 +215,7 @@ def digests(text):
     trace_digest = _sha([trace.status, scenario.f_star, _floats(trace.swarm.x_cur)]
                         + [_floats(getattr(trace, name)) for name in TRACE_FIELDS])
     bi = bound_inputs_from_scenario(scenario)
-    reports, _ = evaluate_bounds(scenario, bi)
+    reports, _ = evaluate_bounds(bi, scenario.hp)
     bounds_digest = _sha([getattr(bi, key) for key in BOUND_INPUTS]
                          + [p for name, ks, values in reports for p in (name, _floats(ks), _floats(values))])
     return {"trace": trace_digest, "bounds": bounds_digest,
