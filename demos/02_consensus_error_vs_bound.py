@@ -23,16 +23,7 @@ _, f_star = unified_optimum(objective)
 hp = HyperParams(option="I", alpha=alpha, beta=beta, omega=omega, iters=500)
 trace = run(objective, StochasticOracle(sigma=0.0), hp, f_star)
 
-lam, eta = spec.blended(omega)
-bi = BoundInputs(
-    alpha=alpha,
-    beta=beta,
-    lam=lam,
-    n_agents=3,
-    eta=eta,
-    grad_bound=1.0,
-    sigma=0.0,
-)
+bi = BoundInputs.of_run(objective, spec, hp, f_star, grad_bound=1.0)
 bound = consensus_bound(bi)
 
 print(f"Lambda = {bi.lam:.3f}, eta = {bi.eta:.3f}, beta*Lambda = {bi.bl:.3f}")

@@ -23,13 +23,8 @@ _, f_star = unified_optimum(objective)
 hp = HyperParams(option="I", alpha=alpha, beta=beta, omega=omega, iters=200)
 trace = run(objective, StochasticOracle(sigma=0.0), hp, f_star)
 
-mu_p, l_p = objective.mu_prime(spec), objective.l_prime(spec)
-lam, eta = spec.blended(omega)
-bi = BoundInputs(
-    alpha=alpha, beta=beta, lam=lam, n_agents=3, eta=eta,
-    grad_bound=1.05 * float(np.sqrt(trace.grad_norm_sq.max())),
-    sigma=0.0, smooth=l_p, strong_mu=mu_p, gap1=float(trace.gap[0]),
-)
+bi = BoundInputs.of_run(objective, spec, hp, f_star, grad_bound=1.05 * float(np.sqrt(trace.grad_norm_sq.max())))
+mu_p, l_p = bi.strong_mu, bi.smooth
 traj = strongly_convex_trajectory(bi, 200)
 
 theta = 2 * alpha * mu_p**2 / l_p

@@ -29,10 +29,7 @@ for seed in range(16):
     max_grad = max(max_grad, float(np.sqrt(trace.grad_norm_sq.max())))
 mean_avg = np.mean(avgs, axis=0)
 
-delta = objective.value(np.zeros((n, 1))) - f_star
-lam, eta = spec.blended(omega)
-bi = BoundInputs(alpha=None, beta=beta, lam=lam, n_agents=n, eta=eta, grad_bound=1.05 * max_grad,
-                 sigma=sigma * np.sqrt(n), smooth=suite.l_m, gap1=delta)
+bi = BoundInputs.of_run(objective, spec, hp, f_star, grad_bound=1.05 * max_grad, sigma=sigma * np.sqrt(n))
 q = simpler_q(bi, schedule_b)
 
 print(f"B = {schedule_b}, Q = {q:.3f} (B minimizing Q would be {optimal_schedule_b(bi):.3f})")

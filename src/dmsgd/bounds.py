@@ -8,6 +8,8 @@ gradient-dominance constant.  Feeding penalized-objective constants
 evaluates the first update variant's bounds; feeding the plain-objective
 constants (Lipschitz bound of F, its own noise level, L_m, mu_m) evaluates
 the second variant's — the formulas are identical under that renaming.
+``BoundInputs.of_run`` is the one place that takes these symbols from a run;
+G and the stacked sigma are its caller's.
 
 Each bound has one form; the PL asymptote stays as printed, R/(2 a mu_hat^2).
 Both gap trajectories come from one builder, ``_trajectory``, which returns an
@@ -88,6 +90,23 @@ class BoundInputs:
             raise ValueError("smoothness must be positive")
         if self.n_agents < 1:
             raise ValueError("agent count must be >= 1")
+
+    @classmethod
+    def of_run(cls, objective, spectral, hp, f_star, grad_bound=0.0, sigma=0.0):
+        """The inputs of the run of ``hp`` on ``objective``, whose mixing matrix has the spectrum ``spectral``.
+
+        Lambda and eta are the blended matrix's at a fixed omega; an adaptive blend's weight ranges over [0, 1],
+        so Lambda is taken at its worst, w = 1, and eta at w = 0.  L and mu are the stacked objective's L' and
+        mu' (mu' only for a strongly convex suite), the PL constant is the suite's, and gap1 is the objective at
+        the all-zeros start less ``f_star``.  G and the stacked sigma are the caller's to measure or state.
+        """
+        suite = objective.suite
+        lam_w, eta_w = (1.0, 0.0) if hp.omega == "adaptive" else (hp.omega, hp.omega)
+        return cls(alpha=hp.alpha if hp.schedule == "constant" else None, beta=hp.beta,
+                   lam=spectral.blended(lam_w)[0], eta=spectral.blended(eta_w)[1], n_agents=suite.n,
+                   grad_bound=grad_bound, sigma=sigma, smooth=objective.l_prime(spectral),
+                   strong_mu=objective.mu_prime(spectral) if suite.mu_m > 0 else None,
+                   pl_mu=suite.pl_constant, gap1=objective.value(np.zeros((suite.n, suite.d))) - f_star)
 
     @property
     def bl(self):

@@ -359,22 +359,16 @@ def pilot_measurements(scenario):
 
 
 def bound_inputs_from_scenario(scenario):
-    """The bounds-engine inputs, checked before a pilot run measures G when it is ``auto`` and a minibatch's sigma."""
-    hp, suite, grad_bound = scenario.hp, scenario.objective.suite, scenario.grad_bound
-    # an adaptive blend's weight ranges over [0, 1]: Lambda is at its worst at w = 1, eta at w = 0
-    lam_w, eta_w = (1.0, 0.0) if hp.omega == "adaptive" else (hp.omega, hp.omega)
-    bi = BoundInputs(alpha=hp.alpha if hp.schedule == "constant" else None, beta=hp.beta,
-                     lam=scenario.spectral.blended(lam_w)[0], n_agents=suite.n, eta=scenario.spectral.blended(eta_w)[1])
-    sigma = scenario.oracle.sigma * np.sqrt(suite.n)  # additive: stacked deviation of N independent per-agent draws
+    """``BoundInputs.of_run`` of the scenario, checked before a pilot run measures G when it is ``auto`` and a
+    minibatch's sigma; a given G stays as given."""
+    bi = BoundInputs.of_run(scenario.objective, scenario.spectral, scenario.hp, scenario.f_star)
+    grad_bound = scenario.grad_bound
+    sigma = scenario.oracle.sigma * np.sqrt(bi.n_agents)  # additive: stacked deviation of N independent draws
     if grad_bound == "auto" or scenario.oracle.mode == "minibatch":  # a given G keeps a minibatch's sigma measured
         pilot_bound, pilot_sigma = pilot_measurements(scenario)
         grad_bound = pilot_bound if grad_bound == "auto" else grad_bound
         sigma = sigma if pilot_sigma is None else pilot_sigma
-    zero = np.zeros((suite.n, suite.d))
-    gap1 = scenario.objective.value(zero) - scenario.f_star
-    return replace(bi, grad_bound=grad_bound, sigma=float(sigma), smooth=scenario.objective.l_prime(scenario.spectral),
-                   strong_mu=(scenario.objective.mu_prime(scenario.spectral) if suite.mu_m > 0 else None),
-                   pl_mu=suite.pl_constant, gap1=gap1)
+    return replace(bi, grad_bound=grad_bound, sigma=float(sigma))
 
 
 # -------------------------------------------------------------- CSV files

@@ -1,19 +1,23 @@
 """Pytest set-up shared by every test module.
 
 The pins in ``test_pins.py`` and ``bench/pins.json`` are sha256 digests of
-float bits, and those bits depend on numpy's OpenBLAS kernel and on its SIMD
-dispatch level as well as on the code.  The report header prints both next
-to the ones the pins were taken under, so a run of failing pins on another
-host shows why; a quiet run (``-q``), which prints no header, prints them
-after its results.  numpy is imported inside the hook, never at module level,
-so this file could still set kernel variables before numpy loads.
+float bits, and those bits depend on the numpy and scipy versions, on numpy's
+OpenBLAS kernel and on its SIMD dispatch level as well as on the code.  The
+report header prints all four next to the ones the pins were taken under, so
+a run of failing pins on another host shows why; a quiet run (``-q``), which
+prints no header, prints them after its results.  The versions come from the
+installed distributions' metadata, so the header never imports scipy; numpy
+is imported inside the hook, never at module level, so this file could still
+set kernel variables before numpy loads.
 """
 
 import ctypes
 import glob
+import importlib.metadata
 import os
 
 PINNED_CORE, PINNED_SIMD = "SkylakeX", "AVX512_SPR"
+PINNED_NUMPY, PINNED_SCIPY = "2.4.6", "1.17.1"  # bench/pins.json's _provenance
 
 
 def _openblas_core(np):
@@ -42,10 +46,20 @@ def _lookup(read):
         return "unknown"
 
 
+def _version(dist):
+    """The installed version of ``dist``, or ``unknown`` when its metadata cannot be read."""
+    try:
+        return importlib.metadata.version(dist)
+    except (ImportError, OSError, ValueError):  # PackageNotFoundError is an ImportError
+        return "unknown"
+
+
 def pytest_report_header(config):
     return [
-        f"pins taken under: OpenBLAS core {PINNED_CORE}, numpy SIMD up to {PINNED_SIMD}",
-        f"this run:         OpenBLAS core {_lookup(_openblas_core)}, numpy SIMD up to {_lookup(_simd_top)}",
+        f"pins taken under: numpy {PINNED_NUMPY}, scipy {PINNED_SCIPY}, OpenBLAS core {PINNED_CORE}, "
+        f"numpy SIMD up to {PINNED_SIMD}",
+        f"this run:         numpy {_version('numpy')}, scipy {_version('scipy')}, "
+        f"OpenBLAS core {_lookup(_openblas_core)}, numpy SIMD up to {_lookup(_simd_top)}",
     ]
 
 

@@ -21,7 +21,17 @@ from dmsgd.bounds import (
     strongly_convex_trajectory,
 )
 from dmsgd.harness import RunConfig, _solve, bound_inputs_from_scenario, check_scenario
-from dmsgd.optimizer import run
+from dmsgd.objectives import (
+    StochasticOracle,
+    UnifiedObjective,
+    make_logistic,
+    make_pl,
+    make_quadratic,
+    make_synthetic_dataset,
+    partition_iid,
+)
+from dmsgd.optimizer import HyperParams, run
+from dmsgd.topology import build_topology, metropolis_mixing, spectrum
 
 
 def inputs(**kw):
@@ -85,6 +95,59 @@ def test_bound_refusals(call, message):
     """Each refusal of the engine raises ValueError with its own reason."""
     with pytest.raises(ValueError, match=message):
         call()
+
+
+# ---------------------------------------------------------- a run's inputs
+
+
+def _suite(kind):
+    if kind == "quadratic":
+        return make_quadratic([[0.0, 1.0], [1.0, 0.5], [2.0, -1.0], [3.0, 0.0]], [1.0, 2.0, 1.5, 0.5])
+    if kind == "pl":
+        return make_pl(4, [0.0, 0.5, 1.0, -0.5])
+    dataset = make_synthetic_dataset(seed=1, n_samples=40, d_feat=3)
+    return make_logistic(dataset, partition_iid(dataset, 4, seed=1), reg=0.1 if kind == "logistic" else 0.0)
+
+
+@pytest.mark.parametrize("kind", ["quadratic", "pl", "logistic", "logistic_reg0"])
+@pytest.mark.parametrize("option, schedule", [("I", "constant"), ("II", "constant"), ("II", "sqrt")])
+@pytest.mark.parametrize("omega", [0.3, "adaptive"])
+def test_of_run_takes_each_symbol_from_the_run(kind, option, schedule, omega):
+    """of_run's rule, symbol by symbol: alpha is None under the sqrt schedule, Lambda and eta are the blend's at a
+    fixed omega and at w = 1 and w = 0 for an adaptive one, L and mu are L' and mu' (mu' only for mu_m > 0), the PL
+    constant is the suite's, gap1 is the trace's first gap to the bit, and G and sigma are passed through."""
+    suite = _suite(kind)
+    mix = metropolis_mixing(build_topology("ring", 4), laziness=0.3)
+    spec = spectrum(mix)
+    hp = HyperParams(option=option, alpha=0.05, schedule=schedule, schedule_b=0.5, beta=0.5, omega=omega, iters=1)
+    objective = UnifiedObjective(suite, mix, 0.05 if option == "I" else None)
+    f_star = 0.125
+    bi = BoundInputs.of_run(objective, spec, hp, f_star, grad_bound=2.5, sigma=0.75)
+    assert bi.alpha == (0.05 if schedule == "constant" else None)
+    assert (bi.beta, bi.n_agents, bi.grad_bound, bi.sigma) == (0.5, 4, 2.5, 0.75)
+    if omega == "adaptive":
+        assert (bi.lam, bi.eta) == (1.0, spec.lambda_n)
+    else:
+        assert (bi.lam, bi.eta) == (0.3 + 0.7 * spec.lambda2, 0.3 + 0.7 * spec.lambda_n)
+    penalty = option == "I"  # option I's L' and mu' add the penalty's curvature at alpha; option II's are L_m, mu_m
+    assert bi.smooth == (suite.l_m + (1.0 - spec.lambda2) / 0.05 if penalty else suite.l_m)
+    if kind in ("pl", "logistic_reg0"):
+        assert (suite.mu_m, bi.strong_mu) == (0.0, None)
+    else:
+        assert suite.mu_m > 0
+        assert bi.strong_mu == (suite.mu_m + (1.0 - spec.lambda_n) / (2.0 * 0.05) if penalty else suite.mu_m)
+    assert bi.pl_mu is suite.pl_constant
+    assert (bi.pl_mu is None) == (kind != "pl")
+    gap1 = run(objective, StochasticOracle(sigma=0.0), hp, f_star).gap[0]
+    assert bi.gap1.hex() == float(gap1).hex()
+
+
+def test_of_run_defaults_g_and_sigma_to_zero():
+    suite = make_quadratic([[0.0], [1.0], [2.0]], [1.0, 1.0, 1.0])
+    mix = metropolis_mixing(build_topology("full", 3), laziness=0.5)
+    hp = HyperParams(option="I", alpha=0.1, beta=0.5, omega=0.5, iters=1)
+    bi = BoundInputs.of_run(UnifiedObjective(suite, mix, 0.1), spectrum(mix), hp, 0.0)
+    assert (bi.grad_bound, bi.sigma) == (0.0, 0.0)
 
 
 # -------------------------------------------------------------- consensus

@@ -12,14 +12,15 @@ from dmsgd.topology import build_topology, effective_matrix, metropolis_mixing
 from oracles import finite_diff_grad, recompute_running_avg, reference_step
 
 
-# the independent oracles of tests/oracles.py, the helper of its reference Jacobi solver, and the module itself
-ORACLES = {"reference_step", "finite_diff_grad", "recompute_running_avg", "reference_jacobi_eigenvalues",
-           "_jacobi_rotate", "oracles"}
+# every top-level definition of tests/oracles.py (the independent oracles and their helpers), and the module itself
+ORACLES = {node.name for node in ast.parse((Path(__file__).parent / "oracles.py").read_text(encoding="utf-8")).body
+           if isinstance(node, (ast.FunctionDef, ast.ClassDef))} | {"oracles"}
 
 
 def test_no_production_module_names_an_oracle():
     """An oracle checks production code and shares none of it: no module of the package names one, as a name, an
     attribute, an import, the module of an import or a definition."""
+    assert {"reference_step", "additive_noise", "oracles"} <= ORACLES  # the parse found the definitions
     modules = sorted(Path(dmsgd.__file__).parent.rglob("*.py"))
     assert len(modules) >= 6
     named = {(path.name, name) for path in modules for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
