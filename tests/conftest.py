@@ -47,11 +47,8 @@ def _lookup(read):
 
 
 def _version(dist):
-    """The installed version of ``dist``, or ``unknown`` when its metadata cannot be read."""
-    try:
-        return importlib.metadata.version(dist)
-    except (ImportError, OSError, ValueError):  # PackageNotFoundError is an ImportError
-        return "unknown"
+    """The installed version of ``dist``, read from its metadata (so scipy is never imported), or ``unknown``."""
+    return _lookup(lambda _: importlib.metadata.version(dist))  # PackageNotFoundError is an ImportError
 
 
 def pytest_report_header(config):

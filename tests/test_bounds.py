@@ -115,7 +115,7 @@ def _suite(kind):
 def test_of_run_takes_each_symbol_from_the_run(kind, option, schedule, omega):
     """of_run's rule, symbol by symbol: alpha is None under the sqrt schedule, Lambda and eta are the blend's at a
     fixed omega and at w = 1 and w = 0 for an adaptive one, L and mu are L' and mu' (mu' only for mu_m > 0), the PL
-    constant is the suite's, gap1 is the trace's first gap to the bit, and G and sigma are passed through."""
+    constant is the suite's, gap1 is the trace's first gap to the bit, and G and sigma are passed through (0 if not)."""
     suite = _suite(kind)
     mix = metropolis_mixing(build_topology("ring", 4), laziness=0.3)
     spec = spectrum(mix)
@@ -140,14 +140,7 @@ def test_of_run_takes_each_symbol_from_the_run(kind, option, schedule, omega):
     assert (bi.pl_mu is None) == (kind != "pl")
     gap1 = run(objective, StochasticOracle(sigma=0.0), hp, f_star).gap[0]
     assert bi.gap1.hex() == float(gap1).hex()
-
-
-def test_of_run_defaults_g_and_sigma_to_zero():
-    suite = make_quadratic([[0.0], [1.0], [2.0]], [1.0, 1.0, 1.0])
-    mix = metropolis_mixing(build_topology("full", 3), laziness=0.5)
-    hp = HyperParams(option="I", alpha=0.1, beta=0.5, omega=0.5, iters=1)
-    bi = BoundInputs.of_run(UnifiedObjective(suite, mix, 0.1), spectrum(mix), hp, 0.0)
-    assert (bi.grad_bound, bi.sigma) == (0.0, 0.0)
+    assert BoundInputs.of_run(objective, spec, hp, f_star) == replace(bi, grad_bound=0.0, sigma=0.0)
 
 
 # -------------------------------------------------------------- consensus
