@@ -450,6 +450,39 @@ def test_shared_formulas_keep_the_inline_bits():
             assert same_bits(pl, inline_geometric(bi, 2.0 * bi.alpha * bi.pl_mu, pl_asymptote, k_max))
 
 
+# -------------------------------------------------------------- domination
+
+
+def test_domination_pass_and_fail():
+    metric = np.array([1.0, 0.5, 0.25])
+    assert check_bound_domination(metric, np.array([1.0, 1.0, 1.0])).passed
+    rep = check_bound_domination(metric, np.array([1.0, 0.4, 1.0]))
+    assert not rep.passed
+    assert rep.first_violation == 2
+    assert rep.metric_at_violation == 0.5
+
+
+def test_domination_zero_bound_fails_at_first_nonzero():
+    rep = check_bound_domination(np.array([0.0, 0.0, 0.3]), np.zeros(3))
+    assert not rep.passed
+    assert rep.first_violation == 3
+
+
+def test_domination_empty_vacuous():
+    assert check_bound_domination(np.array([]), np.array([])).passed
+
+
+def test_domination_slack():
+    metric = np.array([1.05, 1.0])
+    bound = np.array([1.0, 1.0])
+    assert not check_bound_domination(metric, bound).passed
+    assert check_bound_domination(metric, bound, slack=0.1).passed
+    with pytest.raises(ValueError):
+        check_bound_domination(metric, bound, slack=-0.5)
+    with pytest.raises(ValueError):
+        check_bound_domination(metric, np.array([1.0]))
+
+
 # ------------------------------------------------- noiseless violation map
 
 

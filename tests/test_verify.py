@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 import dmsgd
-from dmsgd.bounds import check_bound_domination
 from dmsgd.objectives import StochasticOracle, UnifiedObjective, make_quadratic, make_pl, unified_optimum
 from dmsgd.optimizer import AgentSwarm, HyperParams, adaptive_omega, consensus_errors, run, step
 from dmsgd.topology import build_topology, effective_matrix, metropolis_mixing
@@ -191,39 +190,6 @@ def test_running_avg_matches_trace():
     _, f_star = unified_optimum(objective)
     trace = run(objective, StochasticOracle(sigma=0.2), hp, f_star)
     assert np.abs(recompute_running_avg(trace.grad_norm_sq) - trace.running_avg_grad).max() <= 1e-12
-
-
-# -------------------------------------------------------------- domination
-
-
-def test_domination_pass_and_fail():
-    metric = np.array([1.0, 0.5, 0.25])
-    assert check_bound_domination(metric, np.array([1.0, 1.0, 1.0])).passed
-    rep = check_bound_domination(metric, np.array([1.0, 0.4, 1.0]))
-    assert not rep.passed
-    assert rep.first_violation == 2
-    assert rep.metric_at_violation == 0.5
-
-
-def test_domination_zero_bound_fails_at_first_nonzero():
-    rep = check_bound_domination(np.array([0.0, 0.0, 0.3]), np.zeros(3))
-    assert not rep.passed
-    assert rep.first_violation == 3
-
-
-def test_domination_empty_vacuous():
-    assert check_bound_domination(np.array([]), np.array([])).passed
-
-
-def test_domination_slack():
-    metric = np.array([1.05, 1.0])
-    bound = np.array([1.0, 1.0])
-    assert not check_bound_domination(metric, bound).passed
-    assert check_bound_domination(metric, bound, slack=0.1).passed
-    with pytest.raises(ValueError):
-        check_bound_domination(metric, bound, slack=-0.5)
-    with pytest.raises(ValueError):
-        check_bound_domination(metric, np.array([1.0]))
 
 
 # ----------------------------------------------- deterministic gap descent
