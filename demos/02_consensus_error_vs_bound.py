@@ -18,9 +18,9 @@ suite = make_quadratic([[0.0], [0.5], [1.0]], [1.0, 1.0, 1.0])
 mix = metropolis_mixing(build_topology("full", 3))
 spec = spectrum(mix)
 
-objective = UnifiedObjective(suite, mix, alpha)
-_, f_star = unified_optimum(objective)
 hp = HyperParams(option="I", alpha=alpha, beta=beta, omega=omega, iters=500)
+objective = UnifiedObjective.of_run(suite, mix, hp)
+_, f_star = unified_optimum(objective)
 trace = run(objective, StochasticOracle(sigma=0.0), hp, f_star)
 
 bi = BoundInputs.of_run(objective, spec, hp, f_star, grad_bound=1.0)

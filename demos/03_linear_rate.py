@@ -17,10 +17,10 @@ alpha, beta, omega, laziness = 0.1, 0.5, 0.5, 0.9
 suite = make_quadratic([[1.0, 0.0], [2.0, 1.0], [3.0, 2.0]], [1.0, 1.0, 1.0])
 mix = metropolis_mixing(build_topology("full", 3), laziness=laziness)
 spec = spectrum(mix)
-objective = UnifiedObjective(suite, mix, alpha)
+hp = HyperParams(option="I", alpha=alpha, beta=beta, omega=omega, iters=200)
+objective = UnifiedObjective.of_run(suite, mix, hp)
 _, f_star = unified_optimum(objective)
 
-hp = HyperParams(option="I", alpha=alpha, beta=beta, omega=omega, iters=200)
 trace = run(objective, StochasticOracle(sigma=0.0), hp, f_star)
 
 bi = BoundInputs.of_run(objective, spec, hp, f_star, grad_bound=1.05 * float(np.sqrt(trace.grad_norm_sq.max())))

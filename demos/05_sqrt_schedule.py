@@ -6,6 +6,8 @@ Q/sqrt(k) envelope whose constant only involves measurable quantities.
 Averaging a few seeds stands in for the expectation the bound speaks about.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from dmsgd.bounds import BoundInputs, optimal_schedule_b, simpler_q
@@ -17,13 +19,14 @@ n, beta, omega, sigma, schedule_b = 3, 0.5, 0.5, 0.5, 0.5
 suite = make_quadratic([[0.5], [1.0], [1.5]], [1.0, 1.0, 1.0])
 mix = metropolis_mixing(build_topology("full", n), laziness=0.5)
 spec = spectrum(mix)
-objective = UnifiedObjective(suite, mix, None)  # schedule runs use option II
+# schedule runs use option II, measured against plain F
+hp = HyperParams(option="II", alpha=None, schedule="sqrt", schedule_b=schedule_b, beta=beta, omega=omega, iters=1000)
+objective = UnifiedObjective.of_run(suite, mix, hp)
 _, f_star = unified_optimum(objective)
 
 avgs, max_grad = [], 0.0
 for seed in range(16):
-    hp = HyperParams(option="II", alpha=None, schedule="sqrt", schedule_b=schedule_b,
-                     beta=beta, omega=omega, iters=1000, seed=seed)
+    hp = replace(hp, seed=seed)
     trace = run(objective, StochasticOracle(sigma=sigma), hp, f_star)
     avgs.append(trace.running_avg_grad)
     max_grad = max(max_grad, float(np.sqrt(trace.grad_norm_sq.max())))

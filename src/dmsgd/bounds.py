@@ -99,7 +99,10 @@ class BoundInputs:
         so Lambda is taken at its worst, w = 1, and eta at w = 0.  L and mu are the stacked objective's L' and
         mu' (mu' only for a strongly convex suite), the PL constant is the suite's, and gap1 is the objective at
         the all-zeros start less ``f_star``.  G and the stacked sigma are the caller's to measure or state.
+        ``objective`` must be the one ``UnifiedObjective.of_run`` builds for ``hp``, as ``run`` requires: any other
+        is refused with ``ValueError``, since its L', mu' and gap1 belong to no run of ``hp``.
         """
+        objective.check_fits(hp)
         suite = objective.suite
         lam_w, eta_w = (1.0, 0.0) if hp.omega == "adaptive" else (hp.omega, hp.omega)
         return cls(alpha=hp.alpha if hp.schedule == "constant" else None, beta=hp.beta,

@@ -309,8 +309,9 @@ def _build_suite(cfg, n_agents):
 def check_scenario(cfg, suites):
     """The checked ``(objective, hp, oracle)`` of ``cfg``: the graph, ``hp`` and the oracle, then the suite of its
     agent count in ``suites``, built there if missing (a PL build solves its optimum and its PL constant), and last
-    the stacked objective of that suite over the mixing matrix, penalized under option I.  It solves nothing.  Each
-    builder gets only the keys ``cfg`` sets: the library states each default and refusal, here named by its keys."""
+    the stacked objective that ``UnifiedObjective.of_run`` builds for ``hp`` from that suite and the mixing matrix
+    (penalized under option I).  It solves nothing.  Each builder gets only the keys ``cfg`` sets: the library
+    states each default and refusal, here named by its keys."""
     topo = _build_topology(cfg)
     mixing = _checked("topology.laziness", metropolis_mixing, topo, **_given(cfg, laziness="topology.laziness"))
     hp = _checked(", ".join(HP_KEYS.values()), HyperParams, **_given(cfg, **HP_KEYS))
@@ -323,7 +324,7 @@ def check_scenario(cfg, suites):
     if topo.n not in suites:
         suites[topo.n] = _build_suite(cfg, topo.n)
     _checked("oracle.batch", oracle.check_fits, suites[topo.n])
-    return UnifiedObjective(suites[topo.n], mixing, hp.alpha if hp.option == "I" else None), hp, oracle
+    return UnifiedObjective.of_run(suites[topo.n], mixing, hp), hp, oracle
 
 
 def _solve(cfg, objective, hp, oracle):

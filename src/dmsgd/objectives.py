@@ -346,6 +346,11 @@ def stochastic_grad(suite, oracle, x, exact, rngs):
     return draws
 
 
+def _run_alpha(hp):
+    """The penalty weight of the objective a run of ``hp`` is measured against: its step under option I, else none."""
+    return hp.alpha if hp.option == "I" else None
+
+
 @dataclass(frozen=True, eq=False)
 class UnifiedObjective:
     """Stacked objective F(x) + (1/2a) sum_c x_c^T (I - Pi) x_c.
@@ -353,7 +358,9 @@ class UnifiedObjective:
     ``alpha=None`` drops the penalty entirely: the stacked objective is then
     plain F, which is the objective the second update variant is analyzed
     against.  ``mu_prime``/``l_prime`` are the penalized curvature constants
-    mu_m + (1/2a)(1-lambda_N) and L_m + (1/a)(1-lambda_2).
+    mu_m + (1/2a)(1-lambda_N) and L_m + (1/a)(1-lambda_2).  ``of_run`` builds
+    the objective a run is measured against, and ``check_fits`` refuses any
+    other for that run.
     """
 
     suite: ObjectiveSuite
@@ -366,6 +373,18 @@ class UnifiedObjective:
         object.__setattr__(self, "_lap", np.eye(self.mixing.n) - self.mixing.entries)
         if self.suite.n != self.mixing.n:
             raise ValueError(f"the suite has {self.suite.n} agents but the mixing matrix has {self.mixing.n}")
+
+    @classmethod
+    def of_run(cls, suite, mixing, hp):
+        """The objective a run of ``hp`` is measured against: penalized at ``hp.alpha`` under option I, plain F
+        under option II."""
+        return cls(suite, mixing, _run_alpha(hp))
+
+    def check_fits(self, hp):
+        """Refuse with ``ValueError`` unless this is the objective ``of_run`` builds for ``hp``."""
+        if self.alpha != _run_alpha(hp):
+            raise ValueError(f"a run of option {hp.option} at alpha = {hp.alpha} is measured against the objective "
+                             f"with penalty alpha = {_run_alpha(hp)}, not {self.alpha} (None is plain F)")
 
     def _check(self, states):
         states = np.asarray(states, dtype=float)
@@ -427,12 +446,14 @@ def _lbfgs_multistart(fun, starts):
 def unified_optimum(objective):
     """Minimizer and minimum of the stacked (penalized) objective.
 
-    Quadratic suites solve the closed form per coordinate; other suites fall
-    back to quasi-Newton minimization over the stacked space, started from the
-    common minimizer of :func:`common_optimum` tiled over the agents.  A
-    strongly convex suite (``mu_m > 0``) has one minimizer, so that one start
-    is enough; any other suite is also started from zero, first, since a tie
-    goes to the first start (and a PL suite last from its shifts).
+    Quadratic suites solve the closed form per coordinate, and a singular
+    system is a numerical failure (FloatingPointError), as a non-finite
+    L-BFGS-B optimum is.  Other suites fall back to quasi-Newton minimization
+    over the stacked space, started from the common minimizer of
+    :func:`common_optimum` tiled over the agents.  A strongly convex suite
+    (``mu_m > 0``) has one minimizer, so that one start is enough; any other
+    suite is also started from zero, first, since a tie goes to the first
+    start (and a PL suite last from its shifts).
     """
     suite = objective.suite
     n, d = suite.n, suite.d
@@ -443,7 +464,10 @@ def unified_optimum(objective):
             x = targets.copy()  # each agent minimizes its own loss
         else:
             h = np.diag(a) + objective._lap / objective.alpha
-            x = np.linalg.solve(h, a[:, None] * targets)
+            try:
+                x = np.linalg.solve(h, a[:, None] * targets)
+            except np.linalg.LinAlgError as exc:  # curvatures too small to pin the consensus direction
+                raise FloatingPointError(f"no closed-form quadratic stacked optimum: {exc}") from exc
         return x, objective.value(x)
     tile = np.tile(common_optimum(suite)[0], (n, 1))
     starts = [tile] if suite.mu_m > 0 else [np.zeros((n, d)), tile]

@@ -230,8 +230,10 @@ def run(objective, oracle, hp, f_star):
 
     ``objective`` is the only source of the problem: its suite supplies the
     local losses and its mixing matrix the consensus step, and its stacked
-    value/gradient feed the metric columns (the penalized objective for
-    option I, plain F for option II); ``f_star`` is its optimal value, so
+    value/gradient feed the metric columns.  It must be the objective
+    ``UnifiedObjective.of_run`` builds for ``hp`` (penalized at ``hp.alpha``
+    for option I, plain F for option II); any other is refused with
+    ``ValueError`` before the loop starts.  ``f_star`` is its optimal value, so
     gap = objective(x) - f_star; an ``f_star`` of nan makes only that column nan.  Each iterate is evaluated once, by
     ``suite.evaluate``: its local values and gradients feed the metric value
     and gradient, the exact gradients are the base of the oracle draw, and
@@ -240,6 +242,7 @@ def run(objective, oracle, hp, f_star):
     completed iteration is one record in ``RunTrace.COLUMNS`` order; a
     non-finite value, draw or step ends the loop and sets ``abort``.
     """
+    objective.check_fits(hp)
     suite, mixing = objective.suite, objective.mixing
     n, d = suite.n, suite.d
     swarm = AgentSwarm.zeros(mixing, n, d)

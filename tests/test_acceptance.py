@@ -233,18 +233,17 @@ def test_criterion_6_nonconvex_envelope():
 CRITERION_7_TRACES_PIN = "8af3edc3e0423d13743d66ce746284c11d4bc7bf8f263be90f0dc0abde9eeb03"
 
 
-def test_criterion_7_simpler_step_size():
+@pytest.fixture(scope="module")
+def criterion_7_runs():
+    """Criterion 7's runs, shared by its statistics and its digest: the plain-F objective, its f*, each sigma's
+    (mean running average, largest gradient norm) and the sha256 of every trace, in run order."""
     n, seeds_count, iters = 3, 64, 1000
     laziness, beta, omega, schedule_b = 0.5, 0.5, 0.5, 0.5
     mix = lazy_full(n, laziness)
-    spec = spectrum(mix)
-    lam, eta = spec.blended(omega)
     suite = make_quadratic([[0.5], [1.0], [1.5]], [1.0, 1.0, 1.0])
     objective = UnifiedObjective(suite, mix, None)  # option II: plain F
     _, f_star = unified_optimum(objective)
-    delta = objective.value(np.zeros((n, 1))) - f_star
-    ok_all = True
-    details = []
+    runs = {}
     traces_sha = hashlib.sha256()  # every trace's status, final state and columns, in run order
     for sigma in (0.0, 0.5):
         oracle = StochasticOracle(sigma=sigma)
@@ -258,10 +257,22 @@ def test_criterion_7_simpler_step_size():
                 traces_sha.update(np.ascontiguousarray(a, dtype=np.float64).tobytes())
             avgs.append(trace.running_avg_grad)
             max_grad = max(max_grad, float(np.sqrt(trace.grad_norm_sq.max())))
-        mean_avg = np.mean(avgs, axis=0)
+        runs[sigma] = (np.mean(avgs, axis=0), max_grad)
+    return objective, f_star, runs, traces_sha.hexdigest()
+
+
+def test_criterion_7_simpler_step_size(criterion_7_runs):
+    n, iters = 3, 1000
+    beta, omega, schedule_b = 0.5, 0.5, 0.5
+    objective, f_star, runs, _ = criterion_7_runs
+    lam, eta = spectrum(objective.mixing).blended(omega)
+    delta = objective.value(np.zeros((n, 1))) - f_star
+    ok_all = True
+    details = []
+    for sigma, (mean_avg, max_grad) in runs.items():
         bi = BoundInputs(
             alpha=None, beta=beta, lam=lam, n_agents=n, eta=eta,
-            grad_bound=1.05 * max_grad, sigma=sigma * np.sqrt(n), smooth=suite.l_m, gap1=delta,
+            grad_bound=1.05 * max_grad, sigma=sigma * np.sqrt(n), smooth=objective.suite.l_m, gap1=delta,
         )
         q = simpler_q(bi, schedule_b)
         ks = np.arange(1, iters + 1)
@@ -270,8 +281,12 @@ def test_criterion_7_simpler_step_size():
         dom = check_bound_domination(mean_avg[window], bound, slack=0.0)
         ok_all = ok_all and dom.passed
         details.append(f"sigma={sigma}: worst ratio {dom.worst_ratio:.2f}")
-    assert traces_sha.hexdigest() == CRITERION_7_TRACES_PIN
     report(7, "sqrt(B/k) schedule within the Q/sqrt(k) envelope", ok_all, "(" + "; ".join(details) + ")")
+
+
+@pytest.mark.pin
+def test_criterion_7_traces_pin(criterion_7_runs):
+    assert criterion_7_runs[3] == CRITERION_7_TRACES_PIN
 
 
 # ------------------------------------------------------- 8: oracle stats

@@ -1,3 +1,4 @@
+import itertools
 import logging
 import os
 import re
@@ -17,6 +18,8 @@ from dmsgd import harness, objectives
 from dmsgd.harness import (
     CONFIG_KEYS,
     ConfigError,
+    RunConfig,
+    SWEEP_AXES,
     TRACE_HEADER,
     build_scenario,
     bound_inputs_from_scenario,
@@ -41,7 +44,7 @@ from dmsgd.objectives import (
 )
 from dmsgd.optimizer import run
 from dmsgd.topology import build_topology, metropolis_mixing, spectrum
-from test_pins import CONFIGS, RING_CUSTOM_SWEEP
+from test_pins import BOUNDS_CONFIGS, CONFIGS, QUAD, RING_CUSTOM_SWEEP, SEEDS_RUN, SWEEP_CONFIGS
 
 QUAD_CONFIG = """\
 topology.kind = full
@@ -403,6 +406,26 @@ def test_check_returns_the_stacked_objective(spectrum_calls, optimum_calls, text
     assert objective.suite.n == objective.mixing.n == n
     assert oracle.mode == "additive"
     assert spectrum_calls == [] and optimum_calls == []
+
+
+PIN_CONFIG_TEXTS = {**{f"digests-{name}": text for name, text in CONFIGS.items()}, "quad": QUAD,
+                    **{f"sweep-{name}": text for name, text in SWEEP_CONFIGS.items()},
+                    **{f"bounds-{name}": text for name, text in BOUNDS_CONFIGS.items()},
+                    "seeds_run": SEEDS_RUN, "ring_custom_sweep": RING_CUSTOM_SWEEP}
+
+
+@pytest.mark.parametrize("name", sorted(PIN_CONFIG_TEXTS))
+def test_pin_configs_check_to_their_runs_objective(tmp_path, monkeypatch, name):
+    """Each config the pins run, and each cell of its sweep, checks to the objective ``of_run`` builds for its hp."""
+    monkeypatch.chdir(tmp_path)  # RING_CUSTOM_SWEEP's edge list is a relative path
+    (tmp_path / "ring4.edges").write_text("4\n0 1\n1 2\n2 3\n3 0\n", encoding="utf-8")
+    cfg = parse_config_text(PIN_CONFIG_TEXTS[name])
+    suites = {}
+    for cell in itertools.product(*(cfg.get(f"sweep.{label}", [None]) for label, _ in SWEEP_AXES)):
+        items = dict(cfg.items)
+        items.update((key, val) for (_, key), val in zip(SWEEP_AXES, cell) if val is not None)
+        objective, hp, _ = check_scenario(RunConfig(items=items), suites)
+        objective.check_fits(hp)
 
 
 @pytest.mark.parametrize("edit", ["hp.beta = 2", "hp.schedule = sqrt\nhp.B = 1.0", "oracle.sigma = -1"])
@@ -987,6 +1010,22 @@ def test_cli_nonfinite_optimum_is_a_numerical_failure(tmp_path, capsys, command)
     assert main([command, "--config", cfg_path, "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: numerical failure (")
+
+
+@pytest.mark.parametrize("command", ["run", "bounds"])
+def test_cli_singular_quadratic_optimum_is_a_numerical_failure(tmp_path, command):
+    """Curvatures of 1e-300 leave the penalized quadratic's linear system singular in the consensus direction: the
+    command exits 1 with one ``error: numerical failure`` line, not a traceback."""
+    text = re.sub(r"objective\.curvatures = .*", "objective.curvatures = 1e-300", CONFIGS["adaptive_global"])
+    cfg_path = write_config(tmp_path, text)
+    proc = run_fresh_python(f"""\
+import sys
+from dmsgd.harness import main
+sys.exit(main([{command!r}, "--config", {cfg_path!r}, "--out", {str(tmp_path / "out")!r}]))
+""", returncode=1)
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines() == ["error: numerical failure (no closed-form quadratic stacked optimum: "
+                                        "Singular matrix)"]
 
 
 def test_cli_sweep_nonfinite_optimum_is_an_error_row(tmp_path):

@@ -22,6 +22,7 @@ from dmsgd.objectives import (
     stochastic_grad,
     unified_optimum,
 )
+from dmsgd.bounds import BoundInputs
 from dmsgd.harness import check_scenario, load_dataset_csv, parse_config_text
 from dmsgd.optimizer import HyperParams, run
 from dmsgd.topology import build_topology, metropolis_mixing, spectrum
@@ -650,6 +651,46 @@ def test_unified_consensus_point_penalty_free():
 def test_unified_refuses_mismatched_agent_counts(alpha):
     with pytest.raises(ValueError, match="suite has 4 agents but the mixing matrix has 5"):
         UnifiedObjective(make_quadratic(np.zeros((4, 2)), 1.0), metropolis_mixing(build_topology("ring", 5)), alpha)
+
+
+@pytest.mark.parametrize("option, schedule, alpha", [("I", "constant", 0.05), ("II", "constant", None),
+                                                     ("II", "sqrt", None)])
+def test_of_run_penalizes_at_the_step_under_option_I_only(option, schedule, alpha):
+    """Option I is measured against F penalized at its own step, option II (any schedule) against plain F."""
+    suite = make_quadratic([[0.0], [1.0], [2.0], [3.0]], [1.0, 2.0, 1.0, 2.0])
+    mix = metropolis_mixing(build_topology("ring", 4), laziness=0.3)
+    hp = HyperParams(option=option, alpha=0.05 if schedule == "constant" else None, schedule=schedule,
+                     schedule_b=0.5)
+    objective = UnifiedObjective.of_run(suite, mix, hp)
+    assert (objective.suite, objective.mixing, objective.alpha) == (suite, mix, alpha)
+    objective.check_fits(hp)
+
+
+# a run's hp and the penalty alpha of an objective that is not the one of_run builds for it
+MISMATCHES = {
+    "option_I-other_alpha": (HyperParams(option="I", alpha=0.05), 0.1),
+    "option_I-plain_F": (HyperParams(option="I", alpha=0.05), None),
+    "option_II-penalized": (HyperParams(option="II", alpha=0.05), 0.05),
+    "adaptive_option_I-other_alpha": (HyperParams(option="I", alpha=0.05, omega="adaptive"), 0.025),
+}
+
+
+@pytest.mark.parametrize("caller", ["run", "BoundInputs.of_run"])
+@pytest.mark.parametrize("name", sorted(MISMATCHES))
+def test_a_run_refuses_any_other_objective(name, caller):
+    """``run`` and the bound inputs refuse an objective that is not the run's, naming the alpha the run needs and
+    the objective's."""
+    hp, alpha = MISMATCHES[name]
+    suite = make_quadratic([[0.0], [1.0], [2.0]], [1.0, 1.0, 1.0])
+    mix = uniform_mixing(3)
+    objective = UnifiedObjective(suite, mix, alpha)
+    want = hp.alpha if hp.option == "I" else None
+    message = rf"option {hp.option} at alpha = 0\.05 .* penalty alpha = {want}, not {alpha}"
+    with pytest.raises(ValueError, match=message):
+        if caller == "run":
+            run(objective, StochasticOracle(), hp, 0.0)
+        else:
+            BoundInputs.of_run(objective, spectrum(mix), hp, 0.0)
 
 
 @pytest.mark.parametrize("alpha, message", [(0.0, "alpha must be positive"), (-0.1, "alpha must be positive")],
